@@ -119,6 +119,7 @@ class Op:
     """One checked subprocess: a CLI subcommand or a set-up probe."""
 
     name: str
+    start: float             # time.perf_counter() at spawn
     wall_s: float
     rss_mb: float
     cpu_s: float
@@ -153,7 +154,7 @@ def run_process(name, argv, cwd, timeout, log_dir) -> Op:
             timer.cancel()
         wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
-    op = Op(name, wall, usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime,
+    op = Op(name, t0, wall, usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime,
             out_path.read_text())
     if killed.is_set():
         op.error = f"timed out after {timeout:.0f} s"
@@ -257,14 +258,21 @@ class Pipeline:
     def wall_s(self) -> float:
         return sum(op.wall_s for op in self.ops)
 
+    @property
+    def cpu_s(self) -> float:
+        return sum(op.cpu_s for op in self.ops)
+
     def phase(self, name):
         return next((op for op in self.ops if op.name == name), None)
 
 
-def run_pipeline(w: Workload, work: Path, seed, deadline, spans_dir=None) -> Pipeline:
+def run_pipeline(w: Workload, work: Path, seed, deadline, spans_dir=None,
+                 between=None) -> Pipeline:
     """One closed-loop pass through the workload's subcommands into the
     emptied directory work/out; stops at the first failed op.  With
-    spans_dir, every subcommand runs traced and leaves <phase>.npz there."""
+    spans_dir, every subcommand runs traced and leaves <phase>.npz there.
+    between(op) is called after each passing subcommand op; its time is
+    not part of the pipeline's."""
     out_dir = work / "out"
     shutil.rmtree(out_dir, ignore_errors=True)
     out_dir.mkdir(parents=True)
@@ -279,6 +287,8 @@ def run_pipeline(w: Workload, work: Path, seed, deadline, spans_dir=None) -> Pip
         ops.append(op)
         if not op.ok:
             break
+        if between:
+            between(op)
     return Pipeline(ops, counts)
 
 

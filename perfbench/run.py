@@ -2,13 +2,18 @@
 
 Usage (from the root of a checkout):
 
-    python3 perfbench/run.py --workload single_binary --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload loop_binary --seed 1 --seconds 50 --trace 0
 
 --trace 0 repeats the untraced pipeline as a closed loop while another
-pass fits in --seconds (at least one pass), then times the set-up every
-CLI call pays in fresh interpreters; it reports the end-to-end metrics.
+pass fits in --seconds (at least one pass).  After each subcommand it
+times the set-up every CLI call pays, in a fresh interpreter.  It
+reports the end-to-end metrics.
 --trace 1 runs one untraced and one traced pipeline plus two traced
 probes and reports the per-layer metrics, tracing overhead included.
+
+Every subprocess runs on one core whose speed is sampled meanwhile
+(pace.py); the times reported are wall times paced to a reference
+speed of that core, and the report keeps the raw ones.
 
 The last line of stdout is one JSON object: correct, attempted, failed
 and metrics.  The line before it ("perfbench-report ...") records the
@@ -24,6 +29,7 @@ import time
 
 import harness as h
 from layers import MODULES, Spans, layer_metrics
+from pace import CoreSpeed
 
 # The pipeline runs at the CLI's default root seed whatever --seed says:
 # on Single100 BinarySign, 3 of the 14 root seeds 0-13 leave targets for
@@ -33,24 +39,20 @@ from layers import MODULES, Spans, layer_metrics
 PROGRAM_SEED = h.DEFAULT_SEED
 
 RUN_BUDGET_S = 170.0     # every subprocess is killed past this point
-SETUP_SAMPLES = 5        # fresh-interpreter set-ups per run, after one warm-up
+SETUP_MIN = 8            # set-up samples per run at the least, after one warm-up
 
-# Per-subcommand wall times are per-layer (cli.<phase>_s), not end to
-# end: on a 2-vCPU box whose cores are shared with other tenants they
-# spread 15-40% between runs, past the largest regression bound, while
-# their sum, pipeline_s, spreads 8-17%.
+PHASE_METRICS = {"train": "train_s", "perturb": "perturb_s",
+                 "stability": "stability_s", "random-init": "random_init_s"}
+
 END_TO_END = {
     "setup_s": "s",
     "pipeline_s": "s",
+    **{name: "s" for name in PHASE_METRICS.values()},
     "peak_rss_mb": "MB",
     "ok_ops_share": "share",
 }
 
-PHASE_METRICS = {"train": "cli.train_s", "perturb": "cli.perturb_s",
-                 "stability": "cli.stability_s", "random-init": "cli.random_init_s"}
-
 PER_LAYER = {
-    **{name: "s" for name in PHASE_METRICS.values()},
     "network.step_fast_us.p50": "us",
     "network.step_fast_us.p99": "us",
     "network.residual_us.p50": "us",
@@ -88,16 +90,18 @@ PER_LAYER = {
     **{f"{module}.self_s": "s" for module in MODULES},
     "trace.spans": "count",
     "trace.overhead_s": "s",
+    "trace.overhead_cpu_s": "s",
 }
 
 
 class Run:
     """The ops of one benchmark run and their pass/fail accounting."""
 
-    def __init__(self, workload, work, seconds):
+    def __init__(self, workload, work, seconds, speed: CoreSpeed):
         self.w = workload
         self.work = work
         self.seconds = seconds
+        self.speed = speed
         self.t0 = time.monotonic()
         self.deadline = self.t0 + RUN_BUDGET_S
         self.ops = []
@@ -106,8 +110,11 @@ class Run:
     def failed(self):
         return sum(not op.ok for op in self.ops)
 
-    def pipeline(self, seed, spans_dir=None):
-        p = h.run_pipeline(self.w, self.work, seed, self.deadline, spans_dir)
+    def paced(self, ops) -> float:
+        return sum(self.speed.paced(op.start, op.wall_s) for op in ops)
+
+    def pipeline(self, seed, spans_dir=None, between=None):
+        p = h.run_pipeline(self.w, self.work, seed, self.deadline, spans_dir, between)
         self.ops += p.ops
         return p
 
@@ -125,35 +132,47 @@ class Run:
 
 
 def end_to_end(run: Run, seed) -> tuple:
-    pipelines = []
+    probe = [sys.executable, str(h.HERE / "setup_probe.py"),
+             str(run.work / "out" / "checkpoint.pchn"), json.dumps(run.w.config)]
+    probes = []
+
+    def probes_ok():
+        return all(op.ok for op in probes)
+
+    def probe_once(_op=None):
+        # One probe after every subcommand spreads them over the run.
+        if probes_ok():
+            probes.append(run.process(f"setup-{len(probes)}", probe))
+
+    pipelines, passes = [], []
     while True:
-        p = run.pipeline(seed)
+        start = time.monotonic()
+        p = run.pipeline(seed, between=probe_once)
+        passes.append(time.monotonic() - start)
         pipelines.append(p)
         h.drop_traces(run.work)
-        if not p.ok:
+        if not (p.ok and probes_ok()):
             break
-        elapsed = time.monotonic() - run.t0
-        if elapsed + h.median([q.wall_s for q in pipelines]) > run.seconds:
+        if time.monotonic() - run.t0 + h.median(passes) > min(run.seconds, RUN_BUDGET_S):
             break
-    setup = []
-    if all(p.ok for p in pipelines):
-        probe = [sys.executable, str(h.HERE / "setup_probe.py"),
-                 str(run.work / "out" / "checkpoint.pchn"), json.dumps(run.w.config)]
-        for i in range(SETUP_SAMPLES + 1):
-            op = run.process(f"setup-{i}", probe)
-            if i and op.ok:
-                setup.append(op.wall_s)
+    while all(p.ok for p in pipelines) and len(probes) <= SETUP_MIN and probes_ok():
+        probe_once()
+    setup = [run.paced([op]) for op in probes[1:] if op.ok]
+    phase_s = {phase: [run.paced([p.phase(phase)]) for p in pipelines if p.phase(phase)]
+               for phase in run.w.phases}
 
     metrics = {
         "setup_s": h.median(setup),
-        "pipeline_s": h.median([p.wall_s for p in pipelines]),
+        # Per phase, so a slow spell in one phase of one pass drops out.
+        "pipeline_s": sum(h.median(v) for v in phase_s.values()),
+        **{name: h.median(phase_s[phase]) for phase, name in PHASE_METRICS.items()},
         "peak_rss_mb": h.median([max(op.rss_mb for op in p.ops) for p in pipelines]),
         "ok_ops_share": 1.0 - run.failed / max(len(run.ops), 1),
     }
     samples = {"pipelines": len(pipelines), "setup": len(setup),
-               "pipeline_s": [p.wall_s for p in pipelines], "setup_s": setup,
-               "phase_s": {phase: [p.phase(phase).wall_s for p in pipelines
-                                   if p.phase(phase)] for phase in run.w.phases},
+               "setup_s": setup, "phase_s": phase_s,
+               "pipeline_wall_s": [p.wall_s for p in pipelines],
+               "setup_wall_s": [op.wall_s for op in probes[1:] if op.ok],
                "counts": [p.counts for p in pipelines]}
     return metrics, samples
 
@@ -190,31 +209,38 @@ def traced(run: Run, seed) -> tuple:
                 else Spans(spans_dir / "probe-hopfield.npz"))
     metrics = layer_metrics(spans, pipe.counts, Spans(spans_dir / "probe-unsampled.npz"),
                             hopfield, round(w.shape.horizon / w.shape.dt))
-    metrics["trace.overhead_s"] = pipe.wall_s - plain.wall_s
-    for phase, name in PHASE_METRICS.items():
-        metrics[name] = plain.phase(phase).wall_s
-    samples = {"pipeline_s_untraced": plain.wall_s, "pipeline_s_traced": pipe.wall_s,
+    metrics["trace.overhead_s"] = run.paced(pipe.ops) - run.paced(plain.ops)
+    metrics["trace.overhead_cpu_s"] = pipe.cpu_s - plain.cpu_s
+    samples = {"pipeline_s_untraced": run.paced(plain.ops),
+               "pipeline_s_traced": run.paced(pipe.ops),
+               "pipeline_wall_s_untraced": plain.wall_s, "pipeline_wall_s_traced": pipe.wall_s,
+               "cpu_s_untraced": plain.cpu_s, "cpu_s_traced": pipe.cpu_s,
                "counts": pipe.counts}
     return metrics, samples
 
 
-def measure(w, seed, seconds, trace, program_seed=PROGRAM_SEED) -> tuple:
+def measure(w, seed, seconds, trace) -> tuple:
     """Run the benchmark once; returns (result, report)."""
     work = h.RUNS_DIR / f"{w.name}-seed{seed}-trace{trace}-{os.getpid()}"
     work.mkdir(parents=True, exist_ok=True)
-    run = Run(w, work, seconds)
-    if trace:
-        metrics, samples = traced(run, program_seed)
-        result = run.result(metrics, PER_LAYER)
-    else:
-        metrics, samples = end_to_end(run, program_seed)
-        result = run.result(metrics, END_TO_END)
+    with CoreSpeed() as speed:
+        run = Run(w, work, seconds, speed)
+        if trace:
+            metrics, samples = traced(run, PROGRAM_SEED)
+            result = run.result(metrics, PER_LAYER)
+        else:
+            metrics, samples = end_to_end(run, PROGRAM_SEED)
+            result = run.result(metrics, END_TO_END)
+    kernel = sorted(d for _, d in speed.samples)
     report = {
-        "workload": w.name, "seed": seed, "program_seed": program_seed,
+        "workload": w.name, "seed": seed, "program_seed": PROGRAM_SEED,
         "seconds": seconds, "trace": trace, "environment": h.environment(),
+        "pace": {"cpu": speed.cpu, "samples": len(kernel),
+                 "kernel_us_p50": 1e6 * h.median(kernel)},
         "samples": samples,
-        "ops": [{"name": op.name, "wall_s": op.wall_s, "cpu_s": op.cpu_s, "rss_mb": op.rss_mb,
-                 "error": op.error} for op in run.ops],
+        "ops": [{"name": op.name, "wall_s": op.wall_s, "paced_s": run.paced([op]),
+                 "cpu_s": op.cpu_s, "rss_mb": op.rss_mb, "error": op.error}
+                for op in run.ops],
     }
     (work / "result.json").write_text(json.dumps({"result": result, "report": report},
                                                  indent=1, sort_keys=True) + "\n")
