@@ -40,7 +40,9 @@ def save_weights(net, path):
 
 def load_weights(net, path):
     """Load weights saved by save_weights into net; the architecture must
-    match the header lines exactly."""
+    match the header lines exactly and every value must be finite.  The
+    whole file is checked before any weight is written, so a rejected
+    file leaves net as it was."""
     with open(path) as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -57,17 +59,25 @@ def load_weights(net, path):
         pos += n
         return out
 
+    def floats(n, shape):
+        return np.array([float(x) for x in take(n)]).reshape(shape)
+
+    blocks = []
     for k, c in enumerate(net.connections):
         head = take(5)
         if head[0] != "conn":
             raise ConstructionError(f"{path}: expected conn header, got {head[0]!r}")
-        src, dst, rows, cols = (int(x) for x in head[1:])
-        if (src, dst) != (c.src, c.dst) or (rows, cols) != c.M.shape:
+        if head[1:] != [str(x) for x in (c.src, c.dst, *c.M.shape)]:
             raise ConstructionError(
                 f"{path}: connection {k} header {head[1:]} does not match "
                 f"architecture ({c.src}, {c.dst}, {c.M.shape[0]}, {c.M.shape[1]})")
-        c.M = np.array([float(x) for x in take(rows * cols)]).reshape(rows, cols)
-        c.W = np.array([float(x) for x in take(cols * rows)]).reshape(cols, rows)
-        c.b = np.array([float(x) for x in take(rows)])
+        rows, cols = c.M.shape
+        block = (floats(rows * cols, (rows, cols)), floats(cols * rows, (cols, rows)),
+                 floats(rows, (rows,)))
+        if not all(np.all(np.isfinite(x)) for x in block):
+            raise ConstructionError(f"{path}: connection {k} holds a non-finite weight")
+        blocks.append(block)
     if pos != len(tokens):
         raise ConstructionError(f"{path}: trailing data after last connection")
+    for c, (M, W, b) in zip(net.connections, blocks):
+        c.M, c.W, c.b = M, W, b

@@ -2,10 +2,11 @@
 
 A study drops a frozen network at a set of initial value states, lets the
 fast dynamics run, and records the distance from the state to every
-stored target at a fixed sampling interval.  Runs are integrated as
-columns of one batch (they share the weights, so every run is a column
-of the same matrix products), which keeps the studies fast without
-touching the single-run semantics.
+stored target at a fixed sampling interval.  Runs are the columns of one
+(2T, runs) array of packed fast states (errors in the first T rows,
+values in the last T); they share the weights, so Network.euler, the
+integrator behind step_fast, advances every run with the same matrix
+products.
 
 Seeding: anything accepting a seed builds its per-run streams as
 SeedSequence(seed, spawn_key=(run,)), so independent commands can
@@ -171,28 +172,26 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     steps = max(1, int(round(horizon / dt)))
     stride = max(1, int(round(sample_every / dt)))
 
-    # per-population column batches, runs as columns
-    V, at = [], 0
-    for p in net.populations:
-        V.append(starts[:, at:at + p.size].T.copy())
-        at += p.size
-    E = [np.zeros_like(v) for v in V]
+    # packed states as columns: errors in rows :T, values in rows T:
+    T = net.total_units
+    S = np.zeros((2 * T, n_runs))
+    S[T:] = starts.T
+    V = S[T:]
 
     alive = np.ones(n_runs, dtype=bool)
     last_d = np.zeros((pats.shape[0], n_runs))
     records = []
 
     def sample(t):
-        S = np.concatenate(V, axis=0)          # (total_units, n_runs)
         with np.errstate(invalid="ignore"):
-            finite = np.all(np.isfinite(S), axis=0) & \
-                np.all(np.abs(S) < 1e100, axis=0)
+            finite = np.all(np.isfinite(V), axis=0) & \
+                np.all(np.abs(V) < 1e100, axis=0)
         if metric == HAMMING:
-            signs = sign_pm1(S)
+            signs = sign_pm1(V)
             dists = np.stack([np.sum(signs != pat[:, None], axis=0).astype(float)
                               for pat in pats])
         else:
-            dists = np.stack([np.linalg.norm(S - pat[:, None], axis=0)
+            dists = np.stack([np.linalg.norm(V - pat[:, None], axis=0)
                               for pat in pats])
         for r in range(n_runs):
             if not alive[r]:
@@ -202,9 +201,7 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
                     records.append(TraceRecord(r, t, j, float(last_d[j, r]),
                                                metric, "divergent"))
                 alive[r] = False
-                for arrs in (V, E):
-                    for a in arrs:
-                        a[:, r] = 0.0
+                S[:, r] = 0.0
                 continue
             for j in range(pats.shape[0]):
                 records.append(TraceRecord(r, t, j, float(dists[j, r]), metric))
@@ -213,10 +210,7 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     sample(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
-            dV, dE = net.fast_derivatives(V, E)
-            for i in range(len(V)):
-                V[i] += dt * dV[i]
-                E[i] += dt * dE[i]
+            net.euler(S)
             if k % stride == 0 or k == steps:
                 sample(k * dt)
 

@@ -102,12 +102,8 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
             target = pats[tid]
             net.clamp_all(target)
             if schedule.reset_fast_state:
-                for p in net.populations:
-                    p.eps = np.zeros(p.size)
-            mu = net._predictions([p.v for p in net.populations])
-            settled = [(p.v - mu[i]) / net.hyper.zeta
-                       for i, p in enumerate(net.populations)]
-            energy_start = net.energy(settled)
+                net.E[:] = 0.0
+            energy_start = net.energy((net.V - net.predict(net.V)) / net.hyper.zeta)
             for _ in range(steps_per):
                 net.step_fast()
                 net.step_slow()
@@ -126,17 +122,8 @@ def freeze(net):
 
 def prediction_mse(net, targets) -> float:
     """Mean squared prediction error over the target set with current
-    weights: load each target into the value nodes, compare every
-    population against its incoming prediction.  State is restored."""
-    pats = _patterns_array(targets, net.total_units)
-    saved = net.fast_state()
-    total, count = 0.0, 0
-    for target in pats:
-        net.set_values(target)
-        mu = net._predictions([p.v for p in net.populations])
-        for i, p in enumerate(net.populations):
-            diff = p.v - mu[i]
-            total += float(np.dot(diff, diff))
-            count += p.size
-    net.set_fast_state(saved)
-    return total / count
+    weights: every unit of every target against its prediction from
+    that target.  Network state is not touched."""
+    V = _patterns_array(targets, net.total_units).T
+    diff = V - net.predict(V)
+    return float(np.sum(diff * diff)) / diff.size

@@ -1,22 +1,28 @@
 """Recurrent predictive-coding network core.
 
 A network is a set of value populations joined by directed connections.
-Each population i carries a value vector v_i and an error vector eps_i.
 Every population is predicted by exactly one other population (possibly
 itself) through prediction weights M and a bias b; errors travel back
 along the same edge through correction weights W.
 
-Fast dynamics (Euler-integrated with step dt, time constant tau):
+All T units share one packed fast state s of shape (2T,): the errors
+E = s[:T], then the values V = s[T:], each in population order.  The
+connections are blocks of one global T x T prediction matrix M (dst rows,
+src columns), one T x T correction matrix W (src rows, dst columns) and
+one length-T bias b.  A fixed 0/1 `mask` marks the entries of M that
+belong to a connection; the diagonal of a self-edge block is excluded,
+so no unit predicts itself.  The fast dynamics are then one recurrent
+system, Euler-integrated with step dt:
 
-    tau * d(eps_i)/dt = v_i - mu_i - zeta * eps_i
-    tau * d(v_i)/dt   = -eps_i + sigma'(v_i) * sum_c W_c @ eps_dst(c)
+    tau_e * dE/dt = V - (M @ sigma(V) + b) - zeta * E
+    tau_v * dV/dt = -E + sigma'(V) * (W @ E)
 
-where mu_i = M @ sigma(v_src) + b for the one connection predicting i,
-and the sum runs over connections whose predictor is i.  Slow dynamics
-(learning) live in learning.py, linearization in stability.py.
+and learning is one local outer-product rule restricted to the mask (see
+step_slow).  Populations and connections are views into these arrays.
+Linearization lives in stability.py, the training loop in learning.py.
 
-Clamped populations have v pinned to clamp_target after every step while
-eps keeps evolving, which is how training drives weight updates.
+Clamped units have V pinned to their clamp target after every step
+while E keeps evolving, which is how training drives weight updates.
 """
 
 from dataclasses import dataclass
@@ -37,8 +43,8 @@ class Hyperparams:
 
     tau governs the fast (state) equations, gamma the slow (weight)
     equations; learning slower than inference means tau < gamma.  zeta
-    is the leak on the error nodes.  The per-equation overrides default
-    to the shared values and exist for exploration only.
+    is the leak on the error nodes.  tau_error and tau_value override
+    tau for the error and value equations.
     """
 
     tau: float = 1.0
@@ -47,23 +53,22 @@ class Hyperparams:
     dt: float = 0.005
     tau_error: Optional[float] = None
     tau_value: Optional[float] = None
-    gamma_prediction: Optional[float] = None
-    gamma_correction: Optional[float] = None
-    gamma_bias: Optional[float] = None
 
     def __post_init__(self):
         for name in ("tau", "gamma", "zeta", "dt"):
             if not getattr(self, name) > 0.0:
                 raise ConstructionError(f"{name} must be positive")
-        for name in ("tau_error", "tau_value", "gamma_prediction",
-                     "gamma_correction", "gamma_bias"):
+        for name in ("tau_error", "tau_value"):
             val = getattr(self, name)
             if val is not None and not val > 0.0:
                 raise ConstructionError(f"{name} must be positive when given")
         if not self.tau < self.gamma:
             raise ConstructionError("need tau < gamma (inference faster than learning)")
-        if not self.dt < self.tau / 2.0:
-            raise ConstructionError("need dt < tau/2 for a stable Euler step")
+        if not (self.dt < self.tau_e / 2.0 and self.dt < self.tau_v / 2.0):
+            raise ConstructionError("need dt < tau_e/2 and dt < tau_v/2 for a stable Euler step")
+        if not self.dt * self.zeta / self.tau_e < 2.0:
+            raise ConstructionError("need dt*zeta/tau_e < 2 for a stable Euler step "
+                                    "of the error leak")
 
     @property
     def tau_e(self) -> float:
@@ -73,56 +78,63 @@ class Hyperparams:
     def tau_v(self) -> float:
         return self.tau_value if self.tau_value is not None else self.tau
 
-    @property
-    def gamma_m(self) -> float:
-        return self.gamma_prediction if self.gamma_prediction is not None else self.gamma
 
-    @property
-    def gamma_w(self) -> float:
-        return self.gamma_correction if self.gamma_correction is not None else self.gamma
+def _in_place(name):
+    """Attribute whose assignment writes into the array it holds, so an
+    attribute bound to a view of a network's arrays stays that view."""
+    def set_(self, x):
+        getattr(self, name)[...] = x
+    return property(lambda self: getattr(self, name), set_)
 
-    @property
-    def gamma_b(self) -> float:
-        return self.gamma_bias if self.gamma_bias is not None else self.gamma
+
+def _vector(x, n):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ConstructionError(f"vector length {x.shape} != ({n},)")
+    return x
 
 
 class Population:
-    """One group of value units plus their error units."""
+    """One group of value units plus their error units.  The network it
+    joins sets `slice`, its place in E and V, and makes v, eps and the
+    clamp views into the network's arrays."""
 
-    def __init__(self, size: int, activation: Activation):
+    v = _in_place("_v")
+    eps = _in_place("_eps")
+
+    def __init__(self, size: int):
         if size < 1:
             raise ConstructionError("population size must be >= 1")
         self.size = size
-        self.activation = activation
-        self.v = np.zeros(size)
-        self.eps = np.zeros(size)
-        self.clamped = False
-        self.clamp_target = None
+
+    @property
+    def clamped(self) -> bool:
+        return bool(self._clamped.all())
 
     def clamp(self, target):
-        target = np.asarray(target, dtype=float)
-        if target.shape != (self.size,):
-            raise ConstructionError(
-                f"clamp target shape {target.shape} != ({self.size},)")
-        self.clamped = True
-        self.clamp_target = target.copy()
-        self.v = target.copy()
+        self._target[...] = _vector(target, self.size)
+        self._clamped[...] = True
+        self._v[...] = self._target
 
     def unclamp(self):
-        self.clamped = False
-        self.clamp_target = None
+        self._clamped[...] = False
 
 
 class Connection:
     """Directed edge src -> dst: src predicts dst through M and b,
-    dst's errors feed back to src through W."""
+    dst's errors feed back to src through W.  Inside a network M, W and
+    b are views into the global blocks."""
+
+    M = _in_place("_M")
+    W = _in_place("_W")
+    b = _in_place("_b")
 
     def __init__(self, src: int, dst: int, M, W, b):
         self.src = src
         self.dst = dst
-        self.M = np.asarray(M, dtype=float)
-        self.W = np.asarray(W, dtype=float)
-        self.b = np.asarray(b, dtype=float)
+        self._M = np.asarray(M, dtype=float)
+        self._W = np.asarray(W, dtype=float)
+        self._b = np.asarray(b, dtype=float)
 
 
 @dataclass
@@ -133,146 +145,118 @@ class EquilibriumResult:
 
 
 class Network:
-    def __init__(self, populations, connections, hyper: Hyperparams,
-                 tied: bool = False):
+    def __init__(self, populations, connections, activation: Activation,
+                 hyper: Hyperparams, tied: bool = False):
         if not populations:
             raise ConstructionError("need at least one population")
         self.populations = list(populations)
         self.connections = list(connections)
+        self.activation = activation
         self.hyper = hyper
         self.tied = tied
         self.weights_frozen = False
         self.steps_taken = 0
 
+        at = 0
+        for p in self.populations:
+            p.slice = slice(at, at + p.size)
+            at += p.size
+        T = self.total_units = at
+        self.s = np.zeros(2 * T)
+        self.E, self.V = self.s[:T], self.s[T:]
+        self.clamped = np.zeros(T, dtype=bool)
+        self.clamp_target = np.zeros(T)
+        self.M, self.W, self.b = np.zeros((T, T)), np.zeros((T, T)), np.zeros(T)
+        self.mask = np.zeros((T, T))
+
         n_pop = len(self.populations)
-        self.incoming = [None] * n_pop   # conn index predicting population i
-        self.outgoing = [[] for _ in range(n_pop)]
-        for k, c in enumerate(self.connections):
+        has_incoming = [False] * n_pop
+        for c in self.connections:
             if not (0 <= c.src < n_pop and 0 <= c.dst < n_pop):
                 raise ConstructionError("connection endpoint out of range")
-            if self.incoming[c.dst] is not None:
+            if has_incoming[c.dst]:
                 raise ConstructionError(
                     f"population {c.dst} has more than one incoming connection")
-            self.incoming[c.dst] = k
-            self.outgoing[c.src].append(k)
-            ns, nd = self.populations[c.src].size, self.populations[c.dst].size
+            has_incoming[c.dst] = True
+            src, dst = self.populations[c.src], self.populations[c.dst]
+            ns, nd = src.size, dst.size
             if c.M.shape != (nd, ns):
                 raise ConstructionError(f"M shape {c.M.shape} != ({nd}, {ns})")
             if c.W.shape != (ns, nd):
                 raise ConstructionError(f"W shape {c.W.shape} != ({ns}, {nd})")
             if c.b.shape != (nd,):
                 raise ConstructionError(f"b shape {c.b.shape} != ({nd},)")
-        for i, k in enumerate(self.incoming):
-            if k is None:
+            block = self.mask[dst.slice, src.slice]
+            block[...] = 1.0
+            if c.src == c.dst:
+                np.fill_diagonal(block, 0.0)
+            self.M[dst.slice, src.slice] = c.M
+            self.W[src.slice, dst.slice] = c.W
+            self.b[dst.slice] = c.b
+            c._M = self.M[dst.slice, src.slice]
+            c._W = self.W[src.slice, dst.slice]
+            c._b = self.b[dst.slice]
+        for i, ok in enumerate(has_incoming):
+            if not ok:
                 raise ConstructionError(f"population {i} has no incoming connection")
+        for p in self.populations:
+            p._eps, p._v = self.E[p.slice], self.V[p.slice]
+            p._clamped, p._target = self.clamped[p.slice], self.clamp_target[p.slice]
 
-    # ---- bookkeeping ----
-
-    @property
-    def total_units(self) -> int:
-        return sum(p.size for p in self.populations)
+    # ---- state ----
 
     def values_vector(self):
-        """All value nodes concatenated in population order."""
-        return np.concatenate([p.v for p in self.populations])
-
-    def split_values(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.total_units,):
-            raise ConstructionError(
-                f"vector length {x.shape} != ({self.total_units},)")
-        out, at = [], 0
-        for p in self.populations:
-            out.append(x[at:at + p.size].copy())
-            at += p.size
-        return out
+        """All value nodes in population order."""
+        return self.V.copy()
 
     def set_values(self, x):
-        for p, part in zip(self.populations, self.split_values(x)):
-            p.v = part
+        self.V[:] = _vector(x, self.total_units)
 
     def fast_state(self):
-        """Flat fast state: every eps in population order, then every v."""
-        return np.concatenate([p.eps for p in self.populations]
-                              + [p.v for p in self.populations])
+        """Packed fast state: every eps in population order, then every v."""
+        return self.s.copy()
 
     def set_fast_state(self, s):
-        s = np.asarray(s, dtype=float)
-        T = self.total_units
-        if s.shape != (2 * T,):
-            raise ConstructionError(f"state length {s.shape} != ({2 * T},)")
-        at = 0
-        for p in self.populations:
-            p.eps = s[at:at + p.size].copy()
-            at += p.size
-        for p in self.populations:
-            p.v = s[at:at + p.size].copy()
-            at += p.size
+        self.s[:] = _vector(s, 2 * self.total_units)
 
     def clamp_all(self, target):
-        for p, part in zip(self.populations, self.split_values(target)):
-            p.clamp(part)
+        self.clamp_target[:] = _vector(target, self.total_units)
+        self.clamped[:] = True
+        self.V[:] = self.clamp_target
 
     def unclamp_all(self):
-        for p in self.populations:
-            p.unclamp()
+        self.clamped[:] = False
 
     # ---- dynamics ----
 
-    def _predictions(self, V):
-        """mu for every population given value arrays V (vectors or
-        column-batched matrices)."""
-        mu = [None] * len(self.populations)
-        for i, k in enumerate(self.incoming):
-            c = self.connections[k]
-            sig = self.populations[c.src].activation.apply(V[c.src])
-            b = c.b if np.ndim(V[i]) == 1 else c.b[:, None]
-            mu[i] = c.M @ sig + b
-        return mu
+    def predict(self, V):
+        """Predictions M sigma(V) + b of every value unit; V is (T,) or
+        (T, B) for B runs sharing the weights."""
+        b = self.b if V.ndim == 1 else self.b[:, None]
+        return self.M @ self.activation.apply(V) + b
 
-    def compute_prediction(self, conn_index: int):
-        """Prediction the given connection currently makes for its dst."""
-        c = self.connections[conn_index]
-        sig = self.populations[c.src].activation.apply(self.populations[c.src].v)
-        return c.M @ sig + c.b
-
-    def fast_derivatives(self, V, E):
-        """Time derivatives (dV, dE) of the fast equations at state (V, E).
-
-        V and E are lists of per-population arrays, either shape (size,)
-        or (size, B) for B independent runs sharing the weights.  Pure
-        function of the arguments; network state is not touched.
-        """
+    def rhs(self, E, V):
+        """Time derivatives (dE, dV) of the fast equations at errors E and
+        values V, each (T,) or (T, B), ignoring clamps.  Pure function of
+        the arguments; network state is not touched."""
         h = self.hyper
-        mu = self._predictions(V)
-        dE = [(V[i] - mu[i] - h.zeta * E[i]) / h.tau_e
-              for i in range(len(self.populations))]
-        dV = []
-        for i, p in enumerate(self.populations):
-            corr = 0.0
-            for k in self.outgoing[i]:
-                c = self.connections[k]
-                corr = corr + c.W @ E[c.dst]
-            gain = p.activation.derivative(V[i])
-            dV.append((-E[i] + gain * corr) / h.tau_v)
-        return dV, dE
+        dE = (V - self.predict(V) - h.zeta * E) / h.tau_e
+        dV = (-E + self.activation.derivative(V) * (self.W @ E)) / h.tau_v
+        return dE, dV
+
+    def euler(self, s):
+        """One Euler step of the unclamped fast equations, in place, on a
+        packed state s of shape (2T,) or (2T, B)."""
+        T, dt = self.total_units, self.hyper.dt
+        dE, dV = self.rhs(s[:T], s[T:])
+        s[:T] += dt * dE
+        s[T:] += dt * dV
 
     def fast_rhs_flat(self, s):
-        """RHS of the fast equations at flat state s (eps blocks then v
-        blocks), ignoring clamps.  Used by linearization and solvers."""
-        s = np.asarray(s, dtype=float)
-        T = self.total_units
-        if s.shape != (2 * T,):
-            raise ConstructionError(f"state length {s.shape} != ({2 * T},)")
-        E, V, at = [], [], 0
-        for p in self.populations:
-            E.append(s[at:at + p.size])
-            at += p.size
-        for p in self.populations:
-            V.append(s[at:at + p.size])
-            at += p.size
-        dV, dE = self.fast_derivatives(V, E)
-        return np.concatenate(dE + dV)
+        """RHS of the fast equations at packed state s, ignoring clamps.
+        Used by linearization and solvers."""
+        s = _vector(s, 2 * self.total_units)
+        return np.concatenate(self.rhs(s[:self.total_units], s[self.total_units:]))
 
     def step_fast(self, algebraic_errors: bool = False):
         """One Euler step of the fast equations.
@@ -283,75 +267,49 @@ class Network:
         gradient descent on the energy when weights are tied.
         """
         h = self.hyper
-        V = [p.v for p in self.populations]
         with np.errstate(over="ignore", invalid="ignore"):
             if algebraic_errors:
-                mu = self._predictions(V)
-                for i, p in enumerate(self.populations):
-                    p.eps = (p.v - mu[i]) / h.zeta
-                E = [p.eps for p in self.populations]
-                dV, _ = self.fast_derivatives(V, E)
-                for p, dv in zip(self.populations, dV):
-                    p.v = p.v + h.dt * dv
+                self.E[:] = (self.V - self.predict(self.V)) / h.zeta
+                self.V += h.dt * self.rhs(self.E, self.V)[1]
             else:
-                E = [p.eps for p in self.populations]
-                dV, dE = self.fast_derivatives(V, E)
-                for p, dv, de in zip(self.populations, dV, dE):
-                    p.eps = p.eps + h.dt * de
-                    p.v = p.v + h.dt * dv
-        for p in self.populations:
-            if p.clamped:
-                p.v = p.clamp_target.copy()
+                self.euler(self.s)
+        np.copyto(self.V, self.clamp_target, where=self.clamped)
         self.steps_taken += 1
         self._check_finite()
 
     def _check_finite(self):
-        for p in self.populations:
-            for arr in (p.v, p.eps):
-                if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > DIVERGENCE_LIMIT):
-                    raise IntegrationDivergenceError(self.steps_taken)
+        # a NaN fails the comparison too
+        if not np.all(np.abs(self.s) <= DIVERGENCE_LIMIT):
+            raise IntegrationDivergenceError(self.steps_taken)
 
     def step_slow(self):
         """One Euler step of the weight equations from the current state.
 
-        Local rule: every update uses only quantities available at the
-        two ends of a connection (src activity, dst error).
+        Local rule: every update is post-synaptic error times pre-synaptic
+        activity, restricted to the connection blocks by the mask.
         """
         if self.weights_frozen:
             raise ContractViolationError("weights are frozen")
-        h = self.hyper
-        for c in self.connections:
-            sig = self.populations[c.src].activation.apply(self.populations[c.src].v)
-            err = self.populations[c.dst].eps
-            c.M = c.M + (h.dt / h.gamma_m) * np.outer(err, sig)
-            if self.tied:
-                c.W = c.M.T.copy()
-            else:
-                c.W = c.W + (h.dt / h.gamma_w) * np.outer(sig, err)
-            c.b = c.b + (h.dt / h.gamma_b) * err
-            if c.src == c.dst:
-                np.fill_diagonal(c.M, 0.0)
-                np.fill_diagonal(c.W, 0.0)
+        rate = self.hyper.dt / self.hyper.gamma
+        dM = (rate * np.outer(self.E, self.activation.apply(self.V))) * self.mask
+        self.M += dM
+        if self.tied:
+            self.W[...] = self.M.T
+        else:
+            self.W += dM.T
+        self.b += rate * self.E
 
     def energy(self, errors=None) -> float:
-        """Total error energy sum_i (zeta/2) * ||eps_i||^2."""
-        if errors is None:
-            errors = [p.eps for p in self.populations]
-        z = self.hyper.zeta
-        return float(sum(0.5 * z * float(np.dot(e, e)) for e in errors))
+        """Total error energy (zeta/2) * ||E||^2, of the current errors or
+        of the given length-T error vector."""
+        e = self.E if errors is None else errors
+        return 0.5 * self.hyper.zeta * float(np.dot(e, e))
 
     def residual(self) -> float:
         """Sup-norm of the fast-state time derivative, skipping the value
-        equations of clamped populations."""
-        V = [p.v for p in self.populations]
-        E = [p.eps for p in self.populations]
-        dV, dE = self.fast_derivatives(V, E)
-        worst = 0.0
-        for i, p in enumerate(self.populations):
-            worst = max(worst, float(np.max(np.abs(dE[i]))))
-            if not p.clamped:
-                worst = max(worst, float(np.max(np.abs(dV[i]))))
-        return worst
+        equations of clamped units."""
+        dE, dV = self.rhs(self.E, self.V)
+        return float(np.max(np.abs(np.concatenate((dE, dV[~self.clamped])))))
 
     def run_fast_to_equilibrium(self, tol: float = 1e-6,
                                 max_steps: int = 100000) -> EquilibriumResult:
@@ -390,9 +348,8 @@ def build_single_population(n: int, activation: Activation, hyper: Hyperparams,
     """Single population predicting itself through a self connection
     (diagonal held at zero so no unit predicts itself)."""
     rng = _as_rng(seed)
-    pop = Population(n, activation)
     conn = _init_connection(0, 0, n, n, rng, init_scale, tie_weights)
-    return Network([pop], [conn], hyper, tied=tie_weights)
+    return Network([Population(n)], [conn], activation, hyper, tied=tie_weights)
 
 
 def build_loop(sizes, activation: Activation, hyper: Hyperparams,
@@ -403,11 +360,8 @@ def build_loop(sizes, activation: Activation, hyper: Hyperparams,
     if len(sizes) < 2:
         raise ConstructionError("a loop needs at least two populations")
     rng = _as_rng(seed)
-    pops = [Population(int(n), activation) for n in sizes]
-    conns = []
+    pops = [Population(int(n)) for n in sizes]
     L = len(pops)
-    for i in range(L):
-        src = (i + 1) % L
-        conns.append(_init_connection(src, i, pops[src].size, pops[i].size,
-                                      rng, init_scale, tie_weights))
-    return Network(pops, conns, hyper, tied=tie_weights)
+    conns = [_init_connection((i + 1) % L, i, pops[(i + 1) % L].size, pops[i].size,
+                              rng, init_scale, tie_weights) for i in range(L)]
+    return Network(pops, conns, activation, hyper, tied=tie_weights)

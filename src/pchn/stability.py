@@ -1,10 +1,11 @@
 """Linear stability analysis at equilibria of the fast dynamics.
 
-The flat state is every eps block (population order) followed by every v
-block; its RHS is network.fast_rhs_flat.  The analytic Jacobian is
-assembled block-wise from the canonical equations, including the
-second-derivative term that enters through sigma'(v) multiplying the
-correction current.  Eigenvalues come from a dense general eigensolver.
+The state is the network's packed fast state (all errors E, then all
+values V); its RHS is network.fast_rhs_flat.  The analytic Jacobian is
+four dense T x T blocks built from the global M and W (entries outside
+the connection mask are zero there), including the second-derivative
+term that enters through sigma'(v) multiplying the correction current.
+Eigenvalues come from a dense general eigensolver.
 
 Because trained networks carry modes with |Re(lambda)| down to 1e-4,
 driving the derivative residual to a tight tolerance by simulation alone
@@ -30,56 +31,30 @@ def _check_frozen(net):
         raise ContractViolationError("freeze weights before linearizing")
 
 
-def _split_state(net, state):
-    state = np.asarray(state, dtype=float)
-    T = net.total_units
-    if state.shape != (2 * T,):
-        raise ConstructionError(f"state length {state.shape} != ({2 * T},)")
-    offs, at = [], 0
-    for p in net.populations:
-        offs.append(at)
-        at += p.size
-    E = [state[offs[i]:offs[i] + p.size] for i, p in enumerate(net.populations)]
-    V = [state[T + offs[i]:T + offs[i] + p.size]
-         for i, p in enumerate(net.populations)]
-    return E, V, offs, T
-
-
 def jacobian_analytic(net, state):
-    """Exact Jacobian of the unclamped fast dynamics at the given flat
+    """Exact Jacobian of the unclamped fast dynamics at the given packed
     state.  ReLU states within 1e-8 of a kink are refused since the
     derivative is not defined there."""
     _check_frozen(net)
-    E, V, offs, T = _split_state(net, state)
-    h = net.hyper
-    for i, p in enumerate(net.populations):
-        if p.activation is Activation.RELU and np.any(np.abs(V[i]) < KINK_MARGIN):
-            raise NonDifferentiableStateError(
-                f"population {i} has a value within {KINK_MARGIN} of the ReLU kink")
-
+    T = net.total_units
+    state = np.asarray(state, dtype=float)
+    if state.shape != (2 * T,):
+        raise ConstructionError(f"state length {state.shape} != ({2 * T},)")
+    E, V = state[:T], state[T:]
+    h, act = net.hyper, net.activation
+    if act is Activation.RELU and np.any(np.abs(V) < KINK_MARGIN):
+        raise NonDifferentiableStateError(
+            f"a value lies within {KINK_MARGIN} of the ReLU kink")
+    gain = act.derivative(V)
+    d = np.arange(T)
+    # blocks [[dE/dE, dE/dV], [dV/dE, dV/dV]], accumulated onto zeros
     J = np.zeros((2 * T, 2 * T))
-    eb = lambda i: slice(offs[i], offs[i] + net.populations[i].size)
-    vb = lambda i: slice(T + offs[i], T + offs[i] + net.populations[i].size)
-
-    for i, p in enumerate(net.populations):
-        idx = np.arange(offs[i], offs[i] + p.size)
-        # d(eps_i)/d(eps_i) and the direct v_i coupling
-        J[idx, idx] += -h.zeta / h.tau_e
-        J[idx, T + idx] += 1.0 / h.tau_e
-        # prediction coupling: eps_i depends on v_src through M sigma(v)
-        c = net.connections[net.incoming[i]]
-        gain = net.populations[c.src].activation.derivative(V[c.src])
-        J[eb(i), vb(c.src)] += -(c.M * gain[None, :]) / h.tau_e
-        # value equation: -eps_i plus corrections through outgoing W
-        J[T + idx, idx] += -1.0 / h.tau_v
-        gp = p.activation.derivative(V[i])
-        gpp = p.activation.second_derivative(V[i])
-        corr = np.zeros(p.size)
-        for k in net.outgoing[i]:
-            cc = net.connections[k]
-            J[vb(i), eb(cc.dst)] += (gp[:, None] * cc.W) / h.tau_v
-            corr += cc.W @ E[cc.dst]
-        J[T + idx, T + idx] += (gpp * corr) / h.tau_v
+    J[d, d] += -h.zeta / h.tau_e
+    J[d, T + d] += 1.0 / h.tau_e
+    J[:T, T:] -= (net.M * gain) / h.tau_e
+    J[T + d, d] += -1.0 / h.tau_v
+    J[T:, :T] += (gain[:, None] * net.W) / h.tau_v
+    J[T + d, T + d] += act.second_derivative(V) * (net.W @ E) / h.tau_v
     return J
 
 
@@ -182,8 +157,7 @@ def analyze_equilibrium(net, target, tol: float = 1e-8, *,
         raise ConstructionError("tol must be positive")
     net.unclamp_all()
     net.set_values(target)
-    for p in net.populations:
-        p.eps = np.zeros(p.size)
+    net.E[:] = 0.0
     result = net.run_fast_to_equilibrium(tol, max_steps)
     s = net.fast_state()
     residual = result.residual

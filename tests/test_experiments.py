@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from pchn import (Activation, Hyperparams, build_single_population, freeze,
-                  gen_targets)
+from pchn import (Activation, Hyperparams, build_loop, build_single_population,
+                  freeze, gen_targets)
 from pchn.experiments import (EUCLIDEAN, HAMMING, TraceRecord,
                               absorption_summary, distance, distance_tables,
                               make_probes, metric_for, perturb_flip,
@@ -143,6 +143,28 @@ class TestRelaxationStudy:
                                 sample_every=0.1)
         flags = {r.run_id for r in recs if "divergent" in r.flags}
         assert flags == {0, 1}
+
+    def test_columns_follow_step_fast(self):
+        """Each batch column is the trajectory step_fast integrates from
+        the same start: the study and the single-run step share one
+        Euler update, so distances agree to rounding."""
+        hyper = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
+        net = freeze(build_loop([5, 4, 3], Activation.TANH, hyper,
+                                init_scale=1.5, seed=8))
+        ts = gen_targets("real", 2, 12, seed=28)
+        starts = make_probes(ts, 52)
+        recs = relaxation_study(net, ts, starts, horizon=2.0, sample_every=0.1)
+        stride = int(round(0.1 / hyper.dt))
+        for r, start in enumerate(starts):
+            got = np.array([x.distance for x in recs if x.run_id == r])
+            net.set_fast_state(np.concatenate((np.zeros(12), start)))
+            want = []
+            for k in range(int(round(2.0 / hyper.dt)) + 1):
+                if k % stride == 0:
+                    want += [np.linalg.norm(net.values_vector() - pat)
+                             for pat in ts.patterns]
+                net.step_fast()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_deterministic_csv(self):
         net = _tiny_net(3)

@@ -27,7 +27,7 @@ def rhs_oracle(net):
     mus = [None] * len(net.populations)
     for c in net.connections:
         src = net.populations[c.src]
-        mus[c.dst] = c.M @ src.activation.apply(src.v) + c.b
+        mus[c.dst] = c.M @ net.activation.apply(src.v) + c.b
     dv, de = [], []
     for i, p in enumerate(net.populations):
         de.append((p.v - mus[i] - zeta * p.eps) / tau_e)
@@ -35,7 +35,7 @@ def rhs_oracle(net):
         for c in net.connections:
             if c.src == i:
                 corr += c.W @ net.populations[c.dst].eps
-        dv.append((-p.eps + p.activation.derivative(p.v) * corr) / tau_v)
+        dv.append((-p.eps + net.activation.derivative(p.v) * corr) / tau_v)
     return dv, de
 
 
@@ -73,22 +73,22 @@ class TestConstruction:
         np.testing.assert_array_equal(c.W, c.M.T)
 
     def test_every_population_needs_one_incoming(self):
-        pops = [Population(3, Activation.TANH), Population(3, Activation.TANH)]
+        pops = [Population(3), Population(3)]
         conns = [Connection(0, 1, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3))]
         with pytest.raises(ConstructionError):
-            Network(pops, conns, _hyper())
+            Network(pops, conns, Activation.TANH, _hyper())
 
     def test_two_incoming_rejected(self):
-        pops = [Population(2, Activation.TANH)]
+        pops = [Population(2)]
         mk = lambda: Connection(0, 0, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ConstructionError):
-            Network(pops, [mk(), mk()], _hyper())
+            Network(pops, [mk(), mk()], Activation.TANH, _hyper())
 
     def test_shape_mismatch_rejected(self):
-        pops = [Population(3, Activation.TANH)]
+        pops = [Population(3)]
         conns = [Connection(0, 0, np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3))]
         with pytest.raises(ConstructionError):
-            Network(pops, conns, _hyper())
+            Network(pops, conns, Activation.TANH, _hyper())
 
     def test_loop_needs_two_populations(self):
         with pytest.raises(ConstructionError):
@@ -114,6 +114,14 @@ class TestHyperparams:
         with pytest.raises(ConstructionError):
             _hyper(tau=0.01, dt=0.009)
 
+    def test_rejects_euler_unstable_split_constants(self):
+        """dt is checked against the effective tau_e and tau_v, and the
+        error leak needs dt*zeta/tau_e < 2; both cases below diverge
+        under Euler if accepted."""
+        for kw in (dict(tau_error=0.001), dict(tau_value=0.001), dict(zeta=500.0)):
+            with pytest.raises(ConstructionError):
+                _hyper(**kw)
+
     def test_split_time_constants(self):
         h = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005,
                         tau_error=0.5, tau_value=2.0)
@@ -131,12 +139,10 @@ class TestFastStep:
             p.v = rng.normal(size=p.size)
             p.eps = rng.normal(size=p.size)
         dv_o, de_o = rhs_oracle(net)
-        V = [p.v.copy() for p in net.populations]
-        E = [p.eps.copy() for p in net.populations]
-        dV, dE = net.fast_derivatives(V, E)
-        for i in range(len(V)):
-            np.testing.assert_allclose(dV[i], dv_o[i], atol=1e-12)
-            np.testing.assert_allclose(dE[i], de_o[i], atol=1e-12)
+        dE, dV = net.rhs(net.E.copy(), net.V.copy())
+        for i, p in enumerate(net.populations):
+            np.testing.assert_allclose(dV[p.slice], dv_o[i], atol=1e-12)
+            np.testing.assert_allclose(dE[p.slice], de_o[i], atol=1e-12)
 
     def test_matches_oracle_loop(self):
         rng = np.random.default_rng(6)
@@ -145,12 +151,10 @@ class TestFastStep:
             p.v = rng.normal(size=p.size)
             p.eps = rng.normal(size=p.size)
         dv_o, de_o = rhs_oracle(net)
-        V = [p.v.copy() for p in net.populations]
-        E = [p.eps.copy() for p in net.populations]
-        dV, dE = net.fast_derivatives(V, E)
-        for i in range(len(V)):
-            np.testing.assert_allclose(dV[i], dv_o[i], atol=1e-12)
-            np.testing.assert_allclose(dE[i], de_o[i], atol=1e-12)
+        dE, dV = net.rhs(net.E.copy(), net.V.copy())
+        for i, p in enumerate(net.populations):
+            np.testing.assert_allclose(dV[p.slice], dv_o[i], atol=1e-12)
+            np.testing.assert_allclose(dE[p.slice], de_o[i], atol=1e-12)
 
     def test_euler_step_applies_derivatives(self):
         rng = np.random.default_rng(7)
@@ -186,7 +190,7 @@ class TestFastStep:
         net = build_single_population(5, Activation.TANH, _hyper(zeta=2.0), seed=9)
         net.populations[0].v = rng.normal(size=5)
         v0 = net.populations[0].v.copy()
-        mu0 = net.compute_prediction(0)
+        mu0 = net.predict(v0)
         net.step_fast(algebraic_errors=True)
         np.testing.assert_allclose(net.populations[0].eps, (v0 - mu0) / 2.0,
                                    atol=1e-12)
@@ -300,7 +304,7 @@ class TestEquilibrium:
         assert res.converged
         # value equations are held off balance by the clamp, while the
         # error equations settle to eps = (v - mu)/zeta
-        mu = net.compute_prediction(0)
+        mu = net.predict(net.V)
         np.testing.assert_allclose(net.populations[0].eps,
                                    (target - mu) / net.hyper.zeta, atol=1e-8)
 
@@ -396,3 +400,37 @@ class TestCheckpoint:
         path.write_text(path.read_text() + "1.0 2.0\n")
         with pytest.raises(ConstructionError):
             load_weights(net, str(path))
+
+    def _saved_loop(self, tmp_path):
+        net = build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=30)
+        path = tmp_path / "net.pchn"
+        save_weights(net, str(path))
+        other = build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=31)
+        before = [(c.M.copy(), c.W.copy(), c.b.copy()) for c in other.connections]
+        return path, other, before
+
+    def _assert_untouched(self, net, before):
+        for c, (M, W, b) in zip(net.connections, before):
+            np.testing.assert_array_equal(c.M, M)
+            np.testing.assert_array_equal(c.W, W)
+            np.testing.assert_array_equal(c.b, b)
+
+    def test_late_header_mismatch_loads_nothing(self, tmp_path):
+        path, other, before = self._saved_loop(tmp_path)
+        text = path.read_text()
+        assert "conn 2 1 4 3\n" in text
+        path.write_text(text.replace("conn 2 1 4 3\n", "conn 2 0 4 3\n"))
+        with pytest.raises(ConstructionError):
+            load_weights(other, str(path))
+        self._assert_untouched(other, before)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        path, other, before = self._saved_loop(tmp_path)
+        lines = path.read_text().splitlines()
+        row = lines[-1].split()          # b of the last connection
+        row[1] = "nan"
+        lines[-1] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstructionError):
+            load_weights(other, str(path))
+        self._assert_untouched(other, before)
