@@ -10,7 +10,7 @@ from .checkpoint import load_weights, save_weights
 from .errors import (ConstructionError, ContractViolationError,
                      IntegrationDivergenceError, NonDifferentiableStateError,
                      NotAnEquilibriumError)
-from .experiments import (TargetSet, TraceRecord, gen_targets, distance,
+from .experiments import (TargetSet, Trace, gen_targets, distance,
                           make_probes, perturb_flip, perturb_gaussian,
                           perturbation_study, random_init_study,
                           relaxation_study, trace_to_csv)

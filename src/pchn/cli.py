@@ -24,11 +24,10 @@ from .activations import Activation
 from .checkpoint import load_weights, save_weights
 from .errors import (ConstructionError, IntegrationDivergenceError,
                      NonDifferentiableStateError, NotAnEquilibriumError)
-from .experiments import (EUCLIDEAN, FLIP_BITS, HAMMING, PERTURB_STD,
-                          absorption_summary, distance_tables, gen_targets,
-                          make_probes, metric_for, perturbation_study,
-                          random_init_study, recovery_summary, sign_pm1,
-                          trace_to_csv)
+from .experiments import (FLIP_BITS, PERTURB_STD, absorption_summary,
+                          distance_tables, gen_targets, make_probes,
+                          perturbation_study, random_init_study,
+                          recovery_summary, sign_pm1, trace_to_csv)
 from .fileio import atomic_write_text
 from .hopfield import hebbian_store, recall
 from .learning import (SEQUENTIAL, SHUFFLED, TrainingSchedule, freeze, train)
@@ -328,19 +327,18 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_perturb(cfg: RunConfig, args) -> int:
     net = _load_trained(cfg, args)
     targets = cfg.targets()
-    records = perturbation_study(net, targets, horizon=cfg.horizon,
-                                 sample_every=cfg.sample_every,
-                                 sigma=cfg.perturb_sigma, flip_bits=cfg.flip_bits,
-                                 seed=child_seed(cfg.seed, SEED_PROBES))
+    trace = perturbation_study(net, targets, horizon=cfg.horizon,
+                               sample_every=cfg.sample_every,
+                               sigma=cfg.perturb_sigma, flip_bits=cfg.flip_bits,
+                               seed=child_seed(cfg.seed, SEED_PROBES))
     atomic_write_text(os.path.join(cfg.output_dir, "perturb.csv"),
-                      trace_to_csv(records))
-    metric = metric_for(targets.kind)
-    summ = recovery_summary(records, metric)
-    first, last, flagged = distance_tables(records)
-    for r in sorted(last):
-        extra = f" [{flagged[r]}]" if flagged.get(r) else ""
-        print(f"perturb: run {r} target {r} initial {first[r][r]:g} "
-              f"final {last[r][r]:g} ({metric}){extra}")
+                      trace_to_csv(trace))
+    summ = recovery_summary(trace)
+    first, last, diverged = distance_tables(trace)
+    for r in range(summ.n_runs):
+        extra = " [divergent]" if diverged[r] else ""
+        print(f"perturb: run {r} target {r} initial {first[r, r]:g} "
+              f"final {last[r, r]:g} ({trace.metric}){extra}")
     print(f"perturb: {summ.successes}/{summ.n_runs} runs recovered their target")
     return 0
 
@@ -383,13 +381,12 @@ def cmd_stability(cfg: RunConfig, args) -> int:
 def cmd_random_init(cfg: RunConfig, args) -> int:
     net = _load_trained(cfg, args)
     targets = cfg.targets()
-    records = random_init_study(net, targets, n_runs=cfg.n_random_runs,
-                                horizon=cfg.horizon, sample_every=cfg.sample_every,
-                                seed=child_seed(cfg.seed, SEED_RANDOM))
+    trace = random_init_study(net, targets, n_runs=cfg.n_random_runs,
+                              horizon=cfg.horizon, sample_every=cfg.sample_every,
+                              seed=child_seed(cfg.seed, SEED_RANDOM))
     atomic_write_text(os.path.join(cfg.output_dir, "random.csv"),
-                      trace_to_csv(records))
-    metric = metric_for(targets.kind)
-    summ = absorption_summary(records, metric, cfg.total_units)
+                      trace_to_csv(trace))
+    summ = absorption_summary(trace, cfg.total_units)
     print(f"random-init: {summ.successes}/{summ.n_runs} runs ended within "
           f"the success threshold of a target")
     return 0

@@ -6,18 +6,22 @@ stored target at a fixed sampling interval.  Runs are the columns of one
 (2T, runs) array of packed fast states (errors in the first T rows,
 values in the last T); they share the weights, so Network.euler, the
 integrator behind step_fast, advances every run with the same matrix
-products.
+products.  Each sample fills one slice of a Trace: a (runs, samples,
+targets) distance array, the index of each run's last sample and a mask
+of the runs that diverged.  The CSV writer, the distance tables and the
+summaries read those arrays directly.
 
 Seeding: anything accepting a seed builds its per-run streams as
 SeedSequence(seed, spawn_key=(run,)), so independent commands can
 regenerate the exact same probes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionError, ContractViolationError
+from .network import DIVERGENCE_LIMIT
 
 BINARY = "binary"
 REAL = "real"
@@ -123,14 +127,25 @@ def success_threshold(metric: str, d: int, initial: float = None) -> float:
     return 0.1 * float(np.sqrt(0.5 * d))
 
 
-@dataclass
-class TraceRecord:
-    run_id: int
-    t: float
-    target_id: int
-    distance: float
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A study's distances from every run to every target over time.
+
+    dist[r, i, j] is run r's distance to target j at time t[i].  Run r
+    has samples 0 through end[r]; a run that diverged ends at the sample
+    where it went non-finite, which repeats its previous finite distances
+    (zeros when the start itself was non-finite).
+    """
+
     metric: str
-    flags: str = ""
+    t: np.ndarray          # (samples,)
+    dist: np.ndarray       # (runs, samples, targets)
+    end: np.ndarray        # (runs,) index of each run's last sample
+    diverged: np.ndarray   # (runs,) bool
+
+    def __len__(self) -> int:
+        """Number of CSV rows: one per (run, sample, target)."""
+        return int(np.sum(self.end + 1)) * self.dist.shape[2]
 
 
 def make_probes(targets: TargetSet, seed=0, *, sigma: float = PERTURB_STD,
@@ -150,14 +165,22 @@ def make_probes(targets: TargetSet, seed=0, *, sigma: float = PERTURB_STD,
     return probes
 
 
+def _distances(V, P, metric: str):
+    """(runs, targets) distances between the columns of V (T, runs) and
+    the columns of P (T, targets); Hamming counts sign mismatches."""
+    if metric == HAMMING:
+        return np.sum(sign_pm1(V)[:, None, :] != P[:, :, None], axis=0).T
+    return np.linalg.norm(V[:, None, :] - P[:, :, None], axis=0).T
+
+
 def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
-                     sample_every: float = 0.05) -> list:
+                     sample_every: float = 0.05) -> Trace:
     """Integrate the frozen fast dynamics from each row of starts and
     record distances to every target at each sample time.
 
-    Runs that go non-finite are closed out with a 'divergent' flag
-    carrying their last finite distances; the rest of the batch keeps
-    going.  Returns TraceRecords sorted by (run_id, t, target_id).
+    A run that goes non-finite (or past DIVERGENCE_LIMIT) ends at that
+    sample, flagged as diverged and carrying its last finite distances;
+    the rest of the batch keeps going.
     """
     if not net.weights_frozen:
         raise ContractViolationError("freeze the network before running studies")
@@ -167,60 +190,44 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
             f"starts must be (runs, {net.total_units}), got {starts.shape}")
     n_runs = starts.shape[0]
     metric = metric_for(targets.kind)
-    pats = targets.patterns
     dt = net.hyper.dt
     steps = max(1, int(round(horizon / dt)))
     stride = max(1, int(round(sample_every / dt)))
+    sampled = np.arange(0, steps + 1, stride)
+    if sampled[-1] != steps:
+        sampled = np.append(sampled, steps)
 
     # packed states as columns: errors in rows :T, values in rows T:
     T = net.total_units
     S = np.zeros((2 * T, n_runs))
     S[T:] = starts.T
-    V = S[T:]
+    P = np.ascontiguousarray(targets.patterns.T)
+    trace = Trace(metric, sampled * dt,
+                  np.zeros((n_runs, sampled.size, targets.n)),
+                  np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
 
-    alive = np.ones(n_runs, dtype=bool)
-    last_d = np.zeros((pats.shape[0], n_runs))
-    records = []
+    def sample(i):
+        live = ~trace.diverged
+        trace.dist[live, i] = _distances(S[T:], P, metric)[live]
+        bad = live & ~np.all(np.abs(S[T:]) < DIVERGENCE_LIMIT, axis=0)
+        if bad.any():
+            trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
+            trace.end[bad] = i
+            trace.diverged[bad] = True
+            S[:, bad] = 0.0
 
-    def sample(t):
-        with np.errstate(invalid="ignore"):
-            finite = np.all(np.isfinite(V), axis=0) & \
-                np.all(np.abs(V) < 1e100, axis=0)
-        if metric == HAMMING:
-            signs = sign_pm1(V)
-            dists = np.stack([np.sum(signs != pat[:, None], axis=0).astype(float)
-                              for pat in pats])
-        else:
-            dists = np.stack([np.linalg.norm(V - pat[:, None], axis=0)
-                              for pat in pats])
-        for r in range(n_runs):
-            if not alive[r]:
-                continue
-            if not finite[r]:
-                for j in range(pats.shape[0]):
-                    records.append(TraceRecord(r, t, j, float(last_d[j, r]),
-                                               metric, "divergent"))
-                alive[r] = False
-                S[:, r] = 0.0
-                continue
-            for j in range(pats.shape[0]):
-                records.append(TraceRecord(r, t, j, float(dists[j, r]), metric))
-            last_d[:, r] = dists[:, r]
-
-    sample(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            net.euler(S)
-            if k % stride == 0 or k == steps:
-                sample(k * dt)
-
-    records.sort(key=lambda r: (r.run_id, r.t, r.target_id))
-    return records
+        sample(0)
+        for i in range(1, sampled.size):
+            for _ in range(sampled[i] - sampled[i - 1]):
+                net.euler(S)
+            sample(i)
+    return trace
 
 
 def perturbation_study(net, targets: TargetSet, *, horizon: float = 20.0,
                        sample_every: float = 0.05, sigma: float = PERTURB_STD,
-                       flip_bits: int = FLIP_BITS, seed=0) -> list:
+                       flip_bits: int = FLIP_BITS, seed=0) -> Trace:
     """Start each run at a perturbed copy of its own target (run r owns
     target r) and watch whether the dynamics pull it back."""
     probes = make_probes(targets, seed, sigma=sigma, flip_bits=flip_bits)
@@ -230,7 +237,7 @@ def perturbation_study(net, targets: TargetSet, *, horizon: float = 20.0,
 
 def random_init_study(net, targets: TargetSet, *, n_runs: int = 10,
                       horizon: float = 20.0, sample_every: float = 0.05,
-                      seed=0) -> list:
+                      seed=0) -> Trace:
     """Start from fresh draws of the target distribution, unrelated to
     any stored pattern."""
     d = net.total_units
@@ -247,38 +254,31 @@ def random_init_study(net, targets: TargetSet, *, n_runs: int = 10,
 
 # ---- readouts over a trace ----
 
-def _fmt_distance(rec: TraceRecord) -> str:
-    if rec.metric == HAMMING:
-        return str(int(rec.distance))
-    return f"{rec.distance:.10g}"
+def trace_to_csv(trace: Trace) -> str:
+    """One row per (run, sample, target), in that order: %.10g times and
+    real distances, integer Hamming distances, and the 'divergent' flag
+    on the rows of a diverged run's last sample."""
+    n_targets = trace.dist.shape[2]
+    fmt = "%d" if trace.metric == HAMMING else "%.10g"
+    blocks = ["run_id,t,target_id,distance,metric,flags\n"]
+    for r, (end, diverged) in enumerate(zip(trace.end, trace.diverged)):
+        row = f"{r},%.10g,%d,{fmt},{trace.metric},"
+        cols = np.empty((end + 1, n_targets, 3))
+        cols[..., 0] = trace.t[:end + 1, None]
+        cols[..., 1] = np.arange(n_targets)
+        cols[..., 2] = trace.dist[r, :end + 1]
+        template = ((row + "\n") * (end * n_targets)
+                    + (row + ("divergent" if diverged else "") + "\n") * n_targets)
+        blocks.append(template % tuple(cols.ravel().tolist()))
+    return "".join(blocks)
 
 
-def trace_to_csv(records) -> str:
-    lines = ["run_id,t,target_id,distance,metric,flags"]
-    for r in records:
-        lines.append(f"{r.run_id},{r.t:.10g},{r.target_id},"
-                     f"{_fmt_distance(r)},{r.metric},{r.flags}")
-    return "\n".join(lines) + "\n"
-
-
-def distance_tables(records):
-    """(first, last, flags) distance tables: {run_id: {target_id: d}} at
-    each run's first and last recorded time, plus {run_id: flags-seen}."""
-    first, last, flagged = {}, {}, {}
-    t_min, t_max = {}, {}
-    for r in records:
-        if r.run_id not in t_min or r.t < t_min[r.run_id]:
-            t_min[r.run_id] = r.t
-        if r.run_id not in t_max or r.t > t_max[r.run_id]:
-            t_max[r.run_id] = r.t
-    for r in records:
-        if r.t == t_min[r.run_id]:
-            first.setdefault(r.run_id, {})[r.target_id] = r.distance
-        if r.t == t_max[r.run_id]:
-            last.setdefault(r.run_id, {})[r.target_id] = r.distance
-        if r.flags:
-            flagged[r.run_id] = r.flags
-    return first, last, flagged
+def distance_tables(trace: Trace):
+    """(first, last, diverged): every run's distances to every target at
+    its first and at its last sample, each (runs, targets), and the
+    (runs,) mask of runs that diverged."""
+    last = trace.dist[np.arange(trace.end.size), trace.end]
+    return trace.dist[:, 0], last, trace.diverged
 
 
 @dataclass
@@ -286,42 +286,21 @@ class StudySummary:
     metric: str
     n_runs: int
     successes: int
-    final_correct: dict = field(default_factory=dict)
-    initial_correct: dict = field(default_factory=dict)
-
-    @property
-    def rate(self) -> float:
-        return self.successes / self.n_runs if self.n_runs else 0.0
 
 
-def recovery_summary(records, metric: str) -> StudySummary:
+def recovery_summary(trace: Trace) -> StudySummary:
     """Perturbation-study readout: run r succeeds when its final distance
     to target r is within threshold (<=1 bit, or 10% of initial)."""
-    first, last, flagged = distance_tables(records)
-    runs = sorted(last)
-    summary = StudySummary(metric, len(runs), 0)
-    for r in runs:
-        d0 = first[r].get(r, np.inf)
-        d1 = last[r].get(r, np.inf)
-        summary.initial_correct[r] = d0
-        summary.final_correct[r] = d1
-        if r in flagged:
-            continue
-        if d1 <= success_threshold(metric, 0, d0 if metric == EUCLIDEAN else None):
-            summary.successes += 1
-    return summary
+    first, last, diverged = distance_tables(trace)
+    own = np.arange(diverged.size)
+    d0, d1 = first[own, own], last[own, own]
+    thr = success_threshold(trace.metric, 0, d0 if trace.metric == EUCLIDEAN else None)
+    return StudySummary(trace.metric, own.size, int(np.sum(~diverged & (d1 <= thr))))
 
 
-def absorption_summary(records, metric: str, d: int) -> StudySummary:
+def absorption_summary(trace: Trace, d: int) -> StudySummary:
     """Random-init readout: run succeeds when its final distance to ANY
     target is within the absolute recovery threshold."""
-    _, last, flagged = distance_tables(records)
-    runs = sorted(last)
-    summary = StudySummary(metric, len(runs), 0)
-    thr = success_threshold(metric, d)
-    for r in runs:
-        best = min(last[r].values())
-        summary.final_correct[r] = best
-        if r not in flagged and best <= thr:
-            summary.successes += 1
-    return summary
+    _, last, diverged = distance_tables(trace)
+    absorbed = last.min(axis=1) <= success_threshold(trace.metric, d)
+    return StudySummary(trace.metric, diverged.size, int(np.sum(~diverged & absorbed)))

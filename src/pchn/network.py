@@ -244,11 +244,12 @@ class Network:
         dV = (-E + self.activation.derivative(V) * (self.W @ E)) / h.tau_v
         return dE, dV
 
-    def euler(self, s):
+    def euler(self, s, derivatives=None):
         """One Euler step of the unclamped fast equations, in place, on a
-        packed state s of shape (2T,) or (2T, B)."""
+        packed state s of shape (2T,) or (2T, B).  derivatives, when
+        given, is rhs at s, already evaluated."""
         T, dt = self.total_units, self.hyper.dt
-        dE, dV = self.rhs(s[:T], s[T:])
+        dE, dV = self.rhs(s[:T], s[T:]) if derivatives is None else derivatives
         s[:T] += dt * dE
         s[T:] += dt * dV
 
@@ -258,13 +259,14 @@ class Network:
         s = _vector(s, 2 * self.total_units)
         return np.concatenate(self.rhs(s[:self.total_units], s[self.total_units:]))
 
-    def step_fast(self, algebraic_errors: bool = False):
+    def step_fast(self, algebraic_errors: bool = False, derivatives=None):
         """One Euler step of the fast equations.
 
         With algebraic_errors=True the error nodes are not integrated;
         they are set to their instantaneous equilibrium (v - mu)/zeta
         before the value update, which turns the value dynamics into
-        gradient descent on the energy when weights are tied.
+        gradient descent on the energy when weights are tied.  Otherwise
+        derivatives, when given, is rhs at the current state.
         """
         h = self.hyper
         with np.errstate(over="ignore", invalid="ignore"):
@@ -272,7 +274,7 @@ class Network:
                 self.E[:] = (self.V - self.predict(self.V)) / h.zeta
                 self.V += h.dt * self.rhs(self.E, self.V)[1]
             else:
-                self.euler(self.s)
+                self.euler(self.s, derivatives)
         np.copyto(self.V, self.clamp_target, where=self.clamped)
         self.steps_taken += 1
         self._check_finite()
@@ -308,19 +310,24 @@ class Network:
     def residual(self) -> float:
         """Sup-norm of the fast-state time derivative, skipping the value
         equations of clamped units."""
-        dE, dV = self.rhs(self.E, self.V)
+        return self._sup_norm(*self.rhs(self.E, self.V))
+
+    def _sup_norm(self, dE, dV) -> float:
         return float(np.max(np.abs(np.concatenate((dE, dV[~self.clamped])))))
 
     def run_fast_to_equilibrium(self, tol: float = 1e-6,
                                 max_steps: int = 100000) -> EquilibriumResult:
         """Step the fast equations until the derivative sup-norm drops
-        under tol or the step budget runs out."""
+        under tol or the step budget runs out.  The RHS is evaluated once
+        per step: the derivatives behind each residual drive the next step."""
+        d = self.rhs(self.E, self.V)
         if max_steps == 0:
-            return EquilibriumResult(0, False, self.residual())
+            return EquilibriumResult(0, False, self._sup_norm(*d))
         r = np.inf
         for k in range(1, max_steps + 1):
-            self.step_fast()
-            r = self.residual()
+            self.step_fast(derivatives=d)
+            d = self.rhs(self.E, self.V)
+            r = self._sup_norm(*d)
             if r < tol:
                 return EquilibriumResult(k, True, r)
         return EquilibriumResult(max_steps, False, r)

@@ -86,10 +86,11 @@ class TestBinaryRecovery:
                                          ("loop", binary_loop)):
             cfg = BIN_SINGLE if label == "single" else BIN_LOOP
             t0 = time.monotonic()
-            recs = perturbation_study(net, targets, seed=cfg["pseed"],
-                                      horizon=cfg["horizon"], sample_every=1.0)
+            trace = perturbation_study(net, targets, seed=cfg["pseed"],
+                                       horizon=cfg["horizon"], sample_every=1.0)
             elapsed += time.monotonic() - t0
-            summary = recovery_summary(recs, HAMMING)
+            assert trace.metric == HAMMING
+            summary = recovery_summary(trace)
             # classical oracle on the identical probes, for the record
             hop = hebbian_store(targets.patterns)
             probes = make_probes(targets, cfg["pseed"])
@@ -106,18 +107,19 @@ class TestBinaryRecovery:
                                          ("loop", binary_loop)):
             ri = random_init_study(net, targets, seed=23, horizon=20.0,
                                    sample_every=20.0)
-            ab = absorption_summary(ri, HAMMING, 100)
+            assert ri.metric == HAMMING
+            ab = absorption_summary(ri, 100)
             print(f"binary {label}: {ab.successes}/10 random starts absorbed")
             assert ab.successes == 0
 
 
 class TestRealRecovery:
     def _ratios(self, net, targets, horizon, pseed):
-        recs = perturbation_study(net, targets, seed=pseed, horizon=horizon,
-                                  sample_every=horizon)
-        first, last, flagged = distance_tables(recs)
-        assert not flagged
-        return sorted(last[r][r] / first[r][r] for r in range(10))
+        trace = perturbation_study(net, targets, seed=pseed, horizon=horizon,
+                                   sample_every=horizon)
+        first, last, diverged = distance_tables(trace)
+        assert not diverged.any()
+        return sorted(last[r, r] / first[r, r] for r in range(10))
 
     def test_gaussian_probes_return_to_targets(self, real_single, real_loop):
         """Final distance <= 10% of initial for at least 8/10 runs, and
@@ -137,7 +139,8 @@ class TestRealRecovery:
                 ("loop", real_loop, REAL_LOOP)):
             ri = random_init_study(net, targets, seed=23, horizon=cfg["horizon"],
                                    sample_every=cfg["horizon"])
-            ab = absorption_summary(ri, EUCLIDEAN, 100)
+            assert ri.metric == EUCLIDEAN
+            ab = absorption_summary(ri, 100)
             print(f"real {label}: {ab.successes}/10 random starts absorbed")
             assert ab.successes == 0
 
@@ -150,15 +153,15 @@ class TestDiscrimination:
         t1 = targets.patterns[0]
         starts = np.stack([perturb_gaussian(t1, float(np.sqrt(0.5)), seed=50 + k)
                            for k in range(10)])
-        recs = relaxation_study(net, targets, starts,
-                                horizon=REAL_SINGLE["horizon"],
-                                sample_every=REAL_SINGLE["horizon"])
-        _, last, flagged = distance_tables(recs)
-        assert not flagged
+        trace = relaxation_study(net, targets, starts,
+                                 horizon=REAL_SINGLE["horizon"],
+                                 sample_every=REAL_SINGLE["horizon"])
+        _, last, diverged = distance_tables(trace)
+        assert not diverged.any()
         worst = np.inf
         for r in range(10):
-            own = last[r][0]
-            others = [last[r][j] for j in range(1, 10)]
+            own = last[r, 0]
+            others = [last[r, j] for j in range(1, 10)]
             worst = min(worst, min(others) / own)
             assert all(d >= 5.0 * own for d in others)
         print(f"discrimination: non-matching/matching ratio >= {worst:.1f}x "

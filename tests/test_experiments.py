@@ -1,11 +1,13 @@
 """Target generation, perturbations, distance traces, and summaries."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from pchn import (Activation, Hyperparams, build_loop, build_single_population,
                   freeze, gen_targets)
-from pchn.experiments import (EUCLIDEAN, HAMMING, TraceRecord,
+from pchn.experiments import (EUCLIDEAN, HAMMING, Trace,
                               absorption_summary, distance, distance_tables,
                               make_probes, metric_for, perturb_flip,
                               perturb_gaussian, perturbation_study,
@@ -116,19 +118,24 @@ class TestRelaxationStudy:
         net = _tiny_net()
         ts = gen_targets("binary", 3, 12, seed=21)
         starts = ts.patterns.copy()
-        recs = relaxation_study(net, ts, starts, horizon=0.5, sample_every=0.1)
+        trace = relaxation_study(net, ts, starts, horizon=0.5, sample_every=0.1)
         # samples at t = 0, 0.1, ..., 0.5 for 3 runs x 3 targets
-        assert len(recs) == 3 * 6 * 3
-        keys = [(r.run_id, r.t, r.target_id) for r in recs]
+        assert len(trace) == 3 * 6 * 3
+        assert trace.dist.shape == (3, 6, 3)
+        np.testing.assert_array_equal(trace.end, 5)
+        rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
+        keys = [(int(r[0]), float(r[1]), int(r[2])) for r in rows]
+        assert len(keys) == len(trace)
         assert keys == sorted(keys)
-        assert all(r.metric == HAMMING for r in recs)
+        assert trace.metric == HAMMING
+        assert all(r[4] == HAMMING for r in rows)
 
     def test_start_at_target_reports_zero_distance(self):
         net = _tiny_net()
         ts = gen_targets("binary", 2, 12, seed=22)
-        recs = relaxation_study(net, ts, ts.patterns, horizon=0.2, sample_every=0.1)
-        t0 = [r for r in recs if r.t == 0.0 and r.run_id == r.target_id]
-        assert all(r.distance == 0.0 for r in t0)
+        trace = relaxation_study(net, ts, ts.patterns, horizon=0.2, sample_every=0.1)
+        assert trace.t[0] == 0.0
+        np.testing.assert_array_equal(np.diagonal(trace.dist[:, 0]), 0.0)
 
     def test_divergent_run_is_flagged_not_fatal(self):
         # linear units with huge weights blow past the finite cutoff in
@@ -139,10 +146,13 @@ class TestRelaxationStudy:
         net.connections[0].W[:] = 1e60
         freeze(net)
         ts = gen_targets("real", 2, 12, seed=23)
-        recs = relaxation_study(net, ts, ts.patterns * 1e30, horizon=0.2,
-                                sample_every=0.1)
-        flags = {r.run_id for r in recs if "divergent" in r.flags}
-        assert flags == {0, 1}
+        trace = relaxation_study(net, ts, ts.patterns * 1e30, horizon=0.2,
+                                 sample_every=0.1)
+        assert set(np.flatnonzero(trace.diverged)) == {0, 1}
+        flagged = {int(line.split(",")[0])
+                   for line in trace_to_csv(trace).splitlines()[1:]
+                   if "divergent" in line.split(",")[5]}
+        assert flagged == {0, 1}
 
     def test_columns_follow_step_fast(self):
         """Each batch column is the trajectory step_fast integrates from
@@ -153,10 +163,10 @@ class TestRelaxationStudy:
                                 init_scale=1.5, seed=8))
         ts = gen_targets("real", 2, 12, seed=28)
         starts = make_probes(ts, 52)
-        recs = relaxation_study(net, ts, starts, horizon=2.0, sample_every=0.1)
+        trace = relaxation_study(net, ts, starts, horizon=2.0, sample_every=0.1)
         stride = int(round(0.1 / hyper.dt))
         for r, start in enumerate(starts):
-            got = np.array([x.distance for x in recs if x.run_id == r])
+            got = trace.dist[r, :trace.end[r] + 1].ravel()
             net.set_fast_state(np.concatenate((np.zeros(12), start)))
             want = []
             for k in range(int(round(2.0 / hyper.dt)) + 1):
@@ -178,30 +188,90 @@ class TestRelaxationStudy:
         assert a.splitlines()[0] == "run_id,t,target_id,distance,metric,flags"
 
 
+def _unstable_linear_net():
+    """Identity units whose uniform off-diagonal prediction weights and
+    opposite correction weights make the fast dynamics grow about
+    e-fold every 0.02 s: a start scaled to 1e95 crosses the divergence
+    limit within 0.3 s, while a unit-scale start stays finite."""
+    hyper = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
+    net = build_single_population(12, Activation.IDENTITY, hyper, seed=0)
+    M = np.full((12, 12), 50.0 / 11.0)
+    np.fill_diagonal(M, 0.0)
+    net.connections[0].M = M
+    net.connections[0].W = -M
+    return freeze(net)
+
+
+class TestPinnedBytes:
+    """trace_to_csv bytes pinned by sha256 for mixed batches: one run
+    diverges mid-study while another keeps going (plus, for the real
+    study, a start that is already past the divergence limit).  The
+    horizon is not a multiple of the sampling interval, so the last
+    sample is off the grid."""
+
+    @staticmethod
+    def _check(trace, digest):
+        text = trace_to_csv(trace)
+        assert len(trace) == text.count("\n") - 1
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_real_study(self):
+        ts = gen_targets("real", 3, 12, seed=40)
+        starts = np.stack([ts.patterns[0] * 1e95, ts.patterns[1],
+                           np.full(12, 2e100)])
+        trace = relaxation_study(_unstable_linear_net(), ts, starts,
+                                 horizon=0.33, sample_every=0.1)
+        self._check(trace, "eeb2a9b702b5b195efe5518f5569db56"
+                           "e57bfaa0a2f7a15282150dd053a2b2f4")
+
+    def test_binary_study(self):
+        ts = gen_targets("binary", 2, 12, seed=41)
+        starts = np.stack([ts.patterns[0] * 1e96, ts.patterns[1]])
+        trace = relaxation_study(_unstable_linear_net(), ts, starts,
+                                 horizon=0.33, sample_every=0.1)
+        self._check(trace, "dc5431fba0944296e95c2e6e71588724"
+                           "1a9f9b9e9718e6d9df97fb98ca7b9b96")
+
+
 class TestStudiesAndSummaries:
     def test_perturbation_study_runs_own_target(self):
         net = _tiny_net(5)
         ts = gen_targets("binary", 3, 12, seed=25)
-        recs = perturbation_study(net, ts, horizon=0.3, sample_every=0.1,
-                                  flip_bits=2, seed=31)
-        first, last, flagged = distance_tables(recs)
-        assert set(first) == {0, 1, 2}
+        trace = perturbation_study(net, ts, horizon=0.3, sample_every=0.1,
+                                   flip_bits=2, seed=31)
+        first, last, diverged = distance_tables(trace)
+        assert first.shape == last.shape == (3, 3)
+        assert diverged.shape == (3,)
         for r in range(3):
-            assert first[r][r] == 2.0
+            assert first[r, r] == 2.0
 
     def test_random_init_study_size(self):
         net = _tiny_net(6)
         ts = gen_targets("real", 2, 12, seed=26)
-        recs = random_init_study(net, ts, n_runs=4, horizon=0.2,
-                                 sample_every=0.1, seed=33)
-        assert {r.run_id for r in recs} == {0, 1, 2, 3}
+        trace = random_init_study(net, ts, n_runs=4, horizon=0.2,
+                                  sample_every=0.1, seed=33)
+        rows = trace_to_csv(trace).splitlines()[1:]
+        assert {int(row.split(",")[0]) for row in rows} == {0, 1, 2, 3}
+        assert trace.dist.shape[0] == 4
+        # a study without runs is an empty trace: a header-only CSV,
+        # empty tables and 0/0 summaries
+        trace = random_init_study(net, ts, n_runs=0, horizon=0.2,
+                                  sample_every=0.1, seed=33)
+        assert len(trace) == 0
+        assert trace_to_csv(trace) == "run_id,t,target_id,distance,metric,flags\n"
+        first, last, diverged = distance_tables(trace)
+        assert first.shape == last.shape == (0, 2)
+        assert diverged.shape == (0,)
+        for summ in (absorption_summary(trace, 12), recovery_summary(trace)):
+            assert (summ.n_runs, summ.successes) == (0, 0)
 
     def test_recovery_summary_counts_threshold(self):
         net = _tiny_net(7)
         ts = gen_targets("binary", 2, 12, seed=27)
-        recs = perturbation_study(net, ts, horizon=0.2, sample_every=0.1,
-                                  flip_bits=0, seed=35)
-        summ = recovery_summary(recs, HAMMING)
+        trace = perturbation_study(net, ts, horizon=0.2, sample_every=0.1,
+                                   flip_bits=0, seed=35)
+        summ = recovery_summary(trace)
+        assert summ.metric == HAMMING
         # zero perturbation starts at the target; untrained drift over
         # 0.2 s cannot flip sign of a +-1 start
         assert summ.n_runs == 2
@@ -210,11 +280,10 @@ class TestStudiesAndSummaries:
     def test_absorption_summary_flags_never_succeed(self):
         """A flagged (divergent) run cannot count as absorbed no matter
         how small its last recorded distance was."""
-        recs = [TraceRecord(0, 0.0, 0, 5.0, EUCLIDEAN),
-                TraceRecord(0, 1.0, 0, 0.0, EUCLIDEAN, "divergent"),
-                TraceRecord(1, 0.0, 0, 5.0, EUCLIDEAN),
-                TraceRecord(1, 1.0, 0, 0.0, EUCLIDEAN)]
-        summ = absorption_summary(recs, EUCLIDEAN, 12)
+        trace = Trace(EUCLIDEAN, np.array([0.0, 1.0]),
+                      np.array([[[5.0], [0.0]], [[5.0], [0.0]]]),
+                      end=np.array([1, 1]), diverged=np.array([True, False]))
+        summ = absorption_summary(trace, 12)
         assert summ.n_runs == 2
         assert summ.successes == 1
 

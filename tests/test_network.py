@@ -295,6 +295,32 @@ class TestEquilibrium:
         assert res.steps == 0
         assert res.residual > 0
 
+    def test_one_rhs_per_step_on_the_step_fast_path(self):
+        """Each step reuses the derivatives its residual was read from:
+        one RHS evaluation per step, with the same states, step count
+        and residual as step_fast followed by residual()."""
+        def make():
+            net = build_loop([4, 3], Activation.TANH, _hyper(), init_scale=1.0, seed=21)
+            net.set_values(np.random.default_rng(21).normal(size=7))
+            net.populations[0].clamp(np.linspace(-0.5, 0.5, 4))
+            return net
+
+        ref = make()
+        for k in range(1, 10001):
+            ref.step_fast()
+            r = ref.residual()
+            if r < 1e-6:
+                break
+        net = make()
+        calls = []
+        rhs = net.rhs
+        net.rhs = lambda E, V: calls.append(1) or rhs(E, V)
+        res = net.run_fast_to_equilibrium(1e-6, 10000)
+        assert res.converged and (res.steps, res.residual) == (k, r)
+        assert net.steps_taken == ref.steps_taken == k
+        np.testing.assert_array_equal(net.s, ref.s)
+        assert len(calls) == k + 1
+
     def test_residual_ignores_clamped_value_rows(self):
         net = build_single_population(6, Activation.TANH, _hyper(), seed=20)
         rng = np.random.default_rng(20)

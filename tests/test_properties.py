@@ -4,15 +4,23 @@ Each example draws a Custom network (1-4 populations of 1-6 units, every
 population predicted by one randomly chosen population, possibly itself),
 an activation, tied or untied weights, and a random state.  The packed,
 masked kernel must agree with the per-connection oracle in test_network,
-the analytic Jacobian with central differences, and learning must never
-write outside the connection mask.
+the analytic Jacobian with central differences, learning must never
+write outside the connection mask, and a checkpoint must survive a
+save -> load -> save round trip byte for byte.  A last property covers
+the CLI config: resolving the echo of a resolved config gives the same
+values and echoes the same text.
 """
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pchn import Activation, Hyperparams, freeze, jacobian_analytic, jacobian_fd
+from pchn import (Activation, Hyperparams, freeze, jacobian_analytic, jacobian_fd,
+                  load_weights, save_weights)
+from pchn.cli import parse_config_text, resolve_config
 from pchn.network import Connection, Network, Population
 
 from test_network import rhs_oracle
@@ -78,3 +86,83 @@ def test_learning_stays_inside_the_mask(net):
             assert np.all(np.diag(c.M) == 0.0) and np.all(np.diag(c.W) == 0.0)
     if net.tied:
         np.testing.assert_array_equal(net.W, net.M.T)
+
+
+def _blank_copy(net):
+    """A network of the same architecture with every weight zero."""
+    pops = [Population(p.size) for p in net.populations]
+    conns = [Connection(c.src, c.dst, np.zeros_like(c.M), np.zeros_like(c.W),
+                        np.zeros_like(c.b)) for c in net.connections]
+    return Network(pops, conns, net.activation, net.hyper, tied=net.tied)
+
+
+@SETTINGS
+@given(networks(), st.integers(-300, 300))
+def test_checkpoint_round_trip_is_byte_identical(net, exponent):
+    scale = 10.0 ** exponent
+    for c in net.connections:
+        c.M, c.W, c.b = c.M * scale, c.W * scale, c.b * scale
+    fresh = _blank_copy(net)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.pchn"), os.path.join(tmp, "b.pchn")
+        save_weights(net, first)
+        load_weights(fresh, first)
+        save_weights(fresh, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    np.testing.assert_array_equal(fresh.M, net.M)
+    np.testing.assert_array_equal(fresh.W, net.W)
+    np.testing.assert_array_equal(fresh.b, net.b)
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def config_overrides(draw):
+    """Valid command-line overrides: a random subset of the config keys,
+    each with a value resolve_config accepts."""
+    arch = draw(st.sampled_from(["Single100", "Loop50_30_20", "Custom"]))
+    out = {"architecture": arch}
+    total = 100
+    if arch == "Custom":
+        sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+        out["sizes"] = ",".join(map(str, sizes))
+        total = sum(sizes)
+    # always set: the default of 13 flipped bits does not fit every Custom size
+    out["flip_bits"] = str(draw(st.integers(0, total)))
+    optional = {
+        "target_kind": st.sampled_from(["BinarySign", "RealGaussian"]),
+        "activation": st.sampled_from([a.value for a in Activation]),
+        "tie_weights": st.sampled_from(["true", "false", "1", "no"]),
+        "n_targets": st.integers(1, 50).map(str),
+        "gamma": _number(2.0, 1e4),
+        "zeta": _number(0.01, 10.0),
+        "dt": _number(1e-4, 0.01),
+        "init_scale": _number(1e-6, 10.0),
+        "duration_per_target": _number(0.01, 100.0),
+        "epochs": st.integers(1, 100).map(str),
+        "target_order": st.sampled_from(["sequential", "shuffled"]),
+        "reset_fast_state": st.sampled_from(["true", "false"]),
+        "horizon": _number(0.01, 1000.0),
+        "sample_every": _number(0.001, 10.0),
+        "perturb_sigma": _number(0.0, 5.0),
+        "n_random_runs": st.integers(0, 100).map(str),
+        "stability_tol": _number(1e-14, 1e-2),
+        "seed": st.integers(0, 2**32 - 1).map(str),
+        "output_dir": st.text("abcxyz019_-./", min_size=1, max_size=20),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            out[key] = draw(values)
+    return out
+
+
+@SETTINGS
+@given(config_overrides())
+def test_config_echo_round_trip(overrides):
+    cfg = resolve_config({}, overrides)
+    again = resolve_config(parse_config_text(cfg.echo_text()), {})
+    assert again.echo_text() == cfg.echo_text()
+    assert again.raw == cfg.raw
