@@ -1,8 +1,10 @@
 """Plain-text weight checkpoints.
 
-Format "PCHN v1": a magic first line, then one block per connection in
-network order:
+Format "PCHN v2": a magic first line, a line naming the network's
+activation and whether its weights are tied, then one block per
+connection in network order:
 
+    activation <name> tied <true|false>
     conn <src> <dst> <rows> <cols>
     ... M, row-major, one row per line ...
     ... W, row-major, one row per line ...
@@ -11,6 +13,7 @@ network order:
 rows/cols are M's shape (dst size by src size); W is stored with shape
 (cols, rows).  Values are printed with 17 significant digits, which
 round-trips float64 exactly, so save -> load -> save is byte-identical.
+"PCHN v1" files, the same without the activation line, still load.
 """
 
 import numpy as np
@@ -18,15 +21,20 @@ import numpy as np
 from .errors import ConstructionError
 from .fileio import atomic_write_text
 
-MAGIC = "PCHN v1"
+MAGIC = "PCHN v2"
+MAGIC_V1 = "PCHN v1"
 
 
 def _fmt_row(row):
     return " ".join(f"{x:.17g}" for x in row)
 
 
+def _kind(net):
+    return ["activation", net.activation.value, "tied", str(net.tied).lower()]
+
+
 def save_weights(net, path):
-    lines = [MAGIC]
+    lines = [MAGIC, " ".join(_kind(net))]
     for c in net.connections:
         rows, cols = c.M.shape
         lines.append(f"conn {c.src} {c.dst} {rows} {cols}")
@@ -39,15 +47,15 @@ def save_weights(net, path):
 
 
 def load_weights(net, path):
-    """Load weights saved by save_weights into net; the architecture must
-    match the header lines exactly and every value must be finite.  The
-    whole file is checked before any weight is written, so a rejected
-    file leaves net as it was."""
+    """Load weights saved by save_weights into net; the activation, the
+    tying and the architecture must match the header lines exactly and
+    every value must be finite.  The whole file is checked before any
+    weight is written, so a rejected file leaves net as it was."""
     with open(path) as fh:
         text = fh.read()
     lines = text.splitlines()
-    if not lines or lines[0] != MAGIC:
-        raise ConstructionError(f"{path}: not a {MAGIC} checkpoint")
+    if not lines or lines[0] not in (MAGIC, MAGIC_V1):
+        raise ConstructionError(f"{path}: not a {MAGIC} or {MAGIC_V1} checkpoint")
     tokens = " ".join(lines[1:]).split()
     pos = 0
 
@@ -62,6 +70,11 @@ def load_weights(net, path):
     def floats(n, shape):
         return np.array([float(x) for x in take(n)]).reshape(shape)
 
+    if lines[0] == MAGIC:
+        kind = take(4)
+        if kind != _kind(net):
+            raise ConstructionError(f"{path}: saved from a net with {' '.join(kind)}, "
+                                    f"not {' '.join(_kind(net))}")
     blocks = []
     for k, c in enumerate(net.connections):
         head = take(5)

@@ -138,6 +138,12 @@ class RunConfig:
     """Everything a subcommand needs, resolved from defaults + file + flags."""
 
     def __init__(self, raw: dict):
+        for key, val in raw.items():
+            # config.echo writes values verbatim, one per line, and
+            # parse_config_text cuts a line at '#' and strips the value
+            if "#" in val or val != val.strip() or len(val.splitlines()) > 1:
+                raise ConfigError(f"{key}: value {val!r} holds '#', a line break or "
+                                  "outer whitespace, which config.echo cannot carry")
         self.raw = dict(raw)
         arch = raw["architecture"]
         if arch == "Single100":

@@ -1,10 +1,23 @@
-"""Training loop: clamp a pattern, let fast and slow dynamics run together.
+"""Training loop: clamp a pattern, let errors and weights evolve together.
 
 Training presents each stored pattern by clamping every value node to it
 for a fixed duration while the weight equations integrate alongside the
-state equations (one slow step per fast step, shared dt).  No objective
-gradient is ever formed; the weight updates are the local outer-product
-rule in network.step_slow.
+state equations.  No objective gradient is ever formed; the weight
+updates are the local outer-product rule in network.step_slow.
+
+The clamp is integrated in reduced form, exact for a fully clamped net.
+With every value pinned, V and s = sigma(V) stay constant for the whole
+clamp, W never feeds back into the errors, and a slow step changes each
+unit's prediction r = M s + b only along its own error:
+
+    E_k = (1 - dt*zeta/tau_e) E_{k-1} + (dt/tau_e) (V - r_{k-1})
+    r_k = r_{k-1} + (dt/gamma) (mask @ s^2 + 1) * E_k
+
+So one clamp of K Euler steps (one fast step, then one slow step, shared
+dt) is K steps of this per-unit recurrence on length-T vectors, then one
+rank-1 weight update driven by the summed errors.  It visits the same
+errors as the step-by-step path up to rounding, which the tests check
+against step_fast + step_slow.
 """
 
 import time
@@ -12,10 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, ContractViolationError
+from .errors import (ConstructionError, ContractViolationError,
+                     IntegrationDivergenceError)
+from .network import DIVERGENCE_LIMIT
 
 SEQUENTIAL = "sequential"
 SHUFFLED = "shuffled"
+
+# Euler steps of one clamp integrated per block; bounds the error history
+# the divergence check reads to BLOCK x T floats
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -103,15 +122,70 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
             net.clamp_all(target)
             if schedule.reset_fast_state:
                 net.E[:] = 0.0
-            energy_start = net.energy((net.V - net.predict(net.V)) / net.hyper.zeta)
-            for _ in range(steps_per):
-                net.step_fast()
-                net.step_slow()
+            residual = net.V - net.predict(net.V)
+            energy_start = net.energy(residual / net.hyper.zeta)
+            _clamp(net, residual, steps_per)
             report.records.append(ClampRecord(epoch, int(tid), steps_per,
                                               energy_start, net.energy()))
     net.unclamp_all()
     report.wall_seconds = time.perf_counter() - t0
     return report
+
+
+def _clamp(net, residual, steps):
+    """Run `steps` Euler steps of fast and slow dynamics on a fully
+    clamped net whose prediction residual V - (M s + b) is `residual`.
+
+    Carries u = (dt/tau_e)(V - r) in place of r, so each step is
+    E <- a E + u, then u <- u - d E.  Leaves net.E, the weights and
+    net.steps_taken where the step-by-step path leaves them, also when
+    the errors pass DIVERGENCE_LIMIT: the weights then hold the updates
+    of the steps before the first bad one, which is the step raised.
+    """
+    h, T = net.hyper, net.total_units
+    s = net.activation.apply(net.V)
+    a = np.full(T, 1.0 - h.dt * h.zeta / h.tau_e)
+    u = (h.dt / h.tau_e) * residual
+    d = (h.dt / h.tau_e) * (h.dt / h.gamma) * (net.mask @ (s * s) + 1.0)
+    values_ok = bool(np.all(np.abs(net.V) <= DIVERGENCE_LIMIT))
+    total = np.zeros(T)
+    history = np.empty((min(steps, BLOCK), T))
+    du = np.empty(T)
+    mul, add, sub = np.multiply, np.add, np.subtract
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < steps:
+            rows = history[:steps - done]
+            prev = net.E
+            # the hot loop: four in-place ufuncs per step, called with
+            # positional outputs, which numpy dispatches fastest
+            for e in rows:
+                mul(prev, a, e)
+                add(e, u, e)
+                mul(e, d, du)
+                sub(u, du, u)
+                prev = e
+            n = _first_bad(rows, values_ok)
+            total += rows[:n].sum(axis=0)
+            net.E[:] = rows[min(n, len(rows) - 1)]
+            done += n
+            if n < len(rows):
+                net.steps_taken += done + 1
+                if done:
+                    net.step_slow(errors=total)
+                raise IntegrationDivergenceError(net.steps_taken)
+    net.steps_taken += steps
+    net.step_slow(errors=total)
+
+
+def _first_bad(rows, values_ok):
+    """Index of the first row that fails the step-by-step path's
+    finiteness check, or len(rows) when none does."""
+    # a NaN fails every comparison, so max and min catch it too
+    if values_ok and rows.max() <= DIVERGENCE_LIMIT and rows.min() >= -DIVERGENCE_LIMIT:
+        return len(rows)
+    ok = np.all(np.abs(rows) <= DIVERGENCE_LIMIT, axis=1) & values_ok
+    return int(np.argmin(ok))
 
 
 def freeze(net):

@@ -284,22 +284,25 @@ class Network:
         if not np.all(np.abs(self.s) <= DIVERGENCE_LIMIT):
             raise IntegrationDivergenceError(self.steps_taken)
 
-    def step_slow(self):
+    def step_slow(self, errors=None):
         """One Euler step of the weight equations from the current state.
 
         Local rule: every update is post-synaptic error times pre-synaptic
-        activity, restricted to the connection blocks by the mask.
+        activity, restricted to the connection blocks by the mask.  With
+        errors given, that length-T vector stands in for E: the sum of the
+        errors of K steps at fixed values makes the update of all K steps.
         """
         if self.weights_frozen:
             raise ContractViolationError("weights are frozen")
+        e = self.E if errors is None else errors
         rate = self.hyper.dt / self.hyper.gamma
-        dM = (rate * np.outer(self.E, self.activation.apply(self.V))) * self.mask
+        dM = (rate * np.outer(e, self.activation.apply(self.V))) * self.mask
         self.M += dM
         if self.tied:
             self.W[...] = self.M.T
         else:
             self.W += dM.T
-        self.b += rate * self.E
+        self.b += rate * e
 
     def energy(self, errors=None) -> float:
         """Total error energy (zeta/2) * ||E||^2, of the current errors or

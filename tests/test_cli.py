@@ -63,6 +63,20 @@ class TestTrain:
         rc = main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [("--out", "a#1"), ("--sizes", "12\n#"),
+                                             ("--activation", "tanh\r"),
+                                             ("--target_order", "sequen\u2028tial"),
+                                             ("--out", "a "), ("--epochs", " 2")])
+    def test_value_the_echo_cannot_carry_rejected(self, tmp_path, capsys, flag, value):
+        """config.echo would not read back such a value as written, so
+        it is refused before anything runs or is written."""
+        argv = ["train", "--out", str(tmp_path / "x")] + FAST + [flag, value]
+        if flag == "--out":
+            argv[2] = str(tmp_path / value)
+        assert main(argv) == 2
+        assert "config.echo cannot carry" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_pairing_override_warns(self, tmp_path, capsys):
         _train(tmp_path / "run", extra=["--activation", "relu"])
         err = capsys.readouterr().err

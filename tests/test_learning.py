@@ -1,18 +1,70 @@
-"""Clamped training loop: local updates, energy bookkeeping, determinism."""
+"""Clamped training loop: local updates, energy bookkeeping, determinism.
+
+train_oracle below is the step-by-step training loop, one step_fast and
+one step_slow per Euler step of every clamp.  train integrates a clamp
+in reduced form and must land where the oracle does.
+"""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from pchn import (Activation, ContractViolationError, Hyperparams,
-                  TrainingSchedule, build_single_population, build_loop,
-                  freeze, gen_targets, train)
-from pchn.learning import SEQUENTIAL, SHUFFLED, prediction_mse
+                  IntegrationDivergenceError, TrainingSchedule,
+                  build_single_population, build_loop, freeze, gen_targets,
+                  train)
+from pchn import learning
+from pchn.cli import SEED_TRAIN, child_seed, main, resolve_config
+from pchn.learning import (SEQUENTIAL, SHUFFLED, ClampRecord, TrainingReport,
+                           prediction_mse)
 
 
 def _hyper(**kw):
     base = dict(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
     base.update(kw)
     return Hyperparams(**base)
+
+
+def train_oracle(net, targets, schedule, seed=0):
+    """train with every clamp integrated step by step: the same order,
+    records and energies, one step_fast then one step_slow per step."""
+    pats = np.asarray(getattr(targets, "patterns", targets), dtype=float)
+    steps = max(1, int(round(schedule.duration_per_target / net.hyper.dt)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    report = TrainingReport()
+    for epoch in range(schedule.epochs):
+        order = np.arange(len(pats))
+        if schedule.target_order == SHUFFLED:
+            order = rng.permutation(len(pats))
+        for tid in order:
+            net.clamp_all(pats[tid])
+            if schedule.reset_fast_state:
+                net.E[:] = 0.0
+            energy_start = net.energy((net.V - net.predict(net.V)) / net.hyper.zeta)
+            for _ in range(steps):
+                net.step_fast()
+                net.step_slow()
+            report.records.append(ClampRecord(epoch, int(tid), steps,
+                                              energy_start, net.energy()))
+    net.unclamp_all()
+    return report
+
+
+def assert_close_to_largest(actual, expected, rel=1e-12, floor=0.0):
+    """Every entry within rel of the largest entry of expected, or of
+    floor when that is larger."""
+    scale = max(float(np.max(np.abs(expected), initial=0.0)), floor)
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=rel * scale)
+
+
+def assert_trained_alike(net, ref, rel=1e-12):
+    """Weights within rel of their largest entry.  The errors follow
+    V - (M s + b), a difference of terms the size of the clamped values,
+    so they are compared on the scale of the largest value too."""
+    for x in ("M", "W", "b"):
+        assert_close_to_largest(getattr(net, x), getattr(ref, x), rel)
+    assert_close_to_largest(net.E, ref.E, rel, floor=float(np.max(np.abs(ref.V))))
 
 
 class TestSchedule:
@@ -145,3 +197,95 @@ class TestTrain:
         np.testing.assert_array_equal(c.M, 0.0)
         np.testing.assert_array_equal(c.W, 0.0)
         np.testing.assert_array_equal(c.b, 0.0)
+
+
+class TestReducedClamp:
+    """train against the step-by-step oracle on configurations the
+    property test in test_properties does not reach."""
+
+    @pytest.mark.parametrize("block", [1024, 7])
+    def test_matches_oracle_across_blocks(self, block):
+        """1,200 steps per clamp crosses the 1,024-step block, and a
+        block of 7 puts many boundaries and a short last block in
+        every clamp."""
+        targets = gen_targets("real", 3, 12, seed=22)
+        net, ref = (build_loop([5, 4, 3], Activation.RELU, _hyper(),
+                               tie_weights=True, seed=22) for _ in range(2))
+        schedule = TrainingSchedule(duration_per_target=6.0, epochs=2,
+                                    target_order=SHUFFLED, reset_fast_state=False)
+        with mock.patch.object(learning, "BLOCK", block):
+            rep = train(net, targets.patterns, schedule, seed=23)
+        ref_rep = train_oracle(ref, targets.patterns, schedule, seed=23)
+        assert rep.to_csv() == ref_rep.to_csv()
+        assert net.steps_taken == ref.steps_taken == 6 * 1200
+        assert_trained_alike(net, ref)
+
+    @pytest.mark.parametrize("block", [1024, 16])
+    def test_divergence_reports_the_oracle_step(self, block):
+        """A pattern scaled by 3e3 makes sum(s^2) so large that each
+        learning step overshoots: the errors grow about 20-fold per
+        step and pass DIVERGENCE_LIMIT in the middle of the second
+        clamp.  The error names the same step as the oracle, and the
+        weights hold the updates of the steps before it."""
+        rng = np.random.default_rng(24)
+        pats = rng.normal(size=(2, 10))
+        pats[1] *= 3e3
+        schedule = TrainingSchedule(duration_per_target=1.0, epochs=1)
+        net, ref = (build_single_population(10, Activation.IDENTITY, _hyper(), seed=24)
+                    for _ in range(2))
+        with mock.patch.object(learning, "BLOCK", block):
+            with pytest.raises(IntegrationDivergenceError) as got:
+                train(net, pats, schedule, seed=25)
+        with pytest.raises(IntegrationDivergenceError) as want:
+            train_oracle(ref, pats, schedule, seed=25)
+        assert 200 < want.value.step < 400
+        assert got.value.step == want.value.step == net.steps_taken == ref.steps_taken
+        for x in ("M", "W", "b"):
+            assert_close_to_largest(getattr(net, x), getattr(ref, x), rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e101])
+    def test_target_past_the_limit_fails_at_the_first_step(self, bad):
+        """The step-by-step check covers the clamped values too, so a
+        target entry past DIVERGENCE_LIMIT fails the first step even
+        while the errors are still under it."""
+        pats = np.array([[1.0, bad, 0.5]])
+        net, ref = (build_single_population(3, Activation.TANH, _hyper(), seed=26)
+                    for _ in range(2))
+        before = net.M.copy()
+        with pytest.raises(IntegrationDivergenceError) as got:
+            train(net, pats, TrainingSchedule(duration_per_target=0.5), seed=0)
+        with pytest.raises(IntegrationDivergenceError) as want:
+            train_oracle(ref, pats, TrainingSchedule(duration_per_target=0.5), seed=0)
+        assert got.value.step == want.value.step == 1
+        np.testing.assert_array_equal(net.M, before)
+
+    def test_first_bad_row_of_either_sign(self):
+        rows = np.zeros((5, 3))
+        assert learning._first_bad(rows, True) == 5
+        assert learning._first_bad(rows, False) == 0
+        rows[3, 1] = -2e100
+        assert learning._first_bad(rows, True) == 3
+        rows[2, 0] = np.nan
+        assert learning._first_bad(rows, True) == 2
+
+    def test_cli_reports_divergence_and_removes_stale_checkpoint(self, tmp_path, capsys):
+        """With dt = 0.4 and gamma = 1.01 a relu Single100 net on real
+        targets diverges in its first clamp.  cli train prints the
+        oracle's step and deletes the checkpoint of an earlier run."""
+        flags = {"target_kind": "RealGaussian", "dt": "0.4", "gamma": "1.01",
+                 "duration_per_target": "100", "epochs": "1", "n_targets": "2"}
+        cfg = resolve_config({}, flags)
+        ref = cfg.build_network()
+        with pytest.raises(IntegrationDivergenceError) as want:
+            train_oracle(ref, cfg.targets(), cfg.schedule,
+                         seed=child_seed(cfg.seed, SEED_TRAIN))
+        stale = tmp_path / "checkpoint.pchn"
+        stale.write_text("stale\n")
+        argv = ["train", "--out", str(tmp_path)]
+        for key, val in flags.items():
+            argv += [f"--{key}", val]
+        assert main(argv) == 1
+        assert not stale.exists()
+        err = capsys.readouterr().err
+        assert f"training diverged at step {want.value.step}\n" in err
+        assert 0 < want.value.step < 250

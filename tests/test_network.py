@@ -460,3 +460,44 @@ class TestCheckpoint:
         with pytest.raises(ConstructionError):
             load_weights(other, str(path))
         self._assert_untouched(other, before)
+
+    def test_header_records_activation_and_tying(self, tmp_path):
+        net = build_loop([5, 4, 3], Activation.TANH, _hyper(), tie_weights=True, seed=32)
+        path = tmp_path / "net.pchn"
+        save_weights(net, str(path))
+        assert path.read_text().splitlines()[:3] == [
+            "PCHN v2", "activation tanh tied true", "conn 1 0 5 4"]
+
+    @pytest.mark.parametrize("activation, tied", [(Activation.RELU, False),
+                                                  (Activation.TANH, True)])
+    def test_kind_mismatch_loads_nothing(self, tmp_path, activation, tied):
+        """A tanh, untied checkpoint is refused by a relu net and by a
+        tied net, before any weight is written."""
+        path, _, _ = self._saved_loop(tmp_path)
+        other = build_loop([5, 4, 3], activation, _hyper(), tie_weights=tied, seed=31)
+        before = [(c.M.copy(), c.W.copy(), c.b.copy()) for c in other.connections]
+        with pytest.raises(ConstructionError, match="activation tanh tied false"):
+            load_weights(other, str(path))
+        self._assert_untouched(other, before)
+
+    def test_v1_file_still_loads(self, tmp_path):
+        """A checkpoint in the format before the activation line: the
+        header carries no activation, so any net of the architecture
+        takes it."""
+        path = tmp_path / "old.pchn"
+        path.write_text("PCHN v1\n"
+                        "conn 0 0 2 2\n"
+                        "0 0.5\n"
+                        "-0.25 0\n"
+                        "0 0.125\n"
+                        "1.5 0\n"
+                        "0.75 -2\n")
+        net = build_single_population(2, Activation.RELU, _hyper(), seed=33)
+        load_weights(net, str(path))
+        np.testing.assert_array_equal(net.M, [[0.0, 0.5], [-0.25, 0.0]])
+        np.testing.assert_array_equal(net.W, [[0.0, 0.125], [1.5, 0.0]])
+        np.testing.assert_array_equal(net.b, [0.75, -2.0])
+        resaved = tmp_path / "new.pchn"
+        save_weights(net, str(resaved))
+        assert resaved.read_text().splitlines()[1] == "activation relu tied false"
+        assert resaved.read_text().splitlines()[2:] == path.read_text().splitlines()[1:]
