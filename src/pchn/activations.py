@@ -23,22 +23,33 @@ class Activation(Enum):
         except ValueError:
             raise ValueError(f"unknown activation {name!r}") from None
 
-    def apply(self, x):
-        if self is Activation.IDENTITY:
+    def apply(self, x, out=None):
+        """sigma(x), written into out when given."""
+        if self is Activation.RELU:
+            return np.maximum(x, 0.0, out=out)
+        if self is Activation.TANH:
+            return np.tanh(x, out=out)
+        if out is None:
             return np.asarray(x, dtype=float)
-        if self is Activation.RELU:
-            return np.maximum(x, 0.0)
-        return np.tanh(x)
+        np.copyto(out, x)
+        return out
 
-    def derivative(self, x):
+    def derivative(self, x, out=None, sigma=None):
+        """sigma'(x), written into out when given.  tanh reuses sigma,
+        when given, as tanh(x); out may be sigma itself."""
         x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty_like(x)
         if self is Activation.IDENTITY:
-            return np.ones_like(x)
-        if self is Activation.RELU:
+            out[...] = 1.0
+        elif self is Activation.RELU:
             # convention: derivative at the kink itself is 0
-            return np.where(x > 0.0, 1.0, 0.0)
-        t = np.tanh(x)
-        return 1.0 - t * t
+            np.greater(x, 0.0, out=out)
+        else:
+            t = np.tanh(x) if sigma is None else sigma
+            np.multiply(t, t, out=out)
+            np.subtract(1.0, out, out=out)
+        return out
 
     def second_derivative(self, x):
         x = np.asarray(x, dtype=float)

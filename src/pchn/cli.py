@@ -315,9 +315,12 @@ def cmd_train(cfg: RunConfig) -> int:
         report = train(net, targets.patterns, cfg.schedule,
                        seed=child_seed(cfg.seed, SEED_TRAIN))
     except IntegrationDivergenceError as e:
-        path = os.path.join(cfg.output_dir, "checkpoint.pchn")
-        if os.path.exists(path):
-            os.remove(path)
+        # config.echo now describes this failed run: drop the outputs
+        # an earlier run left beside it
+        for name in ("checkpoint.pchn", "train.csv"):
+            path = os.path.join(cfg.output_dir, name)
+            if os.path.exists(path):
+                os.remove(path)
         print(f"error: training diverged at step {e.step}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
@@ -352,23 +355,23 @@ def cmd_perturb(cfg: RunConfig, args) -> int:
 def cmd_stability(cfg: RunConfig, args) -> int:
     net = _load_trained(cfg, args)
     targets = cfg.targets()
+    T = cfg.total_units
     n_stable = 0
     n_found = 0
-    for k in range(targets.n):
-        try:
-            rep = analyze_equilibrium(net, targets.patterns[k], tol=cfg.stability_tol)
-        except NotAnEquilibriumError as e:
+    outcomes = analyze_equilibrium(net, targets.patterns, tol=cfg.stability_tol)
+    for k, rep in enumerate(outcomes):
+        if isinstance(rep, NotAnEquilibriumError):
             print(f"stability: target {k} no equilibrium found "
-                  f"(residual {e.residual:g})")
+                  f"(residual {rep.residual:g})")
             continue
-        except IntegrationDivergenceError:
+        if isinstance(rep, IntegrationDivergenceError):
             print(f"stability: target {k} no equilibrium found (diverged)")
             continue
-        except NonDifferentiableStateError:
+        if isinstance(rep, NonDifferentiableStateError):
             print(f"stability: target {k} equilibrium sits on an activation "
                   f"kink; spectrum undefined")
             continue
-        ok = _corresponds(cfg, net.values_vector(), targets.patterns[k])
+        ok = _corresponds(cfg, rep.state[T:], targets.patterns[k])
         atomic_write_text(os.path.join(cfg.output_dir, f"spectrum_t{k}.csv"),
                           spectrum_to_csv(rep))
         n_found += 1
@@ -376,7 +379,7 @@ def cmd_stability(cfg: RunConfig, args) -> int:
         note = "" if ok else " (equilibrium does not correspond to the target)"
         print(f"stability: target {k} stable={rep.all_stable} "
               f"max_re={rep.max_real_part:.3e} "
-              f"at_half_tau={rep.count_at_minus_half_tau}/{2 * cfg.total_units} "
+              f"at_half_tau={rep.count_at_minus_half_tau}/{2 * T} "
               f"near_minus_one={rep.count_near_minus_one} "
               f"near_zero={len(rep.near_zero)} dist={rep.distance_to_target:.3g}{note}")
     print(f"stability: {n_stable}/{n_found} found equilibria stable "

@@ -21,6 +21,14 @@ and learning is one local outer-product rule restricted to the mask (see
 step_slow).  Populations and connections are views into these arrays.
 Linearization lives in stability.py, the training loop in learning.py.
 
+Network.euler is the one Euler update, on a packed state (2T,) or on B
+states side by side as the columns of a (2T, B) array, and
+Network.relax the one loop that steps such states until each settles
+(the derivative sup-norm under a tolerance) or diverges.
+run_fast_to_equilibrium relaxes the net's own state, the stability
+analysis relaxes all its targets as one batch, and the studies step
+their runs through euler.
+
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
 """
@@ -144,6 +152,17 @@ class EquilibriumResult:
     residual: float
 
 
+@dataclass
+class Relaxation:
+    """Per-column outcome of Network.relax: the steps each column took,
+    whether it settled under tol or passed the divergence limit at its
+    last step, and its derivative sup-norm there."""
+    steps: np.ndarray
+    converged: np.ndarray
+    residual: np.ndarray
+    diverged: np.ndarray
+
+
 class Network:
     def __init__(self, populations, connections, activation: Activation,
                  hyper: Hyperparams, tied: bool = False):
@@ -156,6 +175,7 @@ class Network:
         self.tied = tied
         self.weights_frozen = False
         self.steps_taken = 0
+        self._work = {}
 
         at = 0
         for p in self.populations:
@@ -235,23 +255,50 @@ class Network:
         b = self.b if V.ndim == 1 else self.b[:, None]
         return self.M @ self.activation.apply(V) + b
 
-    def rhs(self, E, V):
+    def rhs(self, E, V, out=None):
         """Time derivatives (dE, dV) of the fast equations at errors E and
         values V, each (T,) or (T, B), ignoring clamps.  Pure function of
-        the arguments; network state is not touched."""
-        h = self.hyper
-        dE = (V - self.predict(V) - h.zeta * E) / h.tau_e
-        dV = (-E + self.activation.derivative(V) * (self.W @ E)) / h.tau_v
+        the arguments; network state is not touched.  out, when given, is
+        three arrays shaped like V: scratch, then the dE and dV returned.
+        Either way the operations and their order are the same, so the
+        result is the same bit for bit."""
+        h, act = self.hyper, self.activation
+        a, dE, dV = out if out is not None else [np.empty_like(V) for _ in range(3)]
+        # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau_e
+        np.matmul(self.M, act.apply(V, out=a), out=dE)
+        dE += self.b if V.ndim == 1 else self.b[:, None]
+        np.subtract(V, dE, out=dE)
+        dE -= np.multiply(E, h.zeta, out=dV)
+        dE /= h.tau_e
+        # dV = (-E + sigma'(V) * (W @ E)) / tau_v
+        np.matmul(self.W, E, out=dV)
+        dV *= act.derivative(V, out=a, sigma=a)
+        dV -= E
+        dV /= h.tau_v
         return dE, dV
 
     def euler(self, s, derivatives=None):
         """One Euler step of the unclamped fast equations, in place, on a
         packed state s of shape (2T,) or (2T, B).  derivatives, when
-        given, is rhs at s, already evaluated."""
+        given, is rhs at s, already evaluated; otherwise rhs is evaluated
+        into a workspace the net keeps per state shape, so a step
+        allocates nothing."""
         T, dt = self.total_units, self.hyper.dt
-        dE, dV = self.rhs(s[:T], s[T:]) if derivatives is None else derivatives
-        s[:T] += dt * dE
-        s[T:] += dt * dV
+        E, V = s[:T], s[T:]
+        if derivatives is None:
+            dE, dV = self.rhs(E, V, out=self._workspace(V.shape))
+            dE *= dt
+            dV *= dt
+        else:
+            dE, dV = dt * derivatives[0], dt * derivatives[1]
+        E += dE
+        V += dV
+
+    def _workspace(self, shape):
+        work = self._work.get(shape)
+        if work is None:
+            work = self._work[shape] = [np.empty(shape) for _ in range(3)]
+        return work
 
     def fast_rhs_flat(self, s):
         """RHS of the fast equations at packed state s, ignoring clamps.
@@ -259,14 +306,13 @@ class Network:
         s = _vector(s, 2 * self.total_units)
         return np.concatenate(self.rhs(s[:self.total_units], s[self.total_units:]))
 
-    def step_fast(self, algebraic_errors: bool = False, derivatives=None):
+    def step_fast(self, algebraic_errors: bool = False):
         """One Euler step of the fast equations.
 
         With algebraic_errors=True the error nodes are not integrated;
         they are set to their instantaneous equilibrium (v - mu)/zeta
         before the value update, which turns the value dynamics into
-        gradient descent on the energy when weights are tied.  Otherwise
-        derivatives, when given, is rhs at the current state.
+        gradient descent on the energy when weights are tied.
         """
         h = self.hyper
         with np.errstate(over="ignore", invalid="ignore"):
@@ -274,14 +320,13 @@ class Network:
                 self.E[:] = (self.V - self.predict(self.V)) / h.zeta
                 self.V += h.dt * self.rhs(self.E, self.V)[1]
             else:
-                self.euler(self.s, derivatives)
+                self.euler(self.s)
         np.copyto(self.V, self.clamp_target, where=self.clamped)
         self.steps_taken += 1
         self._check_finite()
 
     def _check_finite(self):
-        # a NaN fails the comparison too
-        if not np.all(np.abs(self.s) <= DIVERGENCE_LIMIT):
+        if _past_limit(self.s)[0]:
             raise IntegrationDivergenceError(self.steps_taken)
 
     def step_slow(self, errors=None):
@@ -313,27 +358,89 @@ class Network:
     def residual(self) -> float:
         """Sup-norm of the fast-state time derivative, skipping the value
         equations of clamped units."""
-        return self._sup_norm(*self.rhs(self.E, self.V))
+        return float(self._sup_norm(*self.rhs(self.E, self.V)))
 
-    def _sup_norm(self, dE, dV) -> float:
-        return float(np.max(np.abs(np.concatenate((dE, dV[~self.clamped])))))
+    def _sup_norm(self, dE, dV):
+        """Sup-norm per column (a scalar for (T,) derivatives), skipping
+        the value rows of clamped units."""
+        # |dE|, |dV| as the rows of one (B, 2T) array, whose contiguous
+        # rows reduce far faster than the columns of a (2T, B) one; a
+        # clamped row counts as 0, which never raises the max
+        T = self.total_units
+        a = np.empty(dE.shape[1:] + (2 * T,))
+        np.abs(dE.T, out=a[..., :T])
+        np.abs(dV.T, out=a[..., T:])
+        a[..., T:][..., self.clamped] = 0.0
+        return a.max(axis=-1)
+
+    def relax(self, s, tol: float, max_steps: int) -> "Relaxation":
+        """Step the fast equations on a packed state s of shape (2T,) or
+        (2T, B), in place, column by column until its derivative sup-norm
+        drops under tol, until it passes the divergence limit, or until
+        the step budget runs out.
+
+        A column that settles or diverges is frozen at that step and
+        dropped from the batch, while the others go on.  Clamps hold
+        every column, and steps_taken advances by the steps all columns
+        took.  The RHS is evaluated once per step: the derivatives behind
+        each residual drive the next step.  A (2T,) state is stepped as
+        one vector, so its products are the (T, T) @ (T,) ones of
+        step_fast.
+        """
+        T = self.total_units
+        n = 1 if s.ndim == 1 else s.shape[1]
+        out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
+                         np.zeros(n), np.zeros(n, dtype=bool))
+        pinned = self.clamped if s.ndim == 1 else self.clamped[:, None]
+        target = self.clamp_target if s.ndim == 1 else self.clamp_target[:, None]
+        live, X = np.arange(n), s
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = self.rhs(X[:T], X[T:])
+            r = np.atleast_1d(self._sup_norm(*d))
+            for k in range(1, max_steps + 1):
+                self.euler(X, d)
+                np.copyto(X[T:], target, where=pinned)
+                bad = _past_limit(X)
+                d = self.rhs(X[:T], X[T:])
+                r = np.atleast_1d(self._sup_norm(*d))
+                done = bad | (r < tol)
+                if not done.any():
+                    continue
+                cols = live[done]
+                out.steps[cols], out.residual[cols] = k, r[done]
+                out.diverged[cols], out.converged[cols] = bad[done], ~bad[done]
+                if X is not s:
+                    s[:, cols] = X[:, done]
+                live, r = live[~done], r[~done]
+                if live.size == 0:
+                    break
+                X = X[:, ~done]
+                d = (d[0][:, ~done], d[1][:, ~done])
+        out.residual[live] = r
+        if live.size and X is not s:
+            s[:, live] = X
+        self.steps_taken += int(out.steps.sum())
+        return out
 
     def run_fast_to_equilibrium(self, tol: float = 1e-6,
                                 max_steps: int = 100000) -> EquilibriumResult:
-        """Step the fast equations until the derivative sup-norm drops
-        under tol or the step budget runs out.  The RHS is evaluated once
-        per step: the derivatives behind each residual drive the next step."""
-        d = self.rhs(self.E, self.V)
-        if max_steps == 0:
-            return EquilibriumResult(0, False, self._sup_norm(*d))
-        r = np.inf
-        for k in range(1, max_steps + 1):
-            self.step_fast(derivatives=d)
-            d = self.rhs(self.E, self.V)
-            r = self._sup_norm(*d)
-            if r < tol:
-                return EquilibriumResult(k, True, r)
-        return EquilibriumResult(max_steps, False, r)
+        """relax on the net's own state; raises IntegrationDivergenceError
+        at the first step past the divergence limit."""
+        out = self.relax(self.s, tol, max_steps)
+        if out.diverged[0]:
+            raise IntegrationDivergenceError(self.steps_taken)
+        return EquilibriumResult(int(out.steps[0]), bool(out.converged[0]),
+                                 float(out.residual[0]))
+
+
+def _past_limit(s):
+    """Per-column mask of the packed states s, (2T,) or (2T, B), with a
+    magnitude past DIVERGENCE_LIMIT or a NaN."""
+    # a NaN fails the comparison too; the whole-array check is the cheap
+    # common case
+    if np.abs(s).max() <= DIVERGENCE_LIMIT:
+        return np.zeros(s.shape[1:] or 1, dtype=bool)
+    return ~np.atleast_1d(np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=0))
 
 
 def _as_rng(seed) -> np.random.Generator:

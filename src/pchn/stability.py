@@ -12,12 +12,20 @@ driving the derivative residual to a tight tolerance by simulation alone
 would take thousands of simulated seconds; analyze_equilibrium therefore
 interleaves relaxation stretches with trust-region root polishing and
 verifies the residual at the final state against the tolerance.
+
+All targets of one call relax together: their packed states are the
+columns of one (2T, n) array stepped by Network.relax, first for one
+stretch and then, in rounds, for geometrically growing chunks over the
+targets still unresolved.  Each column stops at its own first step under
+the tolerance, so a target sees the same steps as it would alone; only
+the rounding of the batched matrix products differs.  Newton probes,
+Jacobians and eigenvalues stay per target.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .activations import Activation
 from .errors import (ConstructionError, ContractViolationError,
@@ -90,6 +98,7 @@ class SpectrumReport:
     all_stable: bool
     residual: float = float("nan")
     distance_to_target: float = float("nan")
+    state: Optional[np.ndarray] = None
 
 
 def classify_spectrum(eigs, tau: float, residual: float = float("nan"),
@@ -134,6 +143,9 @@ def _newton_polish(net, s):
     ill-conditioned directions.  Falls back to the starting state if the
     solver wanders somewhere non-finite.
     """
+    # imported here: only a relaxation that misses the tolerance needs
+    # scipy, and loading it is most of the start-up time of the CLI
+    import scipy.optimize
     sol = scipy.optimize.root(net.fast_rhs_flat, s,
                               jac=lambda x: jacobian_analytic(net, x),
                               method="hybr", options={"xtol": 1e-14})
@@ -142,11 +154,37 @@ def _newton_polish(net, s):
     return sol.x, _sup(net.fast_rhs_flat(sol.x))
 
 
+def _probe(net, s, tol):
+    """Newton probe from s: (state, residual, eigenvalues) of a root
+    under tol whose spectrum is stable, else None.  A probe that lands on an
+    unstable root while the flow is still moving found a saddle the
+    trajectory passes near, not the equilibrium it is heading to."""
+    try:
+        s_probe, res_probe = _newton_polish(net, s)
+    except NonDifferentiableStateError:
+        # solver trial point grazed a ReLU kink; drop the probe
+        return None
+    if not res_probe < tol:
+        return None
+    eigs = np.linalg.eigvals(jacobian_analytic(net, s_probe))
+    if not np.max(eigs.real) < 0.0:
+        return None
+    return s_probe, res_probe, eigs
+
+
 def analyze_equilibrium(net, target, tol: float = 1e-8, *,
-                        max_steps: int = 4000,
-                        polish: bool = True) -> SpectrumReport:
-    """Place the values at target, relax to the nearby equilibrium, and
-    return the classified spectrum of the Jacobian there.
+                        max_steps: int = 4000, polish: bool = True):
+    """Place the values at each target, relax to the nearby equilibrium,
+    and classify the spectrum of the Jacobian there.
+
+    target is one (T,) pattern or an (n, T) stack of them.  Every target
+    relaxes as one column of a (2T, n) state through Network.relax.  For
+    one pattern the SpectrumReport is returned, a failure raised, and
+    the net left at the final state.  For a stack the result is a list
+    holding, per target, its report or the error that ended it:
+    NotAnEquilibriumError, IntegrationDivergenceError (at the count of
+    that target's relaxation steps) or NonDifferentiableStateError.  Each
+    report's state is its equilibrium.
 
     The equilibrium the dynamics settle into need not be close to the
     requested target (untrained networks drift far away); callers that
@@ -155,50 +193,77 @@ def analyze_equilibrium(net, target, tol: float = 1e-8, *,
     _check_frozen(net)
     if not tol > 0:
         raise ConstructionError("tol must be positive")
-    net.unclamp_all()
-    net.set_values(target)
-    net.E[:] = 0.0
-    result = net.run_fast_to_equilibrium(tol, max_steps)
-    s = net.fast_state()
-    residual = result.residual
-    eigs = None
-    if polish and not residual < tol:
-        # The drift along near-marginal directions can take thousands of
-        # simulated seconds to die out, so simulation alone rarely makes
-        # a tight tolerance.  Probe with Newton from relaxation
-        # snapshots of geometrically growing length; the simulated flow
-        # stays authoritative, so a stalled probe is simply dropped.  A
-        # probe that lands on an unstable root while the flow is still
-        # moving found a saddle the trajectory passes near, not the
-        # equilibrium it is heading to; keep relaxing instead.
-        chunk = max(1, max_steps)
-        for _ in range(8):
-            try:
-                s_probe, res_probe = _newton_polish(net, s)
-            except NonDifferentiableStateError:
-                # solver trial point grazed a ReLU kink; drop the probe
-                s_probe, res_probe = s, residual
-            if res_probe < tol:
-                J = jacobian_analytic(net, s_probe)
-                cand = np.linalg.eigvals(J)
-                if np.max(cand.real) < 0.0 or residual < tol:
-                    s, residual, eigs = s_probe, res_probe, cand
-                    net.set_fast_state(s)
-                    break
-            net.set_fast_state(s)
-            result = net.run_fast_to_equilibrium(tol, chunk)
-            s = net.fast_state()
-            residual = result.residual
-            if residual < tol:
-                break
-            chunk *= 2
-    if not residual < tol:
-        raise NotAnEquilibriumError(residual)
     target = np.asarray(target, dtype=float)
-    dist = float(np.linalg.norm(net.values_vector() - target))
-    if eigs is None:
-        eigs = np.linalg.eigvals(jacobian_analytic(net, s))
-    return classify_spectrum(eigs, net.hyper.tau, residual, dist)
+    targets = np.atleast_2d(target)
+    n, T = targets.shape[0], net.total_units
+    if target.ndim > 2 or targets.shape[1] != T:
+        raise ConstructionError(f"targets {target.shape} are not (n, {T})")
+    net.unclamp_all()
+    S = np.zeros((2 * T, n))
+    S[T:] = targets.T
+    residual, taken = np.zeros(n), np.zeros(n, dtype=int)
+    failed, eigs = [None] * n, [None] * n
+
+    def relax(cols, steps):
+        """Relax the targets cols together for up to steps; returns
+        those still above tol and not diverged."""
+        part = S[:, cols]
+        relaxed = net.relax(part, tol, steps)
+        S[:, cols] = part
+        residual[cols] = relaxed.residual
+        taken[cols] += relaxed.steps
+        for k in np.asarray(cols)[relaxed.diverged]:
+            failed[k] = IntegrationDivergenceError(int(taken[k]))
+        return [k for k in cols if failed[k] is None and not residual[k] < tol]
+
+    pending = relax(list(range(n)), max_steps)
+    # The drift along near-marginal directions can take thousands of
+    # simulated seconds to die out, so simulation alone rarely makes a
+    # tight tolerance.  Each unresolved target is probed with Newton
+    # from relaxation snapshots of geometrically growing length; the
+    # simulated flow stays authoritative, so a stalled probe is simply
+    # dropped and that target relaxes on, batched with the others.
+    chunk = max(1, max_steps)
+    for _ in range(8 if polish else 0):
+        still = []
+        for k in pending:
+            try:
+                found = _probe(net, S[:, k], tol)
+            except NonDifferentiableStateError as e:
+                failed[k] = e
+                continue
+            if found is None:
+                still.append(k)
+            else:
+                S[:, k], residual[k], eigs[k] = found
+        if not still:
+            break
+        pending = relax(still, chunk)
+        chunk *= 2
+    out = [failed[k] if failed[k] is not None else
+           _outcome(net, S[:, k].copy(), eigs[k], residual[k], tol, targets[k])
+           for k in range(n)]
+    if target.ndim == 2:
+        return out
+    net.set_fast_state(S[:, 0])
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
+
+
+def _outcome(net, s, eigs, residual, tol, target):
+    """The report of a relaxed state s, or the error that refuses it."""
+    if not residual < tol:
+        return NotAnEquilibriumError(float(residual))
+    try:
+        if eigs is None:
+            eigs = np.linalg.eigvals(jacobian_analytic(net, s))
+    except NonDifferentiableStateError as e:
+        return e
+    dist = float(np.linalg.norm(s[net.total_units:] - target))
+    rep = classify_spectrum(eigs, net.hyper.tau, float(residual), dist)
+    rep.state = s
+    return rep
 
 
 def spectrum_to_csv(report: SpectrumReport) -> str:

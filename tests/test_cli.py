@@ -1,11 +1,16 @@
 """End-to-end command-line runs in temporary directories."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from pchn.cli import main
+from pchn import (IntegrationDivergenceError, NonDifferentiableStateError,
+                  NotAnEquilibriumError, analyze_equilibrium, freeze,
+                  load_weights)
+from pchn.cli import _corresponds, main, resolve_config
 
 # small custom network keeps every subcommand well under a second
 FAST = ["--architecture", "Custom", "--sizes", "12", "--n_targets", "3",
@@ -131,6 +136,65 @@ class TestStability:
         body = spectra[0].read_text()
         assert body.splitlines()[0] == "re,im"
         assert "# summary" in body
+
+    def test_batch_prints_what_a_per_target_loop_prints(self, tmp_path, capsys):
+        """cmd_stability relaxes all targets in one batch.  Its stdout
+        equals, line for line, what analyze_equilibrium called on one
+        target at a time gives, each target's correspondence note read
+        from that target's own equilibrium."""
+        out = _train(tmp_path / "run")
+        capsys.readouterr()
+        assert main(["stability", "--out", str(out), "--stability_tol", "1e-7"]
+                     + FAST) == 0
+        got = capsys.readouterr().out.splitlines()
+        flags = {k[2:]: v for k, v in zip(FAST[::2], FAST[1::2])}
+        cfg = resolve_config({}, dict(flags, stability_tol="1e-7"))
+        net = cfg.build_network()
+        load_weights(net, str(out / "checkpoint.pchn"))
+        freeze(net)
+        targets = cfg.targets()
+        want, n_found, n_stable = [], 0, 0
+        for k, target in enumerate(targets.patterns):
+            head = f"stability: target {k}"
+            try:
+                rep = analyze_equilibrium(net, target, tol=cfg.stability_tol)
+            except NotAnEquilibriumError as e:
+                want.append(f"{head} no equilibrium found (residual {e.residual:g})")
+                continue
+            except IntegrationDivergenceError:
+                want.append(f"{head} no equilibrium found (diverged)")
+                continue
+            except NonDifferentiableStateError:
+                want.append(f"{head} equilibrium sits on an activation kink; "
+                            "spectrum undefined")
+                continue
+            n_found += 1
+            n_stable += rep.all_stable
+            ok = _corresponds(cfg, net.values_vector(), target)
+            note = "" if ok else " (equilibrium does not correspond to the target)"
+            want.append(f"{head} stable={rep.all_stable} "
+                        f"max_re={rep.max_real_part:.3e} "
+                        f"at_half_tau={rep.count_at_minus_half_tau}/24 "
+                        f"near_minus_one={rep.count_near_minus_one} "
+                        f"near_zero={len(rep.near_zero)} "
+                        f"dist={rep.distance_to_target:.3g}{note}")
+        want.append(f"stability: {n_stable}/{n_found} found equilibria stable "
+                    f"({targets.n - n_found} not found)")
+        assert got == want
+        # both kinds of note occur, so a note read from the wrong
+        # equilibrium shows
+        assert sum("does not correspond" in line for line in got) == 2
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        """Only the Newton polish of stability needs scipy, so importing
+        the CLI does not pay for loading it."""
+        code = "import sys, pchn.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "False"
 
 
 class TestRandomInit:

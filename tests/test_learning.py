@@ -271,7 +271,8 @@ class TestReducedClamp:
     def test_cli_reports_divergence_and_removes_stale_checkpoint(self, tmp_path, capsys):
         """With dt = 0.4 and gamma = 1.01 a relu Single100 net on real
         targets diverges in its first clamp.  cli train prints the
-        oracle's step and deletes the checkpoint of an earlier run."""
+        oracle's step and deletes the checkpoint and train.csv of an
+        earlier run, which the new config.echo does not describe."""
         flags = {"target_kind": "RealGaussian", "dt": "0.4", "gamma": "1.01",
                  "duration_per_target": "100", "epochs": "1", "n_targets": "2"}
         cfg = resolve_config({}, flags)
@@ -281,11 +282,14 @@ class TestReducedClamp:
                          seed=child_seed(cfg.seed, SEED_TRAIN))
         stale = tmp_path / "checkpoint.pchn"
         stale.write_text("stale\n")
+        stale_csv = tmp_path / "train.csv"
+        stale_csv.write_text("stale\n")
         argv = ["train", "--out", str(tmp_path)]
         for key, val in flags.items():
             argv += [f"--{key}", val]
         assert main(argv) == 1
         assert not stale.exists()
+        assert not stale_csv.exists()
         err = capsys.readouterr().err
         assert f"training diverged at step {want.value.step}\n" in err
         assert 0 < want.value.step < 250

@@ -172,6 +172,37 @@ class TestFastStep:
         np.testing.assert_allclose(net.populations[0].eps, e0 + dt * de[0],
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("runs", [None, 1, 7])
+    def test_euler_is_bitwise_s_plus_dt_rhs(self, activation, runs):
+        """rhs into given arrays equals the fast equations written as
+        plain expressions, and the in-place step s + dt * rhs(s), bit
+        for bit, on a (2T,) state and on (2T, B) batches; a second step
+        reuses the workspace."""
+        hyper = _hyper(zeta=0.9, tau_error=0.7, tau_value=1.3)
+        net = build_loop([4, 3], activation, hyper, init_scale=1.0, seed=23)
+        net.b[:] = np.random.default_rng(24).normal(size=7)
+        T, h = 7, net.hyper
+        shape = (2 * T,) if runs is None else (2 * T, runs)
+        s = np.random.default_rng(25).normal(size=shape)
+        b = net.b if runs is None else net.b[:, None]
+        for _ in range(2):
+            E, V = s[:T], s[T:]
+            if activation is Activation.TANH:
+                sig, gain = np.tanh(V), 1.0 - np.tanh(V) * np.tanh(V)
+            elif activation is Activation.RELU:
+                sig, gain = np.maximum(V, 0.0), np.where(V > 0.0, 1.0, 0.0)
+            else:
+                sig, gain = V, np.ones_like(V)
+            dE = (V - (net.M @ sig + b) - h.zeta * E) / h.tau_e
+            dV = (-E + gain * (net.W @ E)) / h.tau_v
+            got = net.rhs(E, V, out=[np.empty_like(V) for _ in range(3)])
+            np.testing.assert_array_equal(got[0], dE)
+            np.testing.assert_array_equal(got[1], dV)
+            want = np.concatenate((E + h.dt * dE, V + h.dt * dV))
+            net.euler(s)
+            np.testing.assert_array_equal(s, want)
+
     def test_clamped_values_pinned(self):
         rng = np.random.default_rng(8)
         net = build_single_population(5, Activation.TANH, _hyper(), seed=8)

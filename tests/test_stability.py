@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from pchn import (Activation, Hyperparams, NonDifferentiableStateError,
-                  NotAnEquilibriumError, build_loop, build_single_population,
-                  freeze)
+from pchn import (Activation, Hyperparams, IntegrationDivergenceError,
+                  NonDifferentiableStateError, NotAnEquilibriumError,
+                  build_loop, build_single_population, freeze)
 from pchn.stability import (SpectrumReport, analyze_equilibrium,
                             classify_spectrum, jacobian_analytic, jacobian_fd,
                             spectrum_to_csv)
@@ -201,3 +201,32 @@ class TestAnalyzeEquilibrium:
             net.step_fast()
         d1 = np.linalg.norm(net.fast_state() - s_star)
         assert d1 < 0.5 * d0
+
+    def test_one_diverging_target_fails_alone(self):
+        """ReLU units with strong mutual excitation and opposite
+        correction weights: every unit above zero grows about e-fold
+        every 0.03 s, while below zero the units are linear, damped and
+        settle at v = b = -1.  In one batch the diverging target gets its
+        IntegrationDivergenceError and the others the reports they get
+        when analyzed one at a time."""
+        net = build_single_population(4, Activation.RELU, _hyper(), seed=0)
+        M = np.full((4, 4), 10.0)
+        np.fill_diagonal(M, 0.0)
+        net.connections[0].M, net.connections[0].W = M, -M
+        net.connections[0].b = np.full(4, -1.0)
+        freeze(net)
+        targets = np.array([np.full(4, -2.0), np.full(4, 5.0),
+                            np.linspace(-1.5, -0.5, 4)])
+        got = analyze_equilibrium(net, targets, tol=1e-10)
+        assert isinstance(got[1], IntegrationDivergenceError)
+        with pytest.raises(IntegrationDivergenceError):
+            analyze_equilibrium(net, targets[1], tol=1e-10)
+        for k in (0, 2):
+            alone = analyze_equilibrium(net, targets[k], tol=1e-10)
+            assert got[k].all_stable and alone.all_stable
+            np.testing.assert_allclose(got[k].state, alone.state, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[k].state[4:], -1.0, atol=1e-10)
+            np.testing.assert_allclose(got[k].eigenvalues, alone.eigenvalues,
+                                       rtol=0, atol=1e-12)
+            assert got[k].distance_to_target == pytest.approx(
+                np.linalg.norm(targets[k] + 1.0), abs=1e-9)
