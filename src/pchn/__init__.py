@@ -17,8 +17,8 @@ from .experiments import (TargetSet, Trace, gen_targets, distance,
 from .hopfield import (HopfieldNet, async_sweep, hebbian_store, hn_energy,
                        interaction_energy, recall)
 from .learning import TrainingReport, TrainingSchedule, freeze, prediction_mse, train
-from .network import (Connection, Hyperparams, Network, Population,
-                      build_loop, build_single_population)
+from .network import (Hyperparams, Network, build_loop, build_network,
+                      build_single_population)
 from .stability import (SpectrumReport, analyze_equilibrium, classify_spectrum,
                         jacobian_analytic, jacobian_fd, spectrum_to_csv)
 

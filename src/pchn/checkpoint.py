@@ -1,8 +1,9 @@
 """Plain-text weight checkpoints.
 
 Format "PCHN v2": a magic first line, a line naming the network's
-activation and whether its weights are tied, then one block per
-connection in network order:
+activation and whether its weights are tied, then one block per edge
+(src, dst) in the net's edge order, read from and written into that
+edge's slices of the global M, W and b:
 
     activation <name> tied <true|false>
     conn <src> <dst> <rows> <cols>
@@ -33,16 +34,23 @@ def _kind(net):
     return ["activation", net.activation.value, "tied", str(net.tied).lower()]
 
 
+def _edge_blocks(net):
+    """Per edge: src, dst and the views of its blocks of M, W and b."""
+    for src, dst in net.edges:
+        rows, cols = net.slices[dst], net.slices[src]
+        yield src, dst, net.M[rows, cols], net.W[cols, rows], net.b[rows]
+
+
 def save_weights(net, path):
     lines = [MAGIC, " ".join(_kind(net))]
-    for c in net.connections:
-        rows, cols = c.M.shape
-        lines.append(f"conn {c.src} {c.dst} {rows} {cols}")
-        for r in c.M:
+    for src, dst, M, W, b in _edge_blocks(net):
+        rows, cols = M.shape
+        lines.append(f"conn {src} {dst} {rows} {cols}")
+        for r in M:
             lines.append(_fmt_row(r))
-        for r in c.W:
+        for r in W:
             lines.append(_fmt_row(r))
-        lines.append(_fmt_row(c.b))
+        lines.append(_fmt_row(b))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -75,22 +83,23 @@ def load_weights(net, path):
         if kind != _kind(net):
             raise ConstructionError(f"{path}: saved from a net with {' '.join(kind)}, "
                                     f"not {' '.join(_kind(net))}")
-    blocks = []
-    for k, c in enumerate(net.connections):
+    edges = list(_edge_blocks(net))
+    loaded = []
+    for k, (src, dst, M, W, b) in enumerate(edges):
         head = take(5)
         if head[0] != "conn":
             raise ConstructionError(f"{path}: expected conn header, got {head[0]!r}")
-        if head[1:] != [str(x) for x in (c.src, c.dst, *c.M.shape)]:
+        rows, cols = M.shape
+        if head[1:] != [str(x) for x in (src, dst, rows, cols)]:
             raise ConstructionError(
-                f"{path}: connection {k} header {head[1:]} does not match "
-                f"architecture ({c.src}, {c.dst}, {c.M.shape[0]}, {c.M.shape[1]})")
-        rows, cols = c.M.shape
+                f"{path}: edge {k} header {head[1:]} does not match "
+                f"architecture ({src}, {dst}, {rows}, {cols})")
         block = (floats(rows * cols, (rows, cols)), floats(cols * rows, (cols, rows)),
                  floats(rows, (rows,)))
         if not all(np.all(np.isfinite(x)) for x in block):
-            raise ConstructionError(f"{path}: connection {k} holds a non-finite weight")
-        blocks.append(block)
+            raise ConstructionError(f"{path}: edge {k} holds a non-finite weight")
+        loaded.append(block)
     if pos != len(tokens):
-        raise ConstructionError(f"{path}: trailing data after last connection")
-    for c, (M, W, b) in zip(net.connections, blocks):
-        c.M, c.W, c.b = M, W, b
+        raise ConstructionError(f"{path}: trailing data after last edge")
+    for (_, _, M, W, b), (M_new, W_new, b_new) in zip(edges, loaded):
+        M[...], W[...], b[...] = M_new, W_new, b_new

@@ -10,7 +10,7 @@ With every value pinned, V and s = sigma(V) stay constant for the whole
 clamp, W never feeds back into the errors, and a slow step changes each
 unit's prediction r = M s + b only along its own error:
 
-    E_k = (1 - dt*zeta/tau_e) E_{k-1} + (dt/tau_e) (V - r_{k-1})
+    E_k = (1 - dt*zeta/tau) E_{k-1} + (dt/tau) (V - r_{k-1})
     r_k = r_{k-1} + (dt/gamma) (mask @ s^2 + 1) * E_k
 
 So one clamp of K Euler steps (one fast step, then one slow step, shared
@@ -20,7 +20,6 @@ errors as the step-by-step path up to rounding, which the tests check
 against step_fast + step_slow.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +65,6 @@ class ClampRecord:
 @dataclass
 class TrainingReport:
     records: list = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     def final_mean_energy(self) -> float:
         """Mean end-of-clamp energy over the last epoch."""
@@ -112,7 +110,6 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     report = TrainingReport()
-    t0 = time.perf_counter()
     for epoch in range(schedule.epochs):
         order = np.arange(n_targets)
         if schedule.target_order == SHUFFLED:
@@ -128,7 +125,6 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
             report.records.append(ClampRecord(epoch, int(tid), steps_per,
                                               energy_start, net.energy()))
     net.unclamp_all()
-    report.wall_seconds = time.perf_counter() - t0
     return report
 
 
@@ -136,7 +132,7 @@ def _clamp(net, residual, steps):
     """Run `steps` Euler steps of fast and slow dynamics on a fully
     clamped net whose prediction residual V - (M s + b) is `residual`.
 
-    Carries u = (dt/tau_e)(V - r) in place of r, so each step is
+    Carries u = (dt/tau)(V - r) in place of r, so each step is
     E <- a E + u, then u <- u - d E.  Leaves net.E, the weights and
     net.steps_taken where the step-by-step path leaves them, also when
     the errors pass DIVERGENCE_LIMIT: the weights then hold the updates
@@ -144,9 +140,9 @@ def _clamp(net, residual, steps):
     """
     h, T = net.hyper, net.total_units
     s = net.activation.apply(net.V)
-    a = np.full(T, 1.0 - h.dt * h.zeta / h.tau_e)
-    u = (h.dt / h.tau_e) * residual
-    d = (h.dt / h.tau_e) * (h.dt / h.gamma) * (net.mask @ (s * s) + 1.0)
+    a = np.full(T, 1.0 - h.dt * h.zeta / h.tau)
+    u = (h.dt / h.tau) * residual
+    d = (h.dt / h.tau) * (h.dt / h.gamma) * (net.mask @ (s * s) + 1.0)
     values_ok = bool(np.all(np.abs(net.V) <= DIVERGENCE_LIMIT))
     total = np.zeros(T)
     history = np.empty((min(steps, BLOCK), T))

@@ -1,40 +1,42 @@
 """Recurrent predictive-coding network core.
 
-A network is a set of value populations joined by directed connections.
-Every population is predicted by exactly one other population (possibly
+A network is described by the sizes of its populations of value units
+and by its edges, (src, dst) pairs of population indices.  Every
+population is predicted by exactly one other population (possibly
 itself) through prediction weights M and a bias b; errors travel back
 along the same edge through correction weights W.
 
 All T units share one packed fast state s of shape (2T,): the errors
-E = s[:T], then the values V = s[T:], each in population order.  The
-connections are blocks of one global T x T prediction matrix M (dst rows,
-src columns), one T x T correction matrix W (src rows, dst columns) and
-one length-T bias b.  A fixed 0/1 `mask` marks the entries of M that
-belong to a connection; the diagonal of a self-edge block is excluded,
-so no unit predicts itself.  The fast dynamics are then one recurrent
-system, Euler-integrated with step dt:
+E = s[:T], then the values V = s[T:], each in population order, with
+population i at slices[i].  The edges are blocks of one global T x T
+prediction matrix M (dst rows, src columns), one T x T correction matrix
+W (src rows, dst columns) and one length-T bias b.  A fixed 0/1 `mask`
+marks the entries of M that belong to an edge; the diagonal of a
+self-edge block is excluded, so no unit predicts itself.  The fast
+dynamics are then one recurrent system, Euler-integrated with step dt:
 
-    tau_e * dE/dt = V - (M @ sigma(V) + b) - zeta * E
-    tau_v * dV/dt = -E + sigma'(V) * (W @ E)
+    tau * dE/dt = V - (M @ sigma(V) + b) - zeta * E
+    tau * dV/dt = -E + sigma'(V) * (W @ E)
 
 and learning is one local outer-product rule restricted to the mask (see
-step_slow).  Populations and connections are views into these arrays.
+step_slow).  build_network is the one builder that draws the weights;
+build_single_population and build_loop name its two common shapes.
 Linearization lives in stability.py, the training loop in learning.py.
 
 Network.euler is the one Euler update, on a packed state (2T,) or on B
 states side by side as the columns of a (2T, B) array, and
 Network.relax the one loop that steps such states until each settles
 (the derivative sup-norm under a tolerance) or diverges.
-run_fast_to_equilibrium relaxes the net's own state, the stability
-analysis relaxes all its targets as one batch, and the studies step
-their runs through euler.
+step_fast and run_fast_to_equilibrium relax the net's own state, for one
+step or until it settles, the stability analysis relaxes all its targets
+as one batch, and the studies step their runs through euler.
 
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
 """
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,48 +53,25 @@ class Hyperparams:
 
     tau governs the fast (state) equations, gamma the slow (weight)
     equations; learning slower than inference means tau < gamma.  zeta
-    is the leak on the error nodes.  tau_error and tau_value override
-    tau for the error and value equations.
+    is the leak on the error nodes.
     """
 
     tau: float = 1.0
     gamma: float = 100.0
     zeta: float = 1.0
     dt: float = 0.005
-    tau_error: Optional[float] = None
-    tau_value: Optional[float] = None
 
     def __post_init__(self):
         for name in ("tau", "gamma", "zeta", "dt"):
             if not getattr(self, name) > 0.0:
                 raise ConstructionError(f"{name} must be positive")
-        for name in ("tau_error", "tau_value"):
-            val = getattr(self, name)
-            if val is not None and not val > 0.0:
-                raise ConstructionError(f"{name} must be positive when given")
         if not self.tau < self.gamma:
             raise ConstructionError("need tau < gamma (inference faster than learning)")
-        if not (self.dt < self.tau_e / 2.0 and self.dt < self.tau_v / 2.0):
-            raise ConstructionError("need dt < tau_e/2 and dt < tau_v/2 for a stable Euler step")
-        if not self.dt * self.zeta / self.tau_e < 2.0:
-            raise ConstructionError("need dt*zeta/tau_e < 2 for a stable Euler step "
+        if not self.dt < self.tau / 2.0:
+            raise ConstructionError("need dt < tau/2 for a stable Euler step")
+        if not self.dt * self.zeta / self.tau < 2.0:
+            raise ConstructionError("need dt*zeta/tau < 2 for a stable Euler step "
                                     "of the error leak")
-
-    @property
-    def tau_e(self) -> float:
-        return self.tau_error if self.tau_error is not None else self.tau
-
-    @property
-    def tau_v(self) -> float:
-        return self.tau_value if self.tau_value is not None else self.tau
-
-
-def _in_place(name):
-    """Attribute whose assignment writes into the array it holds, so an
-    attribute bound to a view of a network's arrays stays that view."""
-    def set_(self, x):
-        getattr(self, name)[...] = x
-    return property(lambda self: getattr(self, name), set_)
 
 
 def _vector(x, n):
@@ -100,49 +79,6 @@ def _vector(x, n):
     if x.shape != (n,):
         raise ConstructionError(f"vector length {x.shape} != ({n},)")
     return x
-
-
-class Population:
-    """One group of value units plus their error units.  The network it
-    joins sets `slice`, its place in E and V, and makes v, eps and the
-    clamp views into the network's arrays."""
-
-    v = _in_place("_v")
-    eps = _in_place("_eps")
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ConstructionError("population size must be >= 1")
-        self.size = size
-
-    @property
-    def clamped(self) -> bool:
-        return bool(self._clamped.all())
-
-    def clamp(self, target):
-        self._target[...] = _vector(target, self.size)
-        self._clamped[...] = True
-        self._v[...] = self._target
-
-    def unclamp(self):
-        self._clamped[...] = False
-
-
-class Connection:
-    """Directed edge src -> dst: src predicts dst through M and b,
-    dst's errors feed back to src through W.  Inside a network M, W and
-    b are views into the global blocks."""
-
-    M = _in_place("_M")
-    W = _in_place("_W")
-    b = _in_place("_b")
-
-    def __init__(self, src: int, dst: int, M, W, b):
-        self.src = src
-        self.dst = dst
-        self._M = np.asarray(M, dtype=float)
-        self._W = np.asarray(W, dtype=float)
-        self._b = np.asarray(b, dtype=float)
 
 
 @dataclass
@@ -164,12 +100,21 @@ class Relaxation:
 
 
 class Network:
-    def __init__(self, populations, connections, activation: Activation,
+    """A net of len(sizes) populations, population i holding sizes[i]
+    units at slices[i] of E and V, joined by edges: (src, dst) pairs, src
+    predicting dst through the block M[slices[dst], slices[src]] and b,
+    dst's errors returning through W[slices[src], slices[dst]].  Every
+    population has exactly one incoming edge.  The weights start at zero;
+    build_network draws them."""
+
+    def __init__(self, sizes, edges, activation: Activation,
                  hyper: Hyperparams, tied: bool = False):
-        if not populations:
+        sizes = [operator.index(n) for n in sizes]
+        if not sizes:
             raise ConstructionError("need at least one population")
-        self.populations = list(populations)
-        self.connections = list(connections)
+        if min(sizes) < 1:
+            raise ConstructionError("population size must be >= 1")
+        self.edges = [(operator.index(src), operator.index(dst)) for src, dst in edges]
         self.activation = activation
         self.hyper = hyper
         self.tied = tied
@@ -177,10 +122,11 @@ class Network:
         self.steps_taken = 0
         self._work = {}
 
+        self.slices = []
         at = 0
-        for p in self.populations:
-            p.slice = slice(at, at + p.size)
-            at += p.size
+        for n in sizes:
+            self.slices.append(slice(at, at + n))
+            at += n
         T = self.total_units = at
         self.s = np.zeros(2 * T)
         self.E, self.V = self.s[:T], self.s[T:]
@@ -189,39 +135,20 @@ class Network:
         self.M, self.W, self.b = np.zeros((T, T)), np.zeros((T, T)), np.zeros(T)
         self.mask = np.zeros((T, T))
 
-        n_pop = len(self.populations)
-        has_incoming = [False] * n_pop
-        for c in self.connections:
-            if not (0 <= c.src < n_pop and 0 <= c.dst < n_pop):
-                raise ConstructionError("connection endpoint out of range")
-            if has_incoming[c.dst]:
-                raise ConstructionError(
-                    f"population {c.dst} has more than one incoming connection")
-            has_incoming[c.dst] = True
-            src, dst = self.populations[c.src], self.populations[c.dst]
-            ns, nd = src.size, dst.size
-            if c.M.shape != (nd, ns):
-                raise ConstructionError(f"M shape {c.M.shape} != ({nd}, {ns})")
-            if c.W.shape != (ns, nd):
-                raise ConstructionError(f"W shape {c.W.shape} != ({ns}, {nd})")
-            if c.b.shape != (nd,):
-                raise ConstructionError(f"b shape {c.b.shape} != ({nd},)")
-            block = self.mask[dst.slice, src.slice]
+        has_incoming = [False] * len(sizes)
+        for src, dst in self.edges:
+            if not (0 <= src < len(sizes) and 0 <= dst < len(sizes)):
+                raise ConstructionError(f"edge ({src}, {dst}) has an endpoint out of range")
+            if has_incoming[dst]:
+                raise ConstructionError(f"population {dst} has more than one incoming edge")
+            has_incoming[dst] = True
+            block = self.mask[self.slices[dst], self.slices[src]]
             block[...] = 1.0
-            if c.src == c.dst:
+            if src == dst:
                 np.fill_diagonal(block, 0.0)
-            self.M[dst.slice, src.slice] = c.M
-            self.W[src.slice, dst.slice] = c.W
-            self.b[dst.slice] = c.b
-            c._M = self.M[dst.slice, src.slice]
-            c._W = self.W[src.slice, dst.slice]
-            c._b = self.b[dst.slice]
         for i, ok in enumerate(has_incoming):
             if not ok:
-                raise ConstructionError(f"population {i} has no incoming connection")
-        for p in self.populations:
-            p._eps, p._v = self.E[p.slice], self.V[p.slice]
-            p._clamped, p._target = self.clamped[p.slice], self.clamp_target[p.slice]
+                raise ConstructionError(f"population {i} has no incoming edge")
 
     # ---- state ----
 
@@ -264,17 +191,17 @@ class Network:
         result is the same bit for bit."""
         h, act = self.hyper, self.activation
         a, dE, dV = out if out is not None else [np.empty_like(V) for _ in range(3)]
-        # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau_e
+        # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau
         np.matmul(self.M, act.apply(V, out=a), out=dE)
         dE += self.b if V.ndim == 1 else self.b[:, None]
         np.subtract(V, dE, out=dE)
         dE -= np.multiply(E, h.zeta, out=dV)
-        dE /= h.tau_e
-        # dV = (-E + sigma'(V) * (W @ E)) / tau_v
+        dE /= h.tau
+        # dV = (-E + sigma'(V) * (W @ E)) / tau
         np.matmul(self.W, E, out=dV)
         dV *= act.derivative(V, out=a, sigma=a)
         dV -= E
-        dV /= h.tau_v
+        dV /= h.tau
         return dE, dV
 
     def euler(self, s, derivatives=None):
@@ -306,27 +233,11 @@ class Network:
         s = _vector(s, 2 * self.total_units)
         return np.concatenate(self.rhs(s[:self.total_units], s[self.total_units:]))
 
-    def step_fast(self, algebraic_errors: bool = False):
-        """One Euler step of the fast equations.
-
-        With algebraic_errors=True the error nodes are not integrated;
-        they are set to their instantaneous equilibrium (v - mu)/zeta
-        before the value update, which turns the value dynamics into
-        gradient descent on the energy when weights are tied.
-        """
-        h = self.hyper
-        with np.errstate(over="ignore", invalid="ignore"):
-            if algebraic_errors:
-                self.E[:] = (self.V - self.predict(self.V)) / h.zeta
-                self.V += h.dt * self.rhs(self.E, self.V)[1]
-            else:
-                self.euler(self.s)
-        np.copyto(self.V, self.clamp_target, where=self.clamped)
-        self.steps_taken += 1
-        self._check_finite()
-
-    def _check_finite(self):
-        if _past_limit(self.s)[0]:
+    def step_fast(self):
+        """One Euler step of the fast equations on the net's own state:
+        one step of relax; raises IntegrationDivergenceError when the
+        step passes the divergence limit."""
+        if self.relax(self.s, 0.0, 1).diverged[0]:
             raise IntegrationDivergenceError(self.steps_taken)
 
     def step_slow(self, errors=None):
@@ -384,8 +295,7 @@ class Network:
         every column, and steps_taken advances by the steps all columns
         took.  The RHS is evaluated once per step: the derivatives behind
         each residual drive the next step.  A (2T,) state is stepped as
-        one vector, so its products are the (T, T) @ (T,) ones of
-        step_fast.
+        one vector, with (T, T) @ (T,) products.
         """
         T = self.total_units
         n = 1 if s.ndim == 1 else s.shape[1]
@@ -449,24 +359,36 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _init_connection(src, dst, n_src, n_dst, rng, init_scale, tied):
-    std = init_scale / np.sqrt(n_src)
-    M = rng.normal(0.0, std, size=(n_dst, n_src))
-    W = M.T.copy() if tied else rng.normal(0.0, std, size=(n_src, n_dst))
-    if src == dst:
-        np.fill_diagonal(M, 0.0)
-        np.fill_diagonal(W, 0.0)
-    return Connection(src, dst, M, W, np.zeros(n_dst))
+def build_network(sizes, edges, activation: Activation, hyper: Hyperparams,
+                  *, tie_weights: bool = False,
+                  init_scale: float = 0.01, seed=0) -> Network:
+    """Network of the given sizes and edges with random weights: each
+    edge's M, then its W, drawn in edge order from a normal of standard
+    deviation init_scale / sqrt(src size); a tied W is M transposed, a
+    self-edge keeps its diagonals at zero and b starts at zero."""
+    net = Network(sizes, edges, activation, hyper, tied=tie_weights)
+    rng = _as_rng(seed)
+    for src, dst in net.edges:
+        rows, cols = net.slices[dst], net.slices[src]
+        n_src, n_dst = cols.stop - cols.start, rows.stop - rows.start
+        std = init_scale / np.sqrt(n_src)
+        M = rng.normal(0.0, std, size=(n_dst, n_src))
+        W = M.T.copy() if tie_weights else rng.normal(0.0, std, size=(n_src, n_dst))
+        if src == dst:
+            np.fill_diagonal(M, 0.0)
+            np.fill_diagonal(W, 0.0)
+        net.M[rows, cols] = M
+        net.W[cols, rows] = W
+    return net
 
 
 def build_single_population(n: int, activation: Activation, hyper: Hyperparams,
                             *, tie_weights: bool = False,
                             init_scale: float = 0.01, seed=0) -> Network:
-    """Single population predicting itself through a self connection
-    (diagonal held at zero so no unit predicts itself)."""
-    rng = _as_rng(seed)
-    conn = _init_connection(0, 0, n, n, rng, init_scale, tie_weights)
-    return Network([Population(n)], [conn], activation, hyper, tied=tie_weights)
+    """Single population predicting itself through a self edge (diagonal
+    held at zero so no unit predicts itself)."""
+    return build_network([n], [(0, 0)], activation, hyper, tie_weights=tie_weights,
+                         init_scale=init_scale, seed=seed)
 
 
 def build_loop(sizes, activation: Activation, hyper: Hyperparams,
@@ -476,9 +398,6 @@ def build_loop(sizes, activation: Activation, hyper: Hyperparams,
     (cyclically), so predictions flow one way and errors the other."""
     if len(sizes) < 2:
         raise ConstructionError("a loop needs at least two populations")
-    rng = _as_rng(seed)
-    pops = [Population(int(n)) for n in sizes]
-    L = len(pops)
-    conns = [_init_connection((i + 1) % L, i, pops[(i + 1) % L].size, pops[i].size,
-                              rng, init_scale, tie_weights) for i in range(L)]
-    return Network(pops, conns, activation, hyper, tied=tie_weights)
+    L = len(sizes)
+    return build_network(sizes, [((i + 1) % L, i) for i in range(L)], activation, hyper,
+                         tie_weights=tie_weights, init_scale=init_scale, seed=seed)

@@ -57,12 +57,12 @@ def jacobian_analytic(net, state):
     d = np.arange(T)
     # blocks [[dE/dE, dE/dV], [dV/dE, dV/dV]], accumulated onto zeros
     J = np.zeros((2 * T, 2 * T))
-    J[d, d] += -h.zeta / h.tau_e
-    J[d, T + d] += 1.0 / h.tau_e
-    J[:T, T:] -= (net.M * gain) / h.tau_e
-    J[T + d, d] += -1.0 / h.tau_v
-    J[T:, :T] += (gain[:, None] * net.W) / h.tau_v
-    J[T + d, T + d] += act.second_derivative(V) * (net.W @ E) / h.tau_v
+    J[d, d] += -h.zeta / h.tau
+    J[d, T + d] += 1.0 / h.tau
+    J[:T, T:] -= (net.M * gain) / h.tau
+    J[T + d, d] += -1.0 / h.tau
+    J[T:, :T] += (gain[:, None] * net.W) / h.tau
+    J[T + d, T + d] += act.second_derivative(V) * (net.W @ E) / h.tau
     return J
 
 

@@ -23,6 +23,8 @@ from pchn.cli import main
 from pchn.experiments import (EUCLIDEAN, HAMMING, absorption_summary,
                               distance_tables, recovery_summary)
 
+from oracles import algebraic_step
+
 # pinned operating points: targets seed / weights seed / train seed,
 # clamp schedule, and study horizon for each configuration
 BIN_SINGLE = dict(tseed=606, wseed=7, sseed=5, epochs=16, dur=0.72, horizon=20.0,
@@ -335,10 +337,10 @@ class TestRestrictedEnergyDescent:
                 tie_weights=True, seed=200 + trial)
             freeze(net)
             net.set_values(rng.normal(size=12))
-            net.step_fast(algebraic_errors=True)
+            algebraic_step(net)
             prev = net.energy()
             for _ in range(1000):
-                net.step_fast(algebraic_errors=True)
+                algebraic_step(net)
                 cur = net.energy()
                 assert cur <= prev + 1e-9
                 prev = cur

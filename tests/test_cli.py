@@ -1,5 +1,6 @@
 """End-to-end command-line runs in temporary directories."""
 
+import json
 import os
 import subprocess
 import sys
@@ -195,6 +196,34 @@ class TestImport:
         res = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert res.stdout.strip() == "False"
+
+
+class TestBenchmarkSurface:
+    """perfbench reaches into pchn by name: traced_cli.py wraps Network
+    methods and module functions, setup_probe.py builds a net from a
+    config and loads a checkpoint into it.  Each runs here in a fresh
+    interpreter, so a rename that would break the benchmark fails in
+    seconds."""
+
+    PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+
+    def _run(self, code, *args):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        res = subprocess.run([sys.executable, "-c", code, self.PERFBENCH, *args],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+
+    def test_traced_cli_instruments_every_name(self):
+        self._run("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "from traced_cli import Tracer, instrument; instrument(Tracer('t'))")
+
+    def test_setup_probe_loads_a_checkpoint(self, tmp_path):
+        out = _train(tmp_path / "run")
+        overrides = json.dumps({k[2:]: v for k, v in zip(FAST[::2], FAST[1::2])})
+        self._run("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "import setup_probe; sys.exit(setup_probe.main(sys.argv[2:]))",
+                  str(out / "checkpoint.pchn"), overrides)
 
 
 class TestRandomInit:

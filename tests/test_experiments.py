@@ -142,8 +142,8 @@ class TestRelaxationStudy:
         # a couple of steps; both runs must be closed out, not raised
         hyper = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
         net = build_single_population(12, Activation.IDENTITY, hyper, seed=0)
-        net.connections[0].M[:] = 1e60
-        net.connections[0].W[:] = 1e60
+        net.M[:] = 1e60
+        net.W[:] = 1e60
         freeze(net)
         ts = gen_targets("real", 2, 12, seed=23)
         trace = relaxation_study(net, ts, ts.patterns * 1e30, horizon=0.2,
@@ -197,8 +197,8 @@ def _unstable_linear_net():
     net = build_single_population(12, Activation.IDENTITY, hyper, seed=0)
     M = np.full((12, 12), 50.0 / 11.0)
     np.fill_diagonal(M, 0.0)
-    net.connections[0].M = M
-    net.connections[0].W = -M
+    net.M[:] = M
+    net.W[:] = -M
     return freeze(net)
 
 

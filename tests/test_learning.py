@@ -19,6 +19,8 @@ from pchn.cli import SEED_TRAIN, child_seed, main, resolve_config
 from pchn.learning import (SEQUENTIAL, SHUFFLED, ClampRecord, TrainingReport,
                            prediction_mse)
 
+from oracles import edge_blocks
+
 
 def _hyper(**kw):
     base = dict(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
@@ -139,10 +141,10 @@ class TestTrain:
         ra = train(a, targets.patterns, schedule, seed=11)
         rb = train(b, targets.patterns, schedule, seed=11)
         assert ra.to_csv() == rb.to_csv()
-        for ca, cb in zip(a.connections, b.connections):
-            np.testing.assert_array_equal(ca.M, cb.M)
-            np.testing.assert_array_equal(ca.W, cb.W)
-            np.testing.assert_array_equal(ca.b, cb.b)
+        for (_, _, Ma, Wa, ba), (_, _, Mb, Wb, bb) in zip(edge_blocks(a), edge_blocks(b)):
+            np.testing.assert_array_equal(Ma, Mb)
+            np.testing.assert_array_equal(Wa, Wb)
+            np.testing.assert_array_equal(ba, bb)
 
     def test_shuffled_order_differs_from_sequential(self):
         targets = gen_targets("real", 6, 25, seed=12)
@@ -187,16 +189,15 @@ class TestTrain:
         """A network whose prediction already matches the clamp exactly
         generates no error signal, so the weights must not move."""
         net = build_single_population(6, Activation.IDENTITY, _hyper(), seed=20)
-        c = net.connections[0]
-        c.M[:] = 0.0
-        c.W[:] = 0.0
-        c.b[:] = 0.0
+        net.M[:] = 0.0
+        net.W[:] = 0.0
+        net.b[:] = 0.0
         target = np.zeros((1, 6))
         train(net, target, TrainingSchedule(duration_per_target=0.5, epochs=1),
               seed=21)
-        np.testing.assert_array_equal(c.M, 0.0)
-        np.testing.assert_array_equal(c.W, 0.0)
-        np.testing.assert_array_equal(c.b, 0.0)
+        np.testing.assert_array_equal(net.M, 0.0)
+        np.testing.assert_array_equal(net.W, 0.0)
+        np.testing.assert_array_equal(net.b, 0.0)
 
 
 class TestReducedClamp:

@@ -1,8 +1,8 @@
 """Core dynamics: construction, fast/slow steps, energy, checkpointing.
 
 The fast-step oracle below rebuilds the two update equations directly
-from the connection lists with plain loops, so any vectorization slip in
-the library shows up as a mismatch.
+from the edge list with plain loops over the edges' weight blocks, so any
+vectorization slip in the library shows up as a mismatch.
 """
 
 import numpy as np
@@ -12,7 +12,9 @@ from pchn import (Activation, ConstructionError, ContractViolationError,
                   Hyperparams, IntegrationDivergenceError, build_loop,
                   build_single_population, freeze)
 from pchn.checkpoint import load_weights, save_weights
-from pchn.network import Connection, Network, Population
+from pchn.network import Network
+
+from oracles import algebraic_step, clamp_population, edge_blocks
 
 
 def _hyper(**kw):
@@ -22,20 +24,22 @@ def _hyper(**kw):
 
 
 def rhs_oracle(net):
-    """Straight-line transcription of the two fast equations."""
-    zeta, tau_e, tau_v = net.hyper.zeta, net.hyper.tau_e, net.hyper.tau_v
-    mus = [None] * len(net.populations)
-    for c in net.connections:
-        src = net.populations[c.src]
-        mus[c.dst] = c.M @ net.activation.apply(src.v) + c.b
+    """Straight-line transcription of the two fast equations, one
+    population and one edge at a time."""
+    zeta, tau = net.hyper.zeta, net.hyper.tau
+    v = [net.V[rows] for rows in net.slices]
+    eps = [net.E[rows] for rows in net.slices]
+    mus = [None] * len(net.slices)
+    for src, dst, M, _, b in edge_blocks(net):
+        mus[dst] = M @ net.activation.apply(v[src]) + b
     dv, de = [], []
-    for i, p in enumerate(net.populations):
-        de.append((p.v - mus[i] - zeta * p.eps) / tau_e)
-        corr = np.zeros(p.size)
-        for c in net.connections:
-            if c.src == i:
-                corr += c.W @ net.populations[c.dst].eps
-        dv.append((-p.eps + net.activation.derivative(p.v) * corr) / tau_v)
+    for i in range(len(net.slices)):
+        de.append((v[i] - mus[i] - zeta * eps[i]) / tau)
+        corr = np.zeros(v[i].size)
+        for src, dst, _, W, _ in edge_blocks(net):
+            if src == i:
+                corr += W @ eps[dst]
+        dv.append((-eps[i] + net.activation.derivative(v[i]) * corr) / tau)
     return dv, de
 
 
@@ -43,52 +47,81 @@ class TestConstruction:
     def test_single_population_shapes(self):
         net = build_single_population(10, Activation.TANH, _hyper(), seed=0)
         assert net.total_units == 10
-        assert len(net.connections) == 1
-        c = net.connections[0]
-        assert c.src == 0 and c.dst == 0
-        assert c.M.shape == (10, 10) and c.W.shape == (10, 10)
-        np.testing.assert_array_equal(np.diag(c.M), 0.0)
-        np.testing.assert_array_equal(np.diag(c.W), 0.0)
+        assert net.edges == [(0, 0)]
+        assert net.slices == [slice(0, 10)]
+        assert net.M.shape == (10, 10) and net.W.shape == (10, 10)
+        np.testing.assert_array_equal(np.diag(net.M), 0.0)
+        np.testing.assert_array_equal(np.diag(net.W), 0.0)
 
     def test_loop_shapes(self):
         net = build_loop([5, 3, 2], Activation.RELU, _hyper(), seed=1)
         assert net.total_units == 10
-        pairs = {(c.src, c.dst) for c in net.connections}
-        assert pairs == {(1, 0), (2, 1), (0, 2)}
-        for c in net.connections:
-            n_src = net.populations[c.src].size
-            n_dst = net.populations[c.dst].size
-            assert c.M.shape == (n_dst, n_src)
-            assert c.W.shape == (n_src, n_dst)
+        assert set(net.edges) == {(1, 0), (2, 1), (0, 2)}
+        assert net.slices == [slice(0, 5), slice(5, 8), slice(8, 10)]
+        for src, dst, M, W, b in edge_blocks(net):
+            n_src = net.slices[src].stop - net.slices[src].start
+            n_dst = net.slices[dst].stop - net.slices[dst].start
+            assert M.shape == (n_dst, n_src)
+            assert W.shape == (n_src, n_dst)
+        # the builder writes nothing outside the edge blocks
+        assert np.all(net.M[net.mask == 0.0] == 0.0)
+        assert np.all(net.W[net.mask.T == 0.0] == 0.0)
 
     def test_init_scale_shrinks_with_size(self):
         a = build_single_population(100, Activation.TANH, _hyper(), seed=3)
-        big = np.abs(a.connections[0].M).max()
+        big = np.abs(a.M).max()
         assert big < 0.01
 
     def test_tied_weights_start_transposed(self):
         net = build_single_population(8, Activation.TANH, _hyper(),
                                       tie_weights=True, seed=4)
-        c = net.connections[0]
-        np.testing.assert_array_equal(c.W, c.M.T)
+        np.testing.assert_array_equal(net.W, net.M.T)
+
+    def test_builder_draws_m_then_w_per_edge_in_edge_order(self):
+        """The weight stream that checkpoints written by the CLI rest on:
+        one generator from the seed, each edge's M, then its W."""
+        net = build_loop([5, 3, 2], Activation.TANH, _hyper(), init_scale=0.3, seed=40)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(40)))
+        for _, _, M, W, b in edge_blocks(net):
+            n_dst, n_src = M.shape
+            std = 0.3 / np.sqrt(n_src)
+            np.testing.assert_array_equal(M, rng.normal(0.0, std, size=(n_dst, n_src)))
+            np.testing.assert_array_equal(W, rng.normal(0.0, std, size=(n_src, n_dst)))
+            np.testing.assert_array_equal(b, 0.0)
+
+    def test_weights_start_at_zero(self):
+        net = Network([3, 2], [(1, 0), (0, 1)], Activation.TANH, _hyper())
+        for x in (net.M, net.W, net.b):
+            np.testing.assert_array_equal(x, 0.0)
+        np.testing.assert_array_equal(net.mask[:3, 3:], 1.0)
+        np.testing.assert_array_equal(net.mask[3:, :3], 1.0)
+        np.testing.assert_array_equal(net.mask[:3, :3], 0.0)
+        np.testing.assert_array_equal(net.mask[3:, 3:], 0.0)
 
     def test_every_population_needs_one_incoming(self):
-        pops = [Population(3), Population(3)]
-        conns = [Connection(0, 1, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3))]
-        with pytest.raises(ConstructionError):
-            Network(pops, conns, Activation.TANH, _hyper())
+        with pytest.raises(ConstructionError, match="population 0 has no incoming"):
+            Network([3, 3], [(0, 1)], Activation.TANH, _hyper())
 
     def test_two_incoming_rejected(self):
-        pops = [Population(2)]
-        mk = lambda: Connection(0, 0, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(ConstructionError):
-            Network(pops, [mk(), mk()], Activation.TANH, _hyper())
+        with pytest.raises(ConstructionError, match="more than one incoming"):
+            Network([2], [(0, 0), (0, 0)], Activation.TANH, _hyper())
 
-    def test_shape_mismatch_rejected(self):
-        pops = [Population(3)]
-        conns = [Connection(0, 0, np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3))]
+    @pytest.mark.parametrize("sizes", [[0], [3, 0], []])
+    def test_empty_population_rejected(self, sizes):
+        edges = [(i, i) for i in range(len(sizes))]
         with pytest.raises(ConstructionError):
-            Network(pops, conns, Activation.TANH, _hyper())
+            Network(sizes, edges, Activation.TANH, _hyper())
+
+    @pytest.mark.parametrize("edges", [[(0, 0), (2, 1)], [(0, 0), (1, 2)],
+                                       [(0, 0), (-1, 1)], [(0, 0), (1, -1)]])
+    def test_edge_endpoint_out_of_range_rejected(self, edges):
+        with pytest.raises(ConstructionError, match="out of range"):
+            Network([2, 3], edges, Activation.TANH, _hyper())
+
+    @pytest.mark.parametrize("sizes, edges", [([2.5], [(0, 0)]), ([2], [(0.0, 0)])])
+    def test_non_integer_size_or_endpoint_rejected(self, sizes, edges):
+        with pytest.raises(TypeError):
+            Network(sizes, edges, Activation.TANH, _hyper())
 
     def test_loop_needs_two_populations(self):
         with pytest.raises(ConstructionError):
@@ -114,20 +147,14 @@ class TestHyperparams:
         with pytest.raises(ConstructionError):
             _hyper(tau=0.01, dt=0.009)
 
-    def test_rejects_euler_unstable_split_constants(self):
-        """dt is checked against the effective tau_e and tau_v, and the
-        error leak needs dt*zeta/tau_e < 2; both cases below diverge
-        under Euler if accepted."""
-        for kw in (dict(tau_error=0.001), dict(tau_value=0.001), dict(zeta=500.0)):
+    def test_rejects_euler_unstable_steps(self):
+        """dt is checked against tau, and the error leak needs
+        dt*zeta/tau < 2; every case below diverges under Euler if
+        accepted.  tau = 0.5 checks that both scale with tau."""
+        for kw in (dict(tau=0.009), dict(zeta=500.0), dict(tau=0.5, zeta=250.0)):
             with pytest.raises(ConstructionError):
                 _hyper(**kw)
-
-    def test_split_time_constants(self):
-        h = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005,
-                        tau_error=0.5, tau_value=2.0)
-        assert h.tau_e == 0.5
-        assert h.tau_v == 2.0
-        assert _hyper().tau_e == 1.0
+        _hyper(tau=0.5, zeta=199.0)
 
 
 class TestFastStep:
@@ -135,42 +162,39 @@ class TestFastStep:
     def test_matches_oracle_single(self, act):
         rng = np.random.default_rng(5)
         net = build_single_population(9, act, _hyper(), seed=5)
-        for p in net.populations:
-            p.v = rng.normal(size=p.size)
-            p.eps = rng.normal(size=p.size)
+        for rows in net.slices:
+            net.V[rows] = rng.normal(size=rows.stop - rows.start)
+            net.E[rows] = rng.normal(size=rows.stop - rows.start)
         dv_o, de_o = rhs_oracle(net)
         dE, dV = net.rhs(net.E.copy(), net.V.copy())
-        for i, p in enumerate(net.populations):
-            np.testing.assert_allclose(dV[p.slice], dv_o[i], atol=1e-12)
-            np.testing.assert_allclose(dE[p.slice], de_o[i], atol=1e-12)
+        for i, rows in enumerate(net.slices):
+            np.testing.assert_allclose(dV[rows], dv_o[i], atol=1e-12)
+            np.testing.assert_allclose(dE[rows], de_o[i], atol=1e-12)
 
     def test_matches_oracle_loop(self):
         rng = np.random.default_rng(6)
         net = build_loop([6, 4, 3], Activation.TANH, _hyper(), seed=6)
-        for p in net.populations:
-            p.v = rng.normal(size=p.size)
-            p.eps = rng.normal(size=p.size)
+        for rows in net.slices:
+            net.V[rows] = rng.normal(size=rows.stop - rows.start)
+            net.E[rows] = rng.normal(size=rows.stop - rows.start)
         dv_o, de_o = rhs_oracle(net)
         dE, dV = net.rhs(net.E.copy(), net.V.copy())
-        for i, p in enumerate(net.populations):
-            np.testing.assert_allclose(dV[p.slice], dv_o[i], atol=1e-12)
-            np.testing.assert_allclose(dE[p.slice], de_o[i], atol=1e-12)
+        for i, rows in enumerate(net.slices):
+            np.testing.assert_allclose(dV[rows], dv_o[i], atol=1e-12)
+            np.testing.assert_allclose(dE[rows], de_o[i], atol=1e-12)
 
     def test_euler_step_applies_derivatives(self):
         rng = np.random.default_rng(7)
         net = build_single_population(5, Activation.TANH, _hyper(), seed=7)
-        for p in net.populations:
-            p.v = rng.normal(size=p.size)
-            p.eps = rng.normal(size=p.size)
+        net.V[:] = rng.normal(size=5)
+        net.E[:] = rng.normal(size=5)
         dv, de = rhs_oracle(net)
-        v0 = net.populations[0].v.copy()
-        e0 = net.populations[0].eps.copy()
+        v0 = net.V.copy()
+        e0 = net.E.copy()
         net.step_fast()
         dt = net.hyper.dt
-        np.testing.assert_allclose(net.populations[0].v, v0 + dt * dv[0],
-                                   atol=1e-14)
-        np.testing.assert_allclose(net.populations[0].eps, e0 + dt * de[0],
-                                   atol=1e-14)
+        np.testing.assert_allclose(net.V, v0 + dt * dv[0], atol=1e-14)
+        np.testing.assert_allclose(net.E, e0 + dt * de[0], atol=1e-14)
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("runs", [None, 1, 7])
@@ -179,7 +203,7 @@ class TestFastStep:
         plain expressions, and the in-place step s + dt * rhs(s), bit
         for bit, on a (2T,) state and on (2T, B) batches; a second step
         reuses the workspace."""
-        hyper = _hyper(zeta=0.9, tau_error=0.7, tau_value=1.3)
+        hyper = _hyper(zeta=0.9, tau=0.7)
         net = build_loop([4, 3], activation, hyper, init_scale=1.0, seed=23)
         net.b[:] = np.random.default_rng(24).normal(size=7)
         T, h = 7, net.hyper
@@ -194,8 +218,8 @@ class TestFastStep:
                 sig, gain = np.maximum(V, 0.0), np.where(V > 0.0, 1.0, 0.0)
             else:
                 sig, gain = V, np.ones_like(V)
-            dE = (V - (net.M @ sig + b) - h.zeta * E) / h.tau_e
-            dV = (-E + gain * (net.W @ E)) / h.tau_v
+            dE = (V - (net.M @ sig + b) - h.zeta * E) / h.tau
+            dV = (-E + gain * (net.W @ E)) / h.tau
             got = net.rhs(E, V, out=[np.empty_like(V) for _ in range(3)])
             np.testing.assert_array_equal(got[0], dE)
             np.testing.assert_array_equal(got[1], dV)
@@ -207,29 +231,28 @@ class TestFastStep:
         rng = np.random.default_rng(8)
         net = build_single_population(5, Activation.TANH, _hyper(), seed=8)
         target = rng.normal(size=5)
-        net.populations[0].clamp(target)
+        net.clamp_all(target)
         for _ in range(50):
             net.step_fast()
-        np.testing.assert_array_equal(net.populations[0].v, target)
+        np.testing.assert_array_equal(net.V, target)
         # errors keep integrating while values are pinned
-        assert np.linalg.norm(net.populations[0].eps) > 0
+        assert np.linalg.norm(net.E) > 0
 
     def test_algebraic_error_mode(self):
         """With algebraic errors, eps jumps straight to (v - mu)/zeta
         evaluated at the pre-update values."""
         rng = np.random.default_rng(9)
         net = build_single_population(5, Activation.TANH, _hyper(zeta=2.0), seed=9)
-        net.populations[0].v = rng.normal(size=5)
-        v0 = net.populations[0].v.copy()
+        net.V[:] = rng.normal(size=5)
+        v0 = net.V.copy()
         mu0 = net.predict(v0)
-        net.step_fast(algebraic_errors=True)
-        np.testing.assert_allclose(net.populations[0].eps, (v0 - mu0) / 2.0,
-                                   atol=1e-12)
+        algebraic_step(net)
+        np.testing.assert_allclose(net.E, (v0 - mu0) / 2.0, atol=1e-12)
 
     def test_divergence_raises_with_step(self):
         net = build_single_population(4, Activation.IDENTITY, _hyper(), seed=10)
-        net.connections[0].M[:] = 1e80
-        net.connections[0].W[:] = 1e80
+        net.M[:] = 1e80
+        net.W[:] = 1e80
         net.set_values(np.full(4, 1e80))
         with pytest.raises(IntegrationDivergenceError) as exc:
             for _ in range(10):
@@ -242,42 +265,39 @@ class TestSlowStep:
         """One slow step must add exactly (dt/gamma) * outer products."""
         net = build_single_population(4, Activation.TANH, _hyper(), seed=11)
         rng = np.random.default_rng(11)
-        p = net.populations[0]
-        p.v = rng.normal(size=4)
-        p.eps = rng.normal(size=4)
-        c = net.connections[0]
-        M0, W0, b0 = c.M.copy(), c.W.copy(), c.b.copy()
-        sig = np.tanh(p.v)
-        dM = np.outer(p.eps, sig)
-        dW = np.outer(sig, p.eps)
+        net.V[:] = rng.normal(size=4)
+        net.E[:] = rng.normal(size=4)
+        M0, W0, b0 = net.M.copy(), net.W.copy(), net.b.copy()
+        sig = np.tanh(net.V)
+        dM = np.outer(net.E, sig)
+        dW = np.outer(sig, net.E)
         np.fill_diagonal(dM, 0.0)
         np.fill_diagonal(dW, 0.0)
         net.step_slow()
         scale = net.hyper.dt / net.hyper.gamma
-        np.testing.assert_allclose(c.M, M0 + scale * dM, atol=1e-15)
-        np.testing.assert_allclose(c.W, W0 + scale * dW, atol=1e-15)
-        np.testing.assert_allclose(c.b, b0 + scale * p.eps, atol=1e-15)
+        np.testing.assert_allclose(net.M, M0 + scale * dM, atol=1e-15)
+        np.testing.assert_allclose(net.W, W0 + scale * dW, atol=1e-15)
+        np.testing.assert_allclose(net.b, b0 + scale * net.E, atol=1e-15)
 
     def test_self_connection_diagonal_stays_zero(self):
         net = build_single_population(6, Activation.TANH, _hyper(), seed=12)
         rng = np.random.default_rng(12)
-        net.populations[0].v = rng.normal(size=6)
-        net.populations[0].eps = rng.normal(size=6)
+        net.V[:] = rng.normal(size=6)
+        net.E[:] = rng.normal(size=6)
         for _ in range(7):
             net.step_slow()
-        np.testing.assert_array_equal(np.diag(net.connections[0].M), 0.0)
-        np.testing.assert_array_equal(np.diag(net.connections[0].W), 0.0)
+        np.testing.assert_array_equal(np.diag(net.M), 0.0)
+        np.testing.assert_array_equal(np.diag(net.W), 0.0)
 
     def test_tied_mode_keeps_transpose(self):
         net = build_single_population(5, Activation.TANH, _hyper(),
                                       tie_weights=True, seed=13)
         rng = np.random.default_rng(13)
-        net.populations[0].v = rng.normal(size=5)
-        net.populations[0].eps = rng.normal(size=5)
+        net.V[:] = rng.normal(size=5)
+        net.E[:] = rng.normal(size=5)
         for _ in range(5):
             net.step_slow()
-        c = net.connections[0]
-        np.testing.assert_array_equal(c.W, c.M.T)
+        np.testing.assert_array_equal(net.W, net.M.T)
 
     def test_frozen_rejects_slow_step(self):
         net = build_single_population(3, Activation.TANH, _hyper(), seed=14)
@@ -290,13 +310,13 @@ class TestEnergy:
     def test_value_example(self):
         # E = sum_i (zeta/2) |eps_i|^2; zeta=1, eps=(3,4) -> 12.5
         net = build_single_population(2, Activation.IDENTITY, _hyper(), seed=15)
-        net.populations[0].eps = np.array([3.0, 4.0])
+        net.E[:] = [3.0, 4.0]
         assert net.energy() == 12.5
 
     def test_zeta_scales_energy(self):
         net = build_single_population(2, Activation.IDENTITY, _hyper(zeta=3.0),
                                       seed=16)
-        net.populations[0].eps = np.array([1.0, 1.0])
+        net.E[:] = [1.0, 1.0]
         assert net.energy() == 3.0
 
     def test_zero_errors_zero_energy(self):
@@ -333,7 +353,7 @@ class TestEquilibrium:
         def make():
             net = build_loop([4, 3], Activation.TANH, _hyper(), init_scale=1.0, seed=21)
             net.set_values(np.random.default_rng(21).normal(size=7))
-            net.populations[0].clamp(np.linspace(-0.5, 0.5, 4))
+            clamp_population(net, 0, np.linspace(-0.5, 0.5, 4))
             return net
 
         ref = make()
@@ -356,14 +376,13 @@ class TestEquilibrium:
         net = build_single_population(6, Activation.TANH, _hyper(), seed=20)
         rng = np.random.default_rng(20)
         target = rng.normal(size=6)
-        net.populations[0].clamp(target)
+        net.clamp_all(target)
         res = net.run_fast_to_equilibrium(1e-10, 100000)
         assert res.converged
         # value equations are held off balance by the clamp, while the
         # error equations settle to eps = (v - mu)/zeta
         mu = net.predict(net.V)
-        np.testing.assert_allclose(net.populations[0].eps,
-                                   (target - mu) / net.hyper.zeta, atol=1e-8)
+        np.testing.assert_allclose(net.E, (target - mu) / net.hyper.zeta, atol=1e-8)
 
 
 class TestRestrictedEnergyDescent:
@@ -377,10 +396,10 @@ class TestRestrictedEnergyDescent:
                 tie_weights=True, seed=100 + trial)
             freeze(net)
             net.set_values(rng.normal(size=12))
-            net.step_fast(algebraic_errors=True)
+            algebraic_step(net)
             prev = net.energy()
             for _ in range(1000):
-                net.step_fast(algebraic_errors=True)
+                algebraic_step(net)
                 cur = net.energy()
                 assert cur <= prev + 1e-9
                 prev = cur
@@ -405,9 +424,9 @@ class TestStateHelpers:
         net = build_loop([3, 3], Activation.TANH, _hyper(), seed=24)
         x = np.arange(6.0)
         net.clamp_all(x)
-        assert all(p.clamped for p in net.populations)
+        assert net.clamped.all()
         net.unclamp_all()
-        assert not any(p.clamped for p in net.populations)
+        assert not net.clamped.any()
         np.testing.assert_array_equal(net.values_vector(), x)
 
 
@@ -415,18 +434,17 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=25)
         rng = np.random.default_rng(25)
-        for c in net.connections:
-            c.M += rng.normal(size=c.M.shape) * 0.1
-            c.W += rng.normal(size=c.W.shape) * 0.1
-            c.b += rng.normal(size=c.b.shape) * 0.1
+        for _, _, M, W, b in edge_blocks(net):
+            M += rng.normal(size=M.shape) * 0.1
+            W += rng.normal(size=W.shape) * 0.1
+            b += rng.normal(size=b.shape) * 0.1
         path = tmp_path / "net.pchn"
         save_weights(net, str(path))
         other = build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=99)
         load_weights(other, str(path))
-        for a, b in zip(net.connections, other.connections):
-            np.testing.assert_array_equal(a.M, b.M)
-            np.testing.assert_array_equal(a.W, b.W)
-            np.testing.assert_array_equal(a.b, b.b)
+        for a, b in zip(edge_blocks(net), edge_blocks(other)):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
 
     def test_same_weights_same_bytes(self, tmp_path):
         net = build_single_population(6, Activation.TANH, _hyper(), seed=26)
@@ -463,14 +481,17 @@ class TestCheckpoint:
         path = tmp_path / "net.pchn"
         save_weights(net, str(path))
         other = build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=31)
-        before = [(c.M.copy(), c.W.copy(), c.b.copy()) for c in other.connections]
-        return path, other, before
+        return path, other, self._weights(other)
+
+    @staticmethod
+    def _weights(net):
+        return [(M.copy(), W.copy(), b.copy()) for _, _, M, W, b in edge_blocks(net)]
 
     def _assert_untouched(self, net, before):
-        for c, (M, W, b) in zip(net.connections, before):
-            np.testing.assert_array_equal(c.M, M)
-            np.testing.assert_array_equal(c.W, W)
-            np.testing.assert_array_equal(c.b, b)
+        for (_, _, M, W, b), (M0, W0, b0) in zip(edge_blocks(net), before):
+            np.testing.assert_array_equal(M, M0)
+            np.testing.assert_array_equal(W, W0)
+            np.testing.assert_array_equal(b, b0)
 
     def test_late_header_mismatch_loads_nothing(self, tmp_path):
         path, other, before = self._saved_loop(tmp_path)
@@ -506,7 +527,7 @@ class TestCheckpoint:
         tied net, before any weight is written."""
         path, _, _ = self._saved_loop(tmp_path)
         other = build_loop([5, 4, 3], activation, _hyper(), tie_weights=tied, seed=31)
-        before = [(c.M.copy(), c.W.copy(), c.b.copy()) for c in other.connections]
+        before = self._weights(other)
         with pytest.raises(ConstructionError, match="activation tanh tied false"):
             load_weights(other, str(path))
         self._assert_untouched(other, before)

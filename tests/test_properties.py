@@ -3,7 +3,7 @@
 Each example draws a Custom network (1-4 populations of 1-6 units, every
 population predicted by one randomly chosen population, possibly itself),
 an activation, tied or untied weights, and a random state.  The packed,
-masked kernel must agree with the per-connection oracle in test_network,
+masked kernel must agree with the per-edge oracle in test_network,
 the analytic Jacobian with central differences, learning must never
 write outside the connection mask, training must land where the
 step-by-step oracle in test_learning lands, and a checkpoint must
@@ -28,8 +28,9 @@ from pchn import (Activation, ConstructionError, Hyperparams,
                   save_weights, train)
 from pchn.cli import parse_config_text, resolve_config
 from pchn.learning import SEQUENTIAL, SHUFFLED
-from pchn.network import Connection, Network, Population
+from pchn.network import Network
 
+from oracles import clamp_population, edge_blocks
 from test_learning import assert_trained_alike, train_oracle
 from test_network import rhs_oracle
 
@@ -44,16 +45,15 @@ def networks(draw):
     activation = draw(st.sampled_from(list(Activation)))
     tied = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    conns = []
-    for dst, src in enumerate(srcs):
-        M = rng.normal(size=(sizes[dst], sizes[src]))
-        W = M.T.copy() if tied else rng.normal(size=(sizes[src], sizes[dst]))
+    net = Network(sizes, [(src, dst) for dst, src in enumerate(srcs)], activation,
+                  Hyperparams(), tied=tied)
+    for src, dst, M, W, b in edge_blocks(net):
+        M[...] = rng.normal(size=M.shape)
+        W[...] = M.T if tied else rng.normal(size=W.shape)
         if src == dst:
             np.fill_diagonal(M, 0.0)
             np.fill_diagonal(W, 0.0)
-        conns.append(Connection(src, dst, M, W, rng.normal(size=sizes[dst])))
-    net = Network([Population(k) for k in sizes], conns, activation,
-                  Hyperparams(), tied=tied)
+        b[...] = rng.normal(size=b.shape)
     T = net.total_units
     # values kept at least 0.1 away from the ReLU kink so central
     # differences with h = 1e-5 never straddle it
@@ -68,9 +68,9 @@ def networks(draw):
 def test_flat_rhs_matches_per_connection_oracle(net):
     dv_o, de_o = rhs_oracle(net)
     dE, dV = net.rhs(net.E, net.V)
-    for i, p in enumerate(net.populations):
-        np.testing.assert_allclose(dE[p.slice], de_o[i], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dV[p.slice], dv_o[i], rtol=0, atol=1e-12)
+    for i, rows in enumerate(net.slices):
+        np.testing.assert_allclose(dE[rows], de_o[i], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dV[rows], dv_o[i], rtol=0, atol=1e-12)
 
 
 @SETTINGS
@@ -89,9 +89,9 @@ def test_learning_stays_inside_the_mask(net):
         net.step_slow()
     assert np.all(net.M[net.mask == 0.0] == 0.0)
     assert np.all(net.W[net.mask.T == 0.0] == 0.0)
-    for c in net.connections:
-        if c.src == c.dst:
-            assert np.all(np.diag(c.M) == 0.0) and np.all(np.diag(c.W) == 0.0)
+    for src, dst, M, W, _ in edge_blocks(net):
+        if src == dst:
+            assert np.all(np.diag(M) == 0.0) and np.all(np.diag(W) == 0.0)
     if net.tied:
         np.testing.assert_array_equal(net.W, net.M.T)
 
@@ -99,11 +99,12 @@ def test_learning_stays_inside_the_mask(net):
 def _rebuilt(net, scale=1.0, activation=None, tied=None, hyper=None):
     """A new network of net's architecture whose weights are net's times
     scale; activation, tying and hyperparameters are net's unless given."""
-    pops = [Population(p.size) for p in net.populations]
-    conns = [Connection(c.src, c.dst, scale * c.M, scale * c.W, scale * c.b)
-             for c in net.connections]
-    return Network(pops, conns, activation or net.activation, hyper or net.hyper,
-                   tied=net.tied if tied is None else tied)
+    sizes = [rows.stop - rows.start for rows in net.slices]
+    other = Network(sizes, net.edges, activation or net.activation, hyper or net.hyper,
+                    tied=net.tied if tied is None else tied)
+    for (_, _, M, W, b), (_, _, M0, W0, b0) in zip(edge_blocks(other), edge_blocks(net)):
+        M[...], W[...], b[...] = scale * M0, scale * W0, scale * b0
+    return other
 
 
 # derandomized: a step count compares residuals against tol, and a fixed
@@ -125,7 +126,7 @@ def test_batched_relaxation_matches_one_state_at_a_time(net, data):
     runs = data.draw(st.integers(1, 5))
     starts = rng.normal(size=(2 * T, runs)) * data.draw(st.sampled_from([0.1, 1.0, 3.0]))
     if data.draw(st.booleans()):
-        net.populations[0].clamp(rng.normal(size=net.populations[0].size))
+        clamp_population(net, 0, rng.normal(size=net.slices[0].stop))
     tol, budget = 1e-6, data.draw(st.sampled_from([3000, 50, 0]))
     S = starts.copy()
     before = net.steps_taken
@@ -178,8 +179,8 @@ def test_train_matches_step_by_step_oracle(net, data):
 @given(networks(), st.integers(-300, 300))
 def test_checkpoint_round_trip_is_byte_identical(net, exponent):
     scale = 10.0 ** exponent
-    for c in net.connections:
-        c.M, c.W, c.b = c.M * scale, c.W * scale, c.b * scale
+    for _, _, M, W, b in edge_blocks(net):
+        M[...], W[...], b[...] = M * scale, W * scale, b * scale
     fresh = _rebuilt(net, 0.0)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a.pchn"), os.path.join(tmp, "b.pchn")

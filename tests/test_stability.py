@@ -32,12 +32,11 @@ class TestJacobianAnalytic:
         np.testing.assert_allclose(J, [[-1.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_time_constants_scale_rows(self):
-        h = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005,
-                        tau_error=0.5, tau_value=2.0)
+        h = Hyperparams(tau=0.5, gamma=100.0, zeta=1.0, dt=0.005)
         net = build_single_population(1, Activation.IDENTITY, h, seed=0)
         freeze(net)
         J = jacobian_analytic(net, np.array([0.0, 0.0]))
-        np.testing.assert_allclose(J, [[-2.0, 2.0], [-0.5, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(J, [[-2.0, 2.0], [-2.0, 0.0]], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_fd_tanh(self, seed):
@@ -212,8 +211,8 @@ class TestAnalyzeEquilibrium:
         net = build_single_population(4, Activation.RELU, _hyper(), seed=0)
         M = np.full((4, 4), 10.0)
         np.fill_diagonal(M, 0.0)
-        net.connections[0].M, net.connections[0].W = M, -M
-        net.connections[0].b = np.full(4, -1.0)
+        net.M[:], net.W[:] = M, -M
+        net.b[:] = -1.0
         freeze(net)
         targets = np.array([np.full(4, -2.0), np.full(4, 5.0),
                             np.linspace(-1.5, -0.5, 4)])
