@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, ContractViolationError
-from .network import DIVERGENCE_LIMIT
+from .network import _past_limit
 
 BINARY = "binary"
 REAL = "real"
@@ -33,19 +33,10 @@ PERTURB_STD = float(np.sqrt(0.5))
 FLIP_BITS = 13
 
 
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 @dataclass(frozen=True)
 class TargetSet:
     kind: str
     patterns: np.ndarray
-    seed: int
 
     @property
     def n(self) -> int:
@@ -61,14 +52,14 @@ def gen_targets(kind: str, n: int, d: int, seed: int) -> TargetSet:
     kind 'real', fair +-1 entries for kind 'binary'."""
     if n < 1 or d < 1:
         raise ConstructionError("need n >= 1 and d >= 1")
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
     if kind == BINARY:
         pats = rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
     elif kind == REAL:
         pats = rng.standard_normal((n, d))
     else:
         raise ConstructionError(f"unknown target kind {kind!r}")
-    return TargetSet(kind, pats, int(seed) if np.isscalar(seed) else -1)
+    return TargetSet(kind, pats)
 
 
 def sign_pm1(x):
@@ -83,7 +74,7 @@ def perturb_gaussian(x, sigma: float, seed=0):
         raise ConstructionError("sigma must be >= 0")
     if sigma == 0:
         return x.copy()
-    return x + _rng_from(seed).normal(0.0, sigma, size=x.shape)
+    return x + np.random.default_rng(seed).normal(0.0, sigma, size=x.shape)
 
 
 def perturb_flip(x, k: int, seed=0):
@@ -95,21 +86,9 @@ def perturb_flip(x, k: int, seed=0):
         raise ConstructionError(f"k={k} outside [0, {x.size}]")
     out = x.copy()
     if k:
-        idx = _rng_from(seed).choice(x.size, size=k, replace=False)
+        idx = np.random.default_rng(seed).choice(x.size, size=k, replace=False)
         out[idx] = -out[idx]
     return out
-
-
-def distance(a, b, metric: str) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ConstructionError(f"shape mismatch {a.shape} vs {b.shape}")
-    if metric == EUCLIDEAN:
-        return float(np.linalg.norm(a - b))
-    if metric == HAMMING:
-        return float(np.sum(sign_pm1(a) != sign_pm1(b)))
-    raise ConstructionError(f"unknown metric {metric!r}")
 
 
 def metric_for(kind: str) -> str:
@@ -151,13 +130,13 @@ class Trace:
 def make_probes(targets: TargetSet, seed=0, *, sigma: float = PERTURB_STD,
                 flip_bits: int = FLIP_BITS):
     """One perturbed copy of each stored pattern, row-aligned with the
-    pattern matrix.  Probe r uses SeedSequence(seed, spawn_key=(r,))."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else None
+    pattern matrix.  Probe r uses SeedSequence(seed, spawn_key=(r,)); a
+    SeedSequence seed passes its entropy and appends r to its spawn key."""
+    root = (seed if isinstance(seed, np.random.SeedSequence)
+            else np.random.SeedSequence(seed))
     probes = np.empty_like(targets.patterns)
     for r, pat in enumerate(targets.patterns):
-        child = (np.random.SeedSequence(entropy=root.entropy, spawn_key=(r,))
-                 if root is not None
-                 else np.random.SeedSequence(seed, spawn_key=(r,)))
+        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (r,))
         if targets.kind == BINARY:
             probes[r] = perturb_flip(pat, flip_bits, child)
         else:
@@ -209,7 +188,7 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     def sample(i):
         live = ~trace.diverged
         trace.dist[live, i] = _distances(S[T:], P, metric)[live]
-        bad = live & ~np.all(np.abs(S[T:]) < DIVERGENCE_LIMIT, axis=0)
+        bad = live & _past_limit(S[T:])
         if bad.any():
             trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
             trace.end[bad] = i
@@ -243,7 +222,7 @@ def random_init_study(net, targets: TargetSet, *, n_runs: int = 10,
     d = net.total_units
     starts = np.empty((n_runs, d))
     for r in range(n_runs):
-        rng = _rng_from(np.random.SeedSequence(seed, spawn_key=(r,)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         if targets.kind == BINARY:
             starts[r] = rng.integers(0, 2, size=d).astype(float) * 2.0 - 1.0
         else:
@@ -292,6 +271,9 @@ def recovery_summary(trace: Trace) -> StudySummary:
     """Perturbation-study readout: run r succeeds when its final distance
     to target r is within threshold (<=1 bit, or 10% of initial)."""
     first, last, diverged = distance_tables(trace)
+    if diverged.size > first.shape[1]:
+        raise ConstructionError(f"{diverged.size} runs but only {first.shape[1]} "
+                                "targets: run r needs target r")
     own = np.arange(diverged.size)
     d0, d1 = first[own, own], last[own, own]
     thr = success_threshold(trace.metric, 0, d0 if trace.metric == EUCLIDEAN else None)

@@ -76,7 +76,7 @@ def interaction_energy(patterns, v) -> float:
 def recall(net: HopfieldNet, v0, max_sweeps: int = 50, seed=0) -> RecallResult:
     """Sweep all neurons in a fresh random order until a full sweep
     changes nothing or the sweep budget runs out."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     v = _check_pm1(v0, "state").copy()
     for k in range(1, max_sweeps + 1):
         nxt = async_sweep(net, v, rng.permutation(net.d))

@@ -107,7 +107,7 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     pats = _patterns_array(targets, net.total_units)
     n_targets = pats.shape[0]
     steps_per = max(1, int(round(schedule.duration_per_target / net.hyper.dt)))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
 
     report = TrainingReport()
     for epoch in range(schedule.epochs):
@@ -188,12 +188,3 @@ def freeze(net):
     """Stop all learning; step_slow refuses afterwards.  Idempotent."""
     net.weights_frozen = True
     return net
-
-
-def prediction_mse(net, targets) -> float:
-    """Mean squared prediction error over the target set with current
-    weights: every unit of every target against its prediction from
-    that target.  Network state is not touched."""
-    V = _patterns_array(targets, net.total_units).T
-    diff = V - net.predict(V)
-    return float(np.sum(diff * diff)) / diff.size

@@ -23,13 +23,13 @@ step_slow).  build_network is the one builder that draws the weights;
 build_single_population and build_loop name its two common shapes.
 Linearization lives in stability.py, the training loop in learning.py.
 
-Network.euler is the one Euler update, on a packed state (2T,) or on B
-states side by side as the columns of a (2T, B) array, and
-Network.relax the one loop that steps such states until each settles
-(the derivative sup-norm under a tolerance) or diverges.
-step_fast and run_fast_to_equilibrium relax the net's own state, for one
-step or until it settles, the stability analysis relaxes all its targets
-as one batch, and the studies step their runs through euler.
+Network.euler is the one Euler update, on B packed states side by side
+as the columns of a (2T, B) array, and Network.relax the one loop that
+steps such a batch until each column settles (the derivative sup-norm
+under a tolerance) or diverges.  step_fast and run_fast_to_equilibrium
+relax the net's own state as a batch of one column, s[:, None], for one
+step or until it settles; the stability analysis relaxes all its
+targets as one batch, and the studies step their runs through euler.
 
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
@@ -79,13 +79,6 @@ def _vector(x, n):
     if x.shape != (n,):
         raise ConstructionError(f"vector length {x.shape} != ({n},)")
     return x
-
-
-@dataclass
-class EquilibriumResult:
-    steps: int
-    converged: bool
-    residual: float
 
 
 @dataclass
@@ -150,21 +143,7 @@ class Network:
             if not ok:
                 raise ConstructionError(f"population {i} has no incoming edge")
 
-    # ---- state ----
-
-    def values_vector(self):
-        """All value nodes in population order."""
-        return self.V.copy()
-
-    def set_values(self, x):
-        self.V[:] = _vector(x, self.total_units)
-
-    def fast_state(self):
-        """Packed fast state: every eps in population order, then every v."""
-        return self.s.copy()
-
-    def set_fast_state(self, s):
-        self.s[:] = _vector(s, 2 * self.total_units)
+    # ---- clamps ----
 
     def clamp_all(self, target):
         self.clamp_target[:] = _vector(target, self.total_units)
@@ -205,11 +184,11 @@ class Network:
         return dE, dV
 
     def euler(self, s, derivatives=None):
-        """One Euler step of the unclamped fast equations, in place, on a
-        packed state s of shape (2T,) or (2T, B).  derivatives, when
-        given, is rhs at s, already evaluated; otherwise rhs is evaluated
-        into a workspace the net keeps per state shape, so a step
-        allocates nothing."""
+        """One Euler step of the unclamped fast equations, in place, on
+        the packed states that are the columns of s (2T, B).
+        derivatives, when given, is rhs at s, already evaluated;
+        otherwise rhs is evaluated into a workspace the net keeps per
+        state shape, so a step allocates nothing."""
         T, dt = self.total_units, self.hyper.dt
         E, V = s[:T], s[T:]
         if derivatives is None:
@@ -237,7 +216,7 @@ class Network:
         """One Euler step of the fast equations on the net's own state:
         one step of relax; raises IntegrationDivergenceError when the
         step passes the divergence limit."""
-        if self.relax(self.s, 0.0, 1).diverged[0]:
+        if self.relax(self.s[:, None], 0.0, 1).diverged[0]:
             raise IntegrationDivergenceError(self.steps_taken)
 
     def step_slow(self, errors=None):
@@ -285,7 +264,7 @@ class Network:
         return a.max(axis=-1)
 
     def relax(self, s, tol: float, max_steps: int) -> "Relaxation":
-        """Step the fast equations on a packed state s of shape (2T,) or
+        """Step the fast equations on B packed states, the columns of s
         (2T, B), in place, column by column until its derivative sup-norm
         drops under tol, until it passes the divergence limit, or until
         the step budget runs out.
@@ -294,25 +273,24 @@ class Network:
         dropped from the batch, while the others go on.  Clamps hold
         every column, and steps_taken advances by the steps all columns
         took.  The RHS is evaluated once per step: the derivatives behind
-        each residual drive the next step.  A (2T,) state is stepped as
-        one vector, with (T, T) @ (T,) products.
+        each residual drive the next step.
         """
-        T = self.total_units
-        n = 1 if s.ndim == 1 else s.shape[1]
+        T, n = self.total_units, s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))
-        pinned = self.clamped if s.ndim == 1 else self.clamped[:, None]
-        target = self.clamp_target if s.ndim == 1 else self.clamp_target[:, None]
+        pinned, target = self.clamped[:, None], self.clamp_target[:, None]
         live, X = np.arange(n), s
         with np.errstate(over="ignore", invalid="ignore"):
             d = self.rhs(X[:T], X[T:])
-            r = np.atleast_1d(self._sup_norm(*d))
+            r = self._sup_norm(*d)
             for k in range(1, max_steps + 1):
+                if live.size == 0:
+                    break
                 self.euler(X, d)
                 np.copyto(X[T:], target, where=pinned)
                 bad = _past_limit(X)
                 d = self.rhs(X[:T], X[T:])
-                r = np.atleast_1d(self._sup_norm(*d))
+                r = self._sup_norm(*d)
                 done = bad | (r < tol)
                 if not done.any():
                     continue
@@ -322,8 +300,6 @@ class Network:
                 if X is not s:
                     s[:, cols] = X[:, done]
                 live, r = live[~done], r[~done]
-                if live.size == 0:
-                    break
                 X = X[:, ~done]
                 d = (d[0][:, ~done], d[1][:, ~done])
         out.residual[live] = r
@@ -333,30 +309,24 @@ class Network:
         return out
 
     def run_fast_to_equilibrium(self, tol: float = 1e-6,
-                                max_steps: int = 100000) -> EquilibriumResult:
-        """relax on the net's own state; raises IntegrationDivergenceError
-        at the first step past the divergence limit."""
-        out = self.relax(self.s, tol, max_steps)
+                                max_steps: int = 100000) -> Relaxation:
+        """relax on the net's own state, as one column; raises
+        IntegrationDivergenceError at the first step past the divergence
+        limit."""
+        out = self.relax(self.s[:, None], tol, max_steps)
         if out.diverged[0]:
             raise IntegrationDivergenceError(self.steps_taken)
-        return EquilibriumResult(int(out.steps[0]), bool(out.converged[0]),
-                                 float(out.residual[0]))
+        return out
 
 
 def _past_limit(s):
-    """Per-column mask of the packed states s, (2T,) or (2T, B), with a
-    magnitude past DIVERGENCE_LIMIT or a NaN."""
+    """Per-column mask of the columns of s, (rows, B) with B >= 0, that
+    hold a magnitude past DIVERGENCE_LIMIT or a NaN."""
     # a NaN fails the comparison too; the whole-array check is the cheap
     # common case
-    if np.abs(s).max() <= DIVERGENCE_LIMIT:
-        return np.zeros(s.shape[1:] or 1, dtype=bool)
-    return ~np.atleast_1d(np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=0))
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if np.abs(s).max(initial=0.0) <= DIVERGENCE_LIMIT:
+        return np.zeros(s.shape[1], dtype=bool)
+    return ~np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=0)
 
 
 def build_network(sizes, edges, activation: Activation, hyper: Hyperparams,
@@ -367,7 +337,7 @@ def build_network(sizes, edges, activation: Activation, hyper: Hyperparams,
     deviation init_scale / sqrt(src size); a tied W is M transposed, a
     self-edge keeps its diagonals at zero and b starts at zero."""
     net = Network(sizes, edges, activation, hyper, tied=tie_weights)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     for src, dst in net.edges:
         rows, cols = net.slices[dst], net.slices[src]
         n_src, n_dst = cols.stop - cols.start, rows.stop - rows.start

@@ -1,10 +1,10 @@
 """Linear stability analysis at equilibria of the fast dynamics.
 
-The state is the network's packed fast state (all errors E, then all
-values V); its RHS is network.fast_rhs_flat.  The analytic Jacobian is
-four dense T x T blocks built from the global M and W (entries outside
-the connection mask are zero there), including the second-derivative
-term that enters through sigma'(v) multiplying the correction current.
+The state is a packed fast state (all errors E, then all values V); its
+RHS is network.fast_rhs_flat.  The analytic Jacobian is four dense
+T x T blocks built from the global M and W (entries outside the
+connection mask are zero there), including the second-derivative term
+that enters through sigma'(v) multiplying the correction current.
 Eigenvalues come from a dense general eigensolver.
 
 Because trained networks carry modes with |Re(lambda)| down to 1e-4,
@@ -13,12 +13,13 @@ would take thousands of simulated seconds; analyze_equilibrium therefore
 interleaves relaxation stretches with trust-region root polishing and
 verifies the residual at the final state against the tolerance.
 
-All targets of one call relax together: their packed states are the
-columns of one (2T, n) array stepped by Network.relax, first for one
-stretch and then, in rounds, for geometrically growing chunks over the
-targets still unresolved.  Each column stops at its own first step under
-the tolerance, so a target sees the same steps as it would alone; only
-the rounding of the batched matrix products differs.  Newton probes,
+analyze_equilibrium takes an (n, T) stack of targets, and all of them
+relax together: their packed states are the columns of one (2T, n)
+array stepped by Network.relax, first for one stretch and then, in
+rounds, for geometrically growing chunks over the targets still
+unresolved.  Each column stops at its own first step under the
+tolerance, so a target sees the same steps as it would alone; only the
+rounding of the batched matrix products differs.  Newton probes,
 Jacobians and eigenvalues stay per target.
 """
 
@@ -66,31 +67,9 @@ def jacobian_analytic(net, state):
     return J
 
 
-def jacobian_fd(net, state, h: float = 1e-5):
-    """Central-difference Jacobian of the same RHS, for cross-checking."""
-    _check_frozen(net)
-    if not 1e-7 <= h <= 1e-3:
-        raise ConstructionError("finite-difference h must lie in [1e-7, 1e-3]")
-    state = np.asarray(state, dtype=float)
-    n = state.size
-    net.fast_rhs_flat(state)   # validates the length
-    J = np.empty((n, n))
-    for j in range(n):
-        hi = state.copy()
-        lo = state.copy()
-        hi[j] += h
-        lo[j] -= h
-        col = (net.fast_rhs_flat(hi) - net.fast_rhs_flat(lo)) / (2.0 * h)
-        if not np.all(np.isfinite(col)):
-            raise IntegrationDivergenceError(0, "non-finite RHS during FD probe")
-        J[:, j] = col
-    return J
-
-
 @dataclass
 class SpectrumReport:
     eigenvalues: np.ndarray
-    tau: float
     max_real_part: float
     count_at_minus_half_tau: int
     count_near_minus_one: int
@@ -120,7 +99,6 @@ def classify_spectrum(eigs, tau: float, residual: float = float("nan"),
     near_zero = [complex(z) for z in eigs[np.abs(eigs.real) < 0.1]]
     return SpectrumReport(
         eigenvalues=eigs,
-        tau=tau,
         max_real_part=float(np.max(eigs.real)),
         count_at_minus_half_tau=count_half,
         count_near_minus_one=count_m1,
@@ -172,19 +150,18 @@ def _probe(net, s, tol):
     return s_probe, res_probe, eigs
 
 
-def analyze_equilibrium(net, target, tol: float = 1e-8, *,
+def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
                         max_steps: int = 4000, polish: bool = True):
     """Place the values at each target, relax to the nearby equilibrium,
     and classify the spectrum of the Jacobian there.
 
-    target is one (T,) pattern or an (n, T) stack of them.  Every target
-    relaxes as one column of a (2T, n) state through Network.relax.  For
-    one pattern the SpectrumReport is returned, a failure raised, and
-    the net left at the final state.  For a stack the result is a list
-    holding, per target, its report or the error that ended it:
-    NotAnEquilibriumError, IntegrationDivergenceError (at the count of
-    that target's relaxation steps) or NonDifferentiableStateError.  Each
-    report's state is its equilibrium.
+    targets is an (n, T) stack of patterns, n >= 0.  Every target relaxes
+    as one column of a (2T, n) state through Network.relax; the net's
+    own fast state s is not touched.  The result is a list holding, per
+    target, its report or the error that ended it: NotAnEquilibriumError,
+    IntegrationDivergenceError (at the count of that target's relaxation
+    steps) or NonDifferentiableStateError.  Each report's state is its
+    equilibrium.
 
     The equilibrium the dynamics settle into need not be close to the
     requested target (untrained networks drift far away); callers that
@@ -193,11 +170,11 @@ def analyze_equilibrium(net, target, tol: float = 1e-8, *,
     _check_frozen(net)
     if not tol > 0:
         raise ConstructionError("tol must be positive")
-    target = np.asarray(target, dtype=float)
-    targets = np.atleast_2d(target)
-    n, T = targets.shape[0], net.total_units
-    if target.ndim > 2 or targets.shape[1] != T:
-        raise ConstructionError(f"targets {target.shape} are not (n, {T})")
+    targets = np.asarray(targets, dtype=float)
+    T = net.total_units
+    if targets.ndim != 2 or targets.shape[1] != T:
+        raise ConstructionError(f"targets {targets.shape} are not (n, {T})")
+    n = targets.shape[0]
     net.unclamp_all()
     S = np.zeros((2 * T, n))
     S[T:] = targets.T
@@ -240,15 +217,9 @@ def analyze_equilibrium(net, target, tol: float = 1e-8, *,
             break
         pending = relax(still, chunk)
         chunk *= 2
-    out = [failed[k] if failed[k] is not None else
-           _outcome(net, S[:, k].copy(), eigs[k], residual[k], tol, targets[k])
-           for k in range(n)]
-    if target.ndim == 2:
-        return out
-    net.set_fast_state(S[:, 0])
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+    return [failed[k] if failed[k] is not None else
+            _outcome(net, S[:, k].copy(), eigs[k], residual[k], tol, targets[k])
+            for k in range(n)]
 
 
 def _outcome(net, s, eigs, residual, tol, target):

@@ -1,10 +1,14 @@
 """Reference helpers shared by the tests: per-edge views of a net's global
-weights, clamping a single population, and the algebraic-error step."""
+weights, clamping a single population, the algebraic-error step, a
+central-difference Jacobian, the mean squared prediction error, and the
+distance between two single states."""
 
 import numpy as np
 
-from pchn import IntegrationDivergenceError
+from pchn import ConstructionError, IntegrationDivergenceError
+from pchn.experiments import EUCLIDEAN, HAMMING, sign_pm1
 from pchn.network import DIVERGENCE_LIMIT
+from pchn.stability import _check_frozen
 
 
 def edge_blocks(net):
@@ -36,3 +40,48 @@ def algebraic_step(net):
     net.steps_taken += 1
     if not np.all(np.abs(net.s) <= DIVERGENCE_LIMIT):
         raise IntegrationDivergenceError(net.steps_taken)
+
+
+def jacobian_fd(net, state, h: float = 1e-5):
+    """Central-difference Jacobian of the fast RHS at a packed state,
+    for cross-checking the analytic one."""
+    _check_frozen(net)
+    if not 1e-7 <= h <= 1e-3:
+        raise ConstructionError("finite-difference h must lie in [1e-7, 1e-3]")
+    state = np.asarray(state, dtype=float)
+    n = state.size
+    net.fast_rhs_flat(state)   # validates the length
+    J = np.empty((n, n))
+    for j in range(n):
+        hi = state.copy()
+        lo = state.copy()
+        hi[j] += h
+        lo[j] -= h
+        col = (net.fast_rhs_flat(hi) - net.fast_rhs_flat(lo)) / (2.0 * h)
+        if not np.all(np.isfinite(col)):
+            raise IntegrationDivergenceError(0, "non-finite RHS during FD probe")
+        J[:, j] = col
+    return J
+
+
+def prediction_mse(net, targets) -> float:
+    """Mean squared prediction error over the (N, T) targets with the
+    current weights: every unit of every target against its prediction
+    from that target.  Network state is not touched."""
+    V = np.asarray(targets, dtype=float).T
+    diff = V - net.predict(V)
+    return float(np.sum(diff * diff)) / diff.size
+
+
+def distance(a, b, metric: str) -> float:
+    """Distance between two states: Euclidean, or Hamming as the count
+    of sign mismatches with sign(0) = +1."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ConstructionError(f"shape mismatch {a.shape} vs {b.shape}")
+    if metric == EUCLIDEAN:
+        return float(np.linalg.norm(a - b))
+    if metric == HAMMING:
+        return float(np.sum(sign_pm1(a) != sign_pm1(b)))
+    raise ConstructionError(f"unknown metric {metric!r}")

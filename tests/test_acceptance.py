@@ -16,14 +16,14 @@ import pytest
 from pchn import (Activation, Hyperparams, NotAnEquilibriumError,
                   TrainingSchedule, analyze_equilibrium, build_loop,
                   build_single_population, freeze, gen_targets, hebbian_store,
-                  jacobian_analytic, jacobian_fd, make_probes, perturb_flip,
+                  jacobian_analytic, make_probes, perturb_flip,
                   perturb_gaussian, perturbation_study, random_init_study,
                   recall, relaxation_study, train)
 from pchn.cli import main
 from pchn.experiments import (EUCLIDEAN, HAMMING, absorption_summary,
                               distance_tables, recovery_summary)
 
-from oracles import algebraic_step
+from oracles import algebraic_step, jacobian_fd
 
 # pinned operating points: targets seed / weights seed / train seed,
 # clamp schedule, and study horizon for each configuration
@@ -178,7 +178,7 @@ class TestEquilibriumSpectra:
         in [1e-4, 1e-2]."""
         net, targets, _ = binary_single
         for tid in range(10):
-            rep = analyze_equilibrium(net, targets.patterns[tid], tol=1e-8)
+            [rep] = analyze_equilibrium(net, targets.patterns[tid:tid + 1], tol=1e-8)
             res = np.abs(np.real(rep.eigenvalues))
             slow = np.sum((res >= 1e-4) & (res <= 1e-2))
             print(f"binary single t{tid}: max Re {rep.max_real_part:+.4f}, "
@@ -197,12 +197,11 @@ class TestEquilibriumSpectra:
                                          ("binary loop", binary_loop),
                                          ("real loop", real_loop)):
             for tid in range(10):
-                try:
-                    rep = analyze_equilibrium(net, targets.patterns[tid],
-                                              tol=1e-6)
-                except NotAnEquilibriumError as e:
+                [rep] = analyze_equilibrium(net, targets.patterns[tid:tid + 1],
+                                            tol=1e-6)
+                if isinstance(rep, NotAnEquilibriumError):
                     print(f"{label} t{tid}: no equilibrium "
-                          f"(residual {e.residual:.2e})")
+                          f"(residual {rep.residual:.2e})")
                     continue
                 res = np.abs(np.real(rep.eigenvalues))
                 slow = np.sum((res >= 1e-4) & (res <= 1e-2))
@@ -336,7 +335,7 @@ class TestRestrictedEnergyDescent:
                 12, Activation.TANH, Hyperparams(dt=0.002),
                 tie_weights=True, seed=200 + trial)
             freeze(net)
-            net.set_values(rng.normal(size=12))
+            net.V[:] = rng.normal(size=12)
             algebraic_step(net)
             prev = net.energy()
             for _ in range(1000):

@@ -140,9 +140,9 @@ class TestStability:
 
     def test_batch_prints_what_a_per_target_loop_prints(self, tmp_path, capsys):
         """cmd_stability relaxes all targets in one batch.  Its stdout
-        equals, line for line, what analyze_equilibrium called on one
-        target at a time gives, each target's correspondence note read
-        from that target's own equilibrium."""
+        equals, line for line, what analyze_equilibrium called on a
+        stack of one target at a time gives, each target's correspondence
+        note read from that target's own equilibrium."""
         out = _train(tmp_path / "run")
         capsys.readouterr()
         assert main(["stability", "--out", str(out), "--stability_tol", "1e-7"]
@@ -157,21 +157,20 @@ class TestStability:
         want, n_found, n_stable = [], 0, 0
         for k, target in enumerate(targets.patterns):
             head = f"stability: target {k}"
-            try:
-                rep = analyze_equilibrium(net, target, tol=cfg.stability_tol)
-            except NotAnEquilibriumError as e:
-                want.append(f"{head} no equilibrium found (residual {e.residual:g})")
+            [rep] = analyze_equilibrium(net, target[None], tol=cfg.stability_tol)
+            if isinstance(rep, NotAnEquilibriumError):
+                want.append(f"{head} no equilibrium found (residual {rep.residual:g})")
                 continue
-            except IntegrationDivergenceError:
+            if isinstance(rep, IntegrationDivergenceError):
                 want.append(f"{head} no equilibrium found (diverged)")
                 continue
-            except NonDifferentiableStateError:
+            if isinstance(rep, NonDifferentiableStateError):
                 want.append(f"{head} equilibrium sits on an activation kink; "
                             "spectrum undefined")
                 continue
             n_found += 1
             n_stable += rep.all_stable
-            ok = _corresponds(cfg, net.values_vector(), target)
+            ok = _corresponds(cfg, rep.state[cfg.total_units:], target)
             note = "" if ok else " (equilibrium does not correspond to the target)"
             want.append(f"{head} stable={rep.all_stable} "
                         f"max_re={rep.max_real_part:.3e} "

@@ -5,15 +5,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from pchn import (Activation, Hyperparams, build_loop, build_single_population,
-                  freeze, gen_targets)
-from pchn.experiments import (EUCLIDEAN, HAMMING, Trace,
-                              absorption_summary, distance, distance_tables,
+from pchn import (Activation, ConstructionError, Hyperparams, build_loop,
+                  build_single_population, freeze, gen_targets)
+from pchn.experiments import (EUCLIDEAN, HAMMING, Trace, _distances,
+                              absorption_summary, distance_tables,
                               make_probes, metric_for, perturb_flip,
                               perturb_gaussian, perturbation_study,
                               random_init_study, recovery_summary,
                               relaxation_study, sign_pm1, success_threshold,
                               trace_to_csv)
+
+from oracles import distance
 
 
 class TestTargets:
@@ -73,22 +75,35 @@ class TestPerturbations:
                                       perturb_flip(x, 5, seed=2))
 
 
+def _one_distance(a, b, metric):
+    """_distances between one state a and one target b."""
+    return _distances(np.array(a)[:, None], np.array(b)[:, None], metric)[0, 0]
+
+
 class TestDistances:
     def test_euclidean_3_4_5(self):
-        a = np.array([0.0, 0.0])
-        b = np.array([3.0, 4.0])
-        assert distance(a, b, EUCLIDEAN) == 5.0
+        assert _one_distance([0.0, 0.0], [3.0, 4.0], EUCLIDEAN) == 5.0
 
     def test_hamming_counts_mismatches(self):
-        a = np.array([1.0, -1.0, 1.0, 1.0])
-        b = np.array([1.0, 1.0, -1.0, 1.0])
-        assert distance(a, b, HAMMING) == 2.0
+        a = [1.0, -1.0, 1.0, 1.0]
+        b = [1.0, 1.0, -1.0, 1.0]
+        assert _one_distance(a, b, HAMMING) == 2.0
 
     def test_hamming_signs_real_input(self):
-        # hamming on real vectors compares signs
-        a = np.array([0.3, -0.2])
-        b = np.array([1.0, 1.0])
-        assert distance(a, b, HAMMING) == 1.0
+        # hamming on real vectors compares signs, with sign(0) = +1
+        assert _one_distance([0.3, -0.2, 0.0], [1.0, 1.0, 1.0], HAMMING) == 1.0
+
+    def test_table_matches_pairwise_oracle(self):
+        """Entry (r, j) is run r's distance to target j."""
+        rng = np.random.default_rng(3)
+        V = rng.normal(size=(12, 4))
+        P = np.sign(rng.normal(size=(12, 3)))
+        for metric in (EUCLIDEAN, HAMMING):
+            got = _distances(V, P, metric)
+            assert got.shape == (4, 3)
+            want = [[distance(V[:, r], P[:, j], metric) for j in range(3)]
+                    for r in range(4)]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_metric_for_kind(self):
         assert metric_for("binary") == HAMMING
@@ -167,12 +182,11 @@ class TestRelaxationStudy:
         stride = int(round(0.1 / hyper.dt))
         for r, start in enumerate(starts):
             got = trace.dist[r, :trace.end[r] + 1].ravel()
-            net.set_fast_state(np.concatenate((np.zeros(12), start)))
+            net.E[:], net.V[:] = 0.0, start
             want = []
             for k in range(int(round(2.0 / hyper.dt)) + 1):
                 if k % stride == 0:
-                    want += [np.linalg.norm(net.values_vector() - pat)
-                             for pat in ts.patterns]
+                    want += [np.linalg.norm(net.V - pat) for pat in ts.patterns]
                 net.step_fast()
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -277,6 +291,12 @@ class TestStudiesAndSummaries:
         assert summ.n_runs == 2
         assert summ.successes == 2
 
+    def test_recovery_summary_refuses_more_runs_than_targets(self):
+        trace = Trace(HAMMING, np.zeros(1), np.zeros((4, 1, 3)),
+                      end=np.zeros(4, dtype=int), diverged=np.zeros(4, dtype=bool))
+        with pytest.raises(ConstructionError, match="4 runs.* 3 targets"):
+            recovery_summary(trace)
+
     def test_absorption_summary_flags_never_succeed(self):
         """A flagged (divergent) run cannot count as absorbed no matter
         how small its last recorded distance was."""
@@ -307,3 +327,15 @@ class TestProbes:
         flipped0 = np.flatnonzero(probes[0] != ts.patterns[0])
         flipped1 = np.flatnonzero(probes[1] != ts.patterns[1])
         assert not np.array_equal(flipped0, flipped1)
+
+    def test_seed_sequence_spawn_key_selects_the_probes(self):
+        """A SeedSequence seed's spawn key is part of every probe's
+        stream, and a bare int seed is the SeedSequence of that int."""
+        ts = gen_targets("binary", 3, 40, seed=32)
+        seq = np.random.SeedSequence
+        a = make_probes(ts, seq(5, spawn_key=(1,)), flip_bits=7)
+        b = make_probes(ts, seq(5, spawn_key=(2,)), flip_bits=7)
+        for r in range(3):
+            assert not np.array_equal(a[r], b[r])
+        np.testing.assert_array_equal(make_probes(ts, seq(5), flip_bits=7),
+                                      make_probes(ts, 5, flip_bits=7))

@@ -16,10 +16,9 @@ from pchn import (Activation, ContractViolationError, Hyperparams,
                   train)
 from pchn import learning
 from pchn.cli import SEED_TRAIN, child_seed, main, resolve_config
-from pchn.learning import (SEQUENTIAL, SHUFFLED, ClampRecord, TrainingReport,
-                           prediction_mse)
+from pchn.learning import SEQUENTIAL, SHUFFLED, ClampRecord, TrainingReport
 
-from oracles import edge_blocks
+from oracles import edge_blocks, prediction_mse
 
 
 def _hyper(**kw):

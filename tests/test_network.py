@@ -253,7 +253,7 @@ class TestFastStep:
         net = build_single_population(4, Activation.IDENTITY, _hyper(), seed=10)
         net.M[:] = 1e80
         net.W[:] = 1e80
-        net.set_values(np.full(4, 1e80))
+        net.V[:] = 1e80
         with pytest.raises(IntegrationDivergenceError) as exc:
             for _ in range(10):
                 net.step_fast()
@@ -328,10 +328,10 @@ class TestEquilibrium:
     def test_relaxation_reaches_small_residual(self):
         net = build_single_population(10, Activation.TANH, _hyper(), seed=18)
         rng = np.random.default_rng(18)
-        net.set_values(rng.normal(size=10))
+        net.V[:] = rng.normal(size=10)
         res = net.run_fast_to_equilibrium(1e-9, 200000)
-        assert res.converged
-        assert res.residual < 1e-9
+        assert res.converged[0]
+        assert res.residual[0] < 1e-9
         # at equilibrium both derivative sets vanish
         dv, de = rhs_oracle(net)
         for arr in dv + de:
@@ -340,11 +340,18 @@ class TestEquilibrium:
     def test_zero_step_budget_reports_current_residual(self):
         net = build_single_population(6, Activation.TANH, _hyper(), seed=19)
         rng = np.random.default_rng(19)
-        net.set_values(rng.normal(size=6))
+        net.V[:] = rng.normal(size=6)
         res = net.run_fast_to_equilibrium(1e-12, 0)
-        assert not res.converged
-        assert res.steps == 0
-        assert res.residual > 0
+        assert not res.converged[0]
+        assert res.steps[0] == 0
+        assert res.residual[0] > 0
+
+    def test_empty_batch_relaxes_to_an_empty_result(self):
+        net = build_loop([4, 3], Activation.TANH, _hyper(), seed=19)
+        res = net.relax(np.zeros((14, 0)), 1e-6, 100)
+        for field in (res.steps, res.converged, res.residual, res.diverged):
+            assert field.shape == (0,)
+        assert net.steps_taken == 0
 
     def test_one_rhs_per_step_on_the_step_fast_path(self):
         """Each step reuses the derivatives its residual was read from:
@@ -352,7 +359,7 @@ class TestEquilibrium:
         and residual as step_fast followed by residual()."""
         def make():
             net = build_loop([4, 3], Activation.TANH, _hyper(), init_scale=1.0, seed=21)
-            net.set_values(np.random.default_rng(21).normal(size=7))
+            net.V[:] = np.random.default_rng(21).normal(size=7)
             clamp_population(net, 0, np.linspace(-0.5, 0.5, 4))
             return net
 
@@ -367,7 +374,7 @@ class TestEquilibrium:
         rhs = net.rhs
         net.rhs = lambda E, V: calls.append(1) or rhs(E, V)
         res = net.run_fast_to_equilibrium(1e-6, 10000)
-        assert res.converged and (res.steps, res.residual) == (k, r)
+        assert res.converged[0] and (res.steps[0], res.residual[0]) == (k, r)
         assert net.steps_taken == ref.steps_taken == k
         np.testing.assert_array_equal(net.s, ref.s)
         assert len(calls) == k + 1
@@ -378,7 +385,7 @@ class TestEquilibrium:
         target = rng.normal(size=6)
         net.clamp_all(target)
         res = net.run_fast_to_equilibrium(1e-10, 100000)
-        assert res.converged
+        assert res.converged[0]
         # value equations are held off balance by the clamp, while the
         # error equations settle to eps = (v - mu)/zeta
         mu = net.predict(net.V)
@@ -395,7 +402,7 @@ class TestRestrictedEnergyDescent:
                 12, Activation.TANH, _hyper(dt=0.002),
                 tie_weights=True, seed=100 + trial)
             freeze(net)
-            net.set_values(rng.normal(size=12))
+            net.V[:] = rng.normal(size=12)
             algebraic_step(net)
             prev = net.energy()
             for _ in range(1000):
@@ -406,20 +413,6 @@ class TestRestrictedEnergyDescent:
 
 
 class TestStateHelpers:
-    def test_values_vector_round_trip(self):
-        net = build_loop([4, 3, 2], Activation.TANH, _hyper(), seed=22)
-        rng = np.random.default_rng(22)
-        x = rng.normal(size=9)
-        net.set_values(x)
-        np.testing.assert_array_equal(net.values_vector(), x)
-
-    def test_fast_state_round_trip(self):
-        net = build_loop([4, 3], Activation.TANH, _hyper(), seed=23)
-        rng = np.random.default_rng(23)
-        s = rng.normal(size=2 * 7)
-        net.set_fast_state(s)
-        np.testing.assert_array_equal(net.fast_state(), s)
-
     def test_clamp_all_then_unclamp(self):
         net = build_loop([3, 3], Activation.TANH, _hyper(), seed=24)
         x = np.arange(6.0)
@@ -427,7 +420,7 @@ class TestStateHelpers:
         assert net.clamped.all()
         net.unclamp_all()
         assert not net.clamped.any()
-        np.testing.assert_array_equal(net.values_vector(), x)
+        np.testing.assert_array_equal(net.V, x)
 
 
 class TestCheckpoint:

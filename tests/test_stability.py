@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from pchn import (Activation, Hyperparams, IntegrationDivergenceError,
-                  NonDifferentiableStateError, NotAnEquilibriumError,
-                  build_loop, build_single_population, freeze)
+from pchn import (Activation, ConstructionError, Hyperparams,
+                  IntegrationDivergenceError, NonDifferentiableStateError,
+                  NotAnEquilibriumError, build_loop, build_single_population,
+                  freeze)
 from pchn.stability import (SpectrumReport, analyze_equilibrium,
-                            classify_spectrum, jacobian_analytic, jacobian_fd,
+                            classify_spectrum, jacobian_analytic,
                             spectrum_to_csv)
+
+from oracles import jacobian_fd
 
 
 def _hyper(**kw):
@@ -161,7 +164,7 @@ class TestAnalyzeEquilibrium:
         net = build_single_population(10, Activation.TANH, _hyper(), seed=10)
         freeze(net)
         rng = np.random.default_rng(101)
-        rep = analyze_equilibrium(net, rng.normal(size=10), tol=1e-10)
+        [rep] = analyze_equilibrium(net, rng.normal(size=(1, 10)), tol=1e-10)
         assert rep.residual < 1e-10
         assert len(rep.eigenvalues) == 2 * net.total_units
 
@@ -170,18 +173,20 @@ class TestAnalyzeEquilibrium:
         freeze(net)
         rng = np.random.default_rng(111)
         target = rng.normal(size=10)
-        rep = analyze_equilibrium(net, target, tol=1e-10)
-        d = np.linalg.norm(net.values_vector() - target)
+        [rep] = analyze_equilibrium(net, target[None], tol=1e-10)
+        d = np.linalg.norm(rep.state[10:] - target)
         np.testing.assert_allclose(rep.distance_to_target, d, atol=1e-12)
 
     def test_unreachable_tolerance_raises_with_residual(self):
+        """A target that misses the tolerance gets, in its place in the
+        list, the NotAnEquilibriumError carrying its residual."""
         net = build_single_population(6, Activation.TANH, _hyper(), seed=12)
         freeze(net)
         rng = np.random.default_rng(121)
-        with pytest.raises(NotAnEquilibriumError) as exc:
-            analyze_equilibrium(net, rng.normal(size=6), tol=1e-15,
-                                max_steps=5, polish=False)
-        assert exc.value.residual > 0
+        [err] = analyze_equilibrium(net, rng.normal(size=(1, 6)), tol=1e-15,
+                                    max_steps=5, polish=False)
+        assert isinstance(err, NotAnEquilibriumError)
+        assert err.residual > 0
 
     def test_stable_equilibrium_attracts_nearby_states(self):
         """all_stable must predict actual attraction: a small kick decays
@@ -189,17 +194,26 @@ class TestAnalyzeEquilibrium:
         net = build_single_population(8, Activation.TANH, _hyper(), seed=13)
         freeze(net)
         rng = np.random.default_rng(131)
-        rep = analyze_equilibrium(net, rng.normal(size=8), tol=1e-10)
+        [rep] = analyze_equilibrium(net, rng.normal(size=(1, 8)), tol=1e-10)
         assert rep.all_stable
-        s_star = net.fast_state()
+        s_star = rep.state
         kick = rng.normal(size=s_star.size)
         kick *= 1e-3 / np.linalg.norm(kick)
-        net.set_fast_state(s_star + kick)
+        net.s[:] = s_star + kick
         d0 = 1e-3
         for _ in range(int(round(5.0 / net.hyper.dt))):
             net.step_fast()
-        d1 = np.linalg.norm(net.fast_state() - s_star)
+        d1 = np.linalg.norm(net.s - s_star)
         assert d1 < 0.5 * d0
+
+    def test_single_pattern_refused(self):
+        net = freeze(build_single_population(4, Activation.TANH, _hyper(), seed=14))
+        with pytest.raises(ConstructionError):
+            analyze_equilibrium(net, np.zeros(4))
+
+    def test_empty_stack_gives_empty_list(self):
+        net = freeze(build_loop([3, 2], Activation.TANH, _hyper(), seed=15))
+        assert analyze_equilibrium(net, np.zeros((0, 5))) == []
 
     def test_one_diverging_target_fails_alone(self):
         """ReLU units with strong mutual excitation and opposite
@@ -218,10 +232,10 @@ class TestAnalyzeEquilibrium:
                             np.linspace(-1.5, -0.5, 4)])
         got = analyze_equilibrium(net, targets, tol=1e-10)
         assert isinstance(got[1], IntegrationDivergenceError)
-        with pytest.raises(IntegrationDivergenceError):
-            analyze_equilibrium(net, targets[1], tol=1e-10)
+        [alone] = analyze_equilibrium(net, targets[1:2], tol=1e-10)
+        assert isinstance(alone, IntegrationDivergenceError)
         for k in (0, 2):
-            alone = analyze_equilibrium(net, targets[k], tol=1e-10)
+            [alone] = analyze_equilibrium(net, targets[k:k + 1], tol=1e-10)
             assert got[k].all_stable and alone.all_stable
             np.testing.assert_allclose(got[k].state, alone.state, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got[k].state[4:], -1.0, atol=1e-10)
