@@ -11,9 +11,10 @@ targets) distance array, the index of each run's last sample and a mask
 of the runs that diverged.  The CSV writer, the distance tables and the
 summaries read those arrays directly.
 
-Seeding: anything accepting a seed builds its per-run streams as
-SeedSequence(seed, spawn_key=(run,)), so independent commands can
-regenerate the exact same probes.
+Seeding: make_probes and the studies take an int or a SeedSequence seed
+and build run r's stream with _run_seed, as SeedSequence(seed,
+spawn_key=(r,)), so independent commands can regenerate the exact same
+probes.
 """
 
 from dataclasses import dataclass
@@ -127,16 +128,21 @@ class Trace:
         return int(np.sum(self.end + 1)) * self.dist.shape[2]
 
 
+def _run_seed(seed, r):
+    """Seed of run r: SeedSequence(seed, spawn_key=(r,)); a SeedSequence
+    seed passes its entropy and appends r to its spawn key."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (r,))
+    return np.random.SeedSequence(seed, spawn_key=(r,))
+
+
 def make_probes(targets: TargetSet, seed=0, *, sigma: float = PERTURB_STD,
                 flip_bits: int = FLIP_BITS):
     """One perturbed copy of each stored pattern, row-aligned with the
-    pattern matrix.  Probe r uses SeedSequence(seed, spawn_key=(r,)); a
-    SeedSequence seed passes its entropy and appends r to its spawn key."""
-    root = (seed if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed))
+    pattern matrix; probe r draws from _run_seed(seed, r)."""
     probes = np.empty_like(targets.patterns)
     for r, pat in enumerate(targets.patterns):
-        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (r,))
+        child = _run_seed(seed, r)
         if targets.kind == BINARY:
             probes[r] = perturb_flip(pat, flip_bits, child)
         else:
@@ -218,11 +224,11 @@ def random_init_study(net, targets: TargetSet, *, n_runs: int = 10,
                       horizon: float = 20.0, sample_every: float = 0.05,
                       seed=0) -> Trace:
     """Start from fresh draws of the target distribution, unrelated to
-    any stored pattern."""
+    any stored pattern; run r draws from _run_seed(seed, r)."""
     d = net.total_units
     starts = np.empty((n_runs, d))
     for r in range(n_runs):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        rng = np.random.default_rng(_run_seed(seed, r))
         if targets.kind == BINARY:
             starts[r] = rng.integers(0, 2, size=d).astype(float) * 2.0 - 1.0
         else:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (ConstructionError, ContractViolationError,
                      IntegrationDivergenceError)
-from .network import DIVERGENCE_LIMIT
+from .network import _past_limit
 
 SEQUENTIAL = "sequential"
 SHUFFLED = "shuffled"
@@ -143,7 +143,7 @@ def _clamp(net, residual, steps):
     a = np.full(T, 1.0 - h.dt * h.zeta / h.tau)
     u = (h.dt / h.tau) * residual
     d = (h.dt / h.tau) * (h.dt / h.gamma) * (net.mask @ (s * s) + 1.0)
-    values_ok = bool(np.all(np.abs(net.V) <= DIVERGENCE_LIMIT))
+    values_ok = not _past_limit(net.V[:, None])[0]
     total = np.zeros(T)
     history = np.empty((min(steps, BLOCK), T))
     du = np.empty(T)
@@ -177,11 +177,8 @@ def _clamp(net, residual, steps):
 def _first_bad(rows, values_ok):
     """Index of the first row that fails the step-by-step path's
     finiteness check, or len(rows) when none does."""
-    # a NaN fails every comparison, so max and min catch it too
-    if values_ok and rows.max() <= DIVERGENCE_LIMIT and rows.min() >= -DIVERGENCE_LIMIT:
-        return len(rows)
-    ok = np.all(np.abs(rows) <= DIVERGENCE_LIMIT, axis=1) & values_ok
-    return int(np.argmin(ok))
+    bad = _past_limit(rows.T) | (not values_ok)
+    return int(np.argmax(bad)) if bad.any() else len(rows)
 
 
 def freeze(net):

@@ -322,9 +322,11 @@ class Network:
 def _past_limit(s):
     """Per-column mask of the columns of s, (rows, B) with B >= 0, that
     hold a magnitude past DIVERGENCE_LIMIT or a NaN."""
-    # a NaN fails the comparison too; the whole-array check is the cheap
-    # common case
-    if np.abs(s).max(initial=0.0) <= DIVERGENCE_LIMIT:
+    # a NaN fails the comparisons too; the whole-array check is the cheap
+    # common case, and max and min make it without a temporary array
+    # (training passes blocks of up to BLOCK x T)
+    if (s.max(initial=0.0) <= DIVERGENCE_LIMIT
+            and s.min(initial=0.0) >= -DIVERGENCE_LIMIT):
         return np.zeros(s.shape[1], dtype=bool)
     return ~np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=0)
 

@@ -18,6 +18,103 @@ FAST = ["--architecture", "Custom", "--sizes", "12", "--n_targets", "3",
         "--duration_per_target", "0.5", "--epochs", "2",
         "--horizon", "1.0", "--flip_bits", "2", "--sample_every", "0.25"]
 
+# config.echo at the defaults of each named architecture and target
+# kind, output_dir left out
+DEFAULT_ECHO = {
+    ("Single100", "BinarySign"): """\
+architecture = Single100
+target_kind = BinarySign
+activation = tanh
+tie_weights = false
+n_targets = 10
+tau = 1.0
+gamma = 100.0
+zeta = 1.0
+dt = 0.005
+init_scale = 0.01
+duration_per_target = 0.72
+epochs = 16
+target_order = sequential
+reset_fast_state = true
+horizon = 20.0
+sample_every = 0.05
+perturb_sigma = 0.7071067811865476
+flip_bits = 13
+n_random_runs = 10
+stability_tol = 1e-08
+seed = 0
+""",
+    ("Single100", "RealGaussian"): """\
+architecture = Single100
+target_kind = RealGaussian
+activation = relu
+tie_weights = false
+n_targets = 10
+tau = 1.0
+gamma = 100.0
+zeta = 1.0
+dt = 0.005
+init_scale = 0.01
+duration_per_target = 5.0
+epochs = 16
+target_order = sequential
+reset_fast_state = true
+horizon = 360.0
+sample_every = 0.05
+perturb_sigma = 0.7071067811865476
+flip_bits = 13
+n_random_runs = 10
+stability_tol = 1e-08
+seed = 0
+""",
+    ("Loop50_30_20", "BinarySign"): """\
+architecture = Loop50_30_20
+target_kind = BinarySign
+activation = tanh
+tie_weights = false
+n_targets = 10
+tau = 1.0
+gamma = 100.0
+zeta = 1.0
+dt = 0.005
+init_scale = 0.01
+duration_per_target = 0.72
+epochs = 16
+target_order = sequential
+reset_fast_state = true
+horizon = 20.0
+sample_every = 0.05
+perturb_sigma = 0.7071067811865476
+flip_bits = 13
+n_random_runs = 10
+stability_tol = 1e-08
+seed = 0
+""",
+    ("Loop50_30_20", "RealGaussian"): """\
+architecture = Loop50_30_20
+target_kind = RealGaussian
+activation = relu
+tie_weights = false
+n_targets = 10
+tau = 1.0
+gamma = 100.0
+zeta = 1.0
+dt = 0.005
+init_scale = 0.01
+duration_per_target = 5.0
+epochs = 16
+target_order = sequential
+reset_fast_state = true
+horizon = 360.0
+sample_every = 0.05
+perturb_sigma = 0.7071067811865476
+flip_bits = 13
+n_random_runs = 10
+stability_tol = 1e-08
+seed = 0
+""",
+}
+
 
 def _train(out, extra=(), seed="0"):
     rc = main(["train", "--out", str(out), "--seed", seed] + FAST + list(extra))
@@ -83,10 +180,54 @@ class TestTrain:
         assert "config.echo cannot carry" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("perturb", "--horizon", "inf"), ("perturb", "--sample_every", "inf"),
+        ("perturb", "--sample_every", "nan"), ("train", "--duration_per_target", "inf"),
+        ("perturb", "--perturb_sigma", "nan"), ("stability", "--stability_tol", "nan"),
+        ("train", "--init_scale", "nan"), ("train", "--init_scale", "inf"),
+        ("train", "--gamma", "inf"), ("hopfield-baseline", "--perturb_sigma", "inf"),
+        ("train", "--seed", "-1")])
+    def test_bad_number_rejected_before_anything_is_written(self, tmp_path, capsys,
+                                                            command, flag, value):
+        """A non-finite or out-of-range number is refused with exit code
+        2, naming its key, before config.echo or any output exists."""
+        argv = [command, "--out", str(tmp_path / "x")] + FAST + [flag, value]
+        assert main(argv) == 2
+        assert f"error: {flag[2:]}: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_pairing_override_warns(self, tmp_path, capsys):
         _train(tmp_path / "run", extra=["--activation", "relu"])
         err = capsys.readouterr().err
         assert "warning" in err.lower()
+
+
+class TestConfigTable:
+    """The default echo of each named architecture and target kind, as
+    the config table must keep it: key order, default text and the
+    defaults that depend on the target kind."""
+
+    @pytest.mark.parametrize("architecture, target_kind", DEFAULT_ECHO)
+    def test_default_echo(self, architecture, target_kind):
+        cfg = resolve_config({}, {"architecture": architecture, "target_kind": target_kind})
+        lines = cfg.echo_text().splitlines(keepends=True)
+        assert lines[-1].startswith("output_dir = ")
+        assert "".join(lines[:-1]) == DEFAULT_ECHO[architecture, target_kind]
+
+    def test_seed_and_out_flags_set_the_config_keys(self, tmp_path, capsys):
+        """--seed and --out set the seed and output_dir keys, exactly as
+        a config file that sets them does."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"seed = 7\noutput_dir = {tmp_path / 'a'}\n")
+        assert main(["hopfield-baseline", "--config", str(cfgfile)] + FAST) == 0
+        assert main(["hopfield-baseline", "--seed", "7", "--out", str(tmp_path / "b")]
+                    + FAST) == 0
+        a, b = ((tmp_path / d / "config.echo").read_text().replace(str(tmp_path / d), "X")
+                for d in "ab")
+        assert a == b
+        assert "seed = 7\noutput_dir = X\n" in a
+        assert (tmp_path / "a" / "baseline.csv").read_bytes() == \
+            (tmp_path / "b" / "baseline.csv").read_bytes()
 
 
 class TestPerturb:

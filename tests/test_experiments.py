@@ -279,6 +279,21 @@ class TestStudiesAndSummaries:
         for summ in (absorption_summary(trace, 12), recovery_summary(trace)):
             assert (summ.n_runs, summ.successes) == (0, 0)
 
+    def test_random_init_takes_a_seed_sequence(self):
+        """random_init_study seeds its runs as make_probes does: a
+        SeedSequence seed's spawn key is part of every run's stream, and
+        a bare int seed is the SeedSequence of that int."""
+        net = _tiny_net(6)
+        ts = gen_targets("real", 2, 12, seed=26)
+        seq = np.random.SeedSequence
+
+        def csv(seed):
+            return trace_to_csv(random_init_study(net, ts, n_runs=3, horizon=0.2,
+                                                  sample_every=0.1, seed=seed))
+
+        assert csv(seq(5)) == csv(5)
+        assert csv(seq(5, spawn_key=(1,))) != csv(seq(5, spawn_key=(2,)))
+
     def test_recovery_summary_counts_threshold(self):
         net = _tiny_net(7)
         ts = gen_targets("binary", 2, 12, seed=27)
