@@ -46,11 +46,7 @@ def save_weights(net, path):
     for src, dst, M, W, b in _edge_blocks(net):
         rows, cols = M.shape
         lines.append(f"conn {src} {dst} {rows} {cols}")
-        for r in M:
-            lines.append(_fmt_row(r))
-        for r in W:
-            lines.append(_fmt_row(r))
-        lines.append(_fmt_row(b))
+        lines.extend(_fmt_row(r) for r in (*M, *W, b))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -60,8 +56,7 @@ def load_weights(net, path):
     every value must be finite.  The whole file is checked before any
     weight is written, so a rejected file leaves net as it was."""
     with open(path) as fh:
-        text = fh.read()
-    lines = text.splitlines()
+        lines = fh.read().splitlines()
     if not lines or lines[0] not in (MAGIC, MAGIC_V1):
         raise ConstructionError(f"{path}: not a {MAGIC} or {MAGIC_V1} checkpoint")
     tokens = " ".join(lines[1:]).split()

@@ -406,10 +406,11 @@ def main(argv=None) -> int:
     try:
         file_values = {}
         if args.config is not None:
-            if not os.path.exists(args.config):
-                raise ConfigError(f"config file not found: {args.config}")
-            with open(args.config) as fh:
-                file_values = parse_config_text(fh.read())
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    file_values = parse_config_text(fh.read())
+            except (OSError, UnicodeError) as e:
+                raise ConfigError(f"cannot read config file {args.config}: {e}") from None
         flags = {k: v for k, v in vars(args).items() if k in CONFIG and v is not None}
         cfg = resolve_config(file_values, flags)
     except ConfigError as e:

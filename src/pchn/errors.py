@@ -24,11 +24,9 @@ class IntegrationDivergenceError(RuntimeError):
 class NotAnEquilibriumError(RuntimeError):
     """Equilibrium solve failed to bring the residual under tolerance."""
 
-    def __init__(self, residual: float, message: str = ""):
+    def __init__(self, residual: float):
         self.residual = residual
-        super().__init__(
-            message or f"residual {residual:.3e} did not reach tolerance"
-        )
+        super().__init__(f"residual {residual:.3e} did not reach tolerance")
 
 
 class NonDifferentiableStateError(ValueError):

@@ -48,7 +48,7 @@ class TargetSet:
         return self.patterns.shape[1]
 
 
-def gen_targets(kind: str, n: int, d: int, seed: int) -> TargetSet:
+def gen_targets(kind: str, n: int, d: int, seed) -> TargetSet:
     """Draw n stored patterns of length d: standard normal entries for
     kind 'real', fair +-1 entries for kind 'binary'."""
     if n < 1 or d < 1:
@@ -223,16 +223,12 @@ def perturbation_study(net, targets: TargetSet, *, horizon: float = 20.0,
 def random_init_study(net, targets: TargetSet, *, n_runs: int = 10,
                       horizon: float = 20.0, sample_every: float = 0.05,
                       seed=0) -> Trace:
-    """Start from fresh draws of the target distribution, unrelated to
-    any stored pattern; run r draws from _run_seed(seed, r)."""
+    """Fresh draws of the target distribution, unrelated to any stored
+    pattern: run r starts at gen_targets(kind, 1, d, _run_seed(seed, r))."""
     d = net.total_units
     starts = np.empty((n_runs, d))
     for r in range(n_runs):
-        rng = np.random.default_rng(_run_seed(seed, r))
-        if targets.kind == BINARY:
-            starts[r] = rng.integers(0, 2, size=d).astype(float) * 2.0 - 1.0
-        else:
-            starts[r] = rng.standard_normal(d)
+        starts[r] = gen_targets(targets.kind, 1, d, _run_seed(seed, r)).patterns
     return relaxation_study(net, targets, starts, horizon=horizon,
                             sample_every=sample_every)
 

@@ -17,10 +17,6 @@ class HopfieldNet:
     W: np.ndarray
     b: np.ndarray
 
-    @property
-    def d(self) -> int:
-        return self.W.shape[0]
-
 
 @dataclass
 class RecallResult:
@@ -67,9 +63,7 @@ def hn_energy(net: HopfieldNet, v) -> float:
 def interaction_energy(patterns, v) -> float:
     """Pattern-overlap form: -(1/2) sum_n (x_n . v)^2.  On +-1 states it
     matches hn_energy of the stored net up to the constant N*d/2."""
-    X = np.asarray(patterns, dtype=float)
-    v = np.asarray(v, dtype=float)
-    overlaps = X @ v
+    overlaps = np.asarray(patterns, dtype=float) @ np.asarray(v, dtype=float)
     return float(-0.5 * np.dot(overlaps, overlaps))
 
 
@@ -79,7 +73,7 @@ def recall(net: HopfieldNet, v0, max_sweeps: int = 50, seed=0) -> RecallResult:
     rng = np.random.default_rng(seed)
     v = _check_pm1(v0, "state").copy()
     for k in range(1, max_sweeps + 1):
-        nxt = async_sweep(net, v, rng.permutation(net.d))
+        nxt = async_sweep(net, v, rng.permutation(net.b.size))
         if np.array_equal(nxt, v):
             return RecallResult(nxt, k, True)
         v = nxt

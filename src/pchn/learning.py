@@ -83,8 +83,7 @@ class TrainingReport:
 
 
 def _patterns_array(targets, total_units):
-    pats = getattr(targets, "patterns", targets)
-    pats = np.asarray(pats, dtype=float)
+    pats = np.asarray(getattr(targets, "patterns", targets), dtype=float)
     if pats.ndim != 2 or pats.shape[0] < 1:
         raise ConstructionError("targets must be a (N, d) array, N >= 1")
     if pats.shape[1] != total_units:

@@ -10,8 +10,8 @@ Eigenvalues come from a dense general eigensolver.
 Because trained networks carry modes with |Re(lambda)| down to 1e-4,
 driving the derivative residual to a tight tolerance by simulation alone
 would take thousands of simulated seconds; analyze_equilibrium therefore
-interleaves relaxation stretches with trust-region root polishing and
-verifies the residual at the final state against the tolerance.
+interleaves relaxation stretches with Newton root polishing of the
+reduced T-dimensional system and checks the 2T residual against tol.
 
 analyze_equilibrium takes an (n, T) stack of targets, and all of them
 relax together: their packed states are the columns of one (2T, n)
@@ -113,23 +113,40 @@ def _sup(x) -> float:
     return float(np.max(np.abs(x)))
 
 
-def _newton_polish(net, s):
+def _newton_polish(net, s, tol):
     """Root-polish the fast RHS from s; returns (state, residual).
 
-    Near-marginal slow modes leave the Jacobian close to singular, which
-    defeats plain Newton; MINPACK's dogleg trust-region handles the
-    ill-conditioned directions.  Falls back to the starting state if the
-    solver wanders somewhere non-finite.
+    dE = 0 at an equilibrium, so there E = (V - M sigma(V) - b) / zeta and
+    V solves the T-dimensional G(V) = dV(E, V) = 0, whose Jacobian is the
+    Schur complement D - C A^-1 B of the 2T one [[A, B], [C, D]], A being
+    -(zeta/tau) I.  The Newton steps on G are undamped: across a ReLU kink
+    a damped step cycles.  Under tol, the first step that does not lower
+    the 2T residual is the last.  An iterate gone non-finite returns s.
     """
-    # imported here: only a relaxation that misses the tolerance needs
-    # scipy, and loading it is most of the start-up time of the CLI
-    import scipy.optimize
-    sol = scipy.optimize.root(net.fast_rhs_flat, s,
-                              jac=lambda x: jacobian_analytic(net, x),
-                              method="hybr", options={"xtol": 1e-14})
-    if not np.all(np.isfinite(sol.x)):
-        return s, _sup(net.fast_rhs_flat(s))
-    return sol.x, _sup(net.fast_rhs_flat(sol.x))
+    T, h = net.total_units, net.hyper
+
+    def settle(V):
+        x = np.concatenate([(V - net.predict(V)) / h.zeta, V])
+        d = net.fast_rhs_flat(x)
+        return x, d, _sup(d)
+
+    x, d, r = settle(s[T:])
+    for _ in range(50):
+        J = jacobian_analytic(net, x)
+        J = J[T:, T:] + (h.tau / h.zeta) * J[T:, :T] @ J[:T, T:]
+        G = d[T:]
+        try:
+            step = np.linalg.solve(J, G)
+        except np.linalg.LinAlgError:  # singular J: the least-squares step
+            step = np.linalg.lstsq(J, G, rcond=None)[0]
+        x1, d1, r1 = settle(x[T:] - step)
+        if not np.all(np.isfinite(x1)):
+            return s, _sup(net.fast_rhs_flat(s))
+        if r < tol and not r1 < r:
+            # round-off: this last step still corrects the slow modes
+            return (x1, r1) if r1 < tol else (x, r)
+        x, d, r = x1, d1, r1
+    return x, r
 
 
 def _probe(net, s, tol):
@@ -138,7 +155,7 @@ def _probe(net, s, tol):
     unstable root while the flow is still moving found a saddle the
     trajectory passes near, not the equilibrium it is heading to."""
     try:
-        s_probe, res_probe = _newton_polish(net, s)
+        s_probe, res_probe = _newton_polish(net, s, tol)
     except NonDifferentiableStateError:
         # solver trial point grazed a ReLU kink; drop the probe
         return None

@@ -1,14 +1,14 @@
 """Reference helpers shared by the tests: per-edge views of a net's global
 weights, clamping a single population, the algebraic-error step, a
-central-difference Jacobian, the mean squared prediction error, and the
-distance between two single states."""
+central-difference Jacobian, MINPACK's root polish, the mean squared
+prediction error, and the distance between two single states."""
 
 import numpy as np
 
 from pchn import ConstructionError, IntegrationDivergenceError
 from pchn.experiments import EUCLIDEAN, HAMMING, sign_pm1
 from pchn.network import DIVERGENCE_LIMIT
-from pchn.stability import _check_frozen
+from pchn.stability import _check_frozen, _sup, jacobian_analytic
 
 
 def edge_blocks(net):
@@ -62,6 +62,20 @@ def jacobian_fd(net, state, h: float = 1e-5):
             raise IntegrationDivergenceError(0, "non-finite RHS during FD probe")
         J[:, j] = col
     return J
+
+
+def minpack_polish(net, s):
+    """Root-polish the full 2T fast RHS from s with MINPACK's hybrj
+    dogleg trust region; returns (state, residual), or the starting state
+    if the solver wanders somewhere non-finite.  The reference for
+    stability's reduced T-dimensional polish."""
+    import scipy.optimize
+    sol = scipy.optimize.root(net.fast_rhs_flat, s,
+                              jac=lambda x: jacobian_analytic(net, x),
+                              method="hybr", options={"xtol": 1e-14})
+    if not np.all(np.isfinite(sol.x)):
+        return s, _sup(net.fast_rhs_flat(s))
+    return sol.x, _sup(net.fast_rhs_flat(sol.x))
 
 
 def prediction_mse(net, targets) -> float:

@@ -166,6 +166,22 @@ class TestTrain:
         rc = main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_rejected_before_anything_is_written(self, tmp_path,
+                                                                   capsys, kind):
+        """A config path that is missing, a directory, or a file that is
+        not UTF-8 is a config error: exit code 2 and nothing written."""
+        cfgfile = tmp_path / "in" / "run.cfg"
+        if kind == "directory":
+            cfgfile.mkdir(parents=True)
+        elif kind == "not_utf8":
+            cfgfile.parent.mkdir()
+            cfgfile.write_bytes(b"seed = 1\xff\n")
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfgfile), "--out", str(out)] + FAST) == 2
+        assert "error: cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--out", "a#1"), ("--sizes", "12\n#"),
                                              ("--activation", "tanh\r"),
                                              ("--target_order", "sequen\u2028tial"),
@@ -328,14 +344,32 @@ class TestStability:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        """Only the Newton polish of stability needs scipy, so importing
-        the CLI does not pay for loading it."""
-        code = "import sys, pchn.cli; print('scipy' in sys.modules)"
+    # run first in a fresh interpreter: from then on importing scipy fails
+    NO_SCIPY = ("import sys\n"
+                "class NoScipy:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name.split('.')[0] == 'scipy':\n"
+                "            raise ImportError(f'{name} is blocked')\n"
+                "sys.meta_path.insert(0, NoScipy())\n")
+
+    def _run(self, code, *args):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+        return subprocess.run([sys.executable, "-c", self.NO_SCIPY + code, *args],
+                              env=env, capture_output=True, text=True, check=True)
+
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
+        """No subcommand needs scipy: train and stability, whose Newton
+        polish runs on this config, succeed where scipy cannot load, and
+        never load it."""
+        res = self._run("import pchn.cli; print('scipy' in sys.modules)")
         assert res.stdout.strip() == "False"
+        res = self._run("from pchn.cli import main\n"
+                        "for command in ('train', 'stability'):\n"
+                        "    assert main([command] + sys.argv[1:]) == 0, command\n"
+                        "print('scipy' in sys.modules)",
+                        "--out", str(tmp_path / "run"), *FAST)
+        assert res.stdout.splitlines()[-1] == "False"
+        assert "3/3 found equilibria stable" in res.stdout
 
 
 class TestBenchmarkSurface:

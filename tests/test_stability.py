@@ -5,13 +5,13 @@ import pytest
 
 from pchn import (Activation, ConstructionError, Hyperparams,
                   IntegrationDivergenceError, NonDifferentiableStateError,
-                  NotAnEquilibriumError, build_loop, build_single_population,
-                  freeze)
-from pchn.stability import (SpectrumReport, analyze_equilibrium,
-                            classify_spectrum, jacobian_analytic,
-                            spectrum_to_csv)
+                  NotAnEquilibriumError, TrainingSchedule, build_loop,
+                  build_single_population, freeze, gen_targets, train)
+from pchn.stability import (SpectrumReport, _newton_polish, _probe,
+                            analyze_equilibrium, classify_spectrum,
+                            jacobian_analytic, spectrum_to_csv)
 
-from oracles import jacobian_fd
+from oracles import jacobian_fd, minpack_polish
 
 
 def _hyper(**kw):
@@ -243,3 +243,71 @@ class TestAnalyzeEquilibrium:
                                        rtol=0, atol=1e-12)
             assert got[k].distance_to_target == pytest.approx(
                 np.linalg.norm(targets[k] + 1.0), abs=1e-9)
+
+
+def _polish_net(name):
+    """A frozen net and its (n, T) targets: a trained relu single
+    population, a trained tanh loop, or an identity net with a bias."""
+    if name == "relu_single":
+        targets = gen_targets("real", 3, 20, seed=1)
+        net = build_single_population(20, Activation.RELU, _hyper(zeta=0.25), seed=2)
+        train(net, targets, TrainingSchedule(duration_per_target=5.0, epochs=16), seed=3)
+        return freeze(net), targets.patterns
+    if name == "tanh_loop":
+        targets = gen_targets("binary", 3, 18, seed=4)
+        net = build_loop([8, 6, 4], Activation.TANH, _hyper(), seed=5)
+        train(net, targets, TrainingSchedule(duration_per_target=2.0, epochs=16), seed=6)
+        return freeze(net), targets.patterns
+    net = build_single_population(10, Activation.IDENTITY, _hyper(), seed=7, init_scale=0.5)
+    net.b[:] = np.random.default_rng(9).normal(size=10)
+    return freeze(net), np.random.default_rng(8).normal(size=(3, 10))
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("name", ["relu_single", "tanh_loop", "identity"])
+    def test_reaches_the_minpack_root(self, name):
+        """From each target relaxed for 200 steps, the reduced polish
+        lands on the root MINPACK's hybrj polish of the full 2T system
+        finds, to 1e-12 relative, with its 2T residual under tol.  Every
+        start MINPACK polishes under tol is checked, and at least two
+        per net are."""
+        net, targets = _polish_net(name)
+        tol, T = 1e-8, net.total_units
+        S = np.zeros((2 * T, len(targets)))
+        S[T:] = targets.T
+        net.relax(S, tol, 200)
+        checked = 0
+        for s in S.T:
+            want, want_res = minpack_polish(net, s)
+            if not want_res < tol:
+                continue
+            got, res = _newton_polish(net, s, tol)
+            assert res < tol
+            assert res == np.max(np.abs(net.fast_rhs_flat(got)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            checked += 1
+        assert checked >= 2
+
+    def test_relu_kink_drops_the_probe(self):
+        """A value on the ReLU kink refuses the reduced Jacobian, so the
+        polish raises and the probe is dropped."""
+        net = freeze(build_single_population(3, Activation.RELU, _hyper(), seed=6))
+        s = np.array([0.1, 0.2, 0.3, 0.5, 0.0, 0.4])
+        with pytest.raises(NonDifferentiableStateError):
+            _newton_polish(net, s, 1e-8)
+        assert _probe(net, s, 1e-8) is None
+
+    def test_singular_jacobian_takes_a_least_squares_step(self):
+        """Two identity units that predict each other with unit weights
+        have a line of equilibria, v0 - v1 = b0, and a reduced Jacobian
+        -(I - M)^2 that is exactly singular, so it has no Newton step;
+        the least-squares step still reaches that line."""
+        net = build_single_population(2, Activation.IDENTITY, _hyper(), seed=0)
+        net.M[:] = net.W[:] = [[0.0, 1.0], [1.0, 0.0]]
+        net.b[:] = [0.5, -0.5]
+        freeze(net)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(-(np.eye(2) - net.M) @ (np.eye(2) - net.M), np.ones(2))
+        x, res = _newton_polish(net, np.array([0.0, 0.0, 1.0, 0.0]), 1e-10)
+        assert res < 1e-10
+        assert x[2] - x[3] == pytest.approx(0.5, abs=1e-10)
