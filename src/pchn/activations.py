@@ -28,27 +28,28 @@ class Activation(Enum):
         if self is Activation.RELU:
             return np.maximum(x, 0.0, out=out)
         if self is Activation.TANH:
-            return np.tanh(x, out=out)
+            return np.tanh(x, out)
         if out is None:
             return np.asarray(x, dtype=float)
         np.copyto(out, x)
         return out
 
     def derivative(self, x, out=None, sigma=None):
-        """sigma'(x), written into out when given.  tanh reuses sigma,
-        when given, as tanh(x); out may be sigma itself."""
-        x = np.asarray(x, dtype=float)
+        """sigma'(x), written into out when given.  relu and tanh reuse
+        sigma, when given, as sigma(x); out may be sigma itself."""
         if out is None:
+            x = np.asarray(x, dtype=float)
             out = np.empty_like(x)
         if self is Activation.IDENTITY:
-            out[...] = 1.0
+            out.fill(1.0)
         elif self is Activation.RELU:
-            # convention: derivative at the kink itself is 0
-            np.greater(x, 0.0, out=out)
+            # convention: derivative at the kink itself is 0, as the sign
+            # of max(x, 0) has it
+            np.sign(self.apply(x) if sigma is None else sigma, out)
         else:
             t = np.tanh(x) if sigma is None else sigma
-            np.multiply(t, t, out=out)
-            np.subtract(1.0, out, out=out)
+            np.multiply(t, t, out)
+            np.subtract(1.0, out, out)
         return out
 
     def second_derivative(self, x):

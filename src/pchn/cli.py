@@ -13,8 +13,9 @@ the same name.  That table gives the keys a config file may set, the
 command-line flags, the attributes and the order of the echo.  Beside
 it, KIND_DEFAULTS holds the three defaults that depend on the target
 kind, and ARCHITECTURES the population sizes of each architecture.  A
-number must be finite and in range; a bad value exits with code 2
-before anything is written.
+number must be finite and in range, and a clamp or a study may take
+at most MAX_STEPS Euler steps; a bad value exits with code 2 before
+anything is written.
 
 All randomness flows from the single root seed.  Child seeds are drawn
 as SeedSequence(seed, spawn_key=(purpose,)).generate_state(1)[0] with a
@@ -143,6 +144,10 @@ CONFIG = {
     "output_dir": ("out", _nonempty),
 }
 
+# Most Euler steps a clamp (duration_per_target) or a study (horizon) may
+# take: 5e4 s at the default dt, 139 times the longest default horizon
+MAX_STEPS = 10**7
+
 
 def child_seed(root: int, purpose: int) -> int:
     return int(np.random.SeedSequence(root, spawn_key=(purpose,)).generate_state(1)[0])
@@ -203,6 +208,10 @@ class RunConfig:
                                              self.target_order, self.reset_fast_state)
         except ConstructionError as e:
             raise ConfigError(str(e)) from None
+        for key in ("duration_per_target", "horizon"):
+            if getattr(self, key) / self.dt > MAX_STEPS:
+                raise ConfigError(f"{key}: {self.raw[key]} is more than {MAX_STEPS} steps "
+                                  f"of dt = {self.raw['dt']}")
         if self.flip_bits > self.total_units:
             raise ConfigError(f"flip_bits must lie in [0, {self.total_units}]")
 

@@ -150,12 +150,18 @@ def make_probes(targets: TargetSet, seed=0, *, sigma: float = PERTURB_STD,
     return probes
 
 
-def _distances(V, P, metric: str):
+def _distances(V, P, metric: str, work=None):
     """(runs, targets) distances between the columns of V (T, runs) and
-    the columns of P (T, targets); Hamming counts sign mismatches."""
+    the columns of P (T, targets); Hamming counts sign mismatches.  work,
+    when given, is a (T, targets, runs) scratch for the Euclidean
+    differences."""
     if metric == HAMMING:
         return np.sum(sign_pm1(V)[:, None, :] != P[:, :, None], axis=0).T
-    return np.linalg.norm(V[:, None, :] - P[:, :, None], axis=0).T
+    # the operations np.linalg.norm(diff, axis=0) runs, so the same bits
+    diff = np.subtract(V[:, None, :], P[:, :, None], work)
+    np.multiply(diff, diff, diff)
+    sq = np.add.reduce(diff, axis=0)
+    return np.sqrt(sq, sq).T
 
 
 def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
@@ -187,13 +193,14 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     S = np.zeros((2 * T, n_runs))
     S[T:] = starts.T
     P = np.ascontiguousarray(targets.patterns.T)
+    work = np.empty((T, targets.n, n_runs))
     trace = Trace(metric, sampled * dt,
                   np.zeros((n_runs, sampled.size, targets.n)),
                   np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
 
     def sample(i):
         live = ~trace.diverged
-        trace.dist[live, i] = _distances(S[T:], P, metric)[live]
+        np.copyto(trace.dist[:, i], _distances(S[T:], P, metric, work), where=live[:, None])
         bad = live & _past_limit(S[T:])
         if bad.any():
             trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
@@ -241,16 +248,20 @@ def trace_to_csv(trace: Trace) -> str:
     on the rows of a diverged run's last sample."""
     n_targets = trace.dist.shape[2]
     fmt = "%d" if trace.metric == HAMMING else "%.10g"
+    # every sample's rows with \0 for the run id, formatted once for all
+    # runs; a run's rows are then one template converting only distances
+    samples = ["".join([f"\0,{t},{j},{fmt},{trace.metric},\n" for j in range(n_targets)])
+               for t in ["%.10g" % t for t in trace.t.tolist()]]
+    at = np.cumsum([0] + [len(rows) for rows in samples]).tolist()
+    body = "".join(samples)
+    del samples  # small strings whose memory would stay through the join
     blocks = ["run_id,t,target_id,distance,metric,flags\n"]
-    for r, (end, diverged) in enumerate(zip(trace.end, trace.diverged)):
-        row = f"{r},%.10g,%d,{fmt},{trace.metric},"
-        cols = np.empty((end + 1, n_targets, 3))
-        cols[..., 0] = trace.t[:end + 1, None]
-        cols[..., 1] = np.arange(n_targets)
-        cols[..., 2] = trace.dist[r, :end + 1]
-        template = ((row + "\n") * (end * n_targets)
-                    + (row + ("divergent" if diverged else "") + "\n") * n_targets)
-        blocks.append(template % tuple(cols.ravel().tolist()))
+    for r, (end, diverged) in enumerate(zip(trace.end.tolist(), trace.diverged.tolist())):
+        last = body[at[end]:at[end + 1]]
+        if diverged:
+            last = last.replace(",\n", ",divergent\n")
+        template = (body[:at[end]] + last).replace("\0", str(r))
+        blocks.append(template % tuple(trace.dist[r, :end + 1].ravel().tolist()))
     return "".join(blocks)
 
 

@@ -23,8 +23,11 @@ step_slow).  build_network is the one builder that draws the weights;
 build_single_population and build_loop name its two common shapes.
 Linearization lives in stability.py, the training loop in learning.py.
 
+Network.rhs packs the derivatives like the state, dE over dV, so that
+dividing by tau, scaling by dt and the update are one ufunc each.
 Network.euler is the one Euler update, on B packed states side by side
-as the columns of a (2T, B) array, and Network.relax the one loop that
+as the columns of a (2T, B) array, into the packed derivative buffer of
+a workspace kept per state shape, and Network.relax the one loop that
 steps such a batch until each column settles (the derivative sup-norm
 under a tolerance) or diverges.  step_fast and run_fast_to_equilibrium
 relax the net's own state as a batch of one column, s[:, None], for one
@@ -113,7 +116,7 @@ class Network:
         self.tied = tied
         self.weights_frozen = False
         self.steps_taken = 0
-        self._work = {}
+        self._work = {}  # by state shape and strides, see _workspace
 
         self.slices = []
         at = 0
@@ -125,7 +128,7 @@ class Network:
         self.E, self.V = self.s[:T], self.s[T:]
         self.clamped = np.zeros(T, dtype=bool)
         self.clamp_target = np.zeros(T)
-        self.M, self.W, self.b = np.zeros((T, T)), np.zeros((T, T)), np.zeros(T)
+        self.M, self.W, self._b = np.zeros((T, T)), np.zeros((T, T)), np.zeros(T)
         self.mask = np.zeros((T, T))
 
         has_incoming = [False] * len(sizes)
@@ -143,6 +146,12 @@ class Network:
             if not ok:
                 raise ConstructionError(f"population {i} has no incoming edge")
 
+    @property
+    def b(self):
+        """The length-T bias; handing it out drops the workspaces' copies."""
+        self._work.clear()
+        return self._b
+
     # ---- clamps ----
 
     def clamp_all(self, target):
@@ -158,59 +167,63 @@ class Network:
     def predict(self, V):
         """Predictions M sigma(V) + b of every value unit; V is (T,) or
         (T, B) for B runs sharing the weights."""
-        b = self.b if V.ndim == 1 else self.b[:, None]
+        b = self._b if V.ndim == 1 else self._b[:, None]
         return self.M @ self.activation.apply(V) + b
 
-    def rhs(self, E, V, out=None):
-        """Time derivatives (dE, dV) of the fast equations at errors E and
-        values V, each (T,) or (T, B), ignoring clamps.  Pure function of
-        the arguments; network state is not touched.  out, when given, is
-        three arrays shaped like V: scratch, then the dE and dV returned.
-        Either way the operations and their order are the same, so the
-        result is the same bit for bit."""
-        h, act = self.hyper, self.activation
-        a, dE, dV = out if out is not None else [np.empty_like(V) for _ in range(3)]
+    def rhs(self, s, out=None):
+        """Time derivative of the fast equations at the packed states s,
+        (2T,) or (2T, B), ignoring clamps, packed like s (dE over dV) and
+        written into out when given, with the same operations either way,
+        so the same bits.  Pure function of s: net state is not touched."""
+        T, h, act = self.total_units, self.hyper, self.activation
+        a, _, bias = self._workspace(s)
+        d = np.empty_like(s) if out is None else out
+        E, V, dE, dV = s[:T], s[T:], d[:T], d[T:]
+        # outputs passed positionally, which numpy dispatches fastest
+        mul, add, sub = np.multiply, np.add, np.subtract
         # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau
-        np.matmul(self.M, act.apply(V, out=a), out=dE)
-        dE += self.b if V.ndim == 1 else self.b[:, None]
-        np.subtract(V, dE, out=dE)
-        dE -= np.multiply(E, h.zeta, out=dV)
-        dE /= h.tau
+        np.matmul(self.M, act.apply(V, a), dE)
+        add(dE, bias, dE)
+        sub(V, dE, dE)
+        mul(E, h.zeta, dV)
+        sub(dE, dV, dE)
         # dV = (-E + sigma'(V) * (W @ E)) / tau
-        np.matmul(self.W, E, out=dV)
-        dV *= act.derivative(V, out=a, sigma=a)
-        dV -= E
-        dV /= h.tau
-        return dE, dV
+        np.matmul(self.W, E, dV)
+        mul(dV, act.derivative(V, a, sigma=a), dV)
+        sub(dV, E, dV)
+        np.divide(d, h.tau, d)
+        return d
 
     def euler(self, s, derivatives=None):
         """One Euler step of the unclamped fast equations, in place, on
         the packed states that are the columns of s (2T, B).
-        derivatives, when given, is rhs at s, already evaluated;
-        otherwise rhs is evaluated into a workspace the net keeps per
-        state shape, so a step allocates nothing."""
-        T, dt = self.total_units, self.hyper.dt
-        E, V = s[:T], s[T:]
-        if derivatives is None:
-            dE, dV = self.rhs(E, V, out=self._workspace(V.shape))
-            dE *= dt
-            dV *= dt
-        else:
-            dE, dV = dt * derivatives[0], dt * derivatives[1]
-        E += dE
-        V += dV
+        derivatives, when given, is rhs at s, already evaluated, and is
+        scaled by dt in place; otherwise rhs is evaluated into the
+        workspace's packed buffer, so a step allocates nothing."""
+        d = self.rhs(s, self._workspace(s)[1]) if derivatives is None else derivatives
+        np.multiply(d, self.hyper.dt, d)
+        np.add(s, d, s)
 
-    def _workspace(self, shape):
-        work = self._work.get(shape)
+    def _workspace(self, s):
+        """Scratch for sigma(V) and sigma'(V), the packed derivative buffer
+        and b as a (T, B) copy, which adds faster than a broadcast, each
+        laid out like s: the layout picks the BLAS call, and its rounding."""
+        key = (s.shape, s.strides)
+        work = self._work.get(key)
         if work is None:
-            work = self._work[shape] = [np.empty(shape) for _ in range(3)]
+            T = self.total_units
+            d = np.empty_like(s)
+            a, bias = np.empty_like(d[T:]), self._b
+            if s.ndim == 2:
+                bias = np.empty_like(a)
+                bias[...] = self._b[:, None]
+            work = self._work[key] = (a, d, bias)
         return work
 
     def fast_rhs_flat(self, s):
         """RHS of the fast equations at packed state s, ignoring clamps.
         Used by linearization and solvers."""
-        s = _vector(s, 2 * self.total_units)
-        return np.concatenate(self.rhs(s[:self.total_units], s[self.total_units:]))
+        return self.rhs(_vector(s, 2 * self.total_units))
 
     def step_fast(self):
         """One Euler step of the fast equations on the net's own state:
@@ -237,7 +250,8 @@ class Network:
             self.W[...] = self.M.T
         else:
             self.W += dM.T
-        self.b += rate * e
+        # through the property, which drops the workspaces' bias copies
+        self.b[...] += rate * e
 
     def energy(self, errors=None) -> float:
         """Total error energy (zeta/2) * ||E||^2, of the current errors or
@@ -248,18 +262,17 @@ class Network:
     def residual(self) -> float:
         """Sup-norm of the fast-state time derivative, skipping the value
         equations of clamped units."""
-        return float(self._sup_norm(*self.rhs(self.E, self.V)))
+        return float(self._sup_norm(self.rhs(self.s)))
 
-    def _sup_norm(self, dE, dV):
-        """Sup-norm per column (a scalar for (T,) derivatives), skipping
-        the value rows of clamped units."""
-        # |dE|, |dV| as the rows of one (B, 2T) array, whose contiguous
-        # rows reduce far faster than the columns of a (2T, B) one; a
-        # clamped row counts as 0, which never raises the max
+    def _sup_norm(self, d):
+        """Sup-norm per column of the packed derivatives d, (2T,) or
+        (2T, B), a scalar for (2T,), skipping the value rows of clamped
+        units."""
+        # |d| as the rows of one (B, 2T) array, whose contiguous rows
+        # reduce far faster than the columns of a (2T, B) one; a clamped
+        # row counts as 0, which never raises the max
         T = self.total_units
-        a = np.empty(dE.shape[1:] + (2 * T,))
-        np.abs(dE.T, out=a[..., :T])
-        np.abs(dV.T, out=a[..., T:])
+        a = np.abs(d.T, np.empty(d.shape[::-1]))
         a[..., T:][..., self.clamped] = 0.0
         return a.max(axis=-1)
 
@@ -281,16 +294,16 @@ class Network:
         pinned, target = self.clamped[:, None], self.clamp_target[:, None]
         live, X = np.arange(n), s
         with np.errstate(over="ignore", invalid="ignore"):
-            d = self.rhs(X[:T], X[T:])
-            r = self._sup_norm(*d)
+            d = self.rhs(X, self._workspace(X)[1])
+            r = self._sup_norm(d)
             for k in range(1, max_steps + 1):
                 if live.size == 0:
                     break
                 self.euler(X, d)
                 np.copyto(X[T:], target, where=pinned)
                 bad = _past_limit(X)
-                d = self.rhs(X[:T], X[T:])
-                r = self._sup_norm(*d)
+                d = self.rhs(X, self._workspace(X)[1])
+                r = self._sup_norm(d)
                 done = bad | (r < tol)
                 if not done.any():
                     continue
@@ -300,8 +313,7 @@ class Network:
                 if X is not s:
                     s[:, cols] = X[:, done]
                 live, r = live[~done], r[~done]
-                X = X[:, ~done]
-                d = (d[0][:, ~done], d[1][:, ~done])
+                X, d = X[:, ~done], d[:, ~done]
         out.residual[live] = r
         if live.size and X is not s:
             s[:, live] = X

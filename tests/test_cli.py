@@ -11,7 +11,7 @@ import pytest
 from pchn import (IntegrationDivergenceError, NonDifferentiableStateError,
                   NotAnEquilibriumError, analyze_equilibrium, freeze,
                   load_weights)
-from pchn.cli import _corresponds, main, resolve_config
+from pchn.cli import MAX_STEPS, ConfigError, _corresponds, main, resolve_config
 
 # small custom network keeps every subcommand well under a second
 FAST = ["--architecture", "Custom", "--sizes", "12", "--n_targets", "3",
@@ -211,6 +211,21 @@ class TestTrain:
         assert main(argv) == 2
         assert f"error: {flag[2:]}: " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, key", [("perturb", "horizon"),
+                                              ("train", "duration_per_target")])
+    def test_step_count_past_the_cap_rejected(self, tmp_path, capsys, command, key):
+        """A finite duration of more than MAX_STEPS Euler steps at dt is
+        refused with exit code 2 before anything is written; one of
+        exactly MAX_STEPS steps resolves."""
+        argv = [command, "--out", str(tmp_path / "x")] + FAST + [f"--{key}", "1e300"]
+        assert main(argv) == 2
+        assert f"error: {key}: 1e300 is more than {MAX_STEPS} steps" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        at_cap = {"dt": "0.25", key: repr(MAX_STEPS * 0.25)}
+        assert getattr(resolve_config({}, at_cap), key) == MAX_STEPS * 0.25
+        with pytest.raises(ConfigError, match=f"{key}: .* is more than"):
+            resolve_config({}, dict(at_cap, **{key: repr(MAX_STEPS * 0.25 * 1.01)}))
 
     def test_pairing_override_warns(self, tmp_path, capsys):
         _train(tmp_path / "run", extra=["--activation", "relu"])

@@ -105,6 +105,18 @@ class TestDistances:
                     for r in range(4)]
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
+    def test_euclidean_is_bitwise_linalg_norm(self):
+        """The Euclidean table runs the operations of np.linalg.norm, so
+        it has its bits, also into a reused work buffer."""
+        rng = np.random.default_rng(4)
+        P = rng.normal(size=(100, 10))
+        work = np.empty((100, 10, 7))
+        for _ in range(2):
+            V = rng.normal(size=(100, 7))
+            want = np.linalg.norm(V[:, None, :] - P[:, :, None], axis=0).T
+            np.testing.assert_array_equal(_distances(V, P, EUCLIDEAN), want)
+            np.testing.assert_array_equal(_distances(V, P, EUCLIDEAN, work), want)
+
     def test_metric_for_kind(self):
         assert metric_for("binary") == HAMMING
         assert metric_for("real") == EUCLIDEAN
@@ -245,6 +257,35 @@ class TestPinnedBytes:
                                  horizon=0.33, sample_every=0.1)
         self._check(trace, "dc5431fba0944296e95c2e6e71588724"
                            "1a9f9b9e9718e6d9df97fb98ca7b9b96")
+
+    @staticmethod
+    def _moving_net(activation, seed):
+        """Twelve units with unit-scale weights and a random bias: the
+        states move far from their starts within a short study."""
+        net = build_single_population(12, activation, Hyperparams(dt=0.01),
+                                      init_scale=1.0, seed=seed)
+        net.b[:] = np.random.default_rng(seed).normal(size=12)
+        return freeze(net)
+
+    def test_relu_study(self):
+        """Runs that start on the kink (exact zeros of either sign) and on
+        either side of it."""
+        ts = gen_targets("real", 3, 12, seed=42)
+        p = ts.patterns
+        starts = np.stack([p[0], np.where(p[1] > 0.0, p[1], 0.0),
+                           np.where(p[2] > 0.0, -0.0, -np.abs(p[2]))])
+        trace = relaxation_study(self._moving_net(Activation.RELU, 42), ts, starts,
+                                 horizon=2.03, sample_every=0.1)
+        self._check(trace, "16db4ea4ccb38cc5eb2bc3693485bddc"
+                           "7c285c93b20545d68dbba3ead841fce0")
+
+    def test_tanh_study(self):
+        ts = gen_targets("real", 3, 12, seed=43)
+        starts = make_probes(ts, seed=43)
+        trace = relaxation_study(self._moving_net(Activation.TANH, 43), ts, starts,
+                                 horizon=2.03, sample_every=0.1)
+        self._check(trace, "78c2b2cba31a44bde58be5b6fc09f15f"
+                           "005aaf1dbd15a8b86c492966003a2988")
 
 
 class TestStudiesAndSummaries:

@@ -43,6 +43,39 @@ def rhs_oracle(net):
     return dv, de
 
 
+def _plain_net(activation):
+    """A two-population loop with unit-scale weights, a random bias and
+    tau, zeta away from 1, for the bitwise kernel checks."""
+    net = build_loop([4, 3], activation, _hyper(zeta=0.9, tau=0.7),
+                     init_scale=1.0, seed=23)
+    net.b[:] = np.random.default_rng(24).normal(size=7)
+    return net
+
+
+def _plain_rhs(net, s):
+    """(dE, dV) at the packed states s, (2T,) or (2T, B), as the fast
+    equations' plain numpy expressions."""
+    T, h, activation = net.total_units, net.hyper, net.activation
+    E, V = s[:T], s[T:]
+    b = net.b if s.ndim == 1 else net.b[:, None]
+    if activation is Activation.TANH:
+        sig, gain = np.tanh(V), 1.0 - np.tanh(V) * np.tanh(V)
+    elif activation is Activation.RELU:
+        sig, gain = np.maximum(V, 0.0), np.where(V > 0.0, 1.0, 0.0)
+    else:
+        sig, gain = V, np.ones_like(V)
+    dE = (V - (net.M @ sig + b) - h.zeta * E) / h.tau
+    dV = (-E + gain * (net.W @ E)) / h.tau
+    return dE, dV
+
+
+def _plain_step(net, s):
+    """s + dt * rhs(s) in plain expressions: the state euler must reach."""
+    T, dt = net.total_units, net.hyper.dt
+    dE, dV = _plain_rhs(net, s)
+    return np.concatenate((s[:T] + dt * dE, s[T:] + dt * dV))
+
+
 class TestConstruction:
     def test_single_population_shapes(self):
         net = build_single_population(10, Activation.TANH, _hyper(), seed=0)
@@ -166,7 +199,7 @@ class TestFastStep:
             net.V[rows] = rng.normal(size=rows.stop - rows.start)
             net.E[rows] = rng.normal(size=rows.stop - rows.start)
         dv_o, de_o = rhs_oracle(net)
-        dE, dV = net.rhs(net.E.copy(), net.V.copy())
+        dE, dV = np.split(net.rhs(net.s.copy()), 2)
         for i, rows in enumerate(net.slices):
             np.testing.assert_allclose(dV[rows], dv_o[i], atol=1e-12)
             np.testing.assert_allclose(dE[rows], de_o[i], atol=1e-12)
@@ -178,7 +211,7 @@ class TestFastStep:
             net.V[rows] = rng.normal(size=rows.stop - rows.start)
             net.E[rows] = rng.normal(size=rows.stop - rows.start)
         dv_o, de_o = rhs_oracle(net)
-        dE, dV = net.rhs(net.E.copy(), net.V.copy())
+        dE, dV = np.split(net.rhs(net.s.copy()), 2)
         for i, rows in enumerate(net.slices):
             np.testing.assert_allclose(dV[rows], dv_o[i], atol=1e-12)
             np.testing.assert_allclose(dE[rows], de_o[i], atol=1e-12)
@@ -199,33 +232,49 @@ class TestFastStep:
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("runs", [None, 1, 7])
     def test_euler_is_bitwise_s_plus_dt_rhs(self, activation, runs):
-        """rhs into given arrays equals the fast equations written as
-        plain expressions, and the in-place step s + dt * rhs(s), bit
-        for bit, on a (2T,) state and on (2T, B) batches; a second step
-        reuses the workspace."""
-        hyper = _hyper(zeta=0.9, tau=0.7)
-        net = build_loop([4, 3], activation, hyper, init_scale=1.0, seed=23)
-        net.b[:] = np.random.default_rng(24).normal(size=7)
-        T, h = 7, net.hyper
-        shape = (2 * T,) if runs is None else (2 * T, runs)
+        """rhs, packed, equals the fast equations written as plain
+        expressions, and the in-place step s + dt * rhs(s), bit for bit,
+        on a (2T,) state and on (2T, B) batches, into a fresh array and
+        into a given one; a second step reuses the workspace."""
+        net = _plain_net(activation)
+        shape = (14,) if runs is None else (14, runs)
         s = np.random.default_rng(25).normal(size=shape)
-        b = net.b if runs is None else net.b[:, None]
         for _ in range(2):
-            E, V = s[:T], s[T:]
-            if activation is Activation.TANH:
-                sig, gain = np.tanh(V), 1.0 - np.tanh(V) * np.tanh(V)
-            elif activation is Activation.RELU:
-                sig, gain = np.maximum(V, 0.0), np.where(V > 0.0, 1.0, 0.0)
-            else:
-                sig, gain = V, np.ones_like(V)
-            dE = (V - (net.M @ sig + b) - h.zeta * E) / h.tau
-            dV = (-E + gain * (net.W @ E)) / h.tau
-            got = net.rhs(E, V, out=[np.empty_like(V) for _ in range(3)])
-            np.testing.assert_array_equal(got[0], dE)
-            np.testing.assert_array_equal(got[1], dV)
-            want = np.concatenate((E + h.dt * dE, V + h.dt * dV))
+            dE, dV = _plain_rhs(net, s)
+            np.testing.assert_array_equal(net.rhs(s), np.concatenate((dE, dV)))
+            out = np.empty_like(s)
+            assert net.rhs(s, out) is out
+            np.testing.assert_array_equal(out, np.concatenate((dE, dV)))
+            want = _plain_step(net, s)
             net.euler(s)
             np.testing.assert_array_equal(s, want)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("write", ["step_slow", "load_weights", "b"])
+    def test_weight_writes_between_steps_reach_the_next_step(self, activation, write,
+                                                             tmp_path):
+        """A batch workspace keeps a (T, B) copy of b.  step_slow,
+        load_weights or a write through net.b between two euler calls of
+        one batch shape reaches the next step: it stays the plain
+        expression of the current weights."""
+        net = _plain_net(activation)
+        s = np.random.default_rng(27).normal(size=(14, 5))
+        net.euler(s)
+        b = net.b.copy()
+        if write == "step_slow":
+            net.E[:], net.V[:] = 0.3, 0.7
+            net.step_slow()
+        elif write == "load_weights":
+            other = _plain_net(activation)
+            other.b[:] = np.random.default_rng(26).normal(size=7)
+            save_weights(other, tmp_path / "w.pchn")
+            load_weights(net, tmp_path / "w.pchn")
+        else:
+            net.b[:] -= 0.5
+        assert not np.array_equal(net.b, b)
+        want = _plain_step(net, s)
+        net.euler(s)
+        np.testing.assert_array_equal(s, want)
 
     def test_clamped_values_pinned(self):
         rng = np.random.default_rng(8)
@@ -372,7 +421,7 @@ class TestEquilibrium:
         net = make()
         calls = []
         rhs = net.rhs
-        net.rhs = lambda E, V: calls.append(1) or rhs(E, V)
+        net.rhs = lambda s, out=None: calls.append(1) or rhs(s, out)
         res = net.run_fast_to_equilibrium(1e-6, 10000)
         assert res.converged[0] and (res.steps[0], res.residual[0]) == (k, r)
         assert net.steps_taken == ref.steps_taken == k

@@ -67,7 +67,7 @@ def networks(draw):
 @given(networks())
 def test_flat_rhs_matches_per_connection_oracle(net):
     dv_o, de_o = rhs_oracle(net)
-    dE, dV = net.rhs(net.E, net.V)
+    dE, dV = np.split(net.rhs(net.s), 2)
     for i, rows in enumerate(net.slices):
         np.testing.assert_allclose(dE[rows], de_o[i], rtol=0, atol=1e-12)
         np.testing.assert_allclose(dV[rows], dv_o[i], rtol=0, atol=1e-12)
