@@ -23,34 +23,31 @@ class Activation(Enum):
         except ValueError:
             raise ValueError(f"unknown activation {name!r}") from None
 
-    def apply(self, x, out=None):
-        """sigma(x), written into out when given."""
+    def in_place(self, out):
+        """(sigma, gain), the integrator's form of the activation: sigma(x)
+        writes sigma(x) into out; gain(), with out holding sigma(x), turns
+        it into sigma'(x) in place.  Both return out.  gain is None for
+        the identity, whose sigma' is 1."""
         if self is Activation.RELU:
-            return np.maximum(x, 0.0, out=out)
-        if self is Activation.TANH:
-            return np.tanh(x, out)
-        if out is None:
-            return np.asarray(x, dtype=float)
-        np.copyto(out, x)
-        return out
-
-    def derivative(self, x, out=None, sigma=None):
-        """sigma'(x), written into out when given.  relu and tanh reuse
-        sigma, when given, as sigma(x); out may be sigma itself."""
-        if out is None:
-            x = np.asarray(x, dtype=float)
-            out = np.empty_like(x)
-        if self is Activation.IDENTITY:
-            out.fill(1.0)
-        elif self is Activation.RELU:
             # convention: derivative at the kink itself is 0, as the sign
             # of max(x, 0) has it
-            np.sign(self.apply(x) if sigma is None else sigma, out)
-        else:
-            t = np.tanh(x) if sigma is None else sigma
-            np.multiply(t, t, out)
-            np.subtract(1.0, out, out)
-        return out
+            return (lambda x: np.maximum(x, 0.0, out=out)), (lambda: np.sign(out, out))
+        if self is Activation.TANH:
+            return ((lambda x: np.tanh(x, out)),
+                    (lambda: np.subtract(1.0, np.multiply(out, out, out), out)))
+        return (lambda x: np.copyto(out, x) or out), None
+
+    def apply(self, x):
+        """sigma(x)."""
+        x = np.asarray(x, dtype=float)
+        return self.in_place(np.empty_like(x))[0](x)
+
+    def derivative(self, x):
+        """sigma'(x)."""
+        x = np.asarray(x, dtype=float)
+        sigma, gain = self.in_place(np.empty_like(x))
+        sigma(x)
+        return np.ones_like(x) if gain is None else gain()
 
     def second_derivative(self, x):
         x = np.asarray(x, dtype=float)

@@ -52,9 +52,11 @@ def save_weights(net, path):
 
 def load_weights(net, path):
     """Load weights saved by save_weights into net; the activation, the
-    tying and the architecture must match the header lines exactly and
-    every value must be finite.  The whole file is checked before any
-    weight is written, so a rejected file leaves net as it was."""
+    tying and the architecture must match the header lines exactly, every
+    value must be finite, and every M and W entry outside the edge mask
+    (the diagonal of a self-edge block) must be zero.  The whole file is
+    checked before any weight is written, so a rejected file leaves net
+    as it was."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] not in (MAGIC, MAGIC_V1):
@@ -93,6 +95,10 @@ def load_weights(net, path):
                  floats(rows, (rows,)))
         if not all(np.all(np.isfinite(x)) for x in block):
             raise ConstructionError(f"{path}: edge {k} holds a non-finite weight")
+        off = net.mask[net.slices[dst], net.slices[src]] == 0.0
+        if np.any(block[0][off]) or np.any(block[1][off.T]):
+            raise ConstructionError(f"{path}: edge {k} holds a weight outside the "
+                                    "edge mask, such as a unit predicting itself")
         loaded.append(block)
     if pos != len(tokens):
         raise ConstructionError(f"{path}: trailing data after last edge")

@@ -4,12 +4,15 @@ A study drops a frozen network at a set of initial value states, lets the
 fast dynamics run, and records the distance from the state to every
 stored target at a fixed sampling interval.  Runs are the columns of one
 (2T, runs) array of packed fast states (errors in the first T rows,
-values in the last T); they share the weights, so Network.euler, the
-integrator behind step_fast, advances every run with the same matrix
-products.  Each sample fills one slice of a Trace: a (runs, samples,
-targets) distance array, the index of each run's last sample and a mask
-of the runs that diverged.  The CSV writer, the distance tables and the
-summaries read those arrays directly.
+values in the last T); they share the weights, so one bound Euler
+kernel, the one Network.relax steps with (see Network.kernel), advances
+every run with the same matrix products.  Each sample copies the values
+into a chunk of SAMPLE_CHUNK samples, whose distances are taken in one
+call when it fills, when a run diverges and at the end.  They fill the
+slices of a Trace: a (runs, samples, targets) distance array, the index
+of each run's last sample and a mask of the runs that diverged.  The
+CSV writer, the distance tables and the summaries read those arrays
+directly.
 
 Seeding: make_probes and the studies take an int or a SeedSequence seed
 and build run r's stream with _run_seed, as SeedSequence(seed,
@@ -32,6 +35,11 @@ HAMMING = "hamming"
 # recall probes: noise std for real targets, bit flips for binary ones
 PERTURB_STD = float(np.sqrt(0.5))
 FLIP_BITS = 13
+
+# samples a study turns into distances with one _distances call; its
+# (T, targets, SAMPLE_CHUNK * runs) scratch is about 1 MB at T = 100
+# with 10 targets and 10 runs
+SAMPLE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -192,28 +200,38 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     T = net.total_units
     S = np.zeros((2 * T, n_runs))
     S[T:] = starts.T
-    P = np.ascontiguousarray(targets.patterns.T)
-    work = np.empty((T, targets.n, n_runs))
+    V, P = S[T:], np.ascontiguousarray(targets.patterns.T)
+    # one run against one target sums a (T, 1, 1) difference, which numpy
+    # sums pairwise; every wider one sums row by row, as a chunk does
+    K = SAMPLE_CHUNK if n_runs * targets.n > 1 else 1
+    chunk = np.empty((T, K * n_runs))
+    slots = [chunk[:, j * n_runs:(j + 1) * n_runs] for j in range(K)]
+    work = np.empty((T, targets.n, K * n_runs))
     trace = Trace(metric, sampled * dt,
                   np.zeros((n_runs, sampled.size, targets.n)),
                   np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
 
-    def sample(i):
-        live = ~trace.diverged
-        np.copyto(trace.dist[:, i], _distances(S[T:], P, metric, work), where=live[:, None])
-        bad = live & _past_limit(S[T:])
-        if bad.any():
-            trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
-            trace.end[bad] = i
-            trace.diverged[bad] = True
-            S[:, bad] = 0.0
-
+    step, first = net.kernel(S).euler, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        sample(0)
-        for i in range(1, sampled.size):
-            for _ in range(sampled[i] - sampled[i - 1]):
-                net.euler(S)
-            sample(i)
+        for i, gap in enumerate(np.diff(sampled, prepend=0).tolist()):
+            for _ in range(gap):
+                step(S)
+            np.copyto(slots[i - first], V)
+            bad = _past_limit(V) & ~trace.diverged
+            diverging = bad.any()
+            if diverging or i - first + 1 == K or i == sampled.size - 1:
+                # the distances of the live runs at samples first to i
+                cols = (i - first + 1) * n_runs
+                D = _distances(chunk[:, :cols], P, metric, work[:, :, :cols])
+                np.copyto(trace.dist[:, first:i + 1],
+                          D.T.reshape(targets.n, i - first + 1, n_runs).T,
+                          where=~trace.diverged[:, None, None])
+                first = i + 1
+            if diverging:
+                trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
+                trace.end[bad] = i
+                trace.diverged[bad] = True
+                S[:, bad] = 0.0
     return trace
 
 

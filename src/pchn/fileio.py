@@ -5,8 +5,14 @@ import os
 
 def atomic_write_text(path, text: str):
     """Write text to path via a temp file + rename so readers never see
-    a half-written file."""
+    a half-written file; a failed write removes the temp file and
+    re-raises, leaving path as it was."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -23,22 +23,22 @@ step_slow).  build_network is the one builder that draws the weights;
 build_single_population and build_loop name its two common shapes.
 Linearization lives in stability.py, the training loop in learning.py.
 
-Network.rhs packs the derivatives like the state, dE over dV, so that
-dividing by tau, scaling by dt and the update are one ufunc each.
-Network.euler is the one Euler update, on B packed states side by side
-as the columns of a (2T, B) array, into the packed derivative buffer of
-a workspace kept per state shape, and Network.relax the one loop that
-steps such a batch until each column settles (the derivative sup-norm
-under a tolerance) or diverges.  step_fast and run_fast_to_equilibrium
-relax the net's own state as a batch of one column, s[:, None], for one
-step or until it settles; the stability analysis relaxes all its
-targets as one batch, and the studies step their runs through euler.
+Network.kernel binds the one Euler kernel once per state shape and
+strides: rhs, the derivatives packed like the state (dE over dV) into
+one buffer, and euler, s += dt * rhs(s), on one packed state or on B of
+them as the columns of a (2T, B) array.  Network.rhs and Network.euler
+look it up per call; Network.relax, the one loop that steps a batch
+until each column settles (the derivative sup-norm under a tolerance)
+or diverges, and the studies hold it.  step_fast and
+run_fast_to_equilibrium relax the net's own state as one column,
+s[:, None]; the stability analysis relaxes all its targets as one batch.
 
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
 """
 
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +84,11 @@ def _vector(x, n):
     return x
 
 
+# the bound step of Network.kernel: rhs(s, d) writes the packed derivatives
+# at s into d, by default its own buffer; euler(s, d=None) steps s in place
+Kernel = namedtuple("Kernel", "rhs euler")
+
+
 @dataclass
 class Relaxation:
     """Per-column outcome of Network.relax: the steps each column took,
@@ -116,7 +121,7 @@ class Network:
         self.tied = tied
         self.weights_frozen = False
         self.steps_taken = 0
-        self._work = {}  # by state shape and strides, see _workspace
+        self._work = {}  # kernels by state shape and strides, see kernel
 
         self.slices = []
         at = 0
@@ -148,7 +153,7 @@ class Network:
 
     @property
     def b(self):
-        """The length-T bias; handing it out drops the workspaces' copies."""
+        """The length-T bias; handing it out drops the kernels' copies."""
         self._work.clear()
         return self._b
 
@@ -175,50 +180,70 @@ class Network:
         (2T,) or (2T, B), ignoring clamps, packed like s (dE over dV) and
         written into out when given, with the same operations either way,
         so the same bits.  Pure function of s: net state is not touched."""
-        T, h, act = self.total_units, self.hyper, self.activation
-        a, _, bias = self._workspace(s)
-        d = np.empty_like(s) if out is None else out
-        E, V, dE, dV = s[:T], s[T:], d[:T], d[T:]
-        # outputs passed positionally, which numpy dispatches fastest
-        mul, add, sub = np.multiply, np.add, np.subtract
-        # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau
-        np.matmul(self.M, act.apply(V, a), dE)
-        add(dE, bias, dE)
-        sub(V, dE, dE)
-        mul(E, h.zeta, dV)
-        sub(dE, dV, dE)
-        # dV = (-E + sigma'(V) * (W @ E)) / tau
-        np.matmul(self.W, E, dV)
-        mul(dV, act.derivative(V, a, sigma=a), dV)
-        sub(dV, E, dV)
-        np.divide(d, h.tau, d)
-        return d
+        return self.kernel(s).rhs(s, np.empty_like(s) if out is None else out)
 
     def euler(self, s, derivatives=None):
         """One Euler step of the unclamped fast equations, in place, on
-        the packed states that are the columns of s (2T, B).
-        derivatives, when given, is rhs at s, already evaluated, and is
-        scaled by dt in place; otherwise rhs is evaluated into the
-        workspace's packed buffer, so a step allocates nothing."""
-        d = self.rhs(s, self._workspace(s)[1]) if derivatives is None else derivatives
-        np.multiply(d, self.hyper.dt, d)
-        np.add(s, d, s)
+        the packed states s, (2T,) or (2T, B).  derivatives, when given,
+        is rhs at s, already evaluated, and is scaled by dt in place;
+        otherwise rhs is evaluated into the kernel's packed buffer, so a
+        step allocates nothing."""
+        self.kernel(s).euler(s, derivatives)
 
-    def _workspace(self, s):
-        """Scratch for sigma(V) and sigma'(V), the packed derivative buffer
-        and b as a (T, B) copy, which adds faster than a broadcast, each
-        laid out like s: the layout picks the BLAS call, and its rounding."""
+    def kernel(self, s) -> Kernel:
+        """rhs and euler for states laid out like s, built once per shape
+        and strides and dropped when b is handed out.  sigma(V) and
+        sigma'(V) share one buffer, the derivatives go to one packed
+        buffer and b to a (T, B) copy, which adds faster than a broadcast,
+        each laid out like s: the layout picks the BLAS call, and its
+        rounding.  A unit zeta or tau skips its multiply or divide, the
+        identity its sigma' multiply: x * 1.0 and x / 1.0 are x in IEEE
+        arithmetic, inf, NaN and -0 included.  M and W are read in place."""
         key = (s.shape, s.strides)
-        work = self._work.get(key)
-        if work is None:
-            T = self.total_units
-            d = np.empty_like(s)
-            a, bias = np.empty_like(d[T:]), self._b
-            if s.ndim == 2:
-                bias = np.empty_like(a)
-                bias[...] = self._b[:, None]
-            work = self._work[key] = (a, d, bias)
-        return work
+        if key in self._work:
+            return self._work[key]
+        T, h, M, W = self.total_units, self.hyper, self.M, self.W
+        buf = np.empty_like(s)
+        a, bias = np.empty_like(buf[T:]), self._b
+        if s.ndim == 2:
+            bias = np.empty_like(a)
+            bias[...] = self._b[:, None]
+        sigma, gain = self.activation.in_place(a)
+        zeta = None if h.zeta == 1.0 else h.zeta
+        tau = None if h.tau == 1.0 else h.tau
+        # a 0-d array multiplies faster than a Python float, to the same bits
+        dt = np.array(h.dt)
+        # outputs passed positionally, which numpy dispatches fastest
+        mul, add, sub, matmul = np.multiply, np.add, np.subtract, np.matmul
+
+        def rhs(s, d=buf):
+            E, V, dE, dV = s[:T], s[T:], d[:T], d[T:]
+            # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau
+            matmul(M, sigma(V), dE)
+            add(dE, bias, dE)
+            sub(V, dE, dE)
+            if zeta is None:
+                sub(dE, E, dE)
+            else:
+                mul(E, zeta, dV)
+                sub(dE, dV, dE)
+            # dV = (-E + sigma'(V) * (W @ E)) / tau
+            matmul(W, E, dV)
+            if gain is not None:
+                mul(dV, gain(), dV)
+            sub(dV, E, dV)
+            if tau is not None:
+                np.divide(d, tau, d)
+            return d
+
+        def euler(s, d=None):
+            if d is None:
+                d = rhs(s)
+            mul(d, dt, d)
+            add(s, d, s)
+
+        kernel = self._work[key] = Kernel(rhs, euler)
+        return kernel
 
     def fast_rhs_flat(self, s):
         """RHS of the fast equations at packed state s, ignoring clamps.
@@ -250,7 +275,7 @@ class Network:
             self.W[...] = self.M.T
         else:
             self.W += dM.T
-        # through the property, which drops the workspaces' bias copies
+        # through the property, which drops the kernels' bias copies
         self.b[...] += rate * e
 
     def energy(self, errors=None) -> float:
@@ -294,15 +319,16 @@ class Network:
         pinned, target = self.clamped[:, None], self.clamp_target[:, None]
         live, X = np.arange(n), s
         with np.errstate(over="ignore", invalid="ignore"):
-            d = self.rhs(X, self._workspace(X)[1])
+            kernel = self.kernel(X)
+            d = kernel.rhs(X)
             r = self._sup_norm(d)
             for k in range(1, max_steps + 1):
                 if live.size == 0:
                     break
-                self.euler(X, d)
+                kernel.euler(X, d)
                 np.copyto(X[T:], target, where=pinned)
                 bad = _past_limit(X)
-                d = self.rhs(X, self._workspace(X)[1])
+                d = kernel.rhs(X)
                 r = self._sup_norm(d)
                 done = bad | (r < tol)
                 if not done.any():
@@ -314,6 +340,7 @@ class Network:
                     s[:, cols] = X[:, done]
                 live, r = live[~done], r[~done]
                 X, d = X[:, ~done], d[:, ~done]
+                kernel = self.kernel(X)
         out.residual[live] = r
         if live.size and X is not s:
             s[:, live] = X

@@ -1,13 +1,15 @@
 """Reference helpers shared by the tests: per-edge views of a net's global
 weights, clamping a single population, the algebraic-error step, a
 central-difference Jacobian, MINPACK's root polish, the mean squared
-prediction error, and the distance between two single states."""
+prediction error, the distance between two single states, and a recall
+study that takes its distances one sample at a time."""
 
 import numpy as np
 
 from pchn import ConstructionError, IntegrationDivergenceError
-from pchn.experiments import EUCLIDEAN, HAMMING, sign_pm1
-from pchn.network import DIVERGENCE_LIMIT
+from pchn.experiments import (EUCLIDEAN, HAMMING, Trace, _distances, metric_for,
+                              sign_pm1)
+from pchn.network import DIVERGENCE_LIMIT, _past_limit
 from pchn.stability import _check_frozen, _sup, jacobian_analytic
 
 
@@ -99,3 +101,41 @@ def distance(a, b, metric: str) -> float:
     if metric == HAMMING:
         return float(np.sum(sign_pm1(a) != sign_pm1(b)))
     raise ConstructionError(f"unknown metric {metric!r}")
+
+
+def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every=0.05):
+    """experiments.relaxation_study with one _distances call per sample,
+    straight after the steps that reach it, through Network.euler: the
+    reference for the chunked samples."""
+    starts = np.asarray(starts, dtype=float)
+    n_runs, T = starts.shape[0], net.total_units
+    metric, dt = metric_for(targets.kind), net.hyper.dt
+    steps = max(1, int(round(horizon / dt)))
+    stride = max(1, int(round(sample_every / dt)))
+    sampled = np.arange(0, steps + 1, stride)
+    if sampled[-1] != steps:
+        sampled = np.append(sampled, steps)
+    S = np.zeros((2 * T, n_runs))
+    S[T:] = starts.T
+    P = np.ascontiguousarray(targets.patterns.T)
+    trace = Trace(metric, sampled * dt,
+                  np.zeros((n_runs, sampled.size, targets.n)),
+                  np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
+
+    def sample(i):
+        live = ~trace.diverged
+        np.copyto(trace.dist[:, i], _distances(S[T:], P, metric), where=live[:, None])
+        bad = live & _past_limit(S[T:])
+        if bad.any():
+            trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
+            trace.end[bad] = i
+            trace.diverged[bad] = True
+            S[:, bad] = 0.0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        sample(0)
+        for i in range(1, sampled.size):
+            for _ in range(sampled[i] - sampled[i - 1]):
+                net.euler(S)
+            sample(i)
+    return trace

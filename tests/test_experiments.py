@@ -7,7 +7,7 @@ import pytest
 
 from pchn import (Activation, ConstructionError, Hyperparams, build_loop,
                   build_single_population, freeze, gen_targets)
-from pchn.experiments import (EUCLIDEAN, HAMMING, Trace, _distances,
+from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _distances,
                               absorption_summary, distance_tables,
                               make_probes, metric_for, perturb_flip,
                               perturb_gaussian, perturbation_study,
@@ -15,7 +15,7 @@ from pchn.experiments import (EUCLIDEAN, HAMMING, Trace, _distances,
                               relaxation_study, sign_pm1, success_threshold,
                               trace_to_csv)
 
-from oracles import distance
+from oracles import distance, relaxation_study_sampled
 
 
 class TestTargets:
@@ -286,6 +286,62 @@ class TestPinnedBytes:
                                  horizon=2.03, sample_every=0.1)
         self._check(trace, "78c2b2cba31a44bde58be5b6fc09f15f"
                            "005aaf1dbd15a8b86c492966003a2988")
+
+
+class TestChunkedSamples:
+    """relaxation_study takes its distances SAMPLE_CHUNK samples at a
+    time; its Trace and CSV are bitwise those of the oracle that takes
+    them one sample at a time."""
+
+    @staticmethod
+    def _check(net, ts, starts, horizon, sample_every):
+        got = relaxation_study(net, ts, starts, horizon=horizon, sample_every=sample_every)
+        want = relaxation_study_sampled(net, ts, starts, horizon=horizon,
+                                        sample_every=sample_every)
+        for name in ("t", "dist", "end", "diverged"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert trace_to_csv(got) == trace_to_csv(want)
+        return got
+
+    @pytest.mark.parametrize("kind", ["real", "binary"])
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_moving_runs(self, activation, kind):
+        """204 samples, not a multiple of the chunk, of runs that move far
+        from their starts; identity units may diverge on the way."""
+        ts = gen_targets(kind, 3, 12, seed=44)
+        net = TestPinnedBytes._moving_net(activation, 44)
+        trace = self._check(net, ts, make_probes(ts, 44, flip_bits=3), 2.03, 0.01)
+        assert trace.t.size == 204 and trace.t.size % SAMPLE_CHUNK
+        assert np.any(trace.dist[:, -1] != trace.dist[:, 0])
+
+    @pytest.mark.parametrize("kind", ["real", "binary"])
+    def test_divergence_in_the_middle_of_a_chunk(self, kind):
+        """Run 0 passes the divergence limit mid-chunk, run 2 starts past
+        it, run 1 stays finite to the end."""
+        ts = gen_targets(kind, 3, 12, seed=45)
+        p = ts.patterns
+        starts = np.stack([p[0] * 1e95, p[1], np.full(12, 2e100)])
+        trace = self._check(_unstable_linear_net(), ts, starts, 0.5, 0.005)
+        np.testing.assert_array_equal(trace.diverged, [True, False, True])
+        assert trace.end[0] % SAMPLE_CHUNK not in (0, SAMPLE_CHUNK - 1)
+        assert trace.end[1] == trace.t.size - 1 and trace.end[2] == 0
+
+    def test_zero_runs(self):
+        ts = gen_targets("real", 2, 12, seed=46)
+        self._check(_tiny_net(7), ts, np.empty((0, 12)), 0.3, 0.005)
+
+    def test_sample_every_past_the_horizon(self):
+        ts = gen_targets("binary", 2, 12, seed=47)
+        trace = self._check(_tiny_net(8), ts, make_probes(ts, 47, flip_bits=3), 0.3, 0.5)
+        np.testing.assert_array_equal(trace.t, [0.0, 0.3])
+
+    def test_one_run_against_one_target(self):
+        """A (T, 1, 1) difference, which numpy sums pairwise, not row by
+        row like every wider chunk."""
+        ts = gen_targets("real", 1, 12, seed=48)
+        net = TestPinnedBytes._moving_net(Activation.TANH, 48)
+        self._check(net, ts, make_probes(ts, 48), 2.03, 0.01)
 
 
 class TestStudiesAndSummaries:

@@ -43,10 +43,11 @@ def rhs_oracle(net):
     return dv, de
 
 
-def _plain_net(activation):
-    """A two-population loop with unit-scale weights, a random bias and
-    tau, zeta away from 1, for the bitwise kernel checks."""
-    net = build_loop([4, 3], activation, _hyper(zeta=0.9, tau=0.7),
+def _plain_net(activation, tau=0.7, zeta=0.9):
+    """A two-population loop with unit-scale weights and a random bias,
+    for the bitwise kernel checks; tau and zeta away from 1 unless
+    given."""
+    net = build_loop([4, 3], activation, _hyper(zeta=zeta, tau=tau),
                      init_scale=1.0, seed=23)
     net.b[:] = np.random.default_rng(24).normal(size=7)
     return net
@@ -229,14 +230,8 @@ class TestFastStep:
         np.testing.assert_allclose(net.V, v0 + dt * dv[0], atol=1e-14)
         np.testing.assert_allclose(net.E, e0 + dt * de[0], atol=1e-14)
 
-    @pytest.mark.parametrize("activation", list(Activation))
-    @pytest.mark.parametrize("runs", [None, 1, 7])
-    def test_euler_is_bitwise_s_plus_dt_rhs(self, activation, runs):
-        """rhs, packed, equals the fast equations written as plain
-        expressions, and the in-place step s + dt * rhs(s), bit for bit,
-        on a (2T,) state and on (2T, B) batches, into a fresh array and
-        into a given one; a second step reuses the workspace."""
-        net = _plain_net(activation)
+    @staticmethod
+    def _check_euler_is_plain(net, runs):
         shape = (14,) if runs is None else (14, runs)
         s = np.random.default_rng(25).normal(size=shape)
         for _ in range(2):
@@ -248,6 +243,22 @@ class TestFastStep:
             want = _plain_step(net, s)
             net.euler(s)
             np.testing.assert_array_equal(s, want)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("runs", [None, 1, 7])
+    def test_euler_is_bitwise_s_plus_dt_rhs(self, activation, runs):
+        """rhs, packed, equals the fast equations written as plain
+        expressions, and the in-place step s + dt * rhs(s), bit for bit,
+        on a (2T,) state and on (2T, B) batches, into a fresh array and
+        into a given one; a second step reuses the kernel."""
+        self._check_euler_is_plain(_plain_net(activation), runs)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("runs", [None, 1, 7])
+    def test_euler_is_bitwise_s_plus_dt_rhs_at_the_defaults(self, activation, runs):
+        """The same at tau = zeta = 1, where the kernel skips its unit
+        multiply and divide."""
+        self._check_euler_is_plain(_plain_net(activation, 1.0, 1.0), runs)
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("write", ["step_slow", "load_weights", "b"])
@@ -402,6 +413,22 @@ class TestEquilibrium:
             assert field.shape == (0,)
         assert net.steps_taken == 0
 
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_relax_is_bitwise_plain_steps_at_the_defaults(self, activation):
+        """relax at tau = zeta = 1, where the kernel skips its unit
+        multiply and divide, reaches the state of plain-expression steps
+        and reports the sup-norm of the plain rhs there, bit for bit."""
+        net = _plain_net(activation, 1.0, 1.0)
+        s = np.random.default_rng(28).normal(size=(14, 5))
+        want = s.copy()
+        for _ in range(30):
+            want = _plain_step(net, want)
+        res = net.relax(s, 0.0, 30)
+        np.testing.assert_array_equal(res.steps, 30)
+        assert s.tobytes() == want.tobytes()
+        plain = np.abs(np.concatenate(_plain_rhs(net, want))).max(axis=0)
+        assert res.residual.tobytes() == plain.tobytes()
+
     def test_one_rhs_per_step_on_the_step_fast_path(self):
         """Each step reuses the derivatives its residual was read from:
         one RHS evaluation per step, with the same states, step count
@@ -420,8 +447,13 @@ class TestEquilibrium:
                 break
         net = make()
         calls = []
-        rhs = net.rhs
-        net.rhs = lambda s, out=None: calls.append(1) or rhs(s, out)
+        bound = net.kernel
+
+        def counting_kernel(s):
+            kernel = bound(s)
+            return kernel._replace(rhs=lambda *args: calls.append(1) or kernel.rhs(*args))
+
+        net.kernel = counting_kernel
         res = net.run_fast_to_equilibrium(1e-6, 10000)
         assert res.converged[0] and (res.steps[0], res.residual[0]) == (k, r)
         assert net.steps_taken == ref.steps_taken == k
@@ -552,6 +584,27 @@ class TestCheckpoint:
         lines[-1] = " ".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConstructionError):
+            load_weights(other, str(path))
+        self._assert_untouched(other, before)
+
+    @pytest.mark.parametrize("row", [1, 101], ids=["M", "W"])
+    def test_weight_outside_the_mask_loads_nothing(self, tmp_path, row):
+        """A Single100 checkpoint with M[0, 0] or W[0, 0], the first row
+        of its block after the conn line, edited to 0.5 would let a unit
+        predict itself: it is refused before any weight is written."""
+        net = build_single_population(100, Activation.RELU, _hyper(), seed=34)
+        path = tmp_path / "net.pchn"
+        save_weights(net, str(path))
+        lines = path.read_text().splitlines()
+        at = lines.index("conn 0 0 100 100") + row
+        cells = lines[at].split()
+        assert float(cells[0]) == 0.0
+        cells[0] = "0.5"
+        lines[at] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        other = build_single_population(100, Activation.RELU, _hyper(), seed=35)
+        before = self._weights(other)
+        with pytest.raises(ConstructionError, match="outside the edge mask"):
             load_weights(other, str(path))
         self._assert_untouched(other, before)
 
