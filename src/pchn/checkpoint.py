@@ -53,12 +53,15 @@ def save_weights(net, path):
 def load_weights(net, path):
     """Load weights saved by save_weights into net; the activation, the
     tying and the architecture must match the header lines exactly, every
-    value must be finite, and every M and W entry outside the edge mask
-    (the diagonal of a self-edge block) must be zero.  The whole file is
-    checked before any weight is written, so a rejected file leaves net
-    as it was."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    value must be a finite number, and every M and W entry outside the
+    edge mask (the diagonal of a self-edge block) must be zero.  The whole
+    file, which must be readable text, is checked before any weight is
+    written, so a rejected file leaves net as it was."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        raise ConstructionError(f"{path}: cannot read checkpoint: {e}") from None
     if not lines or lines[0] not in (MAGIC, MAGIC_V1):
         raise ConstructionError(f"{path}: not a {MAGIC} or {MAGIC_V1} checkpoint")
     tokens = " ".join(lines[1:]).split()
@@ -73,7 +76,11 @@ def load_weights(net, path):
         return out
 
     def floats(n, shape):
-        return np.array([float(x) for x in take(n)]).reshape(shape)
+        words = take(n)
+        try:
+            return np.array([float(x) for x in words]).reshape(shape)
+        except ValueError as e:
+            raise ConstructionError(f"{path}: {e}") from None
 
     if lines[0] == MAGIC:
         kind = take(4)

@@ -258,8 +258,6 @@ def resolve_config(file_values: dict, overrides: dict) -> RunConfig:
 
 def _load_trained(cfg, args):
     path = cfg.path("checkpoint.pchn") if args.checkpoint is None else args.checkpoint
-    if not os.path.exists(path):
-        raise ConstructionError(f"checkpoint not found: {path}")
     net = cfg.build_network()
     load_weights(net, path)
     freeze(net)
@@ -422,12 +420,12 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file {args.config}: {e}") from None
         flags = {k: v for k, v in vars(args).items() if k in CONFIG and v is not None}
         cfg = resolve_config(file_values, flags)
-    except ConfigError as e:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except (ConfigError, OSError) as e:  # an output_dir that cannot be made
         print(f"error: {e}", file=sys.stderr)
         return 2
     if cfg.pairing_warning:
         print(cfg.pairing_warning, file=sys.stderr)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     atomic_write_text(cfg.path("config.echo"), cfg.echo_text())
     try:
         return COMMANDS[args.command](cfg, args)

@@ -4,15 +4,14 @@ A study drops a frozen network at a set of initial value states, lets the
 fast dynamics run, and records the distance from the state to every
 stored target at a fixed sampling interval.  Runs are the columns of one
 (2T, runs) array of packed fast states (errors in the first T rows,
-values in the last T); they share the weights, so one bound Euler
-kernel, the one Network.relax steps with (see Network.kernel), advances
-every run with the same matrix products.  Each sample copies the values
-into a chunk of SAMPLE_CHUNK samples, whose distances are taken in one
-call when it fills, when a run diverges and at the end.  They fill the
-slices of a Trace: a (runs, samples, targets) distance array, the index
-of each run's last sample and a mask of the runs that diverged.  The
-CSV writer, the distance tables and the summaries read those arrays
-directly.
+values in the last T); they share the weights, so one Euler kernel,
+bound once per study (see Network.kernel), advances every run with the
+same matrix products.  Each sample copies the values into a chunk of
+SAMPLE_CHUNK samples, whose distances are taken in one call when it
+fills, when a run diverges and at the end.  They fill the slices of a
+Trace: a (runs, samples, targets) distance array, the index of each run's
+last sample and a mask of the runs that diverged.  The CSV writer, the
+distance tables and the summaries read those arrays directly.
 
 Seeding: make_probes and the studies take an int or a SeedSequence seed
 and build run r's stream with _run_seed, as SeedSequence(seed,

@@ -23,13 +23,13 @@ step_slow).  build_network is the one builder that draws the weights;
 build_single_population and build_loop name its two common shapes.
 Linearization lives in stability.py, the training loop in learning.py.
 
-Network.kernel binds the one Euler kernel once per state shape and
-strides: rhs, the derivatives packed like the state (dE over dV) into
-one buffer, and euler, s += dt * rhs(s), on one packed state or on B of
-them as the columns of a (2T, B) array.  Network.rhs and Network.euler
-look it up per call; Network.relax, the one loop that steps a batch
+Network.kernel binds the one Euler kernel afresh on every call: rhs,
+the derivatives packed like the state (dE over dV) into one buffer, and
+euler, s += dt * rhs(s), on one packed state or on B of them as the
+columns of a (2T, B) array.  A batch kernel copies b, so bind it after
+the last weight write.  Network.relax, the one loop that steps a batch
 until each column settles (the derivative sup-norm under a tolerance)
-or diverges, and the studies hold it.  step_fast and
+or diverges, and the studies bind it once per call.  step_fast and
 run_fast_to_equilibrium relax the net's own state as one column,
 s[:, None]; the stability analysis relaxes all its targets as one batch.
 
@@ -84,8 +84,8 @@ def _vector(x, n):
     return x
 
 
-# the bound step of Network.kernel: rhs(s, d) writes the packed derivatives
-# at s into d, by default its own buffer; euler(s, d=None) steps s in place
+# the bound step of Network.kernel: rhs(s) fills its buffer with the packed
+# derivatives at s; euler(s, d=rhs(s)) scales d by dt in place, adds it to s
 Kernel = namedtuple("Kernel", "rhs euler")
 
 
@@ -121,7 +121,6 @@ class Network:
         self.tied = tied
         self.weights_frozen = False
         self.steps_taken = 0
-        self._work = {}  # kernels by state shape and strides, see kernel
 
         self.slices = []
         at = 0
@@ -133,7 +132,7 @@ class Network:
         self.E, self.V = self.s[:T], self.s[T:]
         self.clamped = np.zeros(T, dtype=bool)
         self.clamp_target = np.zeros(T)
-        self.M, self.W, self._b = np.zeros((T, T)), np.zeros((T, T)), np.zeros(T)
+        self.M, self.W, self.b = np.zeros((T, T)), np.zeros((T, T)), np.zeros(T)
         self.mask = np.zeros((T, T))
 
         has_incoming = [False] * len(sizes)
@@ -151,12 +150,6 @@ class Network:
             if not ok:
                 raise ConstructionError(f"population {i} has no incoming edge")
 
-    @property
-    def b(self):
-        """The length-T bias; handing it out drops the kernels' copies."""
-        self._work.clear()
-        return self._b
-
     # ---- clamps ----
 
     def clamp_all(self, target):
@@ -172,42 +165,31 @@ class Network:
     def predict(self, V):
         """Predictions M sigma(V) + b of every value unit; V is (T,) or
         (T, B) for B runs sharing the weights."""
-        b = self._b if V.ndim == 1 else self._b[:, None]
+        b = self.b if V.ndim == 1 else self.b[:, None]
         return self.M @ self.activation.apply(V) + b
 
-    def rhs(self, s, out=None):
+    def rhs(self, s):
         """Time derivative of the fast equations at the packed states s,
-        (2T,) or (2T, B), ignoring clamps, packed like s (dE over dV) and
-        written into out when given, with the same operations either way,
-        so the same bits.  Pure function of s: net state is not touched."""
-        return self.kernel(s).rhs(s, np.empty_like(s) if out is None else out)
-
-    def euler(self, s, derivatives=None):
-        """One Euler step of the unclamped fast equations, in place, on
-        the packed states s, (2T,) or (2T, B).  derivatives, when given,
-        is rhs at s, already evaluated, and is scaled by dt in place;
-        otherwise rhs is evaluated into the kernel's packed buffer, so a
-        step allocates nothing."""
-        self.kernel(s).euler(s, derivatives)
+        (2T,) or (2T, B), ignoring clamps, packed like s (dE over dV) into
+        a fresh array.  Pure function of s: net state is not touched."""
+        return self.kernel(s).rhs(s)
 
     def kernel(self, s) -> Kernel:
-        """rhs and euler for states laid out like s, built once per shape
-        and strides and dropped when b is handed out.  sigma(V) and
-        sigma'(V) share one buffer, the derivatives go to one packed
+        """rhs and euler for states laid out like s, bound afresh.  sigma(V)
+        and sigma'(V) share one buffer, the derivatives go to one packed
         buffer and b to a (T, B) copy, which adds faster than a broadcast,
         each laid out like s: the layout picks the BLAS call, and its
         rounding.  A unit zeta or tau skips its multiply or divide, the
         identity its sigma' multiply: x * 1.0 and x / 1.0 are x in IEEE
-        arithmetic, inf, NaN and -0 included.  M and W are read in place."""
-        key = (s.shape, s.strides)
-        if key in self._work:
-            return self._work[key]
+        arithmetic, inf, NaN and -0 included.  M, W and a (T,) state's b
+        are read in place; a batch kernel's b copy is taken here."""
         T, h, M, W = self.total_units, self.hyper, self.M, self.W
         buf = np.empty_like(s)
-        a, bias = np.empty_like(buf[T:]), self._b
+        dE, dV = buf[:T], buf[T:]
+        a, bias = np.empty_like(dV), self.b
         if s.ndim == 2:
             bias = np.empty_like(a)
-            bias[...] = self._b[:, None]
+            bias[...] = self.b[:, None]
         sigma, gain = self.activation.in_place(a)
         zeta = None if h.zeta == 1.0 else h.zeta
         tau = None if h.tau == 1.0 else h.tau
@@ -216,8 +198,8 @@ class Network:
         # outputs passed positionally, which numpy dispatches fastest
         mul, add, sub, matmul = np.multiply, np.add, np.subtract, np.matmul
 
-        def rhs(s, d=buf):
-            E, V, dE, dV = s[:T], s[T:], d[:T], d[T:]
+        def rhs(s):
+            E, V = s[:T], s[T:]
             # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau
             matmul(M, sigma(V), dE)
             add(dE, bias, dE)
@@ -233,8 +215,8 @@ class Network:
                 mul(dV, gain(), dV)
             sub(dV, E, dV)
             if tau is not None:
-                np.divide(d, tau, d)
-            return d
+                np.divide(buf, tau, buf)
+            return buf
 
         def euler(s, d=None):
             if d is None:
@@ -242,8 +224,7 @@ class Network:
             mul(d, dt, d)
             add(s, d, s)
 
-        kernel = self._work[key] = Kernel(rhs, euler)
-        return kernel
+        return Kernel(rhs, euler)
 
     def fast_rhs_flat(self, s):
         """RHS of the fast equations at packed state s, ignoring clamps.
@@ -275,8 +256,7 @@ class Network:
             self.W[...] = self.M.T
         else:
             self.W += dM.T
-        # through the property, which drops the kernels' bias copies
-        self.b[...] += rate * e
+        self.b += rate * e
 
     def energy(self, errors=None) -> float:
         """Total error energy (zeta/2) * ||E||^2, of the current errors or

@@ -168,7 +168,7 @@ def _probe(net, s, tol):
 
 
 def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
-                        max_steps: int = 4000, polish: bool = True):
+                        max_steps: int = 4000):
     """Place the values at each target, relax to the nearby equilibrium,
     and classify the spectrum of the Jacobian there.
 
@@ -218,7 +218,7 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     # simulated flow stays authoritative, so a stalled probe is simply
     # dropped and that target relaxes on, batched with the others.
     chunk = max(1, max_steps)
-    for _ in range(8 if polish else 0):
+    for _ in range(8):
         still = []
         for k in pending:
             try:

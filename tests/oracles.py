@@ -105,8 +105,8 @@ def distance(a, b, metric: str) -> float:
 
 def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every=0.05):
     """experiments.relaxation_study with one _distances call per sample,
-    straight after the steps that reach it, through Network.euler: the
-    reference for the chunked samples."""
+    straight after the steps that reach it, each through a kernel bound
+    for it: the reference for the chunked samples."""
     starts = np.asarray(starts, dtype=float)
     n_runs, T = starts.shape[0], net.total_units
     metric, dt = metric_for(targets.kind), net.hyper.dt
@@ -136,6 +136,6 @@ def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every
         sample(0)
         for i in range(1, sampled.size):
             for _ in range(sampled[i] - sampled[i - 1]):
-                net.euler(S)
+                net.kernel(S).euler(S)
             sample(i)
     return trace

@@ -182,6 +182,17 @@ class TestTrain:
         assert "error: cannot read config file" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_output_dir_that_is_a_file_rejected(self, tmp_path, capsys):
+        """--out naming an existing file is a config error: exit code 2,
+        and the file and its directory are left as they were."""
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["train", "--out", str(out)] + FAST) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "not a directory\n"
+        assert os.listdir(tmp_path) == ["taken"]
+
     @pytest.mark.parametrize("flag, value", [("--out", "a#1"), ("--sizes", "12\n#"),
                                              ("--activation", "tanh\r"),
                                              ("--target_order", "sequen\u2028tial"),
@@ -274,6 +285,21 @@ class TestPerturb:
         rc = main(["perturb", "--out", str(tmp_path / "empty")] + FAST)
         assert rc == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_fails_cleanly(self, tmp_path, capsys):
+        """A checkpoint weight that is not a number ends the run with
+        exit code 1 and one error line, before perturb.csv is written."""
+        out = _train(tmp_path / "run")
+        path = out / "checkpoint.pchn"
+        text = path.read_text()
+        bad = text.split()[-1] + "x"     # the last bias entry
+        path.write_text(text.rstrip("\n") + "x\n")
+        capsys.readouterr()
+        assert main(["perturb", "--out", str(out)] + FAST) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(bad) in err
+        assert not (out / "perturb.csv").exists()
 
     def test_deterministic(self, tmp_path, capsys):
         out = _train(tmp_path / "run")

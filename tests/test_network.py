@@ -234,14 +234,13 @@ class TestFastStep:
     def _check_euler_is_plain(net, runs):
         shape = (14,) if runs is None else (14, runs)
         s = np.random.default_rng(25).normal(size=shape)
+        kernel = net.kernel(s)
         for _ in range(2):
             dE, dV = _plain_rhs(net, s)
             np.testing.assert_array_equal(net.rhs(s), np.concatenate((dE, dV)))
-            out = np.empty_like(s)
-            assert net.rhs(s, out) is out
-            np.testing.assert_array_equal(out, np.concatenate((dE, dV)))
+            np.testing.assert_array_equal(kernel.rhs(s), np.concatenate((dE, dV)))
             want = _plain_step(net, s)
-            net.euler(s)
+            kernel.euler(s)
             np.testing.assert_array_equal(s, want)
 
     @pytest.mark.parametrize("activation", list(Activation))
@@ -250,7 +249,7 @@ class TestFastStep:
         """rhs, packed, equals the fast equations written as plain
         expressions, and the in-place step s + dt * rhs(s), bit for bit,
         on a (2T,) state and on (2T, B) batches, into a fresh array and
-        into a given one; a second step reuses the kernel."""
+        into a bound kernel's buffer; a second step reuses that kernel."""
         self._check_euler_is_plain(_plain_net(activation), runs)
 
     @pytest.mark.parametrize("activation", list(Activation))
@@ -264,13 +263,13 @@ class TestFastStep:
     @pytest.mark.parametrize("write", ["step_slow", "load_weights", "b"])
     def test_weight_writes_between_steps_reach_the_next_step(self, activation, write,
                                                              tmp_path):
-        """A batch workspace keeps a (T, B) copy of b.  step_slow,
-        load_weights or a write through net.b between two euler calls of
-        one batch shape reaches the next step: it stays the plain
-        expression of the current weights."""
+        """A batch kernel copies b when it is bound.  step_slow,
+        load_weights or a write into net.b between two steps of one batch
+        shape, each through a kernel bound for it, reaches the next step:
+        it stays the plain expression of the current weights."""
         net = _plain_net(activation)
         s = np.random.default_rng(27).normal(size=(14, 5))
-        net.euler(s)
+        net.kernel(s).euler(s)
         b = net.b.copy()
         if write == "step_slow":
             net.E[:], net.V[:] = 0.3, 0.7
@@ -284,7 +283,7 @@ class TestFastStep:
             net.b[:] -= 0.5
         assert not np.array_equal(net.b, b)
         want = _plain_step(net, s)
-        net.euler(s)
+        net.kernel(s).euler(s)
         np.testing.assert_array_equal(s, want)
 
     def test_clamped_values_pinned(self):
@@ -583,6 +582,25 @@ class TestCheckpoint:
         row[1] = "nan"
         lines[-1] = " ".join(row)
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstructionError):
+            load_weights(other, str(path))
+        self._assert_untouched(other, before)
+
+    @pytest.mark.parametrize("damage", ["token", "bytes", "directory"])
+    def test_unreadable_file_loads_nothing(self, tmp_path, damage):
+        """A weight that is not a number, bytes that do not decode and a
+        path that is a directory are each a ConstructionError, raised
+        before any weight is written."""
+        path, other, before = self._saved_loop(tmp_path)
+        if damage == "directory":
+            path = tmp_path / "dir.pchn"
+            path.mkdir()
+        else:
+            lines = path.read_bytes().splitlines()
+            row = lines[-1].split()          # b of the last connection
+            row[1] = b"0.5x" if damage == "token" else b"\xff"
+            lines[-1] = b" ".join(row)
+            path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(ConstructionError):
             load_weights(other, str(path))
         self._assert_untouched(other, before)

@@ -178,13 +178,18 @@ class TestAnalyzeEquilibrium:
         np.testing.assert_allclose(rep.distance_to_target, d, atol=1e-12)
 
     def test_unreachable_tolerance_raises_with_residual(self):
-        """A target that misses the tolerance gets, in its place in the
-        list, the NotAnEquilibriumError carrying its residual."""
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=12)
+        """A target that misses the tolerance, Newton probes included,
+        gets, in its place in the list, the NotAnEquilibriumError carrying
+        its residual.  tol = 1e-300 admits only an exact root, which the
+        probes reach on a small-weight net; unit-scale weights and a
+        random bias keep them off it."""
+        net = build_single_population(6, Activation.TANH, _hyper(), seed=12,
+                                      init_scale=1.0)
+        net.b[:] = np.random.default_rng(0).normal(size=6)
         freeze(net)
         rng = np.random.default_rng(121)
-        [err] = analyze_equilibrium(net, rng.normal(size=(1, 6)), tol=1e-15,
-                                    max_steps=5, polish=False)
+        [err] = analyze_equilibrium(net, rng.normal(size=(1, 6)), tol=1e-300,
+                                    max_steps=5)
         assert isinstance(err, NotAnEquilibriumError)
         assert err.residual > 0
 
