@@ -31,7 +31,9 @@ class Activation(Enum):
         if self is Activation.RELU:
             # convention: derivative at the kink itself is 0, as the sign
             # of max(x, 0) has it
-            return (lambda x: np.maximum(x, 0.0, out=out)), (lambda: np.sign(out, out))
+            # a 0-d zero is compared faster than the Python float 0.0
+            zero = np.array(0.0)
+            return (lambda x: np.maximum(x, zero, out=out)), (lambda: np.sign(out, out))
         if self is Activation.TANH:
             return ((lambda x: np.tanh(x, out)),
                     (lambda: np.subtract(1.0, np.multiply(out, out, out), out)))

@@ -256,6 +256,13 @@ def resolve_config(file_values: dict, overrides: dict) -> RunConfig:
     return RunConfig(raw)
 
 
+def _drop_output(cfg, name):
+    """Remove the output an earlier run left in output_dir under name,
+    which this run's config.echo would no longer describe."""
+    if os.path.exists(cfg.path(name)):
+        os.remove(cfg.path(name))
+
+
 def _load_trained(cfg, args):
     path = cfg.path("checkpoint.pchn") if args.checkpoint is None else args.checkpoint
     net = cfg.build_network()
@@ -285,8 +292,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         # config.echo now describes this failed run: drop the outputs
         # an earlier run left beside it
         for name in ("checkpoint.pchn", "train.csv"):
-            if os.path.exists(cfg.path(name)):
-                os.remove(cfg.path(name))
+            _drop_output(cfg, name)
         print(f"error: training diverged at step {e.step}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
@@ -324,6 +330,8 @@ def cmd_stability(cfg: RunConfig, args) -> int:
     n_stable = n_found = 0
     outcomes = analyze_equilibrium(net, targets.patterns, tol=cfg.stability_tol)
     for k, rep in enumerate(outcomes):
+        if isinstance(rep, Exception):
+            _drop_output(cfg, f"spectrum_t{k}.csv")
         if isinstance(rep, NotAnEquilibriumError):
             print(f"stability: target {k} no equilibrium found "
                   f"(residual {rep.residual:g})")

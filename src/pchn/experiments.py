@@ -214,7 +214,7 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     with np.errstate(over="ignore", invalid="ignore"):
         for i, gap in enumerate(np.diff(sampled, prepend=0).tolist()):
             for _ in range(gap):
-                step(S)
+                step()
             np.copyto(slots[i - first], V)
             bad = _past_limit(V) & ~trace.diverged
             diverging = bad.any()

@@ -23,15 +23,19 @@ step_slow).  build_network is the one builder that draws the weights;
 build_single_population and build_loop name its two common shapes.
 Linearization lives in stability.py, the training loop in learning.py.
 
-Network.kernel binds the one Euler kernel afresh on every call: rhs,
-the derivatives packed like the state (dE over dV) into one buffer, and
-euler, s += dt * rhs(s), on one packed state or on B of them as the
-columns of a (2T, B) array.  A batch kernel copies b, so bind it after
-the last weight write.  Network.relax, the one loop that steps a batch
-until each column settles (the derivative sup-norm under a tolerance)
-or diverges, and the studies bind it once per call.  step_fast and
-run_fast_to_equilibrium relax the net's own state as one column,
-s[:, None]; the stability analysis relaxes all its targets as one batch.
+Network.kernel binds the one Euler kernel afresh on every call, to one
+state array s, (2T,) or B packed states as the columns of a (2T, B)
+array: it slices the E and V views of s once, and then rhs() packs the
+derivatives at s (dE over dV) into one buffer and euler() adds dt times
+them to s, with no state argument.  The layout of s picks the matrix
+products: np.dot for a C-contiguous s, np.matmul for any other, each
+rounding as np.matmul does on that layout.  A batch kernel copies b, so
+bind it after the last weight write.  Network.relax, the one loop that
+steps a batch until each column settles (the derivative sup-norm under
+a tolerance) or diverges, and the studies bind it once per call.
+step_fast and run_fast_to_equilibrium relax the net's own state as one
+column, s[:, None]; the stability analysis relaxes all its targets as
+one F-ordered batch.
 
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
@@ -84,8 +88,9 @@ def _vector(x, n):
     return x
 
 
-# the bound step of Network.kernel: rhs(s) fills its buffer with the packed
-# derivatives at s; euler(s, d=rhs(s)) scales d by dt in place, adds it to s
+# the step of Network.kernel, bound to one state array s: rhs() fills its
+# buffer with the packed derivatives at s; euler(d=rhs()) scales d by dt in
+# place and adds it to s
 Kernel = namedtuple("Kernel", "rhs euler")
 
 
@@ -172,18 +177,24 @@ class Network:
         """Time derivative of the fast equations at the packed states s,
         (2T,) or (2T, B), ignoring clamps, packed like s (dE over dV) into
         a fresh array.  Pure function of s: net state is not touched."""
-        return self.kernel(s).rhs(s)
+        return self.kernel(s).rhs()
 
     def kernel(self, s) -> Kernel:
-        """rhs and euler for states laid out like s, bound afresh.  sigma(V)
-        and sigma'(V) share one buffer, the derivatives go to one packed
-        buffer and b to a (T, B) copy, which adds faster than a broadcast,
-        each laid out like s: the layout picks the BLAS call, and its
-        rounding.  A unit zeta or tau skips its multiply or divide, the
+        """rhs and euler bound afresh to the states s: the E and V views of
+        s are sliced here, once.  sigma(V) and sigma'(V) share one buffer,
+        the derivatives go to one packed buffer and b to a (T, B) copy,
+        which adds faster than a broadcast, each laid out like s.  The
+        layout picks the BLAS call, and its rounding: a C-contiguous s
+        (the studies, Newton's (2T,) states) takes its products through
+        np.dot, which rounds as np.matmul does there and costs less per
+        call; any other layout (the F-ordered batches that stability
+        relaxes) keeps np.matmul, since np.dot writes only to C-contiguous
+        outputs.  A unit zeta or tau skips its multiply or divide, the
         identity its sigma' multiply: x * 1.0 and x / 1.0 are x in IEEE
         arithmetic, inf, NaN and -0 included.  M, W and a (T,) state's b
         are read in place; a batch kernel's b copy is taken here."""
         T, h, M, W = self.total_units, self.hyper, self.M, self.W
+        E, V = s[:T], s[T:]
         buf = np.empty_like(s)
         dE, dV = buf[:T], buf[T:]
         a, bias = np.empty_like(dV), self.b
@@ -196,12 +207,12 @@ class Network:
         # a 0-d array multiplies faster than a Python float, to the same bits
         dt = np.array(h.dt)
         # outputs passed positionally, which numpy dispatches fastest
-        mul, add, sub, matmul = np.multiply, np.add, np.subtract, np.matmul
+        mul, add, sub = np.multiply, np.add, np.subtract
+        prod = np.dot if s.flags.c_contiguous else np.matmul
 
-        def rhs(s):
-            E, V = s[:T], s[T:]
+        def rhs():
             # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau
-            matmul(M, sigma(V), dE)
+            prod(M, sigma(V), dE)
             add(dE, bias, dE)
             sub(V, dE, dE)
             if zeta is None:
@@ -210,7 +221,7 @@ class Network:
                 mul(E, zeta, dV)
                 sub(dE, dV, dE)
             # dV = (-E + sigma'(V) * (W @ E)) / tau
-            matmul(W, E, dV)
+            prod(W, E, dV)
             if gain is not None:
                 mul(dV, gain(), dV)
             sub(dV, E, dV)
@@ -218,9 +229,9 @@ class Network:
                 np.divide(buf, tau, buf)
             return buf
 
-        def euler(s, d=None):
+        def euler(d=None):
             if d is None:
-                d = rhs(s)
+                d = rhs()
             mul(d, dt, d)
             add(s, d, s)
 
@@ -267,19 +278,20 @@ class Network:
     def residual(self) -> float:
         """Sup-norm of the fast-state time derivative, skipping the value
         equations of clamped units."""
-        return float(self._sup_norm(self.rhs(self.s)))
+        return float(self._sup_norm(self.rhs(self.s), self.clamped))
 
-    def _sup_norm(self, d):
+    def _sup_norm(self, d, clamped, a=None):
         """Sup-norm per column of the packed derivatives d, (2T,) or
-        (2T, B), a scalar for (2T,), skipping the value rows of clamped
-        units."""
+        (2T, B), a scalar for (2T,), skipping the value rows that the
+        (T,) mask clamped marks (None when no unit is clamped).  a, when
+        given, is the d.T-shaped buffer for |d|."""
         # |d| as the rows of one (B, 2T) array, whose contiguous rows
         # reduce far faster than the columns of a (2T, B) one; a clamped
         # row counts as 0, which never raises the max
-        T = self.total_units
-        a = np.abs(d.T, np.empty(d.shape[::-1]))
-        a[..., T:][..., self.clamped] = 0.0
-        return a.max(axis=-1)
+        a = np.abs(d.T, a)
+        if clamped is not None:
+            a[..., self.total_units:][..., clamped] = 0.0
+        return np.maximum.reduce(a, -1)
 
     def relax(self, s, tol: float, max_steps: int) -> "Relaxation":
         """Step the fast equations on B packed states, the columns of s
@@ -291,25 +303,29 @@ class Network:
         dropped from the batch, while the others go on.  Clamps hold
         every column, and steps_taken advances by the steps all columns
         took.  The RHS is evaluated once per step: the derivatives behind
-        each residual drive the next step.
+        each residual drive the next step.  The kernel is bound to s, and
+        again only after columns are dropped; the layout of s picks its
+        BLAS call (see kernel).
         """
         T, n = self.total_units, s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))
+        clamped = self.clamped if self.clamped.any() else None
         pinned, target = self.clamped[:, None], self.clamp_target[:, None]
-        live, X = np.arange(n), s
+        live, X, a = np.arange(n), s, np.empty((n, 2 * T))
         with np.errstate(over="ignore", invalid="ignore"):
             kernel = self.kernel(X)
-            d = kernel.rhs(X)
-            r = self._sup_norm(d)
+            d = kernel.rhs()
+            r = self._sup_norm(d, clamped, a)
             for k in range(1, max_steps + 1):
                 if live.size == 0:
                     break
-                kernel.euler(X, d)
-                np.copyto(X[T:], target, where=pinned)
+                kernel.euler(d)
+                if clamped is not None:
+                    np.copyto(X[T:], target, where=pinned)
                 bad = _past_limit(X)
-                d = kernel.rhs(X)
-                r = self._sup_norm(d)
+                d = kernel.rhs()
+                r = self._sup_norm(d, clamped, a)
                 done = bad | (r < tol)
                 if not done.any():
                     continue
@@ -319,7 +335,7 @@ class Network:
                 if X is not s:
                     s[:, cols] = X[:, done]
                 live, r = live[~done], r[~done]
-                X, d = X[:, ~done], d[:, ~done]
+                X, d, a = X[:, ~done], d[:, ~done], a[:live.size]
                 kernel = self.kernel(X)
         out.residual[live] = r
         if live.size and X is not s:
@@ -343,9 +359,10 @@ def _past_limit(s):
     hold a magnitude past DIVERGENCE_LIMIT or a NaN."""
     # a NaN fails the comparisons too; the whole-array check is the cheap
     # common case, and max and min make it without a temporary array
-    # (training passes blocks of up to BLOCK x T)
-    if (s.max(initial=0.0) <= DIVERGENCE_LIMIT
-            and s.min(initial=0.0) >= -DIVERGENCE_LIMIT):
+    # (training passes blocks of up to BLOCK x T); the ufunc reductions
+    # skip the ndarray.max and min wrappers
+    if (np.maximum.reduce(s, None, initial=0.0) <= DIVERGENCE_LIMIT
+            and np.minimum.reduce(s, None, initial=0.0) >= -DIVERGENCE_LIMIT):
         return np.zeros(s.shape[1], dtype=bool)
     return ~np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=0)
 

@@ -136,6 +136,6 @@ def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every
         sample(0)
         for i in range(1, sampled.size):
             for _ in range(sampled[i] - sampled[i - 1]):
-                net.kernel(S).euler(S)
+                net.kernel(S).euler()
             sample(i)
     return trace

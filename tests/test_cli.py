@@ -383,6 +383,22 @@ class TestStability:
         # equilibrium shows
         assert sum("does not correspond" in line for line in got) == 2
 
+    def test_target_without_equilibrium_leaves_no_stale_spectrum(self, tmp_path, capsys):
+        """A target that finds no equilibrium drops the spectrum an
+        earlier run wrote for it into the same directory, so the
+        directory agrees with stdout and config.echo.  The relu net of
+        init_scale 0.5 finds all three; at 5 every target diverges."""
+        out = tmp_path / "run"
+        flags = ["--out", str(out), "--architecture", "Custom", "--sizes", "12",
+                 "--n_targets", "3", "--flip_bits", "2", "--target_kind", "RealGaussian",
+                 "--epochs", "1", "--duration_per_target", "0.05"]
+        for scale, found in (("0.5", 3), ("5", 0)):
+            for command in ("train", "stability"):
+                assert main([command, "--init_scale", scale] + flags) == 0
+            txt = capsys.readouterr().out
+            assert f"{found}/{found} found equilibria stable ({3 - found} not found)" in txt
+            assert len(list(out.glob("spectrum_t*.csv"))) == found
+
 
 class TestImport:
     # run first in a fresh interpreter: from then on importing scipy fails

@@ -43,13 +43,14 @@ def rhs_oracle(net):
     return dv, de
 
 
-def _plain_net(activation, tau=0.7, zeta=0.9):
+def _plain_net(activation, tau=0.7, zeta=0.9, sizes=(4, 3)):
     """A two-population loop with unit-scale weights and a random bias,
     for the bitwise kernel checks; tau and zeta away from 1 unless
-    given."""
-    net = build_loop([4, 3], activation, _hyper(zeta=zeta, tau=tau),
+    given.  At sizes (30, 20) the BLAS products of an F-ordered batch
+    round differently from those of a C-ordered one."""
+    net = build_loop(list(sizes), activation, _hyper(zeta=zeta, tau=tau),
                      init_scale=1.0, seed=23)
-    net.b[:] = np.random.default_rng(24).normal(size=7)
+    net.b[:] = np.random.default_rng(24).normal(size=net.total_units)
     return net
 
 
@@ -232,16 +233,21 @@ class TestFastStep:
 
     @staticmethod
     def _check_euler_is_plain(net, runs):
-        shape = (14,) if runs is None else (14, runs)
-        s = np.random.default_rng(25).normal(size=shape)
-        kernel = net.kernel(s)
-        for _ in range(2):
-            dE, dV = _plain_rhs(net, s)
-            np.testing.assert_array_equal(net.rhs(s), np.concatenate((dE, dV)))
-            np.testing.assert_array_equal(kernel.rhs(s), np.concatenate((dE, dV)))
-            want = _plain_step(net, s)
-            kernel.euler(s)
-            np.testing.assert_array_equal(s, want)
+        """A (2T,) state, or a (2T, runs) batch in C order and then in F
+        order, the layout stability relaxes; the plain expressions take
+        their products in the same layout."""
+        n = 2 * net.total_units
+        shape = (n,) if runs is None else (n, runs)
+        for order in ("C",) if runs is None else ("C", "F"):
+            s = np.asarray(np.random.default_rng(25).normal(size=shape), order=order)
+            kernel = net.kernel(s)
+            for _ in range(2):
+                dE, dV = _plain_rhs(net, s)
+                np.testing.assert_array_equal(net.rhs(s), np.concatenate((dE, dV)))
+                np.testing.assert_array_equal(kernel.rhs(), np.concatenate((dE, dV)))
+                want = _plain_step(net, s)
+                kernel.euler()
+                np.testing.assert_array_equal(s, want)
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("runs", [None, 1, 7])
@@ -260,6 +266,13 @@ class TestFastStep:
         self._check_euler_is_plain(_plain_net(activation, 1.0, 1.0), runs)
 
     @pytest.mark.parametrize("activation", list(Activation))
+    def test_euler_is_bitwise_s_plus_dt_rhs_on_a_wide_net(self, activation):
+        """The same on a T = 50 net, wide enough that BLAS rounds an
+        F-ordered batch's products differently from a C-ordered one's:
+        each layout keeps its own rounding."""
+        self._check_euler_is_plain(_plain_net(activation, sizes=(30, 20)), 7)
+
+    @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("write", ["step_slow", "load_weights", "b"])
     def test_weight_writes_between_steps_reach_the_next_step(self, activation, write,
                                                              tmp_path):
@@ -269,7 +282,7 @@ class TestFastStep:
         it stays the plain expression of the current weights."""
         net = _plain_net(activation)
         s = np.random.default_rng(27).normal(size=(14, 5))
-        net.kernel(s).euler(s)
+        net.kernel(s).euler()
         b = net.b.copy()
         if write == "step_slow":
             net.E[:], net.V[:] = 0.3, 0.7
@@ -283,7 +296,7 @@ class TestFastStep:
             net.b[:] -= 0.5
         assert not np.array_equal(net.b, b)
         want = _plain_step(net, s)
-        net.kernel(s).euler(s)
+        net.kernel(s).euler()
         np.testing.assert_array_equal(s, want)
 
     def test_clamped_values_pinned(self):
@@ -422,6 +435,25 @@ class TestEquilibrium:
         want = s.copy()
         for _ in range(30):
             want = _plain_step(net, want)
+        res = net.relax(s, 0.0, 30)
+        np.testing.assert_array_equal(res.steps, 30)
+        assert s.tobytes() == want.tobytes()
+        plain = np.abs(np.concatenate(_plain_rhs(net, want))).max(axis=0)
+        assert res.residual.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_relax_keeps_the_rounding_of_an_f_ordered_batch(self, activation):
+        """stability relaxes an F-ordered batch, S[:, cols].  On a T = 50
+        net, where that layout rounds the products differently from C
+        order, relax reaches the state of plain-expression steps taken
+        in F order, and the plain sup-norm there, bit for bit."""
+        net = _plain_net(activation, sizes=(30, 20))
+        S = np.random.default_rng(29).normal(size=(100, 9))
+        s = S[:, [0, 2, 3, 5, 6, 7, 8]]
+        assert s.flags.f_contiguous and not s.flags.c_contiguous
+        want = s.copy(order="F")
+        for _ in range(30):
+            want = np.asfortranarray(_plain_step(net, want))
         res = net.relax(s, 0.0, 30)
         np.testing.assert_array_equal(res.steps, 30)
         assert s.tobytes() == want.tobytes()
