@@ -27,6 +27,7 @@ across machines from (config, seed) alone.
 import argparse
 import math
 import os
+import re
 import sys
 import time
 
@@ -329,9 +330,8 @@ def cmd_stability(cfg: RunConfig, args) -> int:
     T = cfg.total_units
     n_stable = n_found = 0
     outcomes = analyze_equilibrium(net, targets.patterns, tol=cfg.stability_tol)
+    written = set()
     for k, rep in enumerate(outcomes):
-        if isinstance(rep, Exception):
-            _drop_output(cfg, f"spectrum_t{k}.csv")
         if isinstance(rep, NotAnEquilibriumError):
             print(f"stability: target {k} no equilibrium found "
                   f"(residual {rep.residual:g})")
@@ -344,6 +344,7 @@ def cmd_stability(cfg: RunConfig, args) -> int:
                   f"kink; spectrum undefined")
             continue
         ok = _corresponds(cfg, rep.state[T:], targets.patterns[k])
+        written.add(f"spectrum_t{k}.csv")
         atomic_write_text(cfg.path(f"spectrum_t{k}.csv"), spectrum_to_csv(rep))
         n_found += 1
         n_stable += bool(rep.all_stable)
@@ -355,6 +356,11 @@ def cmd_stability(cfg: RunConfig, args) -> int:
               f"near_zero={len(rep.near_zero)} dist={rep.distance_to_target:.3g}{note}")
     print(f"stability: {n_stable}/{n_found} found equilibria stable "
           f"({targets.n - n_found} not found)")
+    # the spectra an earlier run left, of targets this run found no
+    # equilibrium for or of targets past its n_targets
+    for name in os.listdir(cfg.output_dir):
+        if re.fullmatch(r"spectrum_t[0-9]+\.csv", name) and name not in written:
+            _drop_output(cfg, name)
     return 0
 
 

@@ -7,11 +7,18 @@ stored target at a fixed sampling interval.  Runs are the columns of one
 values in the last T); they share the weights, so one Euler kernel,
 bound once per study (see Network.kernel), advances every run with the
 same matrix products.  Each sample copies the values into a chunk of
-SAMPLE_CHUNK samples, whose distances are taken in one call when it
-fills, when a run diverges and at the end.  They fill the slices of a
-Trace: a (runs, samples, targets) distance array, the index of each run's
-last sample and a mask of the runs that diverged.  The CSV writer, the
-distance tables and the summaries read those arrays directly.
+SAMPLE_CHUNK samples, a (T, samples x runs) array flushed when it fills
+and at the end.  A flush finds each live run's first sample past the
+divergence limit, keeps the samples before it and closes the run out
+there, zeroing its state; the samples after it were never recorded.  It
+then takes the chunk's distances in one call, against a (targets, T,
+SAMPLE_CHUNK x runs) copy of the patterns made once per study, so the
+subtraction runs over contiguous (T, samples x runs) blocks and the
+squares sum over T row by row, as one sample's do.  They fill the
+slices of a Trace: a (runs, samples, targets) distance array, the index
+of each run's last sample and a mask of the runs that diverged.  The
+CSV writer, the distance tables and the summaries read those arrays
+directly; the CSV is built and written as ASCII bytes.
 
 Seeding: make_probes and the studies take an int or a SeedSequence seed
 and build run r's stream with _run_seed, as SeedSequence(seed,
@@ -35,9 +42,9 @@ HAMMING = "hamming"
 PERTURB_STD = float(np.sqrt(0.5))
 FLIP_BITS = 13
 
-# samples a study turns into distances with one _distances call; its
-# (T, targets, SAMPLE_CHUNK * runs) scratch is about 1 MB at T = 100
-# with 10 targets and 10 runs
+# samples a study turns into distances with one _chunk_distances call;
+# its (targets, T, SAMPLE_CHUNK * runs) patterns and scratch are about
+# 1.3 MB each at T = 100 with 10 targets and 10 runs
 SAMPLE_CHUNK = 16
 
 
@@ -157,18 +164,29 @@ def make_probes(targets: TargetSet, seed=0, *, sigma: float = PERTURB_STD,
     return probes
 
 
-def _distances(V, P, metric: str, work=None):
-    """(runs, targets) distances between the columns of V (T, runs) and
-    the columns of P (T, targets); Hamming counts sign mismatches.  work,
-    when given, is a (T, targets, runs) scratch for the Euclidean
-    differences."""
+def _chunk_distances(X, P, metric: str, work):
+    """(targets, cols) distances between the cols columns of X (T, cols)
+    and the targets, which P holds as (targets, T, >= cols), each target
+    repeated along the columns; work is a scratch like P.  Euclidean
+    distances run the operations of np.linalg.norm and sum the squares
+    over T row by row; Hamming ones count sign mismatches."""
+    cols = X.shape[1]
+    if cols == 1:
+        # a (targets, T, 1) difference would make T the inner axis, which
+        # numpy sums pairwise; (T, targets, 1) keeps the row-by-row sum
+        # (pairwise again for one target, as one run's sample alone is)
+        P = np.ascontiguousarray(P[:, :, 0].T)
+        X, P, work, axis = X[:, None, :], P[:, :, None], None, 0
+    else:
+        # contiguous (T, cols) blocks, which numpy subtracts and squares
+        # as one inner loop per target when the chunk is full
+        X, P, work, axis = X[None], P[:, :, :cols], work[:, :, :cols], 1
     if metric == HAMMING:
-        return np.sum(sign_pm1(V)[:, None, :] != P[:, :, None], axis=0).T
-    # the operations np.linalg.norm(diff, axis=0) runs, so the same bits
-    diff = np.subtract(V[:, None, :], P[:, :, None], work)
+        return np.count_nonzero(sign_pm1(X) != P, axis=axis)
+    diff = np.subtract(X, P, work)
     np.multiply(diff, diff, diff)
-    sq = np.add.reduce(diff, axis=0)
-    return np.sqrt(sq, sq).T
+    sq = np.add.reduce(diff, axis=axis)
+    return np.sqrt(sq, sq)
 
 
 def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
@@ -199,13 +217,15 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     T = net.total_units
     S = np.zeros((2 * T, n_runs))
     S[T:] = starts.T
-    V, P = S[T:], np.ascontiguousarray(targets.patterns.T)
+    V = S[T:]
     # one run against one target sums a (T, 1, 1) difference, which numpy
     # sums pairwise; every wider one sums row by row, as a chunk does
     K = SAMPLE_CHUNK if n_runs * targets.n > 1 else 1
     chunk = np.empty((T, K * n_runs))
     slots = [chunk[:, j * n_runs:(j + 1) * n_runs] for j in range(K)]
-    work = np.empty((T, targets.n, K * n_runs))
+    P = np.empty((targets.n, T, K * n_runs))
+    P[...] = targets.patterns[:, :, None]
+    work = np.empty_like(P)
     trace = Trace(metric, sampled * dt,
                   np.zeros((n_runs, sampled.size, targets.n)),
                   np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
@@ -216,21 +236,24 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
             for _ in range(gap):
                 step()
             np.copyto(slots[i - first], V)
-            bad = _past_limit(V) & ~trace.diverged
-            diverging = bad.any()
-            if diverging or i - first + 1 == K or i == sampled.size - 1:
-                # the distances of the live runs at samples first to i
-                cols = (i - first + 1) * n_runs
-                D = _distances(chunk[:, :cols], P, metric, work[:, :, :cols])
-                np.copyto(trace.dist[:, first:i + 1],
-                          D.T.reshape(targets.n, i - first + 1, n_runs).T,
-                          where=~trace.diverged[:, None, None])
-                first = i + 1
-            if diverging:
-                trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
-                trace.end[bad] = i
-                trace.diverged[bad] = True
-                S[:, bad] = 0.0
+            if i - first + 1 < K and i < sampled.size - 1:
+                continue
+            # the chunk holds samples first to i of every run; a live run
+            # ends at its first sample past the limit, m when it has none
+            m = i - first + 1
+            values = chunk[:, :m * n_runs]
+            bad = _past_limit(values).reshape(m, n_runs) & ~trace.diverged
+            ends = np.where(bad.any(axis=0), bad.argmax(axis=0), m)
+            kept = (np.arange(m) < ends[:, None]) & ~trace.diverged[:, None]
+            D = _chunk_distances(values, P, metric, work)
+            np.copyto(trace.dist[:, first:i + 1], D.reshape(targets.n, m, n_runs).T,
+                      where=kept[:, :, None])
+            for r in np.flatnonzero(ends < m).tolist():
+                at = first + int(ends[r])
+                trace.dist[r, at] = trace.dist[r, at - 1] if at else 0.0
+                trace.end[r], trace.diverged[r] = at, True
+                S[:, r] = 0.0
+            first = i + 1
     return trace
 
 
@@ -259,10 +282,10 @@ def random_init_study(net, targets: TargetSet, *, n_runs: int = 10,
 
 # ---- readouts over a trace ----
 
-def trace_to_csv(trace: Trace) -> str:
-    """One row per (run, sample, target), in that order: %.10g times and
-    real distances, integer Hamming distances, and the 'divergent' flag
-    on the rows of a diverged run's last sample."""
+def trace_to_csv(trace: Trace) -> bytes:
+    """One row per (run, sample, target), in that order, as ASCII bytes:
+    %.10g times and real distances, integer Hamming distances, and the
+    'divergent' flag on the rows of a diverged run's last sample."""
     n_targets = trace.dist.shape[2]
     fmt = "%d" if trace.metric == HAMMING else "%.10g"
     # every sample's rows with \0 for the run id, formatted once for all
@@ -270,16 +293,16 @@ def trace_to_csv(trace: Trace) -> str:
     samples = ["".join([f"\0,{t},{j},{fmt},{trace.metric},\n" for j in range(n_targets)])
                for t in ["%.10g" % t for t in trace.t.tolist()]]
     at = np.cumsum([0] + [len(rows) for rows in samples]).tolist()
-    body = "".join(samples)
+    body = "".join(samples).encode()
     del samples  # small strings whose memory would stay through the join
-    blocks = ["run_id,t,target_id,distance,metric,flags\n"]
+    blocks = [b"run_id,t,target_id,distance,metric,flags\n"]
     for r, (end, diverged) in enumerate(zip(trace.end.tolist(), trace.diverged.tolist())):
         last = body[at[end]:at[end + 1]]
         if diverged:
-            last = last.replace(",\n", ",divergent\n")
-        template = (body[:at[end]] + last).replace("\0", str(r))
+            last = last.replace(b",\n", b",divergent\n")
+        template = (body[:at[end]] + last).replace(b"\0", b"%d" % r)
         blocks.append(template % tuple(trace.dist[r, :end + 1].ravel().tolist()))
-    return "".join(blocks)
+    return b"".join(blocks)
 
 
 def distance_tables(trace: Trace):

@@ -24,18 +24,22 @@ build_single_population and build_loop name its two common shapes.
 Linearization lives in stability.py, the training loop in learning.py.
 
 Network.kernel binds the one Euler kernel afresh on every call, to one
-state array s, (2T,) or B packed states as the columns of a (2T, B)
-array: it slices the E and V views of s once, and then rhs() packs the
-derivatives at s (dE over dV) into one buffer and euler() adds dt times
-them to s, with no state argument.  The layout of s picks the matrix
-products: np.dot for a C-contiguous s, np.matmul for any other, each
-rounding as np.matmul does on that layout.  A batch kernel copies b, so
-bind it after the last weight write.  Network.relax, the one loop that
-steps a batch until each column settles (the derivative sup-norm under
-a tolerance) or diverges, and the studies bind it once per call.
-step_fast and run_fast_to_equilibrium relax the net's own state as one
-column, s[:, None]; the stability analysis relaxes all its targets as
-one F-ordered batch.
+state array s: it slices the E and V views of s once, and then rhs()
+packs the derivatives at s (dE over dV) into one buffer and euler() adds
+dt times them to s, with no state argument.  s holds one (2T,) state or
+a batch in one of two layouts: B packed states as the columns of a
+C-contiguous (2T, B) array, whose products are np.dot(M, x), or as the
+rows of a C-contiguous (2, B, T) array, E rows then V rows, whose
+products are np.dot(x, M.T).  The rows make the gemm call that
+np.matmul makes for an F-ordered (2T, B) batch, and so round as that
+batch does, while their elementwise operations run over contiguous
+memory.  A batch of columns copies b, so bind it after the last weight
+write.  Network.relax, the one loop that steps a batch until each
+column settles (the derivative sup-norm under a tolerance) or diverges,
+and the studies bind it once per call.  step_fast and
+run_fast_to_equilibrium relax the net's own state as one column,
+s[:, None]; the stability analysis relaxes all its targets as one
+F-ordered batch, which relax steps as rows.
 
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
@@ -44,6 +48,7 @@ while E keeps evolving, which is how training drives weight updates.
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -175,28 +180,31 @@ class Network:
 
     def rhs(self, s):
         """Time derivative of the fast equations at the packed states s,
-        (2T,) or (2T, B), ignoring clamps, packed like s (dE over dV) into
-        a fresh array.  Pure function of s: net state is not touched."""
+        laid out as kernel takes them, ignoring clamps, packed like s (dE
+        over dV) into a fresh array.  Pure function of s: net state is
+        not touched."""
         return self.kernel(s).rhs()
 
     def kernel(self, s) -> Kernel:
         """rhs and euler bound afresh to the states s: the E and V views of
-        s are sliced here, once.  sigma(V) and sigma'(V) share one buffer,
-        the derivatives go to one packed buffer and b to a (T, B) copy,
-        which adds faster than a broadcast, each laid out like s.  The
-        layout picks the BLAS call, and its rounding: a C-contiguous s
-        (the studies, Newton's (2T,) states) takes its products through
-        np.dot, which rounds as np.matmul does there and costs less per
-        call; any other layout (the F-ordered batches that stability
-        relaxes) keeps np.matmul, since np.dot writes only to C-contiguous
-        outputs.  A unit zeta or tau skips its multiply or divide, the
-        identity its sigma' multiply: x * 1.0 and x / 1.0 are x in IEEE
-        arithmetic, inf, NaN and -0 included.  M, W and a (T,) state's b
-        are read in place; a batch kernel's b copy is taken here."""
+        s are sliced here, once.  s is one (2T,) state, B states as the
+        columns of a C-contiguous (2T, B) array, or B states as the rows
+        of a C-contiguous (2, B, T) array, E rows then V rows.  sigma(V)
+        and sigma'(V) share one buffer and the derivatives go to one
+        packed buffer, each laid out like s.  Columns take their products
+        as np.dot(M, x) and add a (T, B) copy of b, which adds faster
+        than a broadcast; rows take them as np.dot(x, M.T), the gemm
+        call np.matmul makes for an F-ordered batch of columns, so rows
+        round as that batch does, and add b along the rows in place.  A
+        unit zeta or tau skips its multiply or divide, the identity its
+        sigma' multiply: x * 1.0 and x / 1.0 are x in IEEE arithmetic,
+        inf, NaN and -0 included.  M, W and b are read in place, except
+        for the columns' b copy, which is taken here."""
         T, h, M, W = self.total_units, self.hyper, self.M, self.W
-        E, V = s[:T], s[T:]
+        rows = s.ndim == 3
+        E, V = (s[0], s[1]) if rows else (s[:T], s[T:])
         buf = np.empty_like(s)
-        dE, dV = buf[:T], buf[T:]
+        dE, dV = (buf[0], buf[1]) if rows else (buf[:T], buf[T:])
         a, bias = np.empty_like(dV), self.b
         if s.ndim == 2:
             bias = np.empty_like(a)
@@ -206,13 +214,18 @@ class Network:
         tau = None if h.tau == 1.0 else h.tau
         # a 0-d array multiplies faster than a Python float, to the same bits
         dt = np.array(h.dt)
-        # outputs passed positionally, which numpy dispatches fastest
+        # outputs passed positionally, which numpy dispatches fastest;
+        # sigma(V) is written to a, so both products bind their operands
         mul, add, sub = np.multiply, np.add, np.subtract
-        prod = np.dot if s.flags.c_contiguous else np.matmul
+        if rows:
+            m_dot, w_dot = partial(np.dot, a, M.T), partial(np.dot, E, W.T)
+        else:
+            m_dot, w_dot = partial(np.dot, M, a), partial(np.dot, W, E)
 
         def rhs():
             # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau
-            prod(M, sigma(V), dE)
+            sigma(V)
+            m_dot(dE)
             add(dE, bias, dE)
             sub(V, dE, dE)
             if zeta is None:
@@ -221,7 +234,7 @@ class Network:
                 mul(E, zeta, dV)
                 sub(dE, dV, dE)
             # dV = (-E + sigma'(V) * (W @ E)) / tau
-            prod(W, E, dV)
+            w_dot(dV)
             if gain is not None:
                 mul(dV, gain(), dV)
             sub(dV, E, dV)
@@ -281,13 +294,20 @@ class Network:
         return float(self._sup_norm(self.rhs(self.s), self.clamped))
 
     def _sup_norm(self, d, clamped, a=None):
-        """Sup-norm per column of the packed derivatives d, (2T,) or
-        (2T, B), a scalar for (2T,), skipping the value rows that the
-        (T,) mask clamped marks (None when no unit is clamped).  a, when
-        given, is the d.T-shaped buffer for |d|."""
+        """Sup-norm per run of the packed derivatives d, a scalar for one
+        (2T,) state, else one per column of a (2T, B) batch or per row of
+        a (2, B, T) one, skipping the value entries that the (T,) mask
+        clamped marks (None when no unit is clamped).  a, when given, is
+        the buffer for |d|: d.T-shaped for columns, d-shaped for rows."""
+        # a clamped entry counts as 0, which never raises the max, and a
+        # max is exact in any order
+        if d.ndim == 3:
+            a = np.abs(d, a)
+            if clamped is not None:
+                a[1][..., clamped] = 0.0
+            return np.maximum.reduce(a, (0, 2))
         # |d| as the rows of one (B, 2T) array, whose contiguous rows
-        # reduce far faster than the columns of a (2T, B) one; a clamped
-        # row counts as 0, which never raises the max
+        # reduce far faster than the columns of a (2T, B) one
         a = np.abs(d.T, a)
         if clamped is not None:
             a[..., self.total_units:][..., clamped] = 0.0
@@ -303,16 +323,33 @@ class Network:
         dropped from the batch, while the others go on.  Clamps hold
         every column, and steps_taken advances by the steps all columns
         took.  The RHS is evaluated once per step: the derivatives behind
-        each residual drive the next step.  The kernel is bound to s, and
-        again only after columns are dropped; the layout of s picks its
-        BLAS call (see kernel).
+        each residual drive the next step.  A C-contiguous s is stepped
+        in place as columns; any other (stability's F-ordered S[:, cols])
+        is copied to the C-contiguous rows of one (2, B, T) array, whose
+        products round as that batch's np.matmul did (see kernel), and
+        each column is written back to s when it stops.  The kernel is
+        bound to the batch, and again only after columns are dropped,
+        which np.compress does into a new C-contiguous batch.
         """
         T, n = self.total_units, s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))
         clamped = self.clamped if self.clamped.any() else None
-        pinned, target = self.clamped[:, None], self.clamp_target[:, None]
-        live, X, a = np.arange(n), s, np.empty((n, 2 * T))
+        rows = not s.flags.c_contiguous
+        if rows:
+            X = np.empty((2, n, T))
+            X[0], X[1] = s[:T].T, s[T:].T
+            a = np.empty_like(X)
+            pinned, target = self.clamped, self.clamp_target
+        else:
+            X, a = s, np.empty((n, 2 * T))
+            pinned, target = self.clamped[:, None], self.clamp_target[:, None]
+
+        def columns(X):
+            """The (2T, B) form of the batch X."""
+            return X.transpose(0, 2, 1).reshape(2 * T, -1) if rows else X
+
+        live = np.arange(n)
         with np.errstate(over="ignore", invalid="ignore"):
             kernel = self.kernel(X)
             d = kernel.rhs()
@@ -322,7 +359,7 @@ class Network:
                     break
                 kernel.euler(d)
                 if clamped is not None:
-                    np.copyto(X[T:], target, where=pinned)
+                    np.copyto(X[1] if rows else X[T:], target, where=pinned)
                 bad = _past_limit(X)
                 d = kernel.rhs()
                 r = self._sup_norm(d, clamped, a)
@@ -333,13 +370,15 @@ class Network:
                 out.steps[cols], out.residual[cols] = k, r[done]
                 out.diverged[cols], out.converged[cols] = bad[done], ~bad[done]
                 if X is not s:
-                    s[:, cols] = X[:, done]
-                live, r = live[~done], r[~done]
-                X, d, a = X[:, ~done], d[:, ~done], a[:live.size]
+                    s[:, cols] = columns(X[:, done])
+                keep = ~done
+                live, r = live[keep], r[keep]
+                X, d = np.compress(keep, X, 1), np.compress(keep, d, 1)
+                a = a[:, :live.size] if rows else a[:live.size]
                 kernel = self.kernel(X)
         out.residual[live] = r
         if live.size and X is not s:
-            s[:, live] = X
+            s[:, live] = columns(X)
         self.steps_taken += int(out.steps.sum())
         return out
 
@@ -355,8 +394,9 @@ class Network:
 
 
 def _past_limit(s):
-    """Per-column mask of the columns of s, (rows, B) with B >= 0, that
-    hold a magnitude past DIVERGENCE_LIMIT or a NaN."""
+    """Per-run mask of the runs of s, the columns of a (rows, B) array or
+    the rows of a (2, B, T) one, B >= 0, that hold a magnitude past
+    DIVERGENCE_LIMIT or a NaN."""
     # a NaN fails the comparisons too; the whole-array check is the cheap
     # common case, and max and min make it without a temporary array
     # (training passes blocks of up to BLOCK x T); the ufunc reductions
@@ -364,7 +404,7 @@ def _past_limit(s):
     if (np.maximum.reduce(s, None, initial=0.0) <= DIVERGENCE_LIMIT
             and np.minimum.reduce(s, None, initial=0.0) >= -DIVERGENCE_LIMIT):
         return np.zeros(s.shape[1], dtype=bool)
-    return ~np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=0)
+    return ~np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=0 if s.ndim == 2 else (0, 2))
 
 
 def build_network(sizes, edges, activation: Activation, hyper: Hyperparams,

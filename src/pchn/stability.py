@@ -19,12 +19,13 @@ array stepped by Network.relax, first for one stretch and then, in
 rounds, for geometrically growing chunks over the targets still
 unresolved.  Each column stops at its own first step under the
 tolerance, so a target sees the same steps as it would alone; only the
-rounding of the batched matrix products differs.  The batch relax steps
-is S[:, cols], which numpy lays out in F order; the bound kernel keeps
-that layout and takes its products through np.matmul, whose rounding on
-it (different from C order's at d = 100) fixes the spectra's bytes,
-their residual= field first of all.  Newton probes, Jacobians and
-eigenvalues stay per target.
+rounding of the batched matrix products differs.  The batch handed to
+relax is S[:, cols], which numpy lays out in F order; relax steps it as
+the C-contiguous rows of a (2, B, T) copy, whose products round as
+np.matmul's on the F-ordered batch (different from C order's at
+d = 100).  That rounding fixes the spectra's bytes, their residual=
+field first of all.  Newton probes, Jacobians and eigenvalues stay per
+target.
 """
 
 from dataclasses import dataclass

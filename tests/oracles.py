@@ -1,14 +1,14 @@
 """Reference helpers shared by the tests: per-edge views of a net's global
 weights, clamping a single population, the algebraic-error step, a
 central-difference Jacobian, MINPACK's root polish, the mean squared
-prediction error, the distance between two single states, and a recall
-study that takes its distances one sample at a time."""
+prediction error, the distance between two single states, a table of
+distances between states and targets, and a recall study that takes its
+distances one sample at a time."""
 
 import numpy as np
 
 from pchn import ConstructionError, IntegrationDivergenceError
-from pchn.experiments import (EUCLIDEAN, HAMMING, Trace, _distances, metric_for,
-                              sign_pm1)
+from pchn.experiments import EUCLIDEAN, HAMMING, Trace, metric_for, sign_pm1
 from pchn.network import DIVERGENCE_LIMIT, _past_limit
 from pchn.stability import _check_frozen, _sup, jacobian_analytic
 
@@ -103,8 +103,22 @@ def distance(a, b, metric: str) -> float:
     raise ConstructionError(f"unknown metric {metric!r}")
 
 
+def distance_table(V, P, metric: str):
+    """(runs, targets) distances between the columns of V (T, runs) and
+    the columns of P (T, targets); Hamming counts sign mismatches.  The
+    Euclidean ones run the operations of np.linalg.norm(diff, axis=0) on
+    a (T, targets, runs) difference, summed over T row by row, except
+    for one run against one target, which numpy sums pairwise."""
+    if metric == HAMMING:
+        return np.sum(sign_pm1(V)[:, None, :] != P[:, :, None], axis=0).T
+    diff = V[:, None, :] - P[:, :, None]
+    np.multiply(diff, diff, diff)
+    sq = np.add.reduce(diff, axis=0)
+    return np.sqrt(sq, sq).T
+
+
 def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every=0.05):
-    """experiments.relaxation_study with one _distances call per sample,
+    """experiments.relaxation_study with one distance_table call per sample,
     straight after the steps that reach it, each through a kernel bound
     for it: the reference for the chunked samples."""
     starts = np.asarray(starts, dtype=float)
@@ -124,7 +138,8 @@ def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every
 
     def sample(i):
         live = ~trace.diverged
-        np.copyto(trace.dist[:, i], _distances(S[T:], P, metric), where=live[:, None])
+        np.copyto(trace.dist[:, i], distance_table(S[T:], P, metric),
+                  where=live[:, None])
         bad = live & _past_limit(S[T:])
         if bad.any():
             trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0

@@ -400,6 +400,27 @@ class TestStability:
             assert len(list(out.glob("spectrum_t*.csv"))) == found
 
 
+    def test_rerun_with_fewer_targets_leaves_no_stale_spectrum(self, tmp_path, capsys):
+        """A rerun of stability with fewer targets drops the spectra of
+        the targets it no longer has, and only files named exactly
+        spectrum_t<integer>.csv."""
+        out = tmp_path / "run"
+        flags = ["--out", str(out), "--architecture", "Custom", "--sizes", "12",
+                 "--flip_bits", "2", "--target_kind", "RealGaussian", "--epochs", "1",
+                 "--duration_per_target", "0.05", "--init_scale", "0.5"]
+        for command in ("train", "stability"):
+            assert main([command, "--n_targets", "3"] + flags) == 0
+        assert "3/3 found equilibria stable (0 not found)" in capsys.readouterr().out
+        others = ["spectrum_t2.csv.bak", "spectrum_tx.csv", "spectrum_t.csv", "notes.txt"]
+        for name in others:
+            (out / name).write_text("kept\n")
+        assert main(["stability", "--n_targets", "2"] + flags) == 0
+        assert "2/2 found equilibria stable (0 not found)" in capsys.readouterr().out
+        assert sorted(p.name for p in out.glob("spectrum_t*.csv")) == [
+            "spectrum_t.csv", "spectrum_t0.csv", "spectrum_t1.csv", "spectrum_tx.csv"]
+        assert all((out / name).read_text() == "kept\n" for name in others)
+        assert "n_targets = 2\n" in (out / "config.echo").read_text()
+
 class TestImport:
     # run first in a fresh interpreter: from then on importing scipy fails
     NO_SCIPY = ("import sys\n"

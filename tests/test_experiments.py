@@ -7,7 +7,7 @@ import pytest
 
 from pchn import (Activation, ConstructionError, Hyperparams, build_loop,
                   build_single_population, freeze, gen_targets)
-from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _distances,
+from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _chunk_distances,
                               absorption_summary, distance_tables,
                               make_probes, metric_for, perturb_flip,
                               perturb_gaussian, perturbation_study,
@@ -15,7 +15,7 @@ from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _distance
                               relaxation_study, sign_pm1, success_threshold,
                               trace_to_csv)
 
-from oracles import distance, relaxation_study_sampled
+from oracles import distance, distance_table, relaxation_study_sampled
 
 
 class TestTargets:
@@ -75,9 +75,18 @@ class TestPerturbations:
                                       perturb_flip(x, 5, seed=2))
 
 
+def _table(V, P, metric, work=None):
+    """_chunk_distances as a (runs, targets) table between the columns of
+    V (T, runs) and of P (T, targets), the targets laid out as a study
+    lays them out; work, when given, is its (targets, T, runs) scratch."""
+    layout = np.repeat(P.T[:, :, None], V.shape[1], axis=2)
+    return _chunk_distances(V, layout, metric,
+                            np.empty_like(layout) if work is None else work).T
+
+
 def _one_distance(a, b, metric):
-    """_distances between one state a and one target b."""
-    return _distances(np.array(a)[:, None], np.array(b)[:, None], metric)[0, 0]
+    """_chunk_distances between one state a and one target b."""
+    return _table(np.array(a)[:, None], np.array(b)[:, None], metric)[0, 0]
 
 
 class TestDistances:
@@ -99,23 +108,24 @@ class TestDistances:
         V = rng.normal(size=(12, 4))
         P = np.sign(rng.normal(size=(12, 3)))
         for metric in (EUCLIDEAN, HAMMING):
-            got = _distances(V, P, metric)
+            got = _table(V, P, metric)
             assert got.shape == (4, 3)
             want = [[distance(V[:, r], P[:, j], metric) for j in range(3)]
                     for r in range(4)]
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(got, distance_table(V, P, metric))
 
     def test_euclidean_is_bitwise_linalg_norm(self):
         """The Euclidean table runs the operations of np.linalg.norm, so
         it has its bits, also into a reused work buffer."""
         rng = np.random.default_rng(4)
         P = rng.normal(size=(100, 10))
-        work = np.empty((100, 10, 7))
+        work = np.empty((10, 100, 7))
         for _ in range(2):
             V = rng.normal(size=(100, 7))
             want = np.linalg.norm(V[:, None, :] - P[:, :, None], axis=0).T
-            np.testing.assert_array_equal(_distances(V, P, EUCLIDEAN), want)
-            np.testing.assert_array_equal(_distances(V, P, EUCLIDEAN, work), want)
+            np.testing.assert_array_equal(_table(V, P, EUCLIDEAN), want)
+            np.testing.assert_array_equal(_table(V, P, EUCLIDEAN, work), want)
 
     def test_metric_for_kind(self):
         assert metric_for("binary") == HAMMING
@@ -150,7 +160,7 @@ class TestRelaxationStudy:
         assert len(trace) == 3 * 6 * 3
         assert trace.dist.shape == (3, 6, 3)
         np.testing.assert_array_equal(trace.end, 5)
-        rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
+        rows = [line.split(",") for line in trace_to_csv(trace).decode().splitlines()[1:]]
         keys = [(int(r[0]), float(r[1]), int(r[2])) for r in rows]
         assert len(keys) == len(trace)
         assert keys == sorted(keys)
@@ -177,7 +187,7 @@ class TestRelaxationStudy:
                                  sample_every=0.1)
         assert set(np.flatnonzero(trace.diverged)) == {0, 1}
         flagged = {int(line.split(",")[0])
-                   for line in trace_to_csv(trace).splitlines()[1:]
+                   for line in trace_to_csv(trace).decode().splitlines()[1:]
                    if "divergent" in line.split(",")[5]}
         assert flagged == {0, 1}
 
@@ -211,7 +221,7 @@ class TestRelaxationStudy:
         b = trace_to_csv(relaxation_study(net, ts, probes, horizon=0.3,
                                           sample_every=0.1))
         assert a == b
-        assert a.splitlines()[0] == "run_id,t,target_id,distance,metric,flags"
+        assert a.decode().splitlines()[0] == "run_id,t,target_id,distance,metric,flags"
 
 
 def _unstable_linear_net():
@@ -238,8 +248,8 @@ class TestPinnedBytes:
     @staticmethod
     def _check(trace, digest):
         text = trace_to_csv(trace)
-        assert len(trace) == text.count("\n") - 1
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert len(trace) == text.count(b"\n") - 1
+        assert hashlib.sha256(text).hexdigest() == digest
 
     def test_real_study(self):
         ts = gen_targets("real", 3, 12, seed=40)
@@ -344,6 +354,25 @@ class TestChunkedSamples:
         self._check(net, ts, make_probes(ts, 48), 2.03, 0.01)
 
 
+    @pytest.mark.parametrize("last_chunk", [1, 15])
+    @pytest.mark.parametrize("n_targets", [1, 2, 3])
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    def test_distances_of_every_batch_shape(self, runs, n_targets, last_chunk):
+        """1 to 3 runs against 1 to 3 targets on a T = 100 net, whose final
+        chunk holds 1 sample or 15.  A single run's final sample is a
+        one-column chunk, which must still sum over T row by row, as the
+        oracle's one sample does, and not pairwise."""
+        net = build_single_population(100, Activation.TANH, Hyperparams(dt=0.01),
+                                      init_scale=1.0, seed=49)
+        net.b[:] = np.random.default_rng(49).normal(size=100)
+        freeze(net)
+        ts = gen_targets("real", n_targets, 100, seed=49)
+        starts = np.random.default_rng(50).normal(size=(runs, 100))
+        samples = 2 * SAMPLE_CHUNK + last_chunk
+        trace = self._check(net, ts, starts, (samples - 1) * 0.01, 0.01)
+        assert trace.t.size == samples and not trace.diverged.any()
+
+
 class TestStudiesAndSummaries:
     def test_perturbation_study_runs_own_target(self):
         net = _tiny_net(5)
@@ -361,7 +390,7 @@ class TestStudiesAndSummaries:
         ts = gen_targets("real", 2, 12, seed=26)
         trace = random_init_study(net, ts, n_runs=4, horizon=0.2,
                                   sample_every=0.1, seed=33)
-        rows = trace_to_csv(trace).splitlines()[1:]
+        rows = trace_to_csv(trace).decode().splitlines()[1:]
         assert {int(row.split(",")[0]) for row in rows} == {0, 1, 2, 3}
         assert trace.dist.shape[0] == 4
         # a study without runs is an empty trace: a header-only CSV,
@@ -369,7 +398,7 @@ class TestStudiesAndSummaries:
         trace = random_init_study(net, ts, n_runs=0, horizon=0.2,
                                   sample_every=0.1, seed=33)
         assert len(trace) == 0
-        assert trace_to_csv(trace) == "run_id,t,target_id,distance,metric,flags\n"
+        assert trace_to_csv(trace) == b"run_id,t,target_id,distance,metric,flags\n"
         first, last, diverged = distance_tables(trace)
         assert first.shape == last.shape == (0, 2)
         assert diverged.shape == (0,)

@@ -71,6 +71,17 @@ def _plain_rhs(net, s):
     return dE, dV
 
 
+def _rows(s):
+    """The (2T, B) batch s as C-contiguous (2, B, T) rows, E rows then V
+    rows, the layout relax copies a batch that is not C-contiguous to."""
+    return np.ascontiguousarray(s.reshape(2, s.shape[0] // 2, -1).transpose(0, 2, 1))
+
+
+def _columns(x):
+    """The (2T, B) batch of the (2, B, T) rows x."""
+    return x.transpose(0, 2, 1).reshape(-1, x.shape[1])
+
+
 def _plain_step(net, s):
     """s + dt * rhs(s) in plain expressions: the state euler must reach."""
     T, dt = net.total_units, net.hyper.dt
@@ -233,21 +244,23 @@ class TestFastStep:
 
     @staticmethod
     def _check_euler_is_plain(net, runs):
-        """A (2T,) state, or a (2T, runs) batch in C order and then in F
-        order, the layout stability relaxes; the plain expressions take
-        their products in the same layout."""
+        """A (2T,) state, a (2T, runs) batch of C columns, and an F-ordered
+        batch, the layout stability relaxes, bound as the (2, runs, T)
+        rows relax copies it to; the plain expressions take their
+        products on the state, the C batch and the F batch."""
         n = 2 * net.total_units
         shape = (n,) if runs is None else (n, runs)
         for order in ("C",) if runs is None else ("C", "F"):
             s = np.asarray(np.random.default_rng(25).normal(size=shape), order=order)
-            kernel = net.kernel(s)
+            x, unpack = (s, np.asarray) if order == "C" else (_rows(s), _columns)
+            kernel = net.kernel(x)
             for _ in range(2):
-                dE, dV = _plain_rhs(net, s)
-                np.testing.assert_array_equal(net.rhs(s), np.concatenate((dE, dV)))
-                np.testing.assert_array_equal(kernel.rhs(), np.concatenate((dE, dV)))
-                want = _plain_step(net, s)
+                want = np.concatenate(_plain_rhs(net, s))
+                np.testing.assert_array_equal(unpack(net.rhs(x)), want)
+                np.testing.assert_array_equal(unpack(kernel.rhs()), want)
+                s = np.asarray(_plain_step(net, s), order=order)
                 kernel.euler()
-                np.testing.assert_array_equal(s, want)
+                np.testing.assert_array_equal(unpack(x), s)
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("runs", [None, 1, 7])
@@ -269,7 +282,7 @@ class TestFastStep:
     def test_euler_is_bitwise_s_plus_dt_rhs_on_a_wide_net(self, activation):
         """The same on a T = 50 net, wide enough that BLAS rounds an
         F-ordered batch's products differently from a C-ordered one's:
-        each layout keeps its own rounding."""
+        C columns keep C order's rounding, and rows the F batch's."""
         self._check_euler_is_plain(_plain_net(activation, sizes=(30, 20)), 7)
 
     @pytest.mark.parametrize("activation", list(Activation))
@@ -459,6 +472,57 @@ class TestEquilibrium:
         assert s.tobytes() == want.tobytes()
         plain = np.abs(np.concatenate(_plain_rhs(net, want))).max(axis=0)
         assert res.residual.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("activation, budget", [(Activation.IDENTITY, 615),
+                                                    (Activation.RELU, 617),
+                                                    (Activation.TANH, 660)])
+    def test_relax_stops_each_column_of_an_f_ordered_batch_at_its_own_step(
+            self, activation, budget):
+        """stability's F-ordered batch S[:, cols] on a T = 50 net with
+        population 0 clamped: two columns settle, at different steps, one
+        diverges and two run out of steps.  Each column ends, bit for bit,
+        at the state of plain-expression steps of the F-ordered batch of
+        the columns still live, and reports the plain sup-norm there.
+        BLAS may round a column differently at another batch width, so
+        the plain batch drops each column when it stops, as relax does;
+        each step adds the derivatives taken before that step's drop."""
+        net = build_loop([30, 20], activation, _hyper(dt=0.05), init_scale=0.1, seed=31)
+        net.b[:] = np.random.default_rng(32).normal(size=50)
+        rng = np.random.default_rng(33)
+        clamp_population(net, 0, rng.normal(size=30))
+        T, tol, dt, free = net.total_units, 1e-6, net.hyper.dt, ~net.clamped
+        S = np.zeros((2 * T, 7))
+        S[:, [0, 2, 3, 5]] = rng.normal(size=(2 * T, 4)) * [0.1, 0.3, 1.0, 3.0]
+        # population 1's values are driven past -1e100 by its errors
+        S[T + 30:, 6], S[30:T, 6] = -0.99e100, 0.9e100
+        s = S[:, [0, 2, 3, 5, 6]]
+        assert s.flags.f_contiguous and not s.flags.c_contiguous
+
+        x, live = s.copy(order="F"), np.arange(5)
+        stop, residual = np.full(5, budget), np.zeros(5)
+        converged, diverged = np.zeros(5, dtype=bool), np.zeros(5, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.concatenate(_plain_rhs(net, x))
+            for k in range(1, budget + 1):
+                x[:, live] += dt * d
+                x[T:][net.clamped] = net.clamp_target[net.clamped, None]
+                d = np.concatenate(_plain_rhs(net, x[:, live]))
+                a = np.abs(d)
+                r = np.concatenate((a[:T], a[T:][free])).max(axis=0)
+                bad = ~np.all(np.abs(x[:, live]) <= 1e100, axis=0)
+                done = bad | (r < tol)
+                stop[live[done]], residual[live] = k, r
+                converged[live[done]], diverged[live[done]] = ~bad[done], bad[done]
+                live, d = live[~done], d[:, ~done]
+        assert len(set(stop[converged])) == 2 and diverged.sum() == 1
+        assert np.sum(stop == budget) == 2
+
+        res = net.relax(s, tol, budget)
+        np.testing.assert_array_equal(res.steps, stop)
+        np.testing.assert_array_equal(res.converged, converged)
+        np.testing.assert_array_equal(res.diverged, diverged)
+        assert s.tobytes() == x.tobytes()
+        assert res.residual.tobytes() == residual.tobytes()
 
     def test_one_rhs_per_step_on_the_step_fast_path(self):
         """Each step reuses the derivatives its residual was read from:

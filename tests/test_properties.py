@@ -112,9 +112,10 @@ def _rebuilt(net, scale=1.0, activation=None, tied=None, hyper=None):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(networks(), st.data())
 def test_batched_relaxation_matches_one_state_at_a_time(net, data):
-    """Each column of a batched relax settles, diverges or runs out of
-    steps as the same start does alone through run_fast_to_equilibrium:
-    same flag, same step count, a state within 1e-10 relative.  The
+    """Each column of a batched relax, of a C batch and of a permuted
+    F-ordered copy, settles, diverges or runs out of steps as the same
+    start does alone through run_fast_to_equilibrium: same flag, same
+    step count, a state within 1e-10 relative.  The
     weight scales and the step dt = 0.05 give all three outcomes.  Only
     linear units get the large scale: saturating units there can turn
     chaotic, where no two roundings of the same product stay close."""
@@ -128,22 +129,30 @@ def test_batched_relaxation_matches_one_state_at_a_time(net, data):
     if data.draw(st.booleans()):
         clamp_population(net, 0, rng.normal(size=net.slices[0].stop))
     tol, budget = 1e-6, data.draw(st.sampled_from([3000, 50, 0]))
-    S = starts.copy()
-    before = net.steps_taken
-    got = net.relax(S, tol, budget)
-    assert net.steps_taken - before == got.steps.sum()
+    # the C batch relaxes as columns; its F-ordered copy, permuted as
+    # stability's S[:, cols] is, relaxes as rows; at[j] is run j's column
+    perm = rng.permutation(runs)
+    batches = [(starts.copy(), np.arange(runs)), (starts[:, perm], np.argsort(perm))]
+    results = []
+    for S, _ in batches:
+        before = net.steps_taken
+        results.append(net.relax(S, tol, budget))
+        assert net.steps_taken - before == results[-1].steps.sum()
     for j in range(runs):
         net.s[:] = starts[:, j]
         before = net.steps_taken
         try:
             alone = net.run_fast_to_equilibrium(tol, budget)
         except IntegrationDivergenceError as e:
-            assert got.diverged[j] and e.step - before == got.steps[j]
+            for (_, at), got in zip(batches, results):
+                assert got.diverged[at[j]] and e.step - before == got.steps[at[j]]
             continue
-        assert not got.diverged[j]
-        assert (got.converged[j], got.steps[j]) == (alone.converged[0], alone.steps[0])
-        assert np.linalg.norm(S[:, j] - net.s) <= 1e-10 * np.linalg.norm(net.s)
-        np.testing.assert_allclose(got.residual[j], alone.residual[0], rtol=1e-6)
+        for (S, at), got in zip(batches, results):
+            i = at[j]
+            assert not got.diverged[i]
+            assert (got.converged[i], got.steps[i]) == (alone.converged[0], alone.steps[0])
+            assert np.linalg.norm(S[:, i] - net.s) <= 1e-10 * np.linalg.norm(net.s)
+            np.testing.assert_allclose(got.residual[i], alone.residual[0], rtol=1e-6)
 
 
 # derandomized: the CSV check compares energies at 10 significant
