@@ -30,16 +30,13 @@ dt times them to s, with no state argument.  s holds one (2T,) state or
 a batch in one of two layouts: B packed states as the columns of a
 C-contiguous (2T, B) array, whose products are np.dot(M, x), or as the
 rows of a C-contiguous (2, B, T) array, E rows then V rows, whose
-products are np.dot(x, M.T).  The rows make the gemm call that
-np.matmul makes for an F-ordered (2T, B) batch, and so round as that
-batch does, while their elementwise operations run over contiguous
-memory.  A batch of columns copies b, so bind it after the last weight
-write.  Network.relax, the one loop that steps a batch until each
-column settles (the derivative sup-norm under a tolerance) or diverges,
-and the studies bind it once per call.  step_fast and
-run_fast_to_equilibrium relax the net's own state as one column,
-s[:, None]; the stability analysis relaxes all its targets as one
-F-ordered batch, which relax steps as rows.
+products are np.dot(x, M.T).  The studies step columns; a batch of
+columns copies b, so bind it after the last weight write.
+Network.relax, the one loop that steps a batch until each run settles
+(the derivative sup-norm under a tolerance) or diverges, takes rows:
+the stability analysis relaxes all its targets as one batch of rows,
+and step_fast, residual, fast_rhs_flat and run_fast_to_equilibrium go
+through the one-row view s.reshape(2, 1, -1) of the net's own state.
 
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
@@ -178,13 +175,6 @@ class Network:
         b = self.b if V.ndim == 1 else self.b[:, None]
         return self.M @ self.activation.apply(V) + b
 
-    def rhs(self, s):
-        """Time derivative of the fast equations at the packed states s,
-        laid out as kernel takes them, ignoring clamps, packed like s (dE
-        over dV) into a fresh array.  Pure function of s: net state is
-        not touched."""
-        return self.kernel(s).rhs()
-
     def kernel(self, s) -> Kernel:
         """rhs and euler bound afresh to the states s: the E and V views of
         s are sliced here, once.  s is one (2T,) state, B states as the
@@ -193,13 +183,13 @@ class Network:
         and sigma'(V) share one buffer and the derivatives go to one
         packed buffer, each laid out like s.  Columns take their products
         as np.dot(M, x) and add a (T, B) copy of b, which adds faster
-        than a broadcast; rows take them as np.dot(x, M.T), the gemm
-        call np.matmul makes for an F-ordered batch of columns, so rows
-        round as that batch does, and add b along the rows in place.  A
-        unit zeta or tau skips its multiply or divide, the identity its
-        sigma' multiply: x * 1.0 and x / 1.0 are x in IEEE arithmetic,
-        inf, NaN and -0 included.  M, W and b are read in place, except
-        for the columns' b copy, which is taken here."""
+        than a broadcast; rows take them as np.dot(x, M.T) and add b
+        along the rows in place.  One row makes the gemv call M @ v
+        makes, and rounds as it does.  A unit zeta or tau skips its
+        multiply or divide, the identity its sigma' multiply: x * 1.0
+        and x / 1.0 are x in IEEE arithmetic, inf, NaN and -0 included.
+        M, W and b are read in place, except for the columns' b copy,
+        which is taken here."""
         T, h, M, W = self.total_units, self.hyper, self.M, self.W
         rows = s.ndim == 3
         E, V = (s[0], s[1]) if rows else (s[:T], s[T:])
@@ -251,16 +241,16 @@ class Network:
         return Kernel(rhs, euler)
 
     def fast_rhs_flat(self, s):
-        """RHS of the fast equations at packed state s, ignoring clamps.
-        Used by linearization and solvers."""
-        return self.rhs(_vector(s, 2 * self.total_units))
+        """RHS of the fast equations at packed state s, ignoring clamps,
+        into a fresh (2T,) array.  Used by linearization and solvers."""
+        s = _vector(s, 2 * self.total_units)
+        return self.kernel(s.reshape(2, 1, -1)).rhs().reshape(-1)
 
     def step_fast(self):
         """One Euler step of the fast equations on the net's own state:
         one step of relax; raises IntegrationDivergenceError when the
         step passes the divergence limit."""
-        if self.relax(self.s[:, None], 0.0, 1).diverged[0]:
-            raise IntegrationDivergenceError(self.steps_taken)
+        self.run_fast_to_equilibrium(0.0, 1)
 
     def step_slow(self, errors=None):
         """One Euler step of the weight equations from the current state.
@@ -291,65 +281,48 @@ class Network:
     def residual(self) -> float:
         """Sup-norm of the fast-state time derivative, skipping the value
         equations of clamped units."""
-        return float(self._sup_norm(self.rhs(self.s), self.clamped))
+        d = self.kernel(self.s.reshape(2, 1, -1)).rhs()
+        return float(self._sup_norm(d, self.clamped)[0])
 
-    def _sup_norm(self, d, clamped, a=None):
-        """Sup-norm per run of the packed derivatives d, a scalar for one
-        (2T,) state, else one per column of a (2T, B) batch or per row of
-        a (2, B, T) one, skipping the value entries that the (T,) mask
-        clamped marks (None when no unit is clamped).  a, when given, is
-        the buffer for |d|: d.T-shaped for columns, d-shaped for rows."""
+    @staticmethod
+    def _sup_norm(d, clamped, a=None):
+        """Sup-norm per run of the derivatives d of a (2, B, T) batch of
+        rows, skipping the value entries that the (T,) mask clamped marks
+        (None when no unit is clamped).  a, when given, is the d-shaped
+        buffer for |d|."""
         # a clamped entry counts as 0, which never raises the max, and a
         # max is exact in any order
-        if d.ndim == 3:
-            a = np.abs(d, a)
-            if clamped is not None:
-                a[1][..., clamped] = 0.0
-            return np.maximum.reduce(a, (0, 2))
-        # |d| as the rows of one (B, 2T) array, whose contiguous rows
-        # reduce far faster than the columns of a (2T, B) one
-        a = np.abs(d.T, a)
+        a = np.abs(d, a)
         if clamped is not None:
-            a[..., self.total_units:][..., clamped] = 0.0
-        return np.maximum.reduce(a, -1)
+            a[1][..., clamped] = 0.0
+        return np.maximum.reduce(a, (0, 2))
 
     def relax(self, s, tol: float, max_steps: int) -> "Relaxation":
-        """Step the fast equations on B packed states, the columns of s
-        (2T, B), in place, column by column until its derivative sup-norm
-        drops under tol, until it passes the divergence limit, or until
-        the step budget runs out.
+        """Step the fast equations on B packed states, the rows of the
+        C-contiguous (2, B, T) float array s, E rows then V rows, in
+        place, run by run until its derivative sup-norm drops under tol,
+        until it passes the divergence limit, or until the step budget
+        runs out; any other s raises ConstructionError before a step.
 
-        A column that settles or diverges is frozen at that step and
+        A run that settles or diverges is frozen at that step and
         dropped from the batch, while the others go on.  Clamps hold
-        every column, and steps_taken advances by the steps all columns
-        took.  The RHS is evaluated once per step: the derivatives behind
-        each residual drive the next step.  A C-contiguous s is stepped
-        in place as columns; any other (stability's F-ordered S[:, cols])
-        is copied to the C-contiguous rows of one (2, B, T) array, whose
-        products round as that batch's np.matmul did (see kernel), and
-        each column is written back to s when it stops.  The kernel is
-        bound to the batch, and again only after columns are dropped,
-        which np.compress does into a new C-contiguous batch.
+        every run, and steps_taken advances by the steps all runs took.
+        The RHS is evaluated once per step: the derivatives behind each
+        residual drive the next step.  The kernel is bound to the batch,
+        and again only after runs are dropped, which np.compress does
+        into a new C-contiguous batch; each run is written back to s
+        when it stops.
         """
-        T, n = self.total_units, s.shape[1]
+        T = self.total_units
+        if not (isinstance(s, np.ndarray) and s.dtype == np.float64 and s.ndim == 3
+                and s.shape[::2] == (2, T) and s.flags.c_contiguous):
+            raise ConstructionError(f"relax takes a C-contiguous (2, B, {T}) float64 batch, "
+                                    f"not {getattr(s, 'dtype', type(s))} {np.shape(s)}")
+        n = s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))
         clamped = self.clamped if self.clamped.any() else None
-        rows = not s.flags.c_contiguous
-        if rows:
-            X = np.empty((2, n, T))
-            X[0], X[1] = s[:T].T, s[T:].T
-            a = np.empty_like(X)
-            pinned, target = self.clamped, self.clamp_target
-        else:
-            X, a = s, np.empty((n, 2 * T))
-            pinned, target = self.clamped[:, None], self.clamp_target[:, None]
-
-        def columns(X):
-            """The (2T, B) form of the batch X."""
-            return X.transpose(0, 2, 1).reshape(2 * T, -1) if rows else X
-
-        live = np.arange(n)
+        X, a, live = s, np.empty_like(s), np.arange(n)
         with np.errstate(over="ignore", invalid="ignore"):
             kernel = self.kernel(X)
             d = kernel.rhs()
@@ -359,35 +332,35 @@ class Network:
                     break
                 kernel.euler(d)
                 if clamped is not None:
-                    np.copyto(X[1] if rows else X[T:], target, where=pinned)
+                    np.copyto(X[1], self.clamp_target, where=clamped)
                 bad = _past_limit(X)
                 d = kernel.rhs()
                 r = self._sup_norm(d, clamped, a)
                 done = bad | (r < tol)
                 if not done.any():
                     continue
-                cols = live[done]
-                out.steps[cols], out.residual[cols] = k, r[done]
-                out.diverged[cols], out.converged[cols] = bad[done], ~bad[done]
+                ended = live[done]
+                out.steps[ended], out.residual[ended] = k, r[done]
+                out.diverged[ended], out.converged[ended] = bad[done], ~bad[done]
                 if X is not s:
-                    s[:, cols] = columns(X[:, done])
+                    s[:, ended] = X[:, done]
                 keep = ~done
                 live, r = live[keep], r[keep]
                 X, d = np.compress(keep, X, 1), np.compress(keep, d, 1)
-                a = a[:, :live.size] if rows else a[:live.size]
+                a = a[:, :live.size]
                 kernel = self.kernel(X)
         out.residual[live] = r
         if live.size and X is not s:
-            s[:, live] = columns(X)
+            s[:, live] = X
         self.steps_taken += int(out.steps.sum())
         return out
 
     def run_fast_to_equilibrium(self, tol: float = 1e-6,
                                 max_steps: int = 100000) -> Relaxation:
-        """relax on the net's own state, as one column; raises
+        """relax on the net's own state, as one row; raises
         IntegrationDivergenceError at the first step past the divergence
         limit."""
-        out = self.relax(self.s[:, None], tol, max_steps)
+        out = self.relax(self.s.reshape(2, 1, -1), tol, max_steps)
         if out.diverged[0]:
             raise IntegrationDivergenceError(self.steps_taken)
         return out

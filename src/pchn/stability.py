@@ -14,18 +14,14 @@ interleaves relaxation stretches with Newton root polishing of the
 reduced T-dimensional system and checks the 2T residual against tol.
 
 analyze_equilibrium takes an (n, T) stack of targets, and all of them
-relax together: their packed states are the columns of one (2T, n)
-array stepped by Network.relax, first for one stretch and then, in
-rounds, for geometrically growing chunks over the targets still
-unresolved.  Each column stops at its own first step under the
-tolerance, so a target sees the same steps as it would alone; only the
-rounding of the batched matrix products differs.  The batch handed to
-relax is S[:, cols], which numpy lays out in F order; relax steps it as
-the C-contiguous rows of a (2, B, T) copy, whose products round as
-np.matmul's on the F-ordered batch (different from C order's at
-d = 100).  That rounding fixes the spectra's bytes, their residual=
-field first of all.  Newton probes, Jacobians and eigenvalues stay per
-target.
+relax together: their states are the rows of one (2, n, T) array, E
+rows then V rows, stepped by Network.relax, first for one stretch and
+then, in rounds, for geometrically growing chunks over the targets still
+unresolved.  Each row stops at its own first step under the tolerance,
+so a target sees the same steps as it would alone; only the rounding of
+the batched matrix products differs.  np.take(S, cols, 1) hands relax
+the C-contiguous batch it takes, where S[:, cols] would not be.  Newton
+probes, Jacobians and eigenvalues stay per target.
 """
 
 from dataclasses import dataclass
@@ -178,7 +174,7 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     and classify the spectrum of the Jacobian there.
 
     targets is an (n, T) stack of patterns, n >= 0.  Every target relaxes
-    as one column of a (2T, n) state through Network.relax; the net's
+    as one row of a (2, n, T) batch through Network.relax; the net's
     own fast state s is not touched.  The result is a list holding, per
     target, its report or the error that ended it: NotAnEquilibriumError,
     IntegrationDivergenceError (at the count of that target's relaxation
@@ -198,15 +194,15 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
         raise ConstructionError(f"targets {targets.shape} are not (n, {T})")
     n = targets.shape[0]
     net.unclamp_all()
-    S = np.zeros((2 * T, n))
-    S[T:] = targets.T
+    S = np.zeros((2, n, T))
+    S[1] = targets
     residual, taken = np.zeros(n), np.zeros(n, dtype=int)
     failed, eigs = [None] * n, [None] * n
 
     def relax(cols, steps):
         """Relax the targets cols together for up to steps; returns
         those still above tol and not diverged."""
-        part = S[:, cols]
+        part = np.take(S, cols, 1)
         relaxed = net.relax(part, tol, steps)
         S[:, cols] = part
         residual[cols] = relaxed.residual
@@ -227,20 +223,21 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
         still = []
         for k in pending:
             try:
-                found = _probe(net, S[:, k], tol)
+                found = _probe(net, S[:, k].ravel(), tol)
             except NonDifferentiableStateError as e:
                 failed[k] = e
                 continue
             if found is None:
                 still.append(k)
             else:
-                S[:, k], residual[k], eigs[k] = found
+                s, residual[k], eigs[k] = found
+                S[:, k] = s.reshape(2, T)
         if not still:
             break
         pending = relax(still, chunk)
         chunk *= 2
     return [failed[k] if failed[k] is not None else
-            _outcome(net, S[:, k].copy(), eigs[k], residual[k], tol, targets[k])
+            _outcome(net, S[:, k].flatten(), eigs[k], residual[k], tol, targets[k])
             for k in range(n)]
 
 

@@ -37,7 +37,7 @@ def algebraic_step(net):
     h = net.hyper
     with np.errstate(over="ignore", invalid="ignore"):
         net.E[:] = (net.V - net.predict(net.V)) / h.zeta
-        net.V += h.dt * net.rhs(net.s)[net.total_units:]
+        net.V += h.dt * net.fast_rhs_flat(net.s)[net.total_units:]
     np.copyto(net.V, net.clamp_target, where=net.clamped)
     net.steps_taken += 1
     if not np.all(np.abs(net.s) <= DIVERGENCE_LIMIT):

@@ -72,9 +72,9 @@ def _plain_rhs(net, s):
 
 
 def _rows(s):
-    """The (2T, B) batch s as C-contiguous (2, B, T) rows, E rows then V
-    rows, the layout relax copies a batch that is not C-contiguous to."""
-    return np.ascontiguousarray(s.reshape(2, s.shape[0] // 2, -1).transpose(0, 2, 1))
+    """A copy of the (2T, B) batch s as C-contiguous (2, B, T) rows, E
+    rows then V rows, the layout relax takes."""
+    return s.reshape(2, s.shape[0] // 2, -1).transpose(0, 2, 1).copy()
 
 
 def _columns(x):
@@ -212,7 +212,7 @@ class TestFastStep:
             net.V[rows] = rng.normal(size=rows.stop - rows.start)
             net.E[rows] = rng.normal(size=rows.stop - rows.start)
         dv_o, de_o = rhs_oracle(net)
-        dE, dV = np.split(net.rhs(net.s.copy()), 2)
+        dE, dV = np.split(net.fast_rhs_flat(net.s), 2)
         for i, rows in enumerate(net.slices):
             np.testing.assert_allclose(dV[rows], dv_o[i], atol=1e-12)
             np.testing.assert_allclose(dE[rows], de_o[i], atol=1e-12)
@@ -224,7 +224,7 @@ class TestFastStep:
             net.V[rows] = rng.normal(size=rows.stop - rows.start)
             net.E[rows] = rng.normal(size=rows.stop - rows.start)
         dv_o, de_o = rhs_oracle(net)
-        dE, dV = np.split(net.rhs(net.s.copy()), 2)
+        dE, dV = np.split(net.fast_rhs_flat(net.s), 2)
         for i, rows in enumerate(net.slices):
             np.testing.assert_allclose(dV[rows], dv_o[i], atol=1e-12)
             np.testing.assert_allclose(dE[rows], de_o[i], atol=1e-12)
@@ -244,19 +244,26 @@ class TestFastStep:
 
     @staticmethod
     def _check_euler_is_plain(net, runs):
-        """A (2T,) state, a (2T, runs) batch of C columns, and an F-ordered
-        batch, the layout stability relaxes, bound as the (2, runs, T)
-        rows relax copies it to; the plain expressions take their
-        products on the state, the C batch and the F batch."""
+        """A (2T,) state, bound as it is and as the (2, 1, T) view through
+        which relax steps the net's own state, a (2T, runs) batch of C
+        columns, and an F-ordered batch bound as the (2, runs, T) rows
+        relax takes; the plain expressions take their products on the
+        state, the C batch and the F batch."""
         n = 2 * net.total_units
         shape = (n,) if runs is None else (n, runs)
-        for order in ("C",) if runs is None else ("C", "F"):
+        layouts = [("C", np.asarray, np.asarray)]
+        if runs is None:
+            layouts.append(("C", lambda s: s.reshape(2, 1, -1), np.ravel))
+        else:
+            layouts.append(("F", _rows, _columns))
+        for order, bind, unpack in layouts:
             s = np.asarray(np.random.default_rng(25).normal(size=shape), order=order)
-            x, unpack = (s, np.asarray) if order == "C" else (_rows(s), _columns)
+            x = bind(s)
             kernel = net.kernel(x)
             for _ in range(2):
                 want = np.concatenate(_plain_rhs(net, s))
-                np.testing.assert_array_equal(unpack(net.rhs(x)), want)
+                if runs is None:
+                    np.testing.assert_array_equal(net.fast_rhs_flat(s), want)
                 np.testing.assert_array_equal(unpack(kernel.rhs()), want)
                 s = np.asarray(_plain_step(net, s), order=order)
                 kernel.euler()
@@ -279,11 +286,13 @@ class TestFastStep:
         self._check_euler_is_plain(_plain_net(activation, 1.0, 1.0), runs)
 
     @pytest.mark.parametrize("activation", list(Activation))
-    def test_euler_is_bitwise_s_plus_dt_rhs_on_a_wide_net(self, activation):
+    @pytest.mark.parametrize("runs", [None, 1, 7])
+    def test_euler_is_bitwise_s_plus_dt_rhs_on_a_wide_net(self, activation, runs):
         """The same on a T = 50 net, wide enough that BLAS rounds an
         F-ordered batch's products differently from a C-ordered one's:
-        C columns keep C order's rounding, and rows the F batch's."""
-        self._check_euler_is_plain(_plain_net(activation, sizes=(30, 20)), 7)
+        C columns keep C order's rounding, and rows the F batch's; one
+        row rounds as the (2T,) state's products do."""
+        self._check_euler_is_plain(_plain_net(activation, sizes=(30, 20)), runs)
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("write", ["step_slow", "load_weights", "b"])
@@ -433,7 +442,7 @@ class TestEquilibrium:
 
     def test_empty_batch_relaxes_to_an_empty_result(self):
         net = build_loop([4, 3], Activation.TANH, _hyper(), seed=19)
-        res = net.relax(np.zeros((14, 0)), 1e-6, 100)
+        res = net.relax(np.zeros((2, 0, 7)), 1e-6, 100)
         for field in (res.steps, res.converged, res.residual, res.diverged):
             assert field.shape == (0,)
         assert net.steps_taken == 0
@@ -442,24 +451,26 @@ class TestEquilibrium:
     def test_relax_is_bitwise_plain_steps_at_the_defaults(self, activation):
         """relax at tau = zeta = 1, where the kernel skips its unit
         multiply and divide, reaches the state of plain-expression steps
-        and reports the sup-norm of the plain rhs there, bit for bit."""
+        taken in F order and reports the sup-norm of the plain rhs
+        there, bit for bit."""
         net = _plain_net(activation, 1.0, 1.0)
         s = np.random.default_rng(28).normal(size=(14, 5))
-        want = s.copy()
+        want = s.copy(order="F")
         for _ in range(30):
-            want = _plain_step(net, want)
-        res = net.relax(s, 0.0, 30)
+            want = np.asfortranarray(_plain_step(net, want))
+        x = _rows(s)
+        res = net.relax(x, 0.0, 30)
         np.testing.assert_array_equal(res.steps, 30)
-        assert s.tobytes() == want.tobytes()
+        assert _columns(x).tobytes() == want.tobytes()
         plain = np.abs(np.concatenate(_plain_rhs(net, want))).max(axis=0)
         assert res.residual.tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("activation", list(Activation))
     def test_relax_keeps_the_rounding_of_an_f_ordered_batch(self, activation):
-        """stability relaxes an F-ordered batch, S[:, cols].  On a T = 50
-        net, where that layout rounds the products differently from C
-        order, relax reaches the state of plain-expression steps taken
-        in F order, and the plain sup-norm there, bit for bit."""
+        """On a T = 50 net, where an F-ordered batch rounds the products
+        differently from C order, relax on the rows of the batch
+        S[:, cols] reaches the state of plain-expression steps taken in
+        F order, and the plain sup-norm there, bit for bit."""
         net = _plain_net(activation, sizes=(30, 20))
         S = np.random.default_rng(29).normal(size=(100, 9))
         s = S[:, [0, 2, 3, 5, 6, 7, 8]]
@@ -467,9 +478,10 @@ class TestEquilibrium:
         want = s.copy(order="F")
         for _ in range(30):
             want = np.asfortranarray(_plain_step(net, want))
-        res = net.relax(s, 0.0, 30)
+        x = _rows(s)
+        res = net.relax(x, 0.0, 30)
         np.testing.assert_array_equal(res.steps, 30)
-        assert s.tobytes() == want.tobytes()
+        assert _columns(x).tobytes() == want.tobytes()
         plain = np.abs(np.concatenate(_plain_rhs(net, want))).max(axis=0)
         assert res.residual.tobytes() == plain.tobytes()
 
@@ -478,7 +490,7 @@ class TestEquilibrium:
                                                     (Activation.TANH, 660)])
     def test_relax_stops_each_column_of_an_f_ordered_batch_at_its_own_step(
             self, activation, budget):
-        """stability's F-ordered batch S[:, cols] on a T = 50 net with
+        """The rows of an F-ordered batch S[:, cols] on a T = 50 net with
         population 0 clamped: two columns settle, at different steps, one
         diverges and two run out of steps.  Each column ends, bit for bit,
         at the state of plain-expression steps of the F-ordered batch of
@@ -517,12 +529,33 @@ class TestEquilibrium:
         assert len(set(stop[converged])) == 2 and diverged.sum() == 1
         assert np.sum(stop == budget) == 2
 
-        res = net.relax(s, tol, budget)
+        rows = _rows(s)
+        res = net.relax(rows, tol, budget)
         np.testing.assert_array_equal(res.steps, stop)
         np.testing.assert_array_equal(res.converged, converged)
         np.testing.assert_array_equal(res.diverged, diverged)
-        assert s.tobytes() == x.tobytes()
+        assert _columns(rows).tobytes() == x.tobytes()
         assert res.residual.tobytes() == residual.tobytes()
+
+    @pytest.mark.parametrize("batch", ["columns", "f_slice", "wrong_t", "float32", "list"])
+    def test_relax_refuses_any_batch_but_c_rows(self, batch):
+        """relax takes only a C-contiguous (2, B, T) float64 batch with the
+        net's T: an old (2T, B) batch of columns, a non-contiguous
+        S[:, cols] slice of rows, rows of another T, float32 rows and a
+        nested list are refused before any state or steps_taken
+        changes."""
+        net = build_loop([4, 3], Activation.TANH, _hyper(), seed=19)
+        net.V[:] = 0.5
+        S = np.random.default_rng(34).normal(size=(2, 4, 7))
+        s = {"columns": _columns(S), "f_slice": S[:, [0, 2]],
+             "wrong_t": np.zeros((2, 3, 8)), "float32": S.astype(np.float32),
+             "list": S.tolist()}[batch]
+        before, state = np.array(s, copy=True), net.s.copy()
+        with pytest.raises(ConstructionError, match="C-contiguous"):
+            net.relax(s, 1e-6, 100)
+        np.testing.assert_array_equal(np.asarray(s), before)
+        np.testing.assert_array_equal(net.s, state)
+        assert net.steps_taken == 0
 
     def test_one_rhs_per_step_on_the_step_fast_path(self):
         """Each step reuses the derivatives its residual was read from:

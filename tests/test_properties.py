@@ -32,7 +32,7 @@ from pchn.network import Network
 
 from oracles import clamp_population, edge_blocks, jacobian_fd
 from test_learning import assert_trained_alike, train_oracle
-from test_network import rhs_oracle
+from test_network import _rows, rhs_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -67,7 +67,7 @@ def networks(draw):
 @given(networks())
 def test_flat_rhs_matches_per_connection_oracle(net):
     dv_o, de_o = rhs_oracle(net)
-    dE, dV = np.split(net.rhs(net.s), 2)
+    dE, dV = np.split(net.fast_rhs_flat(net.s), 2)
     for i, rows in enumerate(net.slices):
         np.testing.assert_allclose(dE[rows], de_o[i], rtol=0, atol=1e-12)
         np.testing.assert_allclose(dV[rows], dv_o[i], rtol=0, atol=1e-12)
@@ -112,10 +112,10 @@ def _rebuilt(net, scale=1.0, activation=None, tied=None, hyper=None):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(networks(), st.data())
 def test_batched_relaxation_matches_one_state_at_a_time(net, data):
-    """Each column of a batched relax, of a C batch and of a permuted
-    F-ordered copy, settles, diverges or runs out of steps as the same
-    start does alone through run_fast_to_equilibrium: same flag, same
-    step count, a state within 1e-10 relative.  The
+    """Each run of a batched relax, of the rows of a batch in start order
+    and of a permuted copy, settles, diverges or runs out of steps as
+    the same start does alone through run_fast_to_equilibrium: same
+    flag, same step count, a state within 1e-10 relative.  The
     weight scales and the step dt = 0.05 give all three outcomes.  Only
     linear units get the large scale: saturating units there can turn
     chaotic, where no two roundings of the same product stay close."""
@@ -129,10 +129,10 @@ def test_batched_relaxation_matches_one_state_at_a_time(net, data):
     if data.draw(st.booleans()):
         clamp_population(net, 0, rng.normal(size=net.slices[0].stop))
     tol, budget = 1e-6, data.draw(st.sampled_from([3000, 50, 0]))
-    # the C batch relaxes as columns; its F-ordered copy, permuted as
-    # stability's S[:, cols] is, relaxes as rows; at[j] is run j's column
+    # the batch as (2, runs, T) rows, and a copy permuted as stability's
+    # np.take(S, cols, 1) is; at[j] is run j's row
     perm = rng.permutation(runs)
-    batches = [(starts.copy(), np.arange(runs)), (starts[:, perm], np.argsort(perm))]
+    batches = [(_rows(starts), np.arange(runs)), (_rows(starts[:, perm]), np.argsort(perm))]
     results = []
     for S, _ in batches:
         before = net.steps_taken
@@ -151,7 +151,7 @@ def test_batched_relaxation_matches_one_state_at_a_time(net, data):
             i = at[j]
             assert not got.diverged[i]
             assert (got.converged[i], got.steps[i]) == (alone.converged[0], alone.steps[0])
-            assert np.linalg.norm(S[:, i] - net.s) <= 1e-10 * np.linalg.norm(net.s)
+            assert np.linalg.norm(S[:, i].ravel() - net.s) <= 1e-10 * np.linalg.norm(net.s)
             np.testing.assert_allclose(got.residual[i], alone.residual[0], rtol=1e-6)
 
 

@@ -278,11 +278,11 @@ class TestNewtonPolish:
         per net are."""
         net, targets = _polish_net(name)
         tol, T = 1e-8, net.total_units
-        S = np.zeros((2 * T, len(targets)))
-        S[T:] = targets.T
+        S = np.zeros((2, len(targets), T))
+        S[1] = targets
         net.relax(S, tol, 200)
         checked = 0
-        for s in S.T:
+        for s in S.transpose(1, 0, 2).reshape(len(targets), 2 * T):
             want, want_res = minpack_polish(net, s)
             if not want_res < tol:
                 continue
