@@ -2,23 +2,23 @@
 
 A study drops a frozen network at a set of initial value states, lets the
 fast dynamics run, and records the distance from the state to every
-stored target at a fixed sampling interval.  Runs are the columns of one
-(2T, runs) array of packed fast states (errors in the first T rows,
-values in the last T); they share the weights, so one Euler kernel,
-bound once per study (see Network.kernel), advances every run with the
-same matrix products.  Each sample copies the values into a chunk of
-SAMPLE_CHUNK samples, a (T, samples x runs) array flushed when it fills
-and at the end.  A flush finds each live run's first sample past the
-divergence limit, keeps the samples before it and closes the run out
-there, zeroing its state; the samples after it were never recorded.  It
-then takes the chunk's distances in one call, against a (targets, T,
-SAMPLE_CHUNK x runs) copy of the patterns made once per study, so the
-subtraction runs over contiguous (T, samples x runs) blocks and the
-squares sum over T row by row, as one sample's do.  They fill the
-slices of a Trace: a (runs, samples, targets) distance array, the index
-of each run's last sample and a mask of the runs that diverged.  The
-CSV writer, the distance tables and the summaries read those arrays
-directly; the CSV is built and written as ASCII bytes.
+stored target at a fixed sampling interval.  Runs are the rows of one
+(2, runs, T) batch of fast states, error rows then value rows; they
+share the weights, so one Euler kernel, bound once per study (see
+Network.kernel), advances every run with the same matrix products.
+Each sample copies the values into a chunk of SAMPLE_CHUNK samples, a
+(T, samples x runs) array flushed when it fills and at the end.  A
+flush finds each live run's first sample past the divergence limit,
+keeps the samples before it and closes the run out there, zeroing its
+state; the samples after it were never recorded.  It then takes the
+chunk's distances in one call, against a (targets, T, SAMPLE_CHUNK x
+runs) copy of the patterns made once per study, so the subtraction runs
+over contiguous (T, samples x runs) blocks and the squares sum over T
+row by row, as one sample's do.  They fill the slices of a Trace: a
+(runs, samples, targets) distance array, the index of each run's last
+sample and a mask of the runs that diverged.  The CSV writer, the
+distance tables and the summaries read those arrays directly; the CSV
+is built and written as ASCII bytes.
 
 Seeding: make_probes and the studies take an int or a SeedSequence seed
 and build run r's stream with _run_seed, as SeedSequence(seed,
@@ -213,11 +213,11 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     if sampled[-1] != steps:
         sampled = np.append(sampled, steps)
 
-    # packed states as columns: errors in rows :T, values in rows T:
+    # a (2, runs, T) batch of rows: errors, then values
     T = net.total_units
-    S = np.zeros((2 * T, n_runs))
-    S[T:] = starts.T
-    V = S[T:]
+    S = np.zeros((2, n_runs, T))
+    S[1] = starts
+    V = S[1].T
     # one run against one target sums a (T, 1, 1) difference, which numpy
     # sums pairwise; every wider one sums row by row, as a chunk does
     K = SAMPLE_CHUNK if n_runs * targets.n > 1 else 1

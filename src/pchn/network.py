@@ -24,19 +24,17 @@ build_single_population and build_loop name its two common shapes.
 Linearization lives in stability.py, the training loop in learning.py.
 
 Network.kernel binds the one Euler kernel afresh on every call, to one
-state array s: it slices the E and V views of s once, and then rhs()
+batch s of B states, the rows of a C-contiguous (2, B, T) array, E rows
+then V rows: it slices the E and V views of s once, and then rhs()
 packs the derivatives at s (dE over dV) into one buffer and euler() adds
-dt times them to s, with no state argument.  s holds one (2T,) state or
-a batch in one of two layouts: B packed states as the columns of a
-C-contiguous (2T, B) array, whose products are np.dot(M, x), or as the
-rows of a C-contiguous (2, B, T) array, E rows then V rows, whose
-products are np.dot(x, M.T).  The studies step columns; a batch of
-columns copies b, so bind it after the last weight write.
-Network.relax, the one loop that steps a batch until each run settles
-(the derivative sup-norm under a tolerance) or diverges, takes rows:
-the stability analysis relaxes all its targets as one batch of rows,
-and step_fast, residual, fast_rhs_flat and run_fast_to_equilibrium go
-through the one-row view s.reshape(2, 1, -1) of the net's own state.
+dt times them to s, with no state argument.  Each bind copies M.T, W.T
+and b, so a kernel steps the weights of its bind: bind after the last
+weight write.  Network.relax, the one loop that steps a batch until each
+run settles (the derivative sup-norm under a tolerance) or diverges,
+binds it, and so do the recall studies; the stability analysis relaxes
+all its targets as one batch, and step_fast, residual, fast_rhs_flat and
+run_fast_to_equilibrium go through the one-row view s.reshape(2, 1, -1)
+of the net's own state.
 
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
@@ -84,7 +82,7 @@ class Hyperparams:
 
 
 def _vector(x, n):
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (n,):
         raise ConstructionError(f"vector length {x.shape} != ({n},)")
     return x
@@ -98,7 +96,7 @@ Kernel = namedtuple("Kernel", "rhs euler")
 
 @dataclass
 class Relaxation:
-    """Per-column outcome of Network.relax: the steps each column took,
+    """Per-run outcome of Network.relax: the steps each run took,
     whether it settled under tol or passed the divergence limit at its
     last step, and its derivative sup-norm there."""
     steps: np.ndarray
@@ -176,29 +174,30 @@ class Network:
         return self.M @ self.activation.apply(V) + b
 
     def kernel(self, s) -> Kernel:
-        """rhs and euler bound afresh to the states s: the E and V views of
-        s are sliced here, once.  s is one (2T,) state, B states as the
-        columns of a C-contiguous (2T, B) array, or B states as the rows
-        of a C-contiguous (2, B, T) array, E rows then V rows.  sigma(V)
-        and sigma'(V) share one buffer and the derivatives go to one
-        packed buffer, each laid out like s.  Columns take their products
-        as np.dot(M, x) and add a (T, B) copy of b, which adds faster
-        than a broadcast; rows take them as np.dot(x, M.T) and add b
-        along the rows in place.  One row makes the gemv call M @ v
-        makes, and rounds as it does.  A unit zeta or tau skips its
-        multiply or divide, the identity its sigma' multiply: x * 1.0
-        and x / 1.0 are x in IEEE arithmetic, inf, NaN and -0 included.
-        M, W and b are read in place, except for the columns' b copy,
-        which is taken here."""
-        T, h, M, W = self.total_units, self.hyper, self.M, self.W
-        rows = s.ndim == 3
-        E, V = (s[0], s[1]) if rows else (s[:T], s[T:])
+        """rhs and euler bound afresh to the batch s, B states as the rows
+        of a C-contiguous (2, B, T) float64 array, E rows then V rows; any
+        other s raises ConstructionError.  The E and V views of s are
+        sliced here, once, and C-contiguous copies of M.T and W.T and a
+        (B, T) block of b are taken: the kernel steps the weights of its
+        bind, so bind after the last weight write.  sigma(V) and sigma'(V)
+        share one (B, T) buffer and the derivatives go to one packed
+        buffer laid out like s.  The products are np.dot(sigma(V), Mt)
+        and np.dot(E, Wt), which OpenBLAS runs faster against a
+        C-contiguous transpose than against the view M.T, and the (B, T)
+        bias adds faster than a broadcast of b.  A unit zeta or tau skips
+        its multiply or divide, the identity its sigma' multiply: x * 1.0
+        and x / 1.0 are x in IEEE arithmetic, inf, NaN and -0 included."""
+        T, h = self.total_units, self.hyper
+        if not (isinstance(s, np.ndarray) and s.dtype == np.float64 and s.ndim == 3
+                and s.shape[::2] == (2, T) and s.flags.c_contiguous):
+            raise ConstructionError(f"a kernel takes a C-contiguous (2, B, {T}) float64 "
+                                    f"batch, not {getattr(s, 'dtype', type(s))} "
+                                    f"{np.shape(s)}")
+        E, V = s
         buf = np.empty_like(s)
-        dE, dV = (buf[0], buf[1]) if rows else (buf[:T], buf[T:])
-        a, bias = np.empty_like(dV), self.b
-        if s.ndim == 2:
-            bias = np.empty_like(a)
-            bias[...] = self.b[:, None]
+        dE, dV = buf
+        a, bias = np.empty_like(dV), np.empty_like(dV)
+        bias[...] = self.b
         sigma, gain = self.activation.in_place(a)
         zeta = None if h.zeta == 1.0 else h.zeta
         tau = None if h.tau == 1.0 else h.tau
@@ -207,10 +206,8 @@ class Network:
         # outputs passed positionally, which numpy dispatches fastest;
         # sigma(V) is written to a, so both products bind their operands
         mul, add, sub = np.multiply, np.add, np.subtract
-        if rows:
-            m_dot, w_dot = partial(np.dot, a, M.T), partial(np.dot, E, W.T)
-        else:
-            m_dot, w_dot = partial(np.dot, M, a), partial(np.dot, W, E)
+        Mt, Wt = self.M.T.copy(), self.W.T.copy()
+        m_dot, w_dot = partial(np.dot, a, Mt), partial(np.dot, E, Wt)
 
         def rhs():
             # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau
@@ -302,7 +299,8 @@ class Network:
         C-contiguous (2, B, T) float array s, E rows then V rows, in
         place, run by run until its derivative sup-norm drops under tol,
         until it passes the divergence limit, or until the step budget
-        runs out; any other s raises ConstructionError before a step.
+        runs out; any other s raises ConstructionError, from the kernel
+        bound to it, before a step.
 
         A run that settles or diverges is frozen at that step and
         dropped from the batch, while the others go on.  Clamps hold
@@ -313,18 +311,12 @@ class Network:
         into a new C-contiguous batch; each run is written back to s
         when it stops.
         """
-        T = self.total_units
-        if not (isinstance(s, np.ndarray) and s.dtype == np.float64 and s.ndim == 3
-                and s.shape[::2] == (2, T) and s.flags.c_contiguous):
-            raise ConstructionError(f"relax takes a C-contiguous (2, B, {T}) float64 batch, "
-                                    f"not {getattr(s, 'dtype', type(s))} {np.shape(s)}")
-        n = s.shape[1]
+        kernel, n = self.kernel(s), s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))
         clamped = self.clamped if self.clamped.any() else None
         X, a, live = s, np.empty_like(s), np.arange(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel = self.kernel(X)
             d = kernel.rhs()
             r = self._sup_norm(d, clamped, a)
             for k in range(1, max_steps + 1):

@@ -2,8 +2,9 @@
 weights, clamping a single population, the algebraic-error step, a
 central-difference Jacobian, MINPACK's root polish, the mean squared
 prediction error, the distance between two single states, a table of
-distances between states and targets, and a recall study that takes its
-distances one sample at a time."""
+distances between states and targets, the fast equations' textbook
+products on columns, and a recall study that takes its distances one
+sample at a time."""
 
 import numpy as np
 
@@ -117,10 +118,32 @@ def distance_table(V, P, metric: str):
     return np.sqrt(sq, sq).T
 
 
-def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every=0.05):
+def textbook_rhs(net, E, V):
+    """(dE, dV) at the C-ordered (T, B) columns E and V, with the
+    textbook products M @ sigma(V) and W @ E."""
+    h, act = net.hyper, net.activation
+    dE = (V - (net.M @ act.apply(V) + net.b[:, None]) - h.zeta * E) / h.tau
+    dV = (-E + act.derivative(V) * (net.W @ E)) / h.tau
+    return dE, dV
+
+
+def textbook_euler(net, S):
+    """One Euler step of the (2, B, T) rows S, taken with textbook_rhs
+    on a C-ordered copy of their columns."""
+    dE, dV = textbook_rhs(net, S[0].T.copy(), S[1].T.copy())
+    S[0] += net.hyper.dt * dE.T
+    S[1] += net.hyper.dt * dV.T
+
+
+def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every=0.05,
+                             step=None):
     """experiments.relaxation_study with one distance_table call per sample,
     straight after the steps that reach it, each through a kernel bound
-    for it: the reference for the chunked samples."""
+    for it to the (2, runs, T) batch of rows, or through step(S) when
+    given: the reference for the chunked samples."""
+    if step is None:
+        def step(S):
+            net.kernel(S).euler()
     starts = np.asarray(starts, dtype=float)
     n_runs, T = starts.shape[0], net.total_units
     metric, dt = metric_for(targets.kind), net.hyper.dt
@@ -129,18 +152,19 @@ def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every
     sampled = np.arange(0, steps + 1, stride)
     if sampled[-1] != steps:
         sampled = np.append(sampled, steps)
-    S = np.zeros((2 * T, n_runs))
-    S[T:] = starts.T
+    S = np.zeros((2, n_runs, T))
+    S[1] = starts
     P = np.ascontiguousarray(targets.patterns.T)
     trace = Trace(metric, sampled * dt,
                   np.zeros((n_runs, sampled.size, targets.n)),
                   np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
 
     def sample(i):
-        live = ~trace.diverged
-        np.copyto(trace.dist[:, i], distance_table(S[T:], P, metric),
-                  where=live[:, None])
-        bad = live & _past_limit(S[T:])
+        # C-ordered (T, runs) values: a transposed view would make the
+        # difference's T axis its inner one, which numpy sums pairwise
+        live, V = ~trace.diverged, S[1].T.copy()
+        np.copyto(trace.dist[:, i], distance_table(V, P, metric), where=live[:, None])
+        bad = live & _past_limit(V)
         if bad.any():
             trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
             trace.end[bad] = i
@@ -151,6 +175,6 @@ def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every
         sample(0)
         for i in range(1, sampled.size):
             for _ in range(sampled[i] - sampled[i - 1]):
-                net.kernel(S).euler()
+                step(S)
             sample(i)
     return trace

@@ -1,6 +1,7 @@
 """Target generation, perturbations, distance traces, and summaries."""
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _chunk_di
                               relaxation_study, sign_pm1, success_threshold,
                               trace_to_csv)
 
-from oracles import distance, distance_table, relaxation_study_sampled
+from oracles import distance, distance_table, relaxation_study_sampled, textbook_euler
 
 
 class TestTargets:
@@ -211,6 +212,24 @@ class TestRelaxationStudy:
                     want += [np.linalg.norm(net.V - pat) for pat in ts.patterns]
                 net.step_fast()
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_rows_agree_with_textbook_columns_on_a_wide_net(self, activation):
+        """A T = 100 study, whose row products round differently from the
+        textbook M @ sigma(V) on C-ordered columns, agrees with a study
+        stepped on such columns to 1e-12 relative on every distance."""
+        net = build_single_population(100, activation, Hyperparams(dt=0.01),
+                                      init_scale=1.0, seed=51)
+        net.b[:] = np.random.default_rng(51).normal(size=100)
+        freeze(net)
+        ts = gen_targets("real", 10, 100, seed=51)
+        starts = make_probes(ts, 51)
+        got = relaxation_study(net, ts, starts, horizon=2.0, sample_every=0.05)
+        want = relaxation_study_sampled(net, ts, starts, horizon=2.0, sample_every=0.05,
+                                        step=partial(textbook_euler, net))
+        assert not (got.diverged.any() or np.array_equal(got.dist, want.dist))
+        np.testing.assert_array_equal(got.end, want.end)
+        np.testing.assert_allclose(got.dist, want.dist, rtol=1e-12, atol=0)
 
     def test_deterministic_csv(self):
         net = _tiny_net(3)

@@ -12,9 +12,9 @@ from pchn import (Activation, ConstructionError, ContractViolationError,
                   Hyperparams, IntegrationDivergenceError, build_loop,
                   build_single_population, freeze)
 from pchn.checkpoint import load_weights, save_weights
-from pchn.network import Network
+from pchn.network import Network, build_network
 
-from oracles import algebraic_step, clamp_population, edge_blocks
+from oracles import algebraic_step, clamp_population, edge_blocks, textbook_rhs
 
 
 def _hyper(**kw):
@@ -46,34 +46,35 @@ def rhs_oracle(net):
 def _plain_net(activation, tau=0.7, zeta=0.9, sizes=(4, 3)):
     """A two-population loop with unit-scale weights and a random bias,
     for the bitwise kernel checks; tau and zeta away from 1 unless
-    given.  At sizes (30, 20) the BLAS products of an F-ordered batch
-    round differently from those of a C-ordered one."""
+    given.  At sizes (30, 20) the row products against a C-contiguous
+    transpose round differently from the C-ordered M @ sigma(V)."""
     net = build_loop(list(sizes), activation, _hyper(zeta=zeta, tau=tau),
                      init_scale=1.0, seed=23)
     net.b[:] = np.random.default_rng(24).normal(size=net.total_units)
     return net
 
 
-def _plain_rhs(net, s):
-    """(dE, dV) at the packed states s, (2T,) or (2T, B), as the fast
-    equations' plain numpy expressions."""
-    T, h, activation = net.total_units, net.hyper, net.activation
-    E, V = s[:T], s[T:]
-    b = net.b if s.ndim == 1 else net.b[:, None]
+def _plain_rhs(net, x):
+    """(dE, dV) at the states x, E then V: a (2, T) state or a (2, B, T)
+    batch of rows, as the fast equations' plain numpy expressions.  The
+    products are taken on the rows against C-contiguous copies of the
+    transposed weights, as the kernel takes them."""
+    h, activation = net.hyper, net.activation
+    E, V = x
     if activation is Activation.TANH:
         sig, gain = np.tanh(V), 1.0 - np.tanh(V) * np.tanh(V)
     elif activation is Activation.RELU:
         sig, gain = np.maximum(V, 0.0), np.where(V > 0.0, 1.0, 0.0)
     else:
         sig, gain = V, np.ones_like(V)
-    dE = (V - (net.M @ sig + b) - h.zeta * E) / h.tau
-    dV = (-E + gain * (net.W @ E)) / h.tau
+    dE = (V - (sig @ net.M.T.copy() + net.b) - h.zeta * E) / h.tau
+    dV = (-E + gain * (E @ net.W.T.copy())) / h.tau
     return dE, dV
 
 
 def _rows(s):
     """A copy of the (2T, B) batch s as C-contiguous (2, B, T) rows, E
-    rows then V rows, the layout relax takes."""
+    rows then V rows, the layout the kernel takes."""
     return s.reshape(2, s.shape[0] // 2, -1).transpose(0, 2, 1).copy()
 
 
@@ -82,11 +83,9 @@ def _columns(x):
     return x.transpose(0, 2, 1).reshape(-1, x.shape[1])
 
 
-def _plain_step(net, s):
-    """s + dt * rhs(s) in plain expressions: the state euler must reach."""
-    T, dt = net.total_units, net.hyper.dt
-    dE, dV = _plain_rhs(net, s)
-    return np.concatenate((s[:T] + dt * dE, s[T:] + dt * dV))
+def _plain_step(net, x):
+    """x + dt * rhs(x) in plain expressions: the state euler must reach."""
+    return x + net.hyper.dt * np.stack(_plain_rhs(net, x))
 
 
 class TestConstruction:
@@ -244,37 +243,33 @@ class TestFastStep:
 
     @staticmethod
     def _check_euler_is_plain(net, runs):
-        """A (2T,) state, bound as it is and as the (2, 1, T) view through
-        which relax steps the net's own state, a (2T, runs) batch of C
-        columns, and an F-ordered batch bound as the (2, runs, T) rows
-        relax takes; the plain expressions take their products on the
-        state, the C batch and the F batch."""
+        """A (2T,) state, bound as the (2, 1, T) view through which relax
+        steps the net's own state, or a (2T, runs) batch bound as its
+        (2, runs, T) rows; the plain expressions take their products on
+        the same rows, or on the (2, T) state."""
         n = 2 * net.total_units
         shape = (n,) if runs is None else (n, runs)
-        layouts = [("C", np.asarray, np.asarray)]
-        if runs is None:
-            layouts.append(("C", lambda s: s.reshape(2, 1, -1), np.ravel))
-        else:
-            layouts.append(("F", _rows, _columns))
-        for order, bind, unpack in layouts:
-            s = np.asarray(np.random.default_rng(25).normal(size=shape), order=order)
-            x = bind(s)
-            kernel = net.kernel(x)
-            for _ in range(2):
-                want = np.concatenate(_plain_rhs(net, s))
-                if runs is None:
-                    np.testing.assert_array_equal(net.fast_rhs_flat(s), want)
-                np.testing.assert_array_equal(unpack(kernel.rhs()), want)
-                s = np.asarray(_plain_step(net, s), order=order)
-                kernel.euler()
-                np.testing.assert_array_equal(unpack(x), s)
+        s = np.random.default_rng(25).normal(size=shape)
+        x = s.reshape(2, 1, -1) if runs is None else _rows(s)
+        want = x.copy()
+        kernel = net.kernel(x)
+        for _ in range(2):
+            plain = np.stack(_plain_rhs(net, want))
+            if runs is None:
+                state = want.reshape(2, -1)
+                np.testing.assert_array_equal(net.fast_rhs_flat(state.ravel()),
+                                              np.concatenate(_plain_rhs(net, state)))
+            np.testing.assert_array_equal(kernel.rhs(), plain)
+            want = _plain_step(net, want)
+            kernel.euler()
+            np.testing.assert_array_equal(x, want)
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("runs", [None, 1, 7])
     def test_euler_is_bitwise_s_plus_dt_rhs(self, activation, runs):
         """rhs, packed, equals the fast equations written as plain
         expressions, and the in-place step s + dt * rhs(s), bit for bit,
-        on a (2T,) state and on (2T, B) batches, into a fresh array and
+        on a (2T,) state and on batches of rows, into a fresh array and
         into a bound kernel's buffer; a second step reuses that kernel."""
         self._check_euler_is_plain(_plain_net(activation), runs)
 
@@ -288,23 +283,43 @@ class TestFastStep:
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("runs", [None, 1, 7])
     def test_euler_is_bitwise_s_plus_dt_rhs_on_a_wide_net(self, activation, runs):
-        """The same on a T = 50 net, wide enough that BLAS rounds an
-        F-ordered batch's products differently from a C-ordered one's:
-        C columns keep C order's rounding, and rows the F batch's; one
-        row rounds as the (2T,) state's products do."""
+        """The same on a T = 50 net, wide enough that the row products
+        against a C-contiguous transpose round differently from the
+        C-ordered M @ sigma(V); one row rounds as a (T,) vector times
+        that transpose does."""
         self._check_euler_is_plain(_plain_net(activation, sizes=(30, 20)), runs)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("sizes, edges", [([30, 20], [(1, 0), (0, 1)]), ([100], [(0, 0)])],
+                             ids=["loop50", "single100"])
+    def test_rows_round_within_ulps_of_the_textbook_products(self, activation, sizes,
+                                                             edges):
+        """On a T = 50 loop and a T = 100 net, the kernel's rhs of a batch
+        of rows, whose products run against C-contiguous transposes,
+        differs from the textbook M @ sigma(V) and W @ E on C-ordered
+        columns, but by no more than 4 ulps of the largest entry."""
+        net = build_network(sizes, edges, activation, _hyper(zeta=0.9, tau=0.7),
+                            init_scale=1.0, seed=23)
+        T = net.total_units
+        net.b[:] = np.random.default_rng(24).normal(size=T)
+        s = np.random.default_rng(25).normal(size=(2 * T, 7))
+        got = net.kernel(_rows(s)).rhs()
+        dE, dV = textbook_rhs(net, s[:T], s[T:])
+        want = np.stack((dE.T, dV.T))
+        assert not np.array_equal(got, want)
+        np.testing.assert_array_less(np.abs(got - want), 4 * np.spacing(np.abs(want).max()))
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("write", ["step_slow", "load_weights", "b"])
     def test_weight_writes_between_steps_reach_the_next_step(self, activation, write,
                                                              tmp_path):
-        """A batch kernel copies b when it is bound.  step_slow,
+        """A kernel copies M.T, W.T and b when it is bound.  step_slow,
         load_weights or a write into net.b between two steps of one batch
         shape, each through a kernel bound for it, reaches the next step:
         it stays the plain expression of the current weights."""
         net = _plain_net(activation)
-        s = np.random.default_rng(27).normal(size=(14, 5))
-        net.kernel(s).euler()
+        x = _rows(np.random.default_rng(27).normal(size=(14, 5)))
+        net.kernel(x).euler()
         b = net.b.copy()
         if write == "step_slow":
             net.E[:], net.V[:] = 0.3, 0.7
@@ -317,9 +332,46 @@ class TestFastStep:
         else:
             net.b[:] -= 0.5
         assert not np.array_equal(net.b, b)
-        want = _plain_step(net, s)
-        net.kernel(s).euler()
-        np.testing.assert_array_equal(s, want)
+        want = _plain_step(net, x)
+        net.kernel(x).euler()
+        np.testing.assert_array_equal(x, want)
+
+    @pytest.mark.parametrize("weight", ["M", "W", "b"])
+    def test_a_bound_kernel_steps_the_weights_of_its_bind(self, weight):
+        """A write to M, W or b after a bind does not reach the kernel
+        bound before it, which steps on with the old weights; a kernel
+        bound after the write steps with the new ones."""
+        net = _plain_net(Activation.TANH)
+        x = _rows(np.random.default_rng(35).normal(size=(14, 5)))
+        start, before = x.copy(), _plain_step(net, x)
+        kernel = net.kernel(x)
+        getattr(net, weight)[...] *= 1.5
+        after = _plain_step(net, start)
+        assert not np.array_equal(before, after)
+        kernel.euler()
+        np.testing.assert_array_equal(x, before)
+        y = start.copy()
+        net.kernel(y).euler()
+        np.testing.assert_array_equal(y, after)
+
+    def test_fast_rhs_flat_takes_a_strided_state(self):
+        """A strided (2T,) state, whose (2, 1, T) view would not be
+        C-contiguous, gives the rhs of its contiguous copy."""
+        net = _plain_net(Activation.TANH)
+        S = np.random.default_rng(37).normal(size=(14, 3))
+        np.testing.assert_array_equal(net.fast_rhs_flat(S[:, 1]),
+                                      net.fast_rhs_flat(S[:, 1].copy()))
+
+    @pytest.mark.parametrize("layout", ["state", "columns", "two_d_rows"])
+    def test_kernel_refuses_any_batch_but_c_rows(self, layout):
+        """A packed (2T,) state, a (2T, B) batch of columns and an
+        unbatched (2, T) state are each refused when bound."""
+        net = _plain_net(Activation.TANH)
+        s = np.random.default_rng(36).normal(size=(14, 3))
+        s = {"state": s[:, 0].copy(), "columns": s,
+             "two_d_rows": s[:, 0].reshape(2, -1)}[layout]
+        with pytest.raises(ConstructionError, match="C-contiguous"):
+            net.kernel(s)
 
     def test_clamped_values_pinned(self):
         rng = np.random.default_rng(8)
@@ -451,38 +503,39 @@ class TestEquilibrium:
     def test_relax_is_bitwise_plain_steps_at_the_defaults(self, activation):
         """relax at tau = zeta = 1, where the kernel skips its unit
         multiply and divide, reaches the state of plain-expression steps
-        taken in F order and reports the sup-norm of the plain rhs
+        taken on the rows and reports the sup-norm of the plain rhs
         there, bit for bit."""
         net = _plain_net(activation, 1.0, 1.0)
         s = np.random.default_rng(28).normal(size=(14, 5))
-        want = s.copy(order="F")
+        want = _rows(s)
         for _ in range(30):
-            want = np.asfortranarray(_plain_step(net, want))
+            want = _plain_step(net, want)
         x = _rows(s)
         res = net.relax(x, 0.0, 30)
         np.testing.assert_array_equal(res.steps, 30)
-        assert _columns(x).tobytes() == want.tobytes()
-        plain = np.abs(np.concatenate(_plain_rhs(net, want))).max(axis=0)
+        assert x.tobytes() == want.tobytes()
+        plain = np.abs(np.stack(_plain_rhs(net, want))).max(axis=(0, 2))
         assert res.residual.tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("activation", list(Activation))
     def test_relax_keeps_the_rounding_of_an_f_ordered_batch(self, activation):
-        """On a T = 50 net, where an F-ordered batch rounds the products
-        differently from C order, relax on the rows of the batch
-        S[:, cols] reaches the state of plain-expression steps taken in
-        F order, and the plain sup-norm there, bit for bit."""
+        """On a T = 50 net, where the row products against a C-contiguous
+        transpose round differently from C- or F-ordered columns, relax on
+        the rows of the F-ordered batch S[:, cols] reaches the state of
+        plain-expression steps taken on those rows, and the plain
+        sup-norm there, bit for bit."""
         net = _plain_net(activation, sizes=(30, 20))
         S = np.random.default_rng(29).normal(size=(100, 9))
         s = S[:, [0, 2, 3, 5, 6, 7, 8]]
         assert s.flags.f_contiguous and not s.flags.c_contiguous
-        want = s.copy(order="F")
+        want = _rows(s)
         for _ in range(30):
-            want = np.asfortranarray(_plain_step(net, want))
+            want = _plain_step(net, want)
         x = _rows(s)
         res = net.relax(x, 0.0, 30)
         np.testing.assert_array_equal(res.steps, 30)
-        assert _columns(x).tobytes() == want.tobytes()
-        plain = np.abs(np.concatenate(_plain_rhs(net, want))).max(axis=0)
+        assert x.tobytes() == want.tobytes()
+        plain = np.abs(np.stack(_plain_rhs(net, want))).max(axis=(0, 2))
         assert res.residual.tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("activation, budget", [(Activation.IDENTITY, 615),
@@ -491,13 +544,13 @@ class TestEquilibrium:
     def test_relax_stops_each_column_of_an_f_ordered_batch_at_its_own_step(
             self, activation, budget):
         """The rows of an F-ordered batch S[:, cols] on a T = 50 net with
-        population 0 clamped: two columns settle, at different steps, one
-        diverges and two run out of steps.  Each column ends, bit for bit,
-        at the state of plain-expression steps of the F-ordered batch of
-        the columns still live, and reports the plain sup-norm there.
-        BLAS may round a column differently at another batch width, so
-        the plain batch drops each column when it stops, as relax does;
-        each step adds the derivatives taken before that step's drop."""
+        population 0 clamped: two runs settle, at different steps, one
+        diverges and two run out of steps.  Each run ends, bit for bit,
+        at the state of plain-expression steps of the rows still live,
+        and reports the plain sup-norm there.  BLAS may round a row
+        differently at another batch height, so the plain batch drops
+        each run when it stops, as relax does; each step adds the
+        derivatives taken before that step's drop."""
         net = build_loop([30, 20], activation, _hyper(dt=0.05), init_scale=0.1, seed=31)
         net.b[:] = np.random.default_rng(32).normal(size=50)
         rng = np.random.default_rng(33)
@@ -510,18 +563,18 @@ class TestEquilibrium:
         s = S[:, [0, 2, 3, 5, 6]]
         assert s.flags.f_contiguous and not s.flags.c_contiguous
 
-        x, live = s.copy(order="F"), np.arange(5)
+        x, live = _rows(s), np.arange(5)
         stop, residual = np.full(5, budget), np.zeros(5)
         converged, diverged = np.zeros(5, dtype=bool), np.zeros(5, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            d = np.concatenate(_plain_rhs(net, x))
+            d = np.stack(_plain_rhs(net, x))
             for k in range(1, budget + 1):
                 x[:, live] += dt * d
-                x[T:][net.clamped] = net.clamp_target[net.clamped, None]
-                d = np.concatenate(_plain_rhs(net, x[:, live]))
+                x[1][:, net.clamped] = net.clamp_target[net.clamped]
+                d = np.stack(_plain_rhs(net, x[:, live]))
                 a = np.abs(d)
-                r = np.concatenate((a[:T], a[T:][free])).max(axis=0)
-                bad = ~np.all(np.abs(x[:, live]) <= 1e100, axis=0)
+                r = np.concatenate((a[0], a[1][:, free]), axis=1).max(axis=1)
+                bad = ~np.all(np.abs(x[:, live]) <= 1e100, axis=(0, 2))
                 done = bad | (r < tol)
                 stop[live[done]], residual[live] = k, r
                 converged[live[done]], diverged[live[done]] = ~bad[done], bad[done]
@@ -534,7 +587,7 @@ class TestEquilibrium:
         np.testing.assert_array_equal(res.steps, stop)
         np.testing.assert_array_equal(res.converged, converged)
         np.testing.assert_array_equal(res.diverged, diverged)
-        assert _columns(rows).tobytes() == x.tobytes()
+        assert rows.tobytes() == x.tobytes()
         assert res.residual.tobytes() == residual.tobytes()
 
     @pytest.mark.parametrize("batch", ["columns", "f_slice", "wrong_t", "float32", "list"])
