@@ -4,6 +4,10 @@ Each member knows its first and second derivative so downstream code
 (integration, Jacobians) never hand-rolls them.  ReLU's derivative at
 exactly 0 is defined as 0; Jacobian code is expected to refuse states
 that sit on the kink, see stability.jacobian_analytic.
+
+Every member keeps |sigma(x)| <= |x| and |sigma'(x)| <= 1, for which
+Network.relax's divergence bound holds; a member that breaks either,
+softplus for one (softplus(0) = log 2), needs that bound revised.
 """
 
 from enum import Enum

@@ -36,10 +36,20 @@ all its targets as one batch, and step_fast, residual, fast_rhs_flat and
 run_fast_to_equilibrium go through the one-row view s.reshape(2, 1, -1)
 of the net's own state.
 
+relax stops each run at the step where a loop that checks every run
+after every step stops it, but takes those whole-batch checks only where
+they can fire.  With |sigma(v)| <= |v| and |sigma'(v)| <= 1, the
+row-sum norms of M, W and b bound how fast the states can grow, which
+clears a count of steps of divergence from each check; non-finite
+weights, or states near the limit, leave no such steps.  And while the
+one witness entry per run, its largest derivative at the last full
+check, stays at or over the tolerance, so does its sup-norm.
+
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
 """
 
+import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
@@ -310,25 +320,57 @@ class Network:
         and again only after runs are dropped, which np.compress does
         into a new C-contiguous batch; each run is written back to s
         when it stops.
+
+        Two exact shortcuts stand in for the whole-batch checks of each
+        step; a step is checked in full, as a step of a plain loop is,
+        whenever they do not rule a stop out:
+        - the divergence check runs only once the steps that the bound
+          of _steps_under_limit gives from the last checked state are
+          used up, so it runs at every step where the weights give no
+          finite bound or the states near the limit;
+        - each run keeps a witness, the flat index of its largest
+          unclamped |d| at the last full check.  A run whose witness is
+          still at least tol has a sup-norm of at least tol, so it has
+          not settled; only when some witness drops under tol (a NaN
+          witness never does, and a NaN sup-norm never settles either)
+          are the sup-norms taken, the settled runs stopped and the
+          witnesses picked again.  The first step is checked in full.
+        The residual of a run still live is taken once, at the end.
         """
         kernel, n = self.kernel(s), s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))
         clamped = self.clamped if self.clamped.any() else None
+        steps_under_limit = self._steps_under_limit(max_steps)
         X, a, live = s, np.empty_like(s), np.arange(n)
+        # unchecked: the steps left that the bound clears of divergence;
+        # pick: the flat index into d of each live run's witness
+        unchecked, pick = 0, None
         with np.errstate(over="ignore", invalid="ignore"):
             d = kernel.rhs()
-            r = self._sup_norm(d, clamped, a)
             for k in range(1, max_steps + 1):
                 if live.size == 0:
                     break
                 kernel.euler(d)
                 if clamped is not None:
                     np.copyto(X[1], self.clamp_target, where=clamped)
-                bad = _past_limit(X)
+                if unchecked:
+                    unchecked -= 1
+                    bad = None
+                else:
+                    bad = _past_limit(X)
+                    if not bad.any():
+                        bad, unchecked = None, steps_under_limit(X)
                 d = kernel.rhs()
+                if (bad is None and pick is not None
+                        and min(map(abs, d.ravel()[pick].tolist())) >= tol):
+                    continue
                 r = self._sup_norm(d, clamped, a)
+                if bad is None:
+                    bad = np.zeros(live.size, dtype=bool)
                 done = bad | (r < tol)
+                keep = ~done
+                pick = _witnesses(a[:, keep])
                 if not done.any():
                     continue
                 ended = live[done]
@@ -336,16 +378,56 @@ class Network:
                 out.diverged[ended], out.converged[ended] = bad[done], ~bad[done]
                 if X is not s:
                     s[:, ended] = X[:, done]
-                keep = ~done
-                live, r = live[keep], r[keep]
+                live = live[keep]
                 X, d = np.compress(keep, X, 1), np.compress(keep, d, 1)
                 a = a[:, :live.size]
                 kernel = self.kernel(X)
-        out.residual[live] = r
+            out.residual[live] = self._sup_norm(d, clamped, a)
         if live.size and X is not s:
             s[:, live] = X
         self.steps_taken += int(out.steps.sum())
         return out
+
+    def _steps_under_limit(self, max_steps):
+        """steps(X): how many Euler steps, at most max_steps, from the
+        (2, B, T) batch X no run can take past DIVERGENCE_LIMIT or to a
+        NaN; 0 for every X if the weights give no finite bound.
+
+        With |sigma(v)| <= |v| and |sigma'(v)| <= 1 (see activations),
+        the derivatives at a state s of sup-norm S are at most L S + c,
+        L = max(1 + zeta + ||M||, 1 + ||W||) / tau and c = ||b|| / tau in
+        the row-sum norm, so a step takes S to at most a S + dt c with
+        a = 1 + dt L; clamped values hold their targets, which the S of
+        a clamped X already counts.  After k steps S + q is then at most
+        a^k (S + q), q = dt c / (a - 1), and the count is the largest k
+        that keeps this under DIVERGENCE_LIMIT / 2.  L, a and c are
+        raised by rho for the rounding of the norms and of each step,
+        which stays within (T + 10) eps / 2 of the bound; the factor 2
+        on the limit covers the rounding of the count.  Every value a
+        step computes then stays finite: the largest, before the divide
+        by tau, is at most max(tau, 1) (L S + c)."""
+        h, T = self.hyper, self.total_units
+        half = DIVERGENCE_LIMIT / 2
+        rho = (T + 10) * np.finfo(float).eps
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, w = (np.add.reduce(np.abs(A), 1).max() for A in (self.M, self.W))
+            c = (1 + rho) * np.abs(self.b).max() / h.tau
+            L = (1 + rho) * max(1 + h.zeta + m, 1 + w) / h.tau
+            a = (1 + rho) * (1 + h.dt * L)
+            q = float(h.dt * c / (a - 1))
+            top = max(h.tau, 1.0) * (L * half + c)
+        if not (np.isfinite(m + w + c) and top < np.finfo(float).max / 2):
+            return lambda X: 0
+        log_a = math.log(a)
+
+        def steps(X):
+            S = float(np.abs(X).max()) + q
+            if not S < half:
+                return 0
+            # a zero state without bias stays zero
+            return int(min(math.log(half / S) / log_a, max_steps)) if S else max_steps
+
+        return steps
 
     def run_fast_to_equilibrium(self, tol: float = 1e-6,
                                 max_steps: int = 100000) -> Relaxation:
@@ -370,6 +452,15 @@ def _past_limit(s):
             and np.minimum.reduce(s, None, initial=0.0) >= -DIVERGENCE_LIMIT):
         return np.zeros(s.shape[1], dtype=bool)
     return ~np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=0 if s.ndim == 2 else (0, 2))
+
+
+def _witnesses(a):
+    """Flat index, into a C-contiguous (2, B, T) batch, of the largest
+    entry of each run of a, the batch's |d|; E entries win ties."""
+    B, T = a.shape[1:]
+    at = np.arange(B)
+    e, v = a[0].argmax(1), a[1].argmax(1)
+    return np.where(a[1, at, v] > a[0, at, e], (B + at) * T + v, at * T + e)
 
 
 def build_network(sizes, edges, activation: Activation, hyper: Hyperparams,

@@ -3,14 +3,15 @@ weights, clamping a single population, the algebraic-error step, a
 central-difference Jacobian, MINPACK's root polish, the mean squared
 prediction error, the distance between two single states, a table of
 distances between states and targets, the fast equations' textbook
-products on columns, and a recall study that takes its distances one
-sample at a time."""
+products on columns, a recall study that takes its distances one
+sample at a time, a count of rhs evaluations, and Network.relax as a
+loop that checks every run at every step."""
 
 import numpy as np
 
 from pchn import ConstructionError, IntegrationDivergenceError
 from pchn.experiments import EUCLIDEAN, HAMMING, Trace, metric_for, sign_pm1
-from pchn.network import DIVERGENCE_LIMIT, _past_limit
+from pchn.network import DIVERGENCE_LIMIT, Relaxation, _past_limit
 from pchn.stability import _check_frozen, _sup, jacobian_analytic
 
 
@@ -178,3 +179,58 @@ def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every
                 step(S)
             sample(i)
     return trace
+
+
+def counting_rhs(net):
+    """A list that gains one entry per rhs evaluation of the kernels net
+    binds from now on."""
+    calls, bind = [], net.kernel
+
+    def kernel(s):
+        bound = bind(s)
+        return bound._replace(rhs=lambda: calls.append(1) or bound.rhs())
+
+    net.kernel = kernel
+    return calls
+
+
+def relax_per_step(net, s, tol, max_steps):
+    """Network.relax with every stop check taken at every step: the
+    divergence check of the states and the derivative sup-norms of all
+    live runs after each step.  The reference for relax's bound and
+    witnesses."""
+    kernel, n = net.kernel(s), s.shape[1]
+    out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
+                     np.zeros(n), np.zeros(n, dtype=bool))
+    clamped = net.clamped if net.clamped.any() else None
+    X, a, live = s, np.empty_like(s), np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = kernel.rhs()
+        r = net._sup_norm(d, clamped, a)
+        for k in range(1, max_steps + 1):
+            if live.size == 0:
+                break
+            kernel.euler(d)
+            if clamped is not None:
+                np.copyto(X[1], net.clamp_target, where=clamped)
+            bad = _past_limit(X)
+            d = kernel.rhs()
+            r = net._sup_norm(d, clamped, a)
+            done = bad | (r < tol)
+            if not done.any():
+                continue
+            ended = live[done]
+            out.steps[ended], out.residual[ended] = k, r[done]
+            out.diverged[ended], out.converged[ended] = bad[done], ~bad[done]
+            if X is not s:
+                s[:, ended] = X[:, done]
+            keep = ~done
+            live, r = live[keep], r[keep]
+            X, d = np.compress(keep, X, 1), np.compress(keep, d, 1)
+            a = a[:, :live.size]
+            kernel = net.kernel(X)
+    out.residual[live] = r
+    if live.size and X is not s:
+        s[:, live] = X
+    net.steps_taken += int(out.steps.sum())
+    return out

@@ -29,6 +29,18 @@ class TestApply:
             Activation.from_name("sigmoid")
 
 
+class TestBounds:
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_no_member_grows_its_input_or_has_a_slope_past_one(self, act):
+        """|sigma(x)| <= |x| and |sigma'(x)| <= 1, which Network.relax's
+        divergence bound relies on, on a dense grid, near the origin and
+        at the extremes."""
+        grid = np.linspace(-20.0, 20.0, 400001)
+        x = np.concatenate((grid, grid * 1e-8, [1e300, -1e300, 0.0, -0.0, 5e-324]))
+        assert np.all(np.abs(act.apply(x)) <= np.abs(x))
+        assert np.all(np.abs(act.derivative(x)) <= 1.0)
+
+
 class TestDerivatives:
     """Each derivative must match a central finite difference away from
     kinks, and take the documented one-sided value at them."""

@@ -12,9 +12,11 @@ from pchn import (Activation, ConstructionError, ContractViolationError,
                   Hyperparams, IntegrationDivergenceError, build_loop,
                   build_single_population, freeze)
 from pchn.checkpoint import load_weights, save_weights
+from pchn import network
 from pchn.network import Network, build_network
 
-from oracles import algebraic_step, clamp_population, edge_blocks, textbook_rhs
+from oracles import (algebraic_step, clamp_population, counting_rhs, edge_blocks,
+                     relax_per_step, textbook_rhs)
 
 
 def _hyper(**kw):
@@ -640,6 +642,49 @@ class TestEquilibrium:
         assert net.steps_taken == ref.steps_taken == k
         np.testing.assert_array_equal(net.s, ref.s)
         assert len(calls) == k + 1
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_relax_holds_a_zero_batch_of_a_net_without_bias(self, activation):
+        """Zero states of a net whose bias is zero are a fixed point, which
+        the divergence bound clears for the whole budget: every run
+        stays at zero for all its steps, as in the loop that checks
+        every step, and the bound's arithmetic raises no warning."""
+        net = build_loop([4, 3], activation, _hyper(), init_scale=1.0, seed=35)
+        got, want = np.zeros((2, 3, 7)), np.zeros((2, 3, 7))
+        res, expected = net.relax(got, 0.0, 50), relax_per_step(net, want, 0.0, 50)
+        assert not got.any() and got.tobytes() == want.tobytes()
+        for field in ("steps", "converged", "diverged", "residual"):
+            assert getattr(res, field).tobytes() == getattr(expected, field).tobytes()
+
+    def test_relax_picks_the_witnesses_again_where_one_drops_under_tol(self, monkeypatch):
+        """A run's witness, its largest derivative at the last full check,
+        drops under tol while its sup-norm does not: relax checks the
+        run in full at that step, goes on and picks its witness again,
+        and ends where the loop that checks every step ends, bit for
+        bit.  On one free unit started at E = 0, V = 1 the witness of
+        step 1 is dE = V - E, which passes zero while dV = -E does not."""
+        net = Network([1], [(0, 0)], Activation.IDENTITY, _hyper())
+        start, tol = np.zeros((2, 1, 1)), 1e-2
+        start[1] = 1.0
+        x = _plain_step(net, start)
+        witness = np.argmax(np.abs(np.stack(_plain_rhs(net, x))).ravel())
+        for k in range(2, 10000):
+            x = _plain_step(net, x)
+            d = np.abs(np.stack(_plain_rhs(net, x))).ravel()
+            if d[witness] < tol:
+                break
+        assert witness == 0 and d.max() >= tol
+
+        calls, picks, pick = counting_rhs(net), [], network._witnesses
+        monkeypatch.setattr(network, "_witnesses",
+                            lambda a: picks.append(len(calls) - 1) or pick(a))
+        got, want = start.copy(), start.copy()
+        res = net.relax(got, tol, 10000)
+        expected = relax_per_step(net, want, tol, 10000)
+        assert picks[:2] == [1, k] and res.converged[0] and res.steps[0] > k
+        assert got.tobytes() == want.tobytes()
+        for field in ("steps", "converged", "diverged", "residual"):
+            assert getattr(res, field).tobytes() == getattr(expected, field).tobytes()
 
     def test_residual_ignores_clamped_value_rows(self):
         net = build_single_population(6, Activation.TANH, _hyper(), seed=20)

@@ -30,7 +30,7 @@ from pchn.cli import parse_config_text, resolve_config
 from pchn.learning import SEQUENTIAL, SHUFFLED
 from pchn.network import Network
 
-from oracles import clamp_population, edge_blocks, jacobian_fd
+from oracles import clamp_population, counting_rhs, edge_blocks, jacobian_fd, relax_per_step
 from test_learning import assert_trained_alike, train_oracle
 from test_network import _rows, rhs_oracle
 
@@ -153,6 +153,51 @@ def test_batched_relaxation_matches_one_state_at_a_time(net, data):
             assert (got.converged[i], got.steps[i]) == (alone.converged[0], alone.steps[0])
             assert np.linalg.norm(S[:, i].ravel() - net.s) <= 1e-10 * np.linalg.norm(net.s)
             np.testing.assert_allclose(got.residual[i], alone.residual[0], rtol=1e-6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(networks(), st.data())
+def test_relax_matches_the_per_step_loop_bit_for_bit(net, data):
+    """relax, with its divergence bound and its witnesses, ends every run
+    where the loop that checks every run at every step ends it: the same
+    states, stop steps, flags, residuals and steps_taken, bit for bit,
+    from the same number of rhs evaluations.  The draws cover clamps,
+    tol from 0 to 1e-3, starts up to 1e99, where the bound runs out and
+    every step is checked, zero starts without bias, which no step
+    moves, non-finite weights, where the bound gives nothing, and budgets
+    that cross its rechecks."""
+    hyper = Hyperparams(tau=data.draw(st.sampled_from([1.0, 0.7])),
+                        zeta=data.draw(st.sampled_from([1.0, 1.3, 0.25])),
+                        dt=data.draw(st.sampled_from([0.1, 0.05, 0.005])))
+    net = _rebuilt(net, scale=data.draw(st.sampled_from([0.1, 1.0, 20.0])), hyper=hyper)
+    T = net.total_units
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        clamp_population(net, 0, rng.normal(size=net.slices[0].stop)
+                         * data.draw(st.sampled_from([1.0, 1e40])))
+    if data.draw(st.booleans()):
+        net.b[:] = 0.0
+    if data.draw(st.booleans()):
+        weights = data.draw(st.sampled_from([net.M, net.W, net.b]))
+        weights.flat[rng.integers(weights.size)] = data.draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]))
+    runs = data.draw(st.integers(1, 5))
+    scale = np.array(data.draw(st.lists(st.sampled_from([1.0, 1e-6, 10.0, 1e40, 1e98, 1e99, 0.0]),
+                                        min_size=runs, max_size=runs)))
+    starts = np.ascontiguousarray(rng.normal(size=(2, runs, T)) * scale[:, None])
+    tol = data.draw(st.sampled_from([1e-3, 1e-4, 1e-6, 1e-9, 1e-12, 0.0]))
+    budget = data.draw(st.sampled_from([600, 300, 150, 0, 1, 2]) | st.integers(0, 600))
+    calls = counting_rhs(net)
+    got, want = starts.copy(), starts.copy()
+    before = net.steps_taken
+    expected = relax_per_step(net, want, tol, budget)
+    taken, evaluated = net.steps_taken - before, len(calls)
+    res = net.relax(got, tol, budget)
+    assert got.tobytes() == want.tobytes()
+    for field in ("steps", "converged", "diverged", "residual"):
+        assert getattr(res, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert net.steps_taken - before - taken == taken
+    assert len(calls) - evaluated == evaluated
 
 
 # derandomized: the CSV check compares energies at 10 significant
