@@ -3,7 +3,7 @@
 Format "PCHN v2": a magic first line, a line naming the network's
 activation and whether its weights are tied, then one block per edge
 (src, dst) in the net's edge order, read from and written into that
-edge's slices of the global M, W and b:
+edge's blocks of M, W and b (Network.edge_blocks):
 
     activation <name> tied <true|false>
     conn <src> <dst> <rows> <cols>
@@ -34,16 +34,9 @@ def _kind(net):
     return ["activation", net.activation.value, "tied", str(net.tied).lower()]
 
 
-def _edge_blocks(net):
-    """Per edge: src, dst and the views of its blocks of M, W and b."""
-    for src, dst in net.edges:
-        rows, cols = net.slices[dst], net.slices[src]
-        yield src, dst, net.M[rows, cols], net.W[cols, rows], net.b[rows]
-
-
 def save_weights(net, path):
     lines = [MAGIC, " ".join(_kind(net))]
-    for src, dst, M, W, b in _edge_blocks(net):
+    for src, dst, M, W, b, _ in net.edge_blocks():
         rows, cols = M.shape
         lines.append(f"conn {src} {dst} {rows} {cols}")
         lines.extend(_fmt_row(r) for r in (*M, *W, b))
@@ -53,8 +46,9 @@ def save_weights(net, path):
 def load_weights(net, path):
     """Load weights saved by save_weights into net; the activation, the
     tying and the architecture must match the header lines exactly, every
-    value must be a finite number, and every M and W entry outside the
-    edge mask (the diagonal of a self-edge block) must be zero.  The whole
+    value must be a finite number, every M and W entry outside the edge
+    mask (the diagonal of a self-edge block) must be zero, and a tied
+    net's every W block must equal its M block transposed.  The whole
     file, which must be readable text, is checked before any weight is
     written, so a rejected file leaves net as it was."""
     try:
@@ -87,9 +81,9 @@ def load_weights(net, path):
         if kind != _kind(net):
             raise ConstructionError(f"{path}: saved from a net with {' '.join(kind)}, "
                                     f"not {' '.join(_kind(net))}")
-    edges = list(_edge_blocks(net))
+    edges = list(net.edge_blocks())
     loaded = []
-    for k, (src, dst, M, W, b) in enumerate(edges):
+    for k, (src, dst, M, W, b, mask) in enumerate(edges):
         head = take(5)
         if head[0] != "conn":
             raise ConstructionError(f"{path}: expected conn header, got {head[0]!r}")
@@ -102,12 +96,15 @@ def load_weights(net, path):
                  floats(rows, (rows,)))
         if not all(np.all(np.isfinite(x)) for x in block):
             raise ConstructionError(f"{path}: edge {k} holds a non-finite weight")
-        off = net.mask[net.slices[dst], net.slices[src]] == 0.0
+        off = mask == 0.0
         if np.any(block[0][off]) or np.any(block[1][off.T]):
             raise ConstructionError(f"{path}: edge {k} holds a weight outside the "
                                     "edge mask, such as a unit predicting itself")
+        if net.tied and not np.array_equal(block[1], block[0].T):
+            raise ConstructionError(f"{path}: edge {k} has a W that is not M "
+                                    "transposed, which a tied net needs")
         loaded.append(block)
     if pos != len(tokens):
         raise ConstructionError(f"{path}: trailing data after last edge")
-    for (_, _, M, W, b), (M_new, W_new, b_new) in zip(edges, loaded):
+    for (_, _, M, W, b, _), (M_new, W_new, b_new) in zip(edges, loaded):
         M[...], W[...], b[...] = M_new, W_new, b_new

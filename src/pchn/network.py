@@ -19,31 +19,13 @@ dynamics are then one recurrent system, Euler-integrated with step dt:
     tau * dV/dt = -E + sigma'(V) * (W @ E)
 
 and learning is one local outer-product rule restricted to the mask (see
-step_slow).  build_network is the one builder that draws the weights;
-build_single_population and build_loop name its two common shapes.
-Linearization lives in stability.py, the training loop in learning.py.
-
-Network.kernel binds the one Euler kernel afresh on every call, to one
-batch s of B states, the rows of a C-contiguous (2, B, T) array, E rows
-then V rows: it slices the E and V views of s once, and then rhs()
-packs the derivatives at s (dE over dV) into one buffer and euler() adds
-dt times them to s, with no state argument.  Each bind copies M.T, W.T
-and b, so a kernel steps the weights of its bind: bind after the last
-weight write.  Network.relax, the one loop that steps a batch until each
-run settles (the derivative sup-norm under a tolerance) or diverges,
-binds it, and so do the recall studies; the stability analysis relaxes
-all its targets as one batch, and step_fast, residual, fast_rhs_flat and
-run_fast_to_equilibrium go through the one-row view s.reshape(2, 1, -1)
-of the net's own state.
-
-relax stops each run at the step where a loop that checks every run
-after every step stops it, but takes those whole-batch checks only where
-they can fire.  With |sigma(v)| <= |v| and |sigma'(v)| <= 1, the
-row-sum norms of M, W and b bound how fast the states can grow, which
-clears a count of steps of divergence from each check; non-finite
-weights, or states near the limit, leave no such steps.  And while the
-one witness entry per run, its largest derivative at the last full
-check, stays at or over the tolerance, so does its sup-norm.
+step_slow).  Network.edge_blocks is the one walk from an edge to its
+blocks of M, W, b and mask.  build_network is the one builder that draws
+the weights, and build_loop names its common shape, a ring, of which
+build_single_population is the ring of one.  Network.kernel is the one
+Euler step and Network.relax steps it until each run settles or
+diverges.  Linearization lives in stability.py, the training loop in
+learning.py.
 
 Clamped units have V pinned to their clamp target after every step
 while E keeps evolving, which is how training drives weight updates.
@@ -118,8 +100,8 @@ class Relaxation:
 class Network:
     """A net of len(sizes) populations, population i holding sizes[i]
     units at slices[i] of E and V, joined by edges: (src, dst) pairs, src
-    predicting dst through the block M[slices[dst], slices[src]] and b,
-    dst's errors returning through W[slices[src], slices[dst]].  Every
+    predicting dst through the edge's blocks of M and b, dst's errors
+    returning through its block of W (see edge_blocks).  Every
     population has exactly one incoming edge.  The weights start at zero;
     build_network draws them."""
 
@@ -157,13 +139,23 @@ class Network:
             if has_incoming[dst]:
                 raise ConstructionError(f"population {dst} has more than one incoming edge")
             has_incoming[dst] = True
-            block = self.mask[self.slices[dst], self.slices[src]]
-            block[...] = 1.0
-            if src == dst:
-                np.fill_diagonal(block, 0.0)
         for i, ok in enumerate(has_incoming):
             if not ok:
                 raise ConstructionError(f"population {i} has no incoming edge")
+        for src, dst, _, _, _, mask in self.edge_blocks():
+            mask[...] = 1.0
+            # the one place that keeps a unit from predicting itself
+            if src == dst:
+                np.fill_diagonal(mask, 0.0)
+
+    def edge_blocks(self):
+        """Per edge, in edge order: src, dst and the views of the edge's
+        blocks of M (dst rows, src columns), W (src rows, dst columns),
+        b (dst) and mask."""
+        for src, dst in self.edges:
+            rows, cols = self.slices[dst], self.slices[src]
+            yield (src, dst, self.M[rows, cols], self.W[cols, rows], self.b[rows],
+                   self.mask[rows, cols])
 
     # ---- clamps ----
 
@@ -468,21 +460,18 @@ def build_network(sizes, edges, activation: Activation, hyper: Hyperparams,
                   init_scale: float = 0.01, seed=0) -> Network:
     """Network of the given sizes and edges with random weights: each
     edge's M, then its W, drawn in edge order from a normal of standard
-    deviation init_scale / sqrt(src size); a tied W is M transposed, a
-    self-edge keeps its diagonals at zero and b starts at zero."""
+    deviation init_scale / sqrt(src size); a tied W is M transposed, the
+    entries outside the mask (a self-edge's diagonal) are zero and b
+    starts at zero."""
     net = Network(sizes, edges, activation, hyper, tied=tie_weights)
     rng = np.random.default_rng(seed)
-    for src, dst in net.edges:
-        rows, cols = net.slices[dst], net.slices[src]
-        n_src, n_dst = cols.stop - cols.start, rows.stop - rows.start
-        std = init_scale / np.sqrt(n_src)
-        M = rng.normal(0.0, std, size=(n_dst, n_src))
-        W = M.T.copy() if tie_weights else rng.normal(0.0, std, size=(n_src, n_dst))
-        if src == dst:
-            np.fill_diagonal(M, 0.0)
-            np.fill_diagonal(W, 0.0)
-        net.M[rows, cols] = M
-        net.W[cols, rows] = W
+    for _, _, M, W, _, mask in net.edge_blocks():
+        std = init_scale / np.sqrt(M.shape[1])
+        M[...] = rng.normal(0.0, std, size=M.shape)
+        W[...] = M.T if tie_weights else rng.normal(0.0, std, size=W.shape)
+        # assigned, not multiplied by the mask, which would leave -0
+        M[mask == 0.0] = 0.0
+        W[mask.T == 0.0] = 0.0
     return net
 
 
@@ -490,18 +479,17 @@ def build_single_population(n: int, activation: Activation, hyper: Hyperparams,
                             *, tie_weights: bool = False,
                             init_scale: float = 0.01, seed=0) -> Network:
     """Single population predicting itself through a self edge (diagonal
-    held at zero so no unit predicts itself)."""
-    return build_network([n], [(0, 0)], activation, hyper, tie_weights=tie_weights,
-                         init_scale=init_scale, seed=seed)
+    held at zero so no unit predicts itself): the ring of one."""
+    return build_loop([n], activation, hyper, tie_weights=tie_weights,
+                      init_scale=init_scale, seed=seed)
 
 
 def build_loop(sizes, activation: Activation, hyper: Hyperparams,
                *, tie_weights: bool = False,
                init_scale: float = 0.01, seed=0) -> Network:
-    """Ring of populations where population i+1 predicts population i
-    (cyclically), so predictions flow one way and errors the other."""
-    if len(sizes) < 2:
-        raise ConstructionError("a loop needs at least two populations")
+    """Ring of one or more populations where population i+1 predicts
+    population i (cyclically), so predictions flow one way and errors the
+    other; a ring of one is a single population predicting itself."""
     L = len(sizes)
     return build_network(sizes, [((i + 1) % L, i) for i in range(L)], activation, hyper,
                          tie_weights=tie_weights, init_scale=init_scale, seed=seed)

@@ -183,9 +183,13 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
 
     The equilibrium the dynamics settle into need not be close to the
     requested target (untrained networks drift far away); callers that
-    care should look at distance_to_target on the report.
+    care should look at distance_to_target on the report.  The net must
+    have frozen weights and no clamped unit: the clamps are the caller's,
+    and the dynamics analyzed are the unclamped ones.
     """
     _check_frozen(net)
+    if net.clamped.any():
+        raise ContractViolationError("unclamp every unit before analyzing equilibria")
     if not tol > 0:
         raise ConstructionError("tol must be positive")
     targets = np.asarray(targets, dtype=float)
@@ -193,7 +197,6 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     if targets.ndim != 2 or targets.shape[1] != T:
         raise ConstructionError(f"targets {targets.shape} are not (n, {T})")
     n = targets.shape[0]
-    net.unclamp_all()
     S = np.zeros((2, n, T))
     S[1] = targets
     residual, taken = np.zeros(n), np.zeros(n, dtype=int)

@@ -1,11 +1,10 @@
-"""Reference helpers shared by the tests: per-edge views of a net's global
-weights, clamping a single population, the algebraic-error step, a
-central-difference Jacobian, MINPACK's root polish, the mean squared
-prediction error, the distance between two single states, a table of
-distances between states and targets, the fast equations' textbook
-products on columns, a recall study that takes its distances one
-sample at a time, a count of rhs evaluations, and Network.relax as a
-loop that checks every run at every step."""
+"""Reference helpers shared by the tests: clamping a single population,
+the algebraic-error step, a central-difference Jacobian, MINPACK's root
+polish, the mean squared prediction error, the distance between two
+single states, a table of distances between states and targets, the
+fast equations' textbook products on columns, a recall study that takes
+its distances one sample at a time, a count of rhs evaluations, and
+Network.relax as a loop that checks every run at every step."""
 
 import numpy as np
 
@@ -13,14 +12,6 @@ from pchn import ConstructionError, IntegrationDivergenceError
 from pchn.experiments import EUCLIDEAN, HAMMING, Trace, metric_for, sign_pm1
 from pchn.network import DIVERGENCE_LIMIT, Relaxation, _past_limit
 from pchn.stability import _check_frozen, _sup, jacobian_analytic
-
-
-def edge_blocks(net):
-    """(src, dst, M, W, b) of every edge in edge order; M, W and b are
-    views of the edge's blocks of the net's global arrays."""
-    for src, dst in net.edges:
-        rows, cols = net.slices[dst], net.slices[src]
-        yield src, dst, net.M[rows, cols], net.W[cols, rows], net.b[rows]
 
 
 def clamp_population(net, i, target):

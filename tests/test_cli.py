@@ -368,7 +368,7 @@ class TestStability:
                 continue
             n_found += 1
             n_stable += rep.all_stable
-            ok = _corresponds(cfg, rep.state[cfg.total_units:], target)
+            ok = _corresponds(cfg, rep, target)
             note = "" if ok else " (equilibrium does not correspond to the target)"
             want.append(f"{head} stable={rep.all_stable} "
                         f"max_re={rep.max_real_part:.3e} "

@@ -18,7 +18,7 @@ from pchn import learning
 from pchn.cli import SEED_TRAIN, child_seed, main, resolve_config
 from pchn.learning import SEQUENTIAL, SHUFFLED, ClampRecord, TrainingReport
 
-from oracles import edge_blocks, prediction_mse
+from oracles import prediction_mse
 
 
 def _hyper(**kw):
@@ -140,7 +140,8 @@ class TestTrain:
         ra = train(a, targets.patterns, schedule, seed=11)
         rb = train(b, targets.patterns, schedule, seed=11)
         assert ra.to_csv() == rb.to_csv()
-        for (_, _, Ma, Wa, ba), (_, _, Mb, Wb, bb) in zip(edge_blocks(a), edge_blocks(b)):
+        for (_, _, Ma, Wa, ba, _), (_, _, Mb, Wb, bb, _) in zip(a.edge_blocks(),
+                                                              b.edge_blocks()):
             np.testing.assert_array_equal(Ma, Mb)
             np.testing.assert_array_equal(Wa, Wb)
             np.testing.assert_array_equal(ba, bb)

@@ -15,8 +15,8 @@ from pchn.checkpoint import load_weights, save_weights
 from pchn import network
 from pchn.network import Network, build_network
 
-from oracles import (algebraic_step, clamp_population, counting_rhs, edge_blocks,
-                     relax_per_step, textbook_rhs)
+from oracles import (algebraic_step, clamp_population, counting_rhs, relax_per_step,
+                     textbook_rhs)
 
 
 def _hyper(**kw):
@@ -32,13 +32,13 @@ def rhs_oracle(net):
     v = [net.V[rows] for rows in net.slices]
     eps = [net.E[rows] for rows in net.slices]
     mus = [None] * len(net.slices)
-    for src, dst, M, _, b in edge_blocks(net):
+    for src, dst, M, _, b, _ in net.edge_blocks():
         mus[dst] = M @ net.activation.apply(v[src]) + b
     dv, de = [], []
     for i in range(len(net.slices)):
         de.append((v[i] - mus[i] - zeta * eps[i]) / tau)
         corr = np.zeros(v[i].size)
-        for src, dst, _, W, _ in edge_blocks(net):
+        for src, dst, _, W, _, _ in net.edge_blocks():
             if src == i:
                 corr += W @ eps[dst]
         dv.append((-eps[i] + net.activation.derivative(v[i]) * corr) / tau)
@@ -105,7 +105,7 @@ class TestConstruction:
         assert net.total_units == 10
         assert set(net.edges) == {(1, 0), (2, 1), (0, 2)}
         assert net.slices == [slice(0, 5), slice(5, 8), slice(8, 10)]
-        for src, dst, M, W, b in edge_blocks(net):
+        for src, dst, M, W, b, _ in net.edge_blocks():
             n_src = net.slices[src].stop - net.slices[src].start
             n_dst = net.slices[dst].stop - net.slices[dst].start
             assert M.shape == (n_dst, n_src)
@@ -129,7 +129,7 @@ class TestConstruction:
         one generator from the seed, each edge's M, then its W."""
         net = build_loop([5, 3, 2], Activation.TANH, _hyper(), init_scale=0.3, seed=40)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(40)))
-        for _, _, M, W, b in edge_blocks(net):
+        for _, _, M, W, b, _ in net.edge_blocks():
             n_dst, n_src = M.shape
             std = 0.3 / np.sqrt(n_src)
             np.testing.assert_array_equal(M, rng.normal(0.0, std, size=(n_dst, n_src)))
@@ -170,9 +170,29 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Network(sizes, edges, Activation.TANH, _hyper())
 
-    def test_loop_needs_two_populations(self):
-        with pytest.raises(ConstructionError):
-            build_loop([7], Activation.TANH, _hyper(), seed=0)
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_loop_of_one_is_the_single_population(self, tied):
+        """A ring of one is the self edge (0, 0), with the draws of the
+        self edge: M, then W (or M transposed), the diagonals assigned
+        +0.0, never -0.0."""
+        ring = build_loop([7], Activation.TANH, _hyper(), tie_weights=tied, seed=5)
+        for other in (build_single_population(7, Activation.TANH, _hyper(),
+                                              tie_weights=tied, seed=5),
+                      build_network([7], [(0, 0)], Activation.TANH, _hyper(),
+                                    tie_weights=tied, seed=5)):
+            assert ring.edges == other.edges == [(0, 0)]
+            for name in ("mask", "M", "W", "b"):
+                x, y = getattr(ring, name), getattr(other, name)
+                assert x.tobytes() == y.tobytes(), name
+        rng = np.random.default_rng(5)
+        std = 0.01 / np.sqrt(7)
+        M = rng.normal(0.0, std, size=(7, 7))
+        W = M.T.copy() if tied else rng.normal(0.0, std, size=(7, 7))
+        np.fill_diagonal(M, 0.0)
+        np.fill_diagonal(W, 0.0)
+        assert ring.M.tobytes() == M.tobytes() and ring.W.tobytes() == W.tobytes()
+        assert not np.signbit(np.diag(ring.M)).any()
+        np.testing.assert_array_equal(ring.mask, 1.0 - np.eye(7))
 
 
 class TestHyperparams:
@@ -734,7 +754,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=25)
         rng = np.random.default_rng(25)
-        for _, _, M, W, b in edge_blocks(net):
+        for _, _, M, W, b, _ in net.edge_blocks():
             M += rng.normal(size=M.shape) * 0.1
             W += rng.normal(size=W.shape) * 0.1
             b += rng.normal(size=b.shape) * 0.1
@@ -742,7 +762,7 @@ class TestCheckpoint:
         save_weights(net, str(path))
         other = build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=99)
         load_weights(other, str(path))
-        for a, b in zip(edge_blocks(net), edge_blocks(other)):
+        for a, b in zip(net.edge_blocks(), other.edge_blocks()):
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
 
@@ -785,10 +805,10 @@ class TestCheckpoint:
 
     @staticmethod
     def _weights(net):
-        return [(M.copy(), W.copy(), b.copy()) for _, _, M, W, b in edge_blocks(net)]
+        return [(M.copy(), W.copy(), b.copy()) for _, _, M, W, b, _ in net.edge_blocks()]
 
     def _assert_untouched(self, net, before):
-        for (_, _, M, W, b), (M0, W0, b0) in zip(edge_blocks(net), before):
+        for (_, _, M, W, b, _), (M0, W0, b0) in zip(net.edge_blocks(), before):
             np.testing.assert_array_equal(M, M0)
             np.testing.assert_array_equal(W, W0)
             np.testing.assert_array_equal(b, b0)
@@ -871,6 +891,44 @@ class TestCheckpoint:
         with pytest.raises(ConstructionError, match="activation tanh tied false"):
             load_weights(other, str(path))
         self._assert_untouched(other, before)
+
+    def test_tied_checkpoint_that_breaks_the_tie_loads_nothing(self, tmp_path):
+        """A tied checkpoint with one W entry moved by 0.5, here in the
+        second edge, is refused by a tied net before any weight is
+        written: a tied net's W is M transposed."""
+        net = build_loop([5, 4, 3], Activation.TANH, _hyper(), tie_weights=True, seed=32)
+        path = tmp_path / "net.pchn"
+        save_weights(net, str(path))
+        lines = path.read_text().splitlines()
+        at = lines.index("conn 2 1 4 3") + 1 + 4   # the first row of its W
+        cells = lines[at].split()
+        cells[1] = repr(float(cells[1]) + 0.5)
+        lines[at] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        other = build_loop([5, 4, 3], Activation.TANH, _hyper(), tie_weights=True, seed=33)
+        before = self._weights(other)
+        with pytest.raises(ConstructionError, match="edge 1 has a W that is not M transposed"):
+            load_weights(other, str(path))
+        self._assert_untouched(other, before)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_v1_file_loads_into_a_tied_net_only_when_tied(self, tmp_path, tied):
+        """A PCHN v1 header says nothing of tying: a tied net takes such
+        a file only if each W is its M transposed."""
+        path = tmp_path / "old.pchn"
+        W = ["0 -0.25", "0.5 0"] if tied else ["0 0.125", "1.5 0"]
+        path.write_text("\n".join(["PCHN v1", "conn 0 0 2 2", "0 0.5", "-0.25 0", *W,
+                                   "0.75 -2"]) + "\n")
+        net = build_single_population(2, Activation.RELU, _hyper(), tie_weights=True,
+                                      seed=33)
+        if tied:
+            load_weights(net, str(path))
+            np.testing.assert_array_equal(net.W, net.M.T)
+        else:
+            before = self._weights(net)
+            with pytest.raises(ConstructionError, match="not M transposed"):
+                load_weights(net, str(path))
+            self._assert_untouched(net, before)
 
     def test_v1_file_still_loads(self, tmp_path):
         """A checkpoint in the format before the activation line: the

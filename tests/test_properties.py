@@ -30,7 +30,7 @@ from pchn.cli import parse_config_text, resolve_config
 from pchn.learning import SEQUENTIAL, SHUFFLED
 from pchn.network import Network
 
-from oracles import clamp_population, counting_rhs, edge_blocks, jacobian_fd, relax_per_step
+from oracles import clamp_population, counting_rhs, jacobian_fd, relax_per_step
 from test_learning import assert_trained_alike, train_oracle
 from test_network import _rows, rhs_oracle
 
@@ -47,7 +47,7 @@ def networks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = Network(sizes, [(src, dst) for dst, src in enumerate(srcs)], activation,
                   Hyperparams(), tied=tied)
-    for src, dst, M, W, b in edge_blocks(net):
+    for src, dst, M, W, b, _ in net.edge_blocks():
         M[...] = rng.normal(size=M.shape)
         W[...] = M.T if tied else rng.normal(size=W.shape)
         if src == dst:
@@ -89,7 +89,7 @@ def test_learning_stays_inside_the_mask(net):
         net.step_slow()
     assert np.all(net.M[net.mask == 0.0] == 0.0)
     assert np.all(net.W[net.mask.T == 0.0] == 0.0)
-    for src, dst, M, W, _ in edge_blocks(net):
+    for src, dst, M, W, _, _ in net.edge_blocks():
         if src == dst:
             assert np.all(np.diag(M) == 0.0) and np.all(np.diag(W) == 0.0)
     if net.tied:
@@ -102,7 +102,8 @@ def _rebuilt(net, scale=1.0, activation=None, tied=None, hyper=None):
     sizes = [rows.stop - rows.start for rows in net.slices]
     other = Network(sizes, net.edges, activation or net.activation, hyper or net.hyper,
                     tied=net.tied if tied is None else tied)
-    for (_, _, M, W, b), (_, _, M0, W0, b0) in zip(edge_blocks(other), edge_blocks(net)):
+    for (_, _, M, W, b, _), (_, _, M0, W0, b0, _) in zip(other.edge_blocks(),
+                                                          net.edge_blocks()):
         M[...], W[...], b[...] = scale * M0, scale * W0, scale * b0
     return other
 
@@ -233,7 +234,7 @@ def test_train_matches_step_by_step_oracle(net, data):
 @given(networks(), st.integers(-300, 300))
 def test_checkpoint_round_trip_is_byte_identical(net, exponent):
     scale = 10.0 ** exponent
-    for _, _, M, W, b in edge_blocks(net):
+    for _, _, M, W, b, _ in net.edge_blocks():
         M[...], W[...], b[...] = M * scale, W * scale, b * scale
     fresh = _rebuilt(net, 0.0)
     with tempfile.TemporaryDirectory() as tmp:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pchn import (Activation, ConstructionError, Hyperparams,
+from pchn import (Activation, ConstructionError, ContractViolationError, Hyperparams,
                   IntegrationDivergenceError, NonDifferentiableStateError,
                   NotAnEquilibriumError, TrainingSchedule, build_loop,
                   build_single_population, freeze, gen_targets, train)
@@ -215,6 +215,17 @@ class TestAnalyzeEquilibrium:
         net = freeze(build_single_population(4, Activation.TANH, _hyper(), seed=14))
         with pytest.raises(ConstructionError):
             analyze_equilibrium(net, np.zeros(4))
+
+    def test_clamped_net_refused_and_left_clamped(self):
+        """The clamps are the caller's: a clamped net is refused, not
+        unclamped behind the caller's back."""
+        net = freeze(build_single_population(4, Activation.TANH, _hyper(), seed=14))
+        target = np.array([0.5, -0.5, 0.25, 0.0])
+        net.clamp_all(target)
+        with pytest.raises(ContractViolationError, match="unclamp"):
+            analyze_equilibrium(net, target[None])
+        assert net.clamped.all()
+        np.testing.assert_array_equal(net.clamp_target, target)
 
     def test_empty_stack_gives_empty_list(self):
         net = freeze(build_loop([3, 2], Activation.TANH, _hyper(), seed=15))
