@@ -27,7 +27,8 @@ MAGIC_V1 = "PCHN v1"
 
 
 def _fmt_row(row):
-    return " ".join(f"{x:.17g}" for x in row)
+    # one %-template per row formats as "{:.17g}" does per value, faster
+    return " ".join(["%.17g"] * len(row)) % tuple(row.tolist())
 
 
 def _kind(net):

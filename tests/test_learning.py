@@ -68,6 +68,12 @@ def assert_trained_alike(net, ref, rel=1e-12):
     assert_close_to_largest(net.E, ref.E, rel, floor=float(np.max(np.abs(ref.V))))
 
 
+def spy_step_loop():
+    """Spy on the step loop of the clamps: learning._first_bad runs once
+    per block of stepped Euler steps and never in the closed form."""
+    return mock.patch.object(learning, "_first_bad", wraps=learning._first_bad)
+
+
 class TestSchedule:
     def test_defaults(self):
         s = TrainingSchedule()
@@ -185,6 +191,17 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(net, targets.patterns, TrainingSchedule(), seed=0)
 
+    def test_divergence_leaves_the_net_unclamped(self):
+        """A train that raises leaves the net unclamped, as one that
+        returns does, so analyze_equilibrium can take it."""
+        rng = np.random.default_rng(24)
+        pats = rng.normal(size=(2, 10))
+        pats[1] *= 3e3
+        net = build_single_population(10, Activation.IDENTITY, _hyper(), seed=24)
+        with pytest.raises(IntegrationDivergenceError):
+            train(net, pats, TrainingSchedule(duration_per_target=1.0), seed=25)
+        assert not net.clamped.any()
+
     def test_zero_initial_error_keeps_weights_still(self):
         """A network whose prediction already matches the clamp exactly
         generates no error signal, so the weights must not move."""
@@ -204,19 +221,68 @@ class TestReducedClamp:
     """train against the step-by-step oracle on configurations the
     property test in test_properties does not reach."""
 
+    @pytest.mark.parametrize("steps", [1, 2, 3, 8, 144, 1000, 1024, 1025])
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize("loop", [False, True])
+    def test_closed_form_matches_oracle(self, steps, reset, loop):
+        """Clamps of K steps at and around powers of two and at the CLI's
+        clamp lengths (144 steps for binary targets, 1,000 for real
+        ones) take the closed form and land where the oracle does, from
+        errors reset to 0 or carried over from a random start."""
+        targets = gen_targets("real", 2, 12, seed=27)
+        if loop:
+            net, ref = (build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=28)
+                        for _ in range(2))
+        else:
+            net, ref = (build_single_population(12, Activation.RELU, _hyper(), seed=28)
+                        for _ in range(2))
+        net.E[:] = ref.E[:] = np.random.default_rng(29).normal(size=12)
+        schedule = TrainingSchedule(duration_per_target=steps * 0.005,
+                                    reset_fast_state=reset)
+        with spy_step_loop() as stepped:
+            rep = train(net, targets.patterns, schedule, seed=30)
+        ref_rep = train_oracle(ref, targets.patterns, schedule, seed=30)
+        assert not stepped.called
+        assert rep.to_csv() == ref_rep.to_csv()
+        assert net.steps_taken == ref.steps_taken == 2 * steps
+        assert_trained_alike(net, ref)
+
+    def test_bound_refuses_a_clamp_that_does_not_diverge(self):
+        """Errors preset to 1e98 decay under a stable step matrix
+        (|eigenvalue|^2 = a < 1), but the bound on 100 steps, about 7e6
+        times the start's size, is past DIVERGENCE_LIMIT / 2: every
+        clamp is stepped, none raises, and each lands where the oracle
+        does."""
+        targets = gen_targets("real", 2, 6, seed=31)
+        net, ref = (build_single_population(6, Activation.IDENTITY, _hyper(), seed=31)
+                    for _ in range(2))
+        net.E[:] = ref.E[:] = 1e98
+        schedule = TrainingSchedule(duration_per_target=0.5, reset_fast_state=False)
+        with spy_step_loop() as stepped:
+            rep = train(net, targets.patterns, schedule, seed=32)
+        ref_rep = train_oracle(ref, targets.patterns, schedule, seed=32)
+        assert stepped.call_count == 2
+        assert 1e95 < np.abs(ref.E).max() < 1e98
+        assert rep.to_csv() == ref_rep.to_csv()
+        assert net.steps_taken == ref.steps_taken == 200
+        assert_trained_alike(net, ref)
+
     @pytest.mark.parametrize("block", [1024, 7])
     def test_matches_oracle_across_blocks(self, block):
-        """1,200 steps per clamp crosses the 1,024-step block, and a
-        block of 7 puts many boundaries and a short last block in
-        every clamp."""
+        """The step loop: errors preset near 1e98 keep every clamp out of
+        the closed form.  1,200 steps per clamp crosses the 1,024-step
+        block, and a block of 7 puts many boundaries and a short last
+        block in every clamp."""
         targets = gen_targets("real", 3, 12, seed=22)
         net, ref = (build_loop([5, 4, 3], Activation.RELU, _hyper(),
                                tie_weights=True, seed=22) for _ in range(2))
+        net.E[:] = ref.E[:] = 1e98 * np.linspace(-1.0, 1.0, 12)
         schedule = TrainingSchedule(duration_per_target=6.0, epochs=2,
                                     target_order=SHUFFLED, reset_fast_state=False)
-        with mock.patch.object(learning, "BLOCK", block):
+        with mock.patch.object(learning, "BLOCK", block), spy_step_loop() as stepped:
             rep = train(net, targets.patterns, schedule, seed=23)
         ref_rep = train_oracle(ref, targets.patterns, schedule, seed=23)
+        assert stepped.call_count == 6 * -(-1200 // block)
         assert rep.to_csv() == ref_rep.to_csv()
         assert net.steps_taken == ref.steps_taken == 6 * 1200
         assert_trained_alike(net, ref)

@@ -12,7 +12,7 @@ from pchn import (Activation, ConstructionError, ContractViolationError,
                   Hyperparams, IntegrationDivergenceError, build_loop,
                   build_single_population, freeze)
 from pchn.checkpoint import load_weights, save_weights
-from pchn import network
+from pchn import checkpoint, network
 from pchn.network import Network, build_network
 
 from oracles import (algebraic_step, clamp_population, counting_rhs, relax_per_step,
@@ -765,6 +765,19 @@ class TestCheckpoint:
         for a, b in zip(net.edge_blocks(), other.edge_blocks()):
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
+
+    def test_row_template_formats_as_the_per_value_format(self):
+        """save_weights formats a row with one %-template; it must print
+        what "{:.17g}" prints per value: -0, subnormals, the extremes
+        and values that need all 17 digits."""
+        info = np.finfo(float)
+        tiny = info.smallest_subnormal
+        row = np.array([-0.0, 0.0, tiny, -tiny, 3 * tiny, np.nextafter(info.tiny, 0.0),
+                        info.tiny, info.max, -info.max, 0.1, 1 / 3, -2 / 3, 1e16 + 2,
+                        np.nextafter(1.0, 2.0), 1e300 / 7])
+        assert checkpoint._fmt_row(row) == " ".join(f"{x:.17g}" for x in row)
+        assert checkpoint._fmt_row(row).split()[:4] == ["-0", "0", "4.9406564584124654e-324",
+                                                        "-4.9406564584124654e-324"]
 
     def test_same_weights_same_bytes(self, tmp_path):
         net = build_single_population(6, Activation.TANH, _hyper(), seed=26)
