@@ -6,19 +6,19 @@ stored target at a fixed sampling interval.  Runs are the rows of one
 (2, runs, T) batch of fast states, error rows then value rows; they
 share the weights, so one Euler kernel, bound once per study (see
 Network.kernel), advances every run with the same matrix products.
-Each sample copies the values into a chunk of SAMPLE_CHUNK samples, a
-(T, samples x runs) array flushed when it fills and at the end.  A
+Each sample copies the value rows into a chunk of SAMPLE_CHUNK samples,
+a (samples, runs, T) array flushed when it fills and at the end.  A
 flush finds each live run's first sample past the divergence limit,
 keeps the samples before it and closes the run out there, zeroing its
 state; the samples after it were never recorded.  It then takes the
-chunk's distances in one call, against a (targets, T, SAMPLE_CHUNK x
-runs) copy of the patterns made once per study, so the subtraction runs
-over contiguous (T, samples x runs) blocks and the squares sum over T
-row by row, as one sample's do.  They fill the slices of a Trace: a
-(runs, samples, targets) distance array, the index of each run's last
-sample and a mask of the runs that diverged.  The CSV writer, the
-distance tables and the summaries read those arrays directly; the CSV
-is built and written as ASCII bytes.
+chunk's distances in one call, from a (targets, samples x runs, T)
+difference squared and summed over its last axis: the operations of
+np.linalg.norm(..., axis=-1), so every chunk shape, one run against one
+target included, sums a distance the same way.  They fill the slices of
+a Trace: a (runs, samples, targets) distance array, the index of each
+run's last sample and a mask of the runs that diverged.  The CSV
+writer, the distance tables and the summaries read those arrays
+directly; the CSV is built and written as ASCII bytes.
 
 Seeding: make_probes and the studies take an int or a SeedSequence seed
 and build run r's stream with _run_seed, as SeedSequence(seed,
@@ -43,8 +43,8 @@ PERTURB_STD = float(np.sqrt(0.5))
 FLIP_BITS = 13
 
 # samples a study turns into distances with one _chunk_distances call;
-# its (targets, T, SAMPLE_CHUNK * runs) patterns and scratch are about
-# 1.3 MB each at T = 100 with 10 targets and 10 runs
+# its one (targets, SAMPLE_CHUNK * runs, T) scratch is about 1.3 MB at
+# T = 100 with 10 targets and 10 runs
 SAMPLE_CHUNK = 16
 
 
@@ -165,27 +165,16 @@ def make_probes(targets: TargetSet, seed=0, *, sigma: float = PERTURB_STD,
 
 
 def _chunk_distances(X, P, metric: str, work):
-    """(targets, cols) distances between the cols columns of X (T, cols)
-    and the targets, which P holds as (targets, T, >= cols), each target
-    repeated along the columns; work is a scratch like P.  Euclidean
-    distances run the operations of np.linalg.norm and sum the squares
-    over T row by row; Hamming ones count sign mismatches."""
-    cols = X.shape[1]
-    if cols == 1:
-        # a (targets, T, 1) difference would make T the inner axis, which
-        # numpy sums pairwise; (T, targets, 1) keeps the row-by-row sum
-        # (pairwise again for one target, as one run's sample alone is)
-        P = np.ascontiguousarray(P[:, :, 0].T)
-        X, P, work, axis = X[:, None, :], P[:, :, None], None, 0
-    else:
-        # contiguous (T, cols) blocks, which numpy subtracts and squares
-        # as one inner loop per target when the chunk is full
-        X, P, work, axis = X[None], P[:, :, :cols], work[:, :, :cols], 1
+    """(targets, samples) distances between the rows of X (samples, T)
+    and the rows of P (targets, T); work is a (targets, >= samples, T)
+    scratch.  Euclidean distances run the operations of
+    np.linalg.norm(..., axis=-1) on a (targets, samples, T) difference;
+    Hamming ones count sign mismatches."""
     if metric == HAMMING:
-        return np.count_nonzero(sign_pm1(X) != P, axis=axis)
-    diff = np.subtract(X, P, work)
+        return np.count_nonzero(sign_pm1(X) != P[:, None], axis=-1)
+    diff = np.subtract(X, P[:, None], work[:, :len(X)])
     np.multiply(diff, diff, diff)
-    sq = np.add.reduce(diff, axis=axis)
+    sq = np.add.reduce(diff, axis=-1)
     return np.sqrt(sq, sq)
 
 
@@ -217,15 +206,8 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     T = net.total_units
     S = np.zeros((2, n_runs, T))
     S[1] = starts
-    V = S[1].T
-    # one run against one target sums a (T, 1, 1) difference, which numpy
-    # sums pairwise; every wider one sums row by row, as a chunk does
-    K = SAMPLE_CHUNK if n_runs * targets.n > 1 else 1
-    chunk = np.empty((T, K * n_runs))
-    slots = [chunk[:, j * n_runs:(j + 1) * n_runs] for j in range(K)]
-    P = np.empty((targets.n, T, K * n_runs))
-    P[...] = targets.patterns[:, :, None]
-    work = np.empty_like(P)
+    chunk = np.empty((SAMPLE_CHUNK, n_runs, T))
+    work = np.empty((targets.n, SAMPLE_CHUNK * n_runs, T))
     trace = Trace(metric, sampled * dt,
                   np.zeros((n_runs, sampled.size, targets.n)),
                   np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
@@ -235,17 +217,17 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
         for i, gap in enumerate(np.diff(sampled, prepend=0).tolist()):
             for _ in range(gap):
                 step()
-            np.copyto(slots[i - first], V)
-            if i - first + 1 < K and i < sampled.size - 1:
+            np.copyto(chunk[i - first], S[1])
+            if i - first + 1 < SAMPLE_CHUNK and i < sampled.size - 1:
                 continue
             # the chunk holds samples first to i of every run; a live run
             # ends at its first sample past the limit, m when it has none
             m = i - first + 1
-            values = chunk[:, :m * n_runs]
+            values = chunk[:m].reshape(m * n_runs, T)
             bad = _past_limit(values).reshape(m, n_runs) & ~trace.diverged
             ends = np.where(bad.any(axis=0), bad.argmax(axis=0), m)
             kept = (np.arange(m) < ends[:, None]) & ~trace.diverged[:, None]
-            D = _chunk_distances(values, P, metric, work)
+            D = _chunk_distances(values, targets.patterns, metric, work)
             np.copyto(trace.dist[:, first:i + 1], D.reshape(targets.n, m, n_runs).T,
                       where=kept[:, :, None])
             for r in np.flatnonzero(ends < m).tolist():

@@ -25,6 +25,8 @@ Both land where the step-by-step path does up to rounding, which the
 tests check against step_fast + step_slow.
 """
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +51,9 @@ class TrainingSchedule:
     reset_fast_state: bool = True
 
     def __post_init__(self):
-        if not self.duration_per_target > 0.0:
-            raise ConstructionError("duration_per_target must be positive")
-        if self.epochs < 1:
+        if not 0.0 < self.duration_per_target < math.inf:
+            raise ConstructionError("duration_per_target must be positive and finite")
+        if operator.index(self.epochs) < 1:
             raise ConstructionError("epochs must be >= 1")
         if self.target_order not in (SEQUENTIAL, SHUFFLED):
             raise ConstructionError(
@@ -152,7 +154,7 @@ def _clamp(net, residual, steps):
     a = np.full(T, 1.0 - h.dt * h.zeta / h.tau)
     u = (h.dt / h.tau) * residual
     d = (h.dt / h.tau) * (h.dt / h.gamma) * (net.mask @ (s * s) + 1.0)
-    values_ok = not _past_limit(net.V[:, None])[0]
+    values_ok = not _past_limit(net.V[None])[0]
     if values_ok and _clamp_closed_form(net, a, u, d, steps):
         return
     total = np.zeros(T)
@@ -237,7 +239,7 @@ def _clamp_closed_form(net, a, u, d, steps):
 def _first_bad(rows, values_ok):
     """Index of the first row that fails the step-by-step path's
     finiteness check, or len(rows) when none does."""
-    bad = _past_limit(rows.T) | (not values_ok)
+    bad = _past_limit(rows) | (not values_ok)
     return int(np.argmax(bad)) if bad.any() else len(rows)
 
 

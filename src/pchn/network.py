@@ -170,10 +170,9 @@ class Network:
     # ---- dynamics ----
 
     def predict(self, V):
-        """Predictions M sigma(V) + b of every value unit; V is (T,) or
-        (T, B) for B runs sharing the weights."""
-        b = self.b if V.ndim == 1 else self.b[:, None]
-        return self.M @ self.activation.apply(V) + b
+        """Predictions M sigma(V) + b of every value unit at the (T,)
+        values V."""
+        return self.M @ self.activation.apply(V) + self.b
 
     def kernel(self, s) -> Kernel:
         """rhs and euler bound afresh to the batch s, B states as the rows
@@ -433,17 +432,17 @@ class Network:
 
 
 def _past_limit(s):
-    """Per-run mask of the runs of s, the columns of a (rows, B) array or
-    the rows of a (2, B, T) one, B >= 0, that hold a magnitude past
-    DIVERGENCE_LIMIT or a NaN."""
+    """Per-run mask of the runs of s, the rows of a (B, n) array or of a
+    (2, B, T) batch, B >= 0, that hold a magnitude past DIVERGENCE_LIMIT
+    or a NaN."""
     # a NaN fails the comparisons too; the whole-array check is the cheap
     # common case, and max and min make it without a temporary array
     # (training passes blocks of up to BLOCK x T); the ufunc reductions
     # skip the ndarray.max and min wrappers
     if (np.maximum.reduce(s, None, initial=0.0) <= DIVERGENCE_LIMIT
             and np.minimum.reduce(s, None, initial=0.0) >= -DIVERGENCE_LIMIT):
-        return np.zeros(s.shape[1], dtype=bool)
-    return ~np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=0 if s.ndim == 2 else (0, 2))
+        return np.zeros(s.shape[-2], dtype=bool)
+    return ~np.all(np.abs(s) <= DIVERGENCE_LIMIT, axis=1 if s.ndim == 2 else (0, 2))
 
 
 def _witnesses(a):

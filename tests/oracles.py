@@ -77,8 +77,8 @@ def prediction_mse(net, targets) -> float:
     """Mean squared prediction error over the (N, T) targets with the
     current weights: every unit of every target against its prediction
     from that target.  Network state is not touched."""
-    V = np.asarray(targets, dtype=float).T
-    diff = V - net.predict(V)
+    V = np.asarray(targets, dtype=float)
+    diff = V - [net.predict(v) for v in V]
     return float(np.sum(diff * diff)) / diff.size
 
 
@@ -97,17 +97,12 @@ def distance(a, b, metric: str) -> float:
 
 
 def distance_table(V, P, metric: str):
-    """(runs, targets) distances between the columns of V (T, runs) and
-    the columns of P (T, targets); Hamming counts sign mismatches.  The
-    Euclidean ones run the operations of np.linalg.norm(diff, axis=0) on
-    a (T, targets, runs) difference, summed over T row by row, except
-    for one run against one target, which numpy sums pairwise."""
+    """(runs, targets) distances between the rows of V (runs, T) and the
+    rows of P (targets, T): np.linalg.norm(diff, axis=-1) of a (runs,
+    targets, T) difference, or Hamming's count of sign mismatches."""
     if metric == HAMMING:
-        return np.sum(sign_pm1(V)[:, None, :] != P[:, :, None], axis=0).T
-    diff = V[:, None, :] - P[:, :, None]
-    np.multiply(diff, diff, diff)
-    sq = np.add.reduce(diff, axis=0)
-    return np.sqrt(sq, sq).T
+        return np.sum(sign_pm1(V)[:, None] != P, axis=-1)
+    return np.linalg.norm(V[:, None] - P, axis=-1)
 
 
 def textbook_rhs(net, E, V):
@@ -146,17 +141,15 @@ def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every
         sampled = np.append(sampled, steps)
     S = np.zeros((2, n_runs, T))
     S[1] = starts
-    P = np.ascontiguousarray(targets.patterns.T)
     trace = Trace(metric, sampled * dt,
                   np.zeros((n_runs, sampled.size, targets.n)),
                   np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
 
     def sample(i):
-        # C-ordered (T, runs) values: a transposed view would make the
-        # difference's T axis its inner one, which numpy sums pairwise
-        live, V = ~trace.diverged, S[1].T.copy()
-        np.copyto(trace.dist[:, i], distance_table(V, P, metric), where=live[:, None])
-        bad = live & _past_limit(V)
+        live = ~trace.diverged
+        np.copyto(trace.dist[:, i], distance_table(S[1], targets.patterns, metric),
+                  where=live[:, None])
+        bad = live & _past_limit(S[1])
         if bad.any():
             trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
             trace.end[bad] = i

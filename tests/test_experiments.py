@@ -77,17 +77,17 @@ class TestPerturbations:
 
 
 def _table(V, P, metric, work=None):
-    """_chunk_distances as a (runs, targets) table between the columns of
-    V (T, runs) and of P (T, targets), the targets laid out as a study
-    lays them out; work, when given, is its (targets, T, runs) scratch."""
-    layout = np.repeat(P.T[:, :, None], V.shape[1], axis=2)
-    return _chunk_distances(V, layout, metric,
-                            np.empty_like(layout) if work is None else work).T
+    """_chunk_distances as a (runs, targets) table between the rows of V
+    (runs, T) and of P (targets, T); work, when given, is its (targets,
+    >= runs, T) scratch."""
+    if work is None:
+        work = np.empty((len(P),) + V.shape)
+    return _chunk_distances(V, P, metric, work).T
 
 
 def _one_distance(a, b, metric):
     """_chunk_distances between one state a and one target b."""
-    return _table(np.array(a)[:, None], np.array(b)[:, None], metric)[0, 0]
+    return _table(np.array(a)[None], np.array(b)[None], metric)[0, 0]
 
 
 class TestDistances:
@@ -106,25 +106,26 @@ class TestDistances:
     def test_table_matches_pairwise_oracle(self):
         """Entry (r, j) is run r's distance to target j."""
         rng = np.random.default_rng(3)
-        V = rng.normal(size=(12, 4))
-        P = np.sign(rng.normal(size=(12, 3)))
+        V = rng.normal(size=(4, 12))
+        P = np.sign(rng.normal(size=(3, 12)))
         for metric in (EUCLIDEAN, HAMMING):
             got = _table(V, P, metric)
             assert got.shape == (4, 3)
-            want = [[distance(V[:, r], P[:, j], metric) for j in range(3)]
+            want = [[distance(V[r], P[j], metric) for j in range(3)]
                     for r in range(4)]
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
             np.testing.assert_array_equal(got, distance_table(V, P, metric))
 
     def test_euclidean_is_bitwise_linalg_norm(self):
         """The Euclidean table runs the operations of np.linalg.norm, so
-        it has its bits, also into a reused work buffer."""
+        it has its bits, also into the front of a wider reused work
+        buffer, as a study's last chunk uses it."""
         rng = np.random.default_rng(4)
-        P = rng.normal(size=(100, 10))
-        work = np.empty((10, 100, 7))
+        P = rng.normal(size=(10, 100))
+        work = np.empty((10, SAMPLE_CHUNK * 7, 100))
         for _ in range(2):
-            V = rng.normal(size=(100, 7))
-            want = np.linalg.norm(V[:, None, :] - P[:, :, None], axis=0).T
+            V = rng.normal(size=(7, 100))
+            want = np.linalg.norm(V[:, None] - P, axis=-1)
             np.testing.assert_array_equal(_table(V, P, EUCLIDEAN), want)
             np.testing.assert_array_equal(_table(V, P, EUCLIDEAN, work), want)
 
@@ -366,8 +367,8 @@ class TestChunkedSamples:
         np.testing.assert_array_equal(trace.t, [0.0, 0.3])
 
     def test_one_run_against_one_target(self):
-        """A (T, 1, 1) difference, which numpy sums pairwise, not row by
-        row like every wider chunk."""
+        """A (1, samples, T) difference, summed over T as every wider
+        chunk's is."""
         ts = gen_targets("real", 1, 12, seed=48)
         net = TestPinnedBytes._moving_net(Activation.TANH, 48)
         self._check(net, ts, make_probes(ts, 48), 2.03, 0.01)
@@ -379,8 +380,8 @@ class TestChunkedSamples:
     def test_distances_of_every_batch_shape(self, runs, n_targets, last_chunk):
         """1 to 3 runs against 1 to 3 targets on a T = 100 net, whose final
         chunk holds 1 sample or 15.  A single run's final sample is a
-        one-column chunk, which must still sum over T row by row, as the
-        oracle's one sample does, and not pairwise."""
+        one-row chunk, which must sum over T as the oracle's one sample
+        does."""
         net = build_single_population(100, Activation.TANH, Hyperparams(dt=0.01),
                                       init_scale=1.0, seed=49)
         net.b[:] = np.random.default_rng(49).normal(size=100)

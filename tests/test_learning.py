@@ -82,10 +82,16 @@ class TestSchedule:
         assert s.target_order == SEQUENTIAL
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            TrainingSchedule(duration_per_target=0.0)
+        for duration in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                TrainingSchedule(duration_per_target=duration)
         with pytest.raises(ValueError):
             TrainingSchedule(epochs=0)
+        # a fractional or float epoch count is refused as Network refuses
+        # a float size, not when train reaches range(epochs)
+        for epochs in (1.5, 2.0):
+            with pytest.raises(TypeError):
+                TrainingSchedule(epochs=epochs)
         with pytest.raises(ValueError):
             TrainingSchedule(target_order="backwards")
 

@@ -750,6 +750,62 @@ class TestStateHelpers:
         np.testing.assert_array_equal(net.V, x)
 
 
+class TestPastLimit:
+    """network._past_limit on its two forms, (B, n) rows and (2, B, T)
+    batches, against a per-run loop over plain floats."""
+
+    LIMIT = network.DIVERGENCE_LIMIT
+    PAST = [np.nan, np.inf, -np.inf, np.nextafter(LIMIT, np.inf),
+            -np.nextafter(LIMIT, np.inf)]
+
+    @classmethod
+    def _per_run(cls, runs):
+        return [not all(abs(x) <= cls.LIMIT for x in run.ravel().tolist())
+                for run in runs]
+
+    def _check(self, s, want):
+        runs = s if s.ndim == 2 else s.transpose(1, 0, 2)
+        got = network._past_limit(s)
+        assert got.dtype == bool and got.shape == (len(runs),)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, self._per_run(runs))
+
+    def test_rows(self):
+        for x in self.PAST:
+            s = np.zeros((4, 6))
+            s[0, 0], s[1, 5], s[3, 2] = self.LIMIT, -self.LIMIT, self.LIMIT
+            s[2, 3] = x
+            self._check(s, [False, False, True, False])
+
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_batch_error_and_value_rows(self, half):
+        """A bad entry in run 1's E row (half 0) or V row (half 1) marks
+        run 1 alone; entries of exactly +-DIVERGENCE_LIMIT mark nothing."""
+        for x in self.PAST:
+            s = np.zeros((2, 3, 5))
+            s[0, 0, 1], s[1, 2, 4], s[1 - half, 1, 0] = self.LIMIT, -self.LIMIT, -self.LIMIT
+            s[half, 1, 3] = x
+            self._check(s, [False, True, False])
+
+    def test_no_runs(self):
+        self._check(np.empty((0, 6)), [])
+        self._check(np.empty((2, 0, 5)), [])
+
+    def test_whole_array_and_per_run_paths_agree(self):
+        """Entries of exactly +-DIVERGENCE_LIMIT take the whole-array
+        path and mark no run; one entry past the limit sends the same
+        entries through the per-run path, which marks only its run."""
+        s = np.random.default_rng(26).uniform(-1.0, 1.0, (2, 4, 7)) * self.LIMIT
+        s[0, 0, 0], s[1, 3, 6] = self.LIMIT, -self.LIMIT
+        self._check(s, [False] * 4)
+        s[1, 2, 1] = np.nextafter(self.LIMIT, np.inf)
+        self._check(s, [False, False, True, False])
+        rows = np.ascontiguousarray(s[1])
+        self._check(rows, [False, False, True, False])
+        rows[2, 1] = self.LIMIT
+        self._check(rows, [False] * 4)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=25)
