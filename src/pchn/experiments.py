@@ -26,6 +26,7 @@ spawn_key=(r,)), so independent commands can regenerate the exact same
 probes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +194,9 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     if starts.ndim != 2 or starts.shape[1] != net.total_units:
         raise ConstructionError(
             f"starts must be (runs, {net.total_units}), got {starts.shape}")
+    for name, value in (("horizon", horizon), ("sample_every", sample_every)):
+        if not 0.0 < value < math.inf:
+            raise ConstructionError(f"{name} must be positive and finite")
     n_runs = starts.shape[0]
     metric = metric_for(targets.kind)
     dt = net.hyper.dt

@@ -17,12 +17,13 @@ So one clamp of K Euler steps (one fast step, then one slow step, shared
 dt) is K steps of this per-unit recurrence on length-T vectors, then one
 rank-1 weight update driven by the summed errors.  The recurrence is
 linear with coefficients fixed for the clamp, so a clamp is taken in
-closed form: repeated squaring of each unit's 2 x 2 step matrix gives
-the last errors and the summed errors in O(log K) products.  That runs
-only when a bound shows that no step can pass DIVERGENCE_LIMIT; any
-other clamp is stepped, and that loop alone names a divergence step.
-Both land where the step-by-step path does up to rounding, which the
-tests check against step_fast + step_slow.
+closed-form pieces: repeated squaring of each unit's 2 x 2 step matrix
+gives the last errors and the summed errors in O(log K) products.  A
+piece runs whole only when a bound shows that none of its steps can
+pass DIVERGENCE_LIMIT; any other piece is halved, down to single steps,
+and a single step past the limit raises at the step the step-by-step
+path names.  The result lands where that path does up to rounding,
+which the tests check against step_fast + step_slow.
 """
 
 import math
@@ -37,11 +38,6 @@ from .network import DIVERGENCE_LIMIT, _past_limit
 
 SEQUENTIAL = "sequential"
 SHUFFLED = "shuffled"
-
-# Euler steps per block of a stepped clamp; bounds the error history
-# the divergence check reads to BLOCK x T floats
-BLOCK = 1024
-
 
 @dataclass(frozen=True)
 class TrainingSchedule:
@@ -141,106 +137,91 @@ def _clamp(net, residual, steps):
     """Run `steps` Euler steps of fast and slow dynamics on a fully
     clamped net whose prediction residual V - (M s + b) is `residual`.
 
-    Carries u = (dt/tau)(V - r) in place of r, so each step is
-    E <- a E + u, then u <- u - d E.  Takes the clamp in closed form
-    when _clamp_closed_form's bound allows, else steps it.  Leaves
-    net.E, the weights and net.steps_taken where the step-by-step path
-    leaves them, also when the errors pass DIVERGENCE_LIMIT: the weights
-    then hold the updates of the steps before the first bad one, which
-    is the step raised.
+    Unit i carries x = (E, u), u = (dt/tau)(V - r) in place of r, and a
+    step is E <- a E + u, then u <- u - d E: x_k = A x_{k-1}, A = [[a,
+    1], [-d a, 1 - d]].  A clamp of K steps needs only the E rows of
+    A^K x_0 and of (A + ... + A^K) x_0.  Repeated squaring gives Q_j =
+    A^(2^j) and S_j = A + ... + A^(2^j), and the clamp runs as one piece
+    per set bit j of K, from the lowest: total += S_j x, then x = Q_j x.
+
+    The bound: rounding included, a step keeps |x_k| <= (1 + eps)^4 B
+    |x_{k-1}| entrywise, B = [[|a|, 1], [|d a|, 1 + |d|]], and ||B^k||
+    <= prod_{i<=j} max(1, ||B^(2^i)||) for k < 2^(j+1) (row-sum norm).
+    Those squarings add only terms >= 0 and round the product down by at
+    most (1 - eps)^(6L) for L steps.  Times the start's size (at least 1,
+    which keeps every power and sum finite) and (1 + 2 eps)^(10L + 1),
+    it must stay under DIVERGENCE_LIMIT / 2: then none of the L steps
+    can pass the limit.  When the bound clears the whole clamp from x_0
+    the pieces run unchecked.  Otherwise each piece runs whole only when
+    the bound clears it from the x it starts at, else as two pieces of
+    half its length, down to single steps; a single step whose errors
+    pass the limit raises there.  So does the first step when a clamped
+    value is past it, as the step-by-step check covers the values too.
+
+    Leaves net.E, the weights and net.steps_taken where the step-by-step
+    path leaves them, also when it raises: net.E then holds the errors
+    of the step raised and the weights the updates of the steps before
+    it.
     """
     h, T = net.hyper, net.total_units
     s = net.activation.apply(net.V)
-    a = np.full(T, 1.0 - h.dt * h.zeta / h.tau)
-    u = (h.dt / h.tau) * residual
+    a = 1.0 - h.dt * h.zeta / h.tau
     d = (h.dt / h.tau) * (h.dt / h.gamma) * (net.mask @ (s * s) + 1.0)
-    values_ok = not _past_limit(net.V[None])[0]
-    if values_ok and _clamp_closed_form(net, a, u, d, steps):
-        return
-    total = np.zeros(T)
-    history = np.empty((min(steps, BLOCK), T))
-    du = np.empty(T)
-    mul, add, sub = np.multiply, np.add, np.subtract
-    done = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done < steps:
-            rows = history[:steps - done]
-            prev = net.E
-            # the hot loop: four in-place ufuncs per step, called with
-            # positional outputs, which numpy dispatches fastest
-            for e in rows:
-                mul(prev, a, e)
-                add(e, u, e)
-                mul(e, d, du)
-                sub(u, du, u)
-                prev = e
-            n = _first_bad(rows, values_ok)
-            total += rows[:n].sum(axis=0)
-            net.E[:] = rows[min(n, len(rows) - 1)]
-            done += n
-            if n < len(rows):
-                net.steps_taken += done + 1
-                if done:
-                    net.step_slow(errors=total)
-                raise IntegrationDivergenceError(net.steps_taken)
-    net.steps_taken += steps
-    net.step_slow(errors=total)
-
-
-def _clamp_closed_form(net, a, u, d, steps):
-    """Take the clamp that _clamp steps in closed form and return True,
-    or return False, with nothing changed, when the bound below refuses.
-
-    Unit i's x = (E, u) steps as x_k = A x_{k-1}, A = [[a, 1], [-d a,
-    1 - d]], so a clamp of K steps needs only the E rows of A^K x_0 and
-    of (A + ... + A^K) x_0, which repeated squaring gives.
-
-    The bound: rounding included, a step of _clamp's loop keeps |x_k| <=
-    (1 + eps)^4 B |x_{k-1}| entrywise, B = [[|a|, 1], [|d a|, 1 + |d|]],
-    and ||B^k|| <= prod_j max(1, ||B^(2^j)||) for k <= K (row-sum norm).
-    Those squarings add only terms >= 0 and round the product down by at
-    most (1 - eps)^(6K).  Times the start's size (at least 1, which keeps
-    every power and sum below finite) and (1 + 2 eps)^(10K + 1), it must
-    stay under DIVERGENCE_LIMIT / 2: then no step of the loop, the one
-    path that names a divergence step, could pass the limit.
-    """
-    n = steps.bit_length()
-    A = np.empty((len(a), 2, 2))
+    A = np.empty((T, 2, 2))
     A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = a, 1.0, -d * a, 1.0 - d
-    bound = np.maximum(np.maximum(np.abs(net.E), np.abs(u)), 1.0)
+    x = np.stack((net.E, (h.dt / h.tau) * residual), 1)[..., None]
+    n = steps.bit_length()
     with np.errstate(over="ignore", invalid="ignore"):
+        if _past_limit(net.V[None])[0]:
+            # the step-by-step check covers the clamped values too
+            net.E[:] = (A @ x)[:, 0, 0]
+            net.steps_taken += 1
+            raise IntegrationDivergenceError(net.steps_taken)
+        # growth[j] = max(1, ||B^(2^j)||), Q[j] = A^(2^j), S[j] = A + ... + A^(2^j)
         B = np.abs(A)
         B[:, 1, 1] = 1.0 + np.abs(d)
+        growth, Q, S = [], [A], [A]
         for j in range(n):
             if j:
                 B = B @ B
-            bound *= np.maximum(B.sum(2).max(1), 1.0)
-        bound *= (1.0 + 2.0 * np.finfo(float).eps) ** (10 * steps + 1)
-        if not np.all(bound < DIVERGENCE_LIMIT / 2):
-            return False
-    # after bit j: Q = A^(2^j), S = A + ... + A^(2^j), and for m the
-    # value of the bits of K up to j, x = A^m x_0, total = (A + ... + A^m) x_0
-    x = np.stack((net.E, u), 1)[..., None]
-    total = np.zeros_like(x)
-    Q = S = A
-    for j in range(n):
-        if j:
-            S = S + Q @ S
-            Q = Q @ Q
-        if steps >> j & 1:
-            total += S @ x
-            x = Q @ x
+                S.append(S[-1] + Q[-1] @ S[-1])
+                Q.append(Q[-1] @ Q[-1])
+            # the row-sum norm, without the slow axis reductions
+            rows = np.maximum(B[:, 0, 0] + B[:, 0, 1], B[:, 1, 0] + B[:, 1, 1])
+            growth.append(np.maximum(rows, 1.0))
+        checked = not _clears(x, growth, steps)
+        total = np.zeros_like(x)
+        pieces = [j for j in range(n - 1, -1, -1) if steps >> j & 1]
+        done = 0
+        while pieces:
+            j = pieces.pop()
+            if checked and j and not _clears(x, growth[:j + 1], 1 << j):
+                pieces += (j - 1, j - 1)
+                continue
+            y = Q[j] @ x
+            if checked and not j and _past_limit(y[:, 0, 0][None])[0]:
+                net.E[:] = y[:, 0, 0]
+                net.steps_taken += done + 1
+                if done:
+                    net.step_slow(errors=total[:, 0, 0])
+                raise IntegrationDivergenceError(net.steps_taken)
+            total += S[j] @ x
+            x = y
+            done += 1 << j
     net.E[:] = x[:, 0, 0]
     net.steps_taken += steps
     net.step_slow(errors=total[:, 0, 0])
-    return True
 
 
-def _first_bad(rows, values_ok):
-    """Index of the first row that fails the step-by-step path's
-    finiteness check, or len(rows) when none does."""
-    bad = _past_limit(rows) | (not values_ok)
-    return int(np.argmax(bad)) if bad.any() else len(rows)
+def _clears(x, growth, steps):
+    """Whether the bound of _clamp clears `steps` steps from the (T, 2,
+    1) start x, growth holding max(1, ||B^(2^i)||) for the squarings
+    i = 0, 1, ... that cover them.  A NaN anywhere refuses."""
+    bound = np.maximum(np.maximum(np.abs(x[:, 0, 0]), np.abs(x[:, 1, 0])), 1.0)
+    for g in growth:
+        bound *= g
+    bound *= (1.0 + 2.0 * np.finfo(float).eps) ** (10 * steps + 1)
+    return bool(np.all(bound < DIVERGENCE_LIMIT / 2))
 
 
 def freeze(net):

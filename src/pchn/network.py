@@ -436,9 +436,8 @@ def _past_limit(s):
     (2, B, T) batch, B >= 0, that hold a magnitude past DIVERGENCE_LIMIT
     or a NaN."""
     # a NaN fails the comparisons too; the whole-array check is the cheap
-    # common case, and max and min make it without a temporary array
-    # (training passes blocks of up to BLOCK x T); the ufunc reductions
-    # skip the ndarray.max and min wrappers
+    # common case, and max and min make it without a temporary array;
+    # the ufunc reductions skip the ndarray.max and min wrappers
     if (np.maximum.reduce(s, None, initial=0.0) <= DIVERGENCE_LIMIT
             and np.minimum.reduce(s, None, initial=0.0) >= -DIVERGENCE_LIMIT):
         return np.zeros(s.shape[-2], dtype=bool)
@@ -462,6 +461,8 @@ def build_network(sizes, edges, activation: Activation, hyper: Hyperparams,
     deviation init_scale / sqrt(src size); a tied W is M transposed, the
     entries outside the mask (a self-edge's diagonal) are zero and b
     starts at zero."""
+    if not 0.0 <= init_scale < math.inf:
+        raise ConstructionError("init_scale must be finite and >= 0")
     net = Network(sizes, edges, activation, hyper, tied=tie_weights)
     rng = np.random.default_rng(seed)
     for _, _, M, W, _, mask in net.edge_blocks():

@@ -193,6 +193,17 @@ class TestRelaxationStudy:
                    if "divergent" in line.split(",")[5]}
         assert flagged == {0, 1}
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("name", ["horizon", "sample_every"])
+    def test_rejects_bad_horizon_and_sample_every(self, name, bad):
+        """A horizon or sampling interval that is not positive and finite
+        is refused before any step, not run for one step or sampled at
+        every step."""
+        net = _tiny_net()
+        ts = gen_targets("binary", 2, 12, seed=25)
+        with pytest.raises(ConstructionError, match=name):
+            relaxation_study(net, ts, ts.patterns, **{name: bad})
+
     def test_columns_follow_step_fast(self):
         """Each batch column is the trajectory step_fast integrates from
         the same start: the study and the single-run step share one

@@ -5,6 +5,7 @@ one step_slow per Euler step of every clamp.  train integrates a clamp
 in reduced form and must land where the oracle does.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,9 @@ from pchn import (Activation, ContractViolationError, Hyperparams,
                   train)
 from pchn import learning
 from pchn.cli import SEED_TRAIN, child_seed, main, resolve_config
-from pchn.learning import SEQUENTIAL, SHUFFLED, ClampRecord, TrainingReport
+from pchn.learning import (SEQUENTIAL, SHUFFLED, ClampRecord, TrainingReport,
+                           _clears)
+from pchn.network import _past_limit
 
 from oracles import prediction_mse
 
@@ -68,10 +71,38 @@ def assert_trained_alike(net, ref, rel=1e-12):
     assert_close_to_largest(net.E, ref.E, rel, floor=float(np.max(np.abs(ref.V))))
 
 
-def spy_step_loop():
-    """Spy on the step loop of the clamps: learning._first_bad runs once
-    per block of stepped Euler steps and never in the closed form."""
-    return mock.patch.object(learning, "_first_bad", wraps=learning._first_bad)
+class PieceSpy:
+    """Spy on the pieces of the clamps.  checks lists the (steps,
+    cleared) of every bound check, learning._clears: one per clamp on
+    the whole clamp, then, only when that is refused, one per piece of
+    two or more steps before it runs.  limit_checks counts the calls of
+    learning._past_limit: one per clamp on the clamped values, and one
+    per single step of a refused clamp."""
+
+    def __init__(self):
+        self.checks, self.limit_checks = [], 0
+
+    def clears(self, x, growth, steps):
+        cleared = _clears(x, growth, steps)
+        self.checks.append((steps, cleared))
+        return cleared
+
+    def past_limit(self, s):
+        self.limit_checks += 1
+        return _past_limit(s)
+
+    @contextlib.contextmanager
+    def patched(self):
+        with mock.patch.object(learning, "_clears", self.clears), \
+                mock.patch.object(learning, "_past_limit", self.past_limit):
+            yield self
+
+    def single_steps(self, clamps):
+        return self.limit_checks - clamps
+
+
+def spy_pieces():
+    return PieceSpy().patched()
 
 
 class TestSchedule:
@@ -233,8 +264,9 @@ class TestReducedClamp:
     def test_closed_form_matches_oracle(self, steps, reset, loop):
         """Clamps of K steps at and around powers of two and at the CLI's
         clamp lengths (144 steps for binary targets, 1,000 for real
-        ones) take the closed form and land where the oracle does, from
-        errors reset to 0 or carried over from a random start."""
+        ones) clear the bound whole, never split, and land where the
+        oracle does, from errors reset to 0 or carried over from a
+        random start."""
         targets = gen_targets("real", 2, 12, seed=27)
         if loop:
             net, ref = (build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=28)
@@ -245,10 +277,11 @@ class TestReducedClamp:
         net.E[:] = ref.E[:] = np.random.default_rng(29).normal(size=12)
         schedule = TrainingSchedule(duration_per_target=steps * 0.005,
                                     reset_fast_state=reset)
-        with spy_step_loop() as stepped:
+        with spy_pieces() as spy:
             rep = train(net, targets.patterns, schedule, seed=30)
         ref_rep = train_oracle(ref, targets.patterns, schedule, seed=30)
-        assert not stepped.called
+        assert spy.checks == [(steps, True)] * 2
+        assert spy.single_steps(clamps=2) == 0
         assert rep.to_csv() == ref_rep.to_csv()
         assert net.steps_taken == ref.steps_taken == 2 * steps
         assert_trained_alike(net, ref)
@@ -256,62 +289,71 @@ class TestReducedClamp:
     def test_bound_refuses_a_clamp_that_does_not_diverge(self):
         """Errors preset to 1e98 decay under a stable step matrix
         (|eigenvalue|^2 = a < 1), but the bound on 100 steps, about 7e6
-        times the start's size, is past DIVERGENCE_LIMIT / 2: every
-        clamp is stepped, none raises, and each lands where the oracle
-        does."""
+        times the start's size, is past DIVERGENCE_LIMIT / 2.  Every
+        clamp splits: from about 1e98 pieces of 8 steps or more are
+        refused and those of 4 clear, so it takes no single step.  None
+        raises, and each lands where the oracle does."""
         targets = gen_targets("real", 2, 6, seed=31)
         net, ref = (build_single_population(6, Activation.IDENTITY, _hyper(), seed=31)
                     for _ in range(2))
         net.E[:] = ref.E[:] = 1e98
         schedule = TrainingSchedule(duration_per_target=0.5, reset_fast_state=False)
-        with spy_step_loop() as stepped:
+        with spy_pieces() as spy:
             rep = train(net, targets.patterns, schedule, seed=32)
         ref_rep = train_oracle(ref, targets.patterns, schedule, seed=32)
-        assert stepped.call_count == 2
+        assert [c for c in spy.checks if c[0] == 100] == [(100, False)] * 2
+        assert (8, False) in spy.checks and (4, True) in spy.checks
+        assert spy.single_steps(clamps=2) == 0
         assert 1e95 < np.abs(ref.E).max() < 1e98
         assert rep.to_csv() == ref_rep.to_csv()
         assert net.steps_taken == ref.steps_taken == 200
         assert_trained_alike(net, ref)
 
-    @pytest.mark.parametrize("block", [1024, 7])
-    def test_matches_oracle_across_blocks(self, block):
-        """The step loop: errors preset near 1e98 keep every clamp out of
-        the closed form.  1,200 steps per clamp crosses the 1,024-step
-        block, and a block of 7 puts many boundaries and a short last
-        block in every clamp."""
+    @pytest.mark.parametrize("scale", [1e98, 1e99])
+    def test_matches_oracle_in_pieces(self, scale):
+        """Errors preset near the limit keep every clamp of 1,200 steps
+        from clearing whole.  From 1e98 the pieces split into pieces of
+        two or more steps; from 1e99, where two steps are refused, they
+        reach single steps.  Neither raises, and both land where the
+        oracle does, over shuffled clamps that carry their errors
+        over."""
         targets = gen_targets("real", 3, 12, seed=22)
         net, ref = (build_loop([5, 4, 3], Activation.RELU, _hyper(),
                                tie_weights=True, seed=22) for _ in range(2))
-        net.E[:] = ref.E[:] = 1e98 * np.linspace(-1.0, 1.0, 12)
+        net.E[:] = ref.E[:] = scale * np.linspace(-1.0, 1.0, 12)
         schedule = TrainingSchedule(duration_per_target=6.0, epochs=2,
                                     target_order=SHUFFLED, reset_fast_state=False)
-        with mock.patch.object(learning, "BLOCK", block), spy_step_loop() as stepped:
+        with spy_pieces() as spy:
             rep = train(net, targets.patterns, schedule, seed=23)
         ref_rep = train_oracle(ref, targets.patterns, schedule, seed=23)
-        assert stepped.call_count == 6 * -(-1200 // block)
+        assert (1200, False) in spy.checks
+        assert (spy.single_steps(clamps=6) > 0) == (scale == 1e99)
         assert rep.to_csv() == ref_rep.to_csv()
         assert net.steps_taken == ref.steps_taken == 6 * 1200
         assert_trained_alike(net, ref)
 
-    @pytest.mark.parametrize("block", [1024, 16])
-    def test_divergence_reports_the_oracle_step(self, block):
+    @pytest.mark.parametrize("steps", [200, 255, 256])
+    def test_divergence_reports_the_oracle_step(self, steps):
         """A pattern scaled by 3e3 makes sum(s^2) so large that each
         learning step overshoots: the errors grow about 20-fold per
         step and pass DIVERGENCE_LIMIT in the middle of the second
-        clamp.  The error names the same step as the oracle, and the
-        weights hold the updates of the steps before it."""
+        clamp.  That clamp splits down to single steps, whatever set
+        bits its length has.  The error names the same step as the
+        oracle, and the weights hold the updates of the steps before
+        it."""
         rng = np.random.default_rng(24)
         pats = rng.normal(size=(2, 10))
         pats[1] *= 3e3
-        schedule = TrainingSchedule(duration_per_target=1.0, epochs=1)
+        schedule = TrainingSchedule(duration_per_target=steps * 0.005, epochs=1)
         net, ref = (build_single_population(10, Activation.IDENTITY, _hyper(), seed=24)
                     for _ in range(2))
-        with mock.patch.object(learning, "BLOCK", block):
-            with pytest.raises(IntegrationDivergenceError) as got:
-                train(net, pats, schedule, seed=25)
+        with spy_pieces() as spy, pytest.raises(IntegrationDivergenceError) as got:
+            train(net, pats, schedule, seed=25)
         with pytest.raises(IntegrationDivergenceError) as want:
             train_oracle(ref, pats, schedule, seed=25)
-        assert 200 < want.value.step < 400
+        assert spy.checks[0] == (steps, True)
+        assert spy.single_steps(clamps=2) > 0
+        assert steps < want.value.step < 2 * steps
         assert got.value.step == want.value.step == net.steps_taken == ref.steps_taken
         for x in ("M", "W", "b"):
             assert_close_to_largest(getattr(net, x), getattr(ref, x), rel=1e-9)
@@ -332,14 +374,47 @@ class TestReducedClamp:
         assert got.value.step == want.value.step == 1
         np.testing.assert_array_equal(net.M, before)
 
-    def test_first_bad_row_of_either_sign(self):
-        rows = np.zeros((5, 3))
-        assert learning._first_bad(rows, True) == 5
-        assert learning._first_bad(rows, False) == 0
-        rows[3, 1] = -2e100
-        assert learning._first_bad(rows, True) == 3
-        rows[2, 0] = np.nan
-        assert learning._first_bad(rows, True) == 2
+    @pytest.mark.parametrize("where", ["E", "b"])
+    def test_nan_start_fails_at_the_first_step(self, where):
+        """A NaN in the carried errors, or in a bias and so in the
+        residual, is refused by every bound (a NaN never compares
+        under it), so the clamp splits down to a single step, which
+        fails at step 1 as the oracle's does, with the weights
+        untouched."""
+        targets = gen_targets("real", 1, 6, seed=33)
+        net, ref = (build_single_population(6, Activation.TANH, _hyper(), seed=33)
+                    for _ in range(2))
+        for x in (net, ref):
+            getattr(x, where)[2] = np.nan
+        before = [x.copy() for x in (net.M, net.W, net.b)]
+        schedule = TrainingSchedule(duration_per_target=0.5, reset_fast_state=False)
+        with spy_pieces() as spy, pytest.raises(IntegrationDivergenceError) as got:
+            train(net, targets.patterns, schedule, seed=0)
+        with pytest.raises(IntegrationDivergenceError) as want:
+            train_oracle(ref, targets.patterns, schedule, seed=0)
+        assert spy.checks[0] == (100, False)
+        assert got.value.step == want.value.step == net.steps_taken == 1
+        for x, x0 in zip((net.M, net.W, net.b), before):
+            np.testing.assert_array_equal(x, x0)
+
+    def test_long_clamp_refused_whole_runs_in_pieces(self):
+        """A clamp that does not diverge can still fail the bound whole:
+        with dt = 0.1 and gamma = 1.01, B's powers outgrow the limit
+        within 1,000 steps while A's decay.  Each clamp then runs in
+        pieces that clear from where they start, with no single step,
+        and lands where the oracle does."""
+        hyper = _hyper(dt=0.1, gamma=1.01)
+        targets = gen_targets("binary", 2, 12, seed=27)
+        net, ref = (build_single_population(12, Activation.TANH, hyper, seed=28)
+                    for _ in range(2))
+        schedule = TrainingSchedule(duration_per_target=100.0)
+        with spy_pieces() as spy:
+            train(net, targets.patterns, schedule, seed=1)
+        train_oracle(ref, targets.patterns, schedule, seed=1)
+        assert [c for c in spy.checks if c[0] == 1000] == [(1000, False)] * 2
+        assert spy.single_steps(clamps=2) == 0
+        assert net.steps_taken == ref.steps_taken == 2000
+        assert_trained_alike(net, ref)
 
     def test_cli_reports_divergence_and_removes_stale_checkpoint(self, tmp_path, capsys):
         """With dt = 0.4 and gamma = 1.01 a relu Single100 net on real

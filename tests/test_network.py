@@ -119,6 +119,23 @@ class TestConstruction:
         big = np.abs(a.M).max()
         assert big < 0.01
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("builder", ["network", "loop", "single"])
+    def test_bad_init_scale_rejected(self, builder, scale):
+        """A non-finite or negative init_scale is refused, not drawn
+        into NaN weights or left to numpy's bare "scale < 0"; zero is a
+        net of zero weights."""
+        build = {"network": lambda **kw: build_network([3, 2], [(1, 0), (0, 1)],
+                                                       Activation.TANH, _hyper(), **kw),
+                 "loop": lambda **kw: build_loop([3, 2], Activation.TANH, _hyper(), **kw),
+                 "single": lambda **kw: build_single_population(5, Activation.TANH,
+                                                                _hyper(), **kw)}[builder]
+        with pytest.raises(ConstructionError, match="init_scale"):
+            build(init_scale=scale)
+        net = build(init_scale=0.0)
+        for x in (net.M, net.W, net.b):
+            np.testing.assert_array_equal(x, 0.0)
+
     def test_tied_weights_start_transposed(self):
         net = build_single_population(8, Activation.TANH, _hyper(),
                                       tie_weights=True, seed=4)

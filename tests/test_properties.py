@@ -13,10 +13,8 @@ A last property covers the CLI config: resolving the echo of a resolved
 config gives the same values and echoes the same text.
 """
 
-import contextlib
 import os
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +23,7 @@ from hypothesis import strategies as st
 
 from pchn import (Activation, ConstructionError, Hyperparams,
                   IntegrationDivergenceError, TrainingSchedule, freeze,
-                  jacobian_analytic, learning, load_weights,
+                  jacobian_analytic, load_weights,
                   save_weights, train)
 from pchn.cli import parse_config_text, resolve_config
 from pchn.learning import SEQUENTIAL, SHUFFLED
@@ -217,14 +215,13 @@ def test_train_matches_step_by_step_oracle(net, data):
         target_order=data.draw(st.sampled_from([SEQUENTIAL, SHUFFLED])),
         reset_fast_state=data.draw(st.booleans()))
     seed = data.draw(st.integers(0, 2**16))
+    # errors that start near the limit keep a clamp from clearing the
+    # bound whole; from about 1e99 pieces of two steps are refused, so it
+    # splits down to single steps
+    net.E *= data.draw(st.sampled_from([1.0, 1e98, 1e99]))
     ref = _rebuilt(net)
     ref.s[:] = net.s
-    # an example may refuse every closed form, so that its clamps run the
-    # step loop, whose blocks the BLOCK draw moves
-    refused = mock.patch.object(learning, "_clamp_closed_form", return_value=False)
-    with (refused if data.draw(st.booleans()) else contextlib.nullcontext()), \
-            mock.patch.object(learning, "BLOCK", data.draw(st.sampled_from([1, 5, 1024]))):
-        report = train(net, targets, schedule, seed=seed)
+    report = train(net, targets, schedule, seed=seed)
     expected = train_oracle(ref, targets, schedule, seed=seed)
     assert report.to_csv() == expected.to_csv()
     assert net.steps_taken == ref.steps_taken
