@@ -177,7 +177,8 @@ def _clamp(net, residual, steps):
             net.E[:] = (A @ x)[:, 0, 0]
             net.steps_taken += 1
             raise IntegrationDivergenceError(net.steps_taken)
-        # growth[j] = max(1, ||B^(2^j)||), Q[j] = A^(2^j), S[j] = A + ... + A^(2^j)
+        # growth[j] = prod_{i<=j} max(1, ||B^(2^i)||), Q[j] = A^(2^j),
+        # S[j] = A + ... + A^(2^j)
         B = np.abs(A)
         B[:, 1, 1] = 1.0 + np.abs(d)
         growth, Q, S = [], [A], [A]
@@ -188,14 +189,15 @@ def _clamp(net, residual, steps):
                 Q.append(Q[-1] @ Q[-1])
             # the row-sum norm, without the slow axis reductions
             rows = np.maximum(B[:, 0, 0] + B[:, 0, 1], B[:, 1, 0] + B[:, 1, 1])
-            growth.append(np.maximum(rows, 1.0))
-        checked = not _clears(x, growth, steps)
+            g = np.maximum(rows, 1.0)
+            growth.append(growth[-1] * g if j else g)
+        checked = not _clears(x, growth[-1], steps)
         total = np.zeros_like(x)
         pieces = [j for j in range(n - 1, -1, -1) if steps >> j & 1]
         done = 0
         while pieces:
             j = pieces.pop()
-            if checked and j and not _clears(x, growth[:j + 1], 1 << j):
+            if checked and j and not _clears(x, growth[j], 1 << j):
                 pieces += (j - 1, j - 1)
                 continue
             y = Q[j] @ x
@@ -215,11 +217,10 @@ def _clamp(net, residual, steps):
 
 def _clears(x, growth, steps):
     """Whether the bound of _clamp clears `steps` steps from the (T, 2,
-    1) start x, growth holding max(1, ||B^(2^i)||) for the squarings
-    i = 0, 1, ... that cover them.  A NaN anywhere refuses."""
+    1) start x, growth the product of max(1, ||B^(2^i)||) over the
+    squarings i = 0, 1, ... that cover them.  A NaN anywhere refuses."""
     bound = np.maximum(np.maximum(np.abs(x[:, 0, 0]), np.abs(x[:, 1, 0])), 1.0)
-    for g in growth:
-        bound *= g
+    bound *= growth
     bound *= (1.0 + 2.0 * np.finfo(float).eps) ** (10 * steps + 1)
     return bool(np.all(bound < DIVERGENCE_LIMIT / 2))
 
