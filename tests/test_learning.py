@@ -91,18 +91,16 @@ class PieceSpy:
         self.limit_checks += 1
         return _past_limit(s)
 
-    @contextlib.contextmanager
-    def patched(self):
-        with mock.patch.object(learning, "_clears", self.clears), \
-                mock.patch.object(learning, "_past_limit", self.past_limit):
-            yield self
-
     def single_steps(self, clamps):
         return self.limit_checks - clamps
 
 
+@contextlib.contextmanager
 def spy_pieces():
-    return PieceSpy().patched()
+    spy = PieceSpy()
+    with mock.patch.object(learning, "_clears", spy.clears), \
+            mock.patch.object(learning, "_past_limit", spy.past_limit):
+        yield spy
 
 
 class TestSchedule:
