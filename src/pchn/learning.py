@@ -18,11 +18,14 @@ dt) is K steps of this per-unit recurrence on length-T vectors, then one
 rank-1 weight update driven by the summed errors.  The recurrence is
 linear with coefficients fixed for the clamp, so a clamp is taken in
 closed-form pieces: repeated squaring of each unit's 2 x 2 step matrix
-gives the last errors and the summed errors in O(log K) products.  A
-piece runs whole only when a bound shows that none of its steps can
-pass DIVERGENCE_LIMIT; any other piece is halved, down to single steps,
-and a single step past the limit raises at the step the step-by-step
-path names.  The result lands where that path does up to rounding,
+gives the last errors and the summed errors in O(log K) products.  The
+matrix depends only on the clamped pattern, so train squares it once
+per target per call, on the target's first clamp, and every later clamp
+of that target reuses the squarings.  A piece runs whole only when a
+bound shows that none of its steps can pass DIVERGENCE_LIMIT; any other
+piece runs as the longest part that one check clears from where it
+starts, down to single steps, and a single step past the limit raises
+at the step the step-by-step path names.  The result lands where that path does up to rounding,
 which the tests check against step_fast + step_slow.
 """
 
@@ -113,36 +116,73 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     rng = np.random.default_rng(seed)
 
     report = TrainingReport()
+    squarings = {}  # target index -> _square of its first clamp
     try:
         for epoch in range(schedule.epochs):
             order = np.arange(n_targets)
             if schedule.target_order == SHUFFLED:
                 order = rng.permutation(n_targets)
-            for tid in order:
+            for tid in map(int, order):
                 target = pats[tid]
                 net.clamp_all(target)
                 if schedule.reset_fast_state:
                     net.E[:] = 0.0
                 residual = net.V - net.predict(net.V)
                 energy_start = net.energy(residual / net.hyper.zeta)
-                _clamp(net, residual, steps_per)
-                report.records.append(ClampRecord(epoch, int(tid), steps_per,
+                if tid not in squarings:
+                    squarings[tid] = _square(net, steps_per)
+                _clamp(net, residual, steps_per, squarings[tid])
+                report.records.append(ClampRecord(epoch, tid, steps_per,
                                                   energy_start, net.energy()))
     finally:
         net.unclamp_all()
     return report
 
 
-def _clamp(net, residual, steps):
+def _square(net, steps):
+    """The squarings of _clamp for clamps of `steps` steps on the values
+    that net.V holds: Q[j] = A^(2^j), S[j] = A + ... + A^(2^j) and the
+    (n, T) rows growth[j] = prod_{i<=j} max(1, ||B^(2^i)||), for j < n =
+    steps.bit_length().  They depend only on the clamped values, the
+    mask and the hyperparameters, so train makes them once per target
+    and every array is read-only."""
+    h, T = net.hyper, net.total_units
+    s = net.activation.apply(net.V)
+    a = 1.0 - h.dt * h.zeta / h.tau
+    d = (h.dt / h.tau) * (h.dt / h.gamma) * (net.mask @ (s * s) + 1.0)
+    A = np.empty((T, 2, 2))
+    A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = a, 1.0, -d * a, 1.0 - d
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = np.abs(A)
+        B[:, 1, 1] = 1.0 + np.abs(d)
+        growth, Q, S = [], [A], [A]
+        for j in range(steps.bit_length()):
+            if j:
+                B = B @ B
+                S.append(S[-1] + Q[-1] @ S[-1])
+                Q.append(Q[-1] @ Q[-1])
+            # the row-sum norm, without the slow axis reductions
+            rows = np.maximum(B[:, 0, 0] + B[:, 0, 1], B[:, 1, 0] + B[:, 1, 1])
+            g = np.maximum(rows, 1.0)
+            growth.append(growth[-1] * g if j else g)
+    growth = np.stack(growth)
+    for m in (*Q, *S, growth):
+        m.flags.writeable = False
+    return tuple(Q), tuple(S), growth
+
+
+def _clamp(net, residual, steps, squarings):
     """Run `steps` Euler steps of fast and slow dynamics on a fully
-    clamped net whose prediction residual V - (M s + b) is `residual`.
+    clamped net whose prediction residual V - (M s + b) is `residual`,
+    with the squarings that _square made for the clamped values.
 
     Unit i carries x = (E, u), u = (dt/tau)(V - r) in place of r, and a
     step is E <- a E + u, then u <- u - d E: x_k = A x_{k-1}, A = [[a,
     1], [-d a, 1 - d]].  A clamp of K steps needs only the E rows of
     A^K x_0 and of (A + ... + A^K) x_0.  Repeated squaring gives Q_j =
-    A^(2^j) and S_j = A + ... + A^(2^j), and the clamp runs as one piece
-    per set bit j of K, from the lowest: total += S_j x, then x = Q_j x.
+    A^(2^j) and S_j = A + ... + A^(2^j), once per target per train
+    call, and the clamp runs as one piece per set bit j of K, from the
+    lowest: total += S_j x, then x = Q_j x.
 
     The bound: rounding included, a step keeps |x_k| <= (1 + eps)^4 B
     |x_{k-1}| entrywise, B = [[|a|, 1], [|d a|, 1 + |d|]], and ||B^k||
@@ -152,54 +192,41 @@ def _clamp(net, residual, steps):
     which keeps every power and sum finite) and (1 + 2 eps)^(10L + 1),
     it must stay under DIVERGENCE_LIMIT / 2: then none of the L steps
     can pass the limit.  When the bound clears the whole clamp from x_0
-    the pieces run unchecked.  Otherwise each piece runs whole only when
-    the bound clears it from the x it starts at, else as two pieces of
-    half its length, down to single steps; a single step whose errors
-    pass the limit raises there.  So does the first step when a clamped
-    value is past it, as the step-by-step check covers the values too.
+    the pieces run unchecked.  Otherwise one check per piece of 2^j
+    steps takes the bounds of 2, 4, ..., 2^j steps from the x it starts
+    at, and the longest that clears, 2^i steps, runs first; the rest of
+    the piece waits as pieces of 2^i, 2^(i+1), ..., 2^(j-1) steps, which
+    is where halving the piece down to 2^i would leave it.  When none
+    clears, a single step runs, and one whose errors pass the limit
+    raises there.  So does the first step when a clamped value is past
+    it, as the step-by-step check covers the values too.
 
     Leaves net.E, the weights and net.steps_taken where the step-by-step
     path leaves them, also when it raises: net.E then holds the errors
     of the step raised and the weights the updates of the steps before
     it.
     """
-    h, T = net.hyper, net.total_units
-    s = net.activation.apply(net.V)
-    a = 1.0 - h.dt * h.zeta / h.tau
-    d = (h.dt / h.tau) * (h.dt / h.gamma) * (net.mask @ (s * s) + 1.0)
-    A = np.empty((T, 2, 2))
-    A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = a, 1.0, -d * a, 1.0 - d
+    Q, S, growth = squarings
+    h = net.hyper
     x = np.stack((net.E, (h.dt / h.tau) * residual), 1)[..., None]
-    n = steps.bit_length()
     with np.errstate(over="ignore", invalid="ignore"):
         if _past_limit(net.V[None])[0]:
             # the step-by-step check covers the clamped values too
-            net.E[:] = (A @ x)[:, 0, 0]
+            net.E[:] = (Q[0] @ x)[:, 0, 0]
             net.steps_taken += 1
             raise IntegrationDivergenceError(net.steps_taken)
-        # growth[j] = prod_{i<=j} max(1, ||B^(2^i)||), Q[j] = A^(2^j),
-        # S[j] = A + ... + A^(2^j)
-        B = np.abs(A)
-        B[:, 1, 1] = 1.0 + np.abs(d)
-        growth, Q, S = [], [A], [A]
-        for j in range(n):
-            if j:
-                B = B @ B
-                S.append(S[-1] + Q[-1] @ S[-1])
-                Q.append(Q[-1] @ Q[-1])
-            # the row-sum norm, without the slow axis reductions
-            rows = np.maximum(B[:, 0, 0] + B[:, 0, 1], B[:, 1, 0] + B[:, 1, 1])
-            g = np.maximum(rows, 1.0)
-            growth.append(growth[-1] * g if j else g)
-        checked = not _clears(x, growth[-1], steps)
+        checked = not _clears(x, growth[-1:], [steps])[0]
         total = np.zeros_like(x)
-        pieces = [j for j in range(n - 1, -1, -1) if steps >> j & 1]
+        pieces = [j for j in range(len(Q) - 1, -1, -1) if steps >> j & 1]
         done = 0
         while pieces:
             j = pieces.pop()
-            if checked and j and not _clears(x, growth[j], 1 << j):
-                pieces += (j - 1, j - 1)
-                continue
+            if checked and j:
+                ok = np.flatnonzero(_clears(x, growth[1:j + 1],
+                                            [1 << i for i in range(1, j + 1)]))
+                i = int(ok[-1]) + 1 if ok.size else 0
+                pieces += range(j - 1, i - 1, -1)
+                j = i
             y = Q[j] @ x
             if checked and not j and _past_limit(y[:, 0, 0][None])[0]:
                 net.E[:] = y[:, 0, 0]
@@ -216,13 +243,14 @@ def _clamp(net, residual, steps):
 
 
 def _clears(x, growth, steps):
-    """Whether the bound of _clamp clears `steps` steps from the (T, 2,
-    1) start x, growth the product of max(1, ||B^(2^i)||) over the
-    squarings i = 0, 1, ... that cover them.  A NaN anywhere refuses."""
-    bound = np.maximum(np.maximum(np.abs(x[:, 0, 0]), np.abs(x[:, 1, 0])), 1.0)
-    bound *= growth
-    bound *= (1.0 + 2.0 * np.finfo(float).eps) ** (10 * steps + 1)
-    return bool(np.all(bound < DIVERGENCE_LIMIT / 2))
+    """Which bounds of _clamp clear from the (T, 2, 1) start x, one per
+    row of the (L, T) growth: the product of max(1, ||B^(2^i)||) over
+    the squarings i = 0, 1, ... that cover that row's length in the
+    sequence steps.  A NaN anywhere refuses."""
+    bound = np.maximum(np.maximum(np.abs(x[:, 0, 0]), np.abs(x[:, 1, 0])), 1.0) * growth
+    bound *= np.array([(1.0 + 2.0 * np.finfo(float).eps) ** (10 * k + 1)
+                       for k in steps])[:, None]
+    return (bound < DIVERGENCE_LIMIT / 2).all(1)
 
 
 def freeze(net):

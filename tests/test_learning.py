@@ -6,6 +6,10 @@ in reduced form and must land where the oracle does.
 """
 
 import contextlib
+import hashlib
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -73,18 +77,24 @@ def assert_trained_alike(net, ref, rel=1e-12):
 
 class PieceSpy:
     """Spy on the pieces of the clamps.  checks lists the (steps,
-    cleared) of every bound check, learning._clears: one per clamp on
-    the whole clamp, then, only when that is refused, one per piece of
-    two or more steps before it runs.  limit_checks counts the calls of
-    learning._past_limit: one per clamp on the clamped values, and one
-    per single step of a refused clamp."""
+    cleared) of every bound that learning._clears decides: one per clamp
+    on the whole clamp, then, only when that is refused, those of 2, 4,
+    ..., 2^j steps for each piece of 2^j >= 2 steps before it runs.
+    calls counts the calls of _clears, and piece_starts keeps the bytes
+    of the start x of each piece's call.  limit_checks counts the calls
+    of learning._past_limit: one per clamp on the clamped values, and
+    one per single step of a refused clamp."""
 
     def __init__(self):
-        self.checks, self.limit_checks = [], 0
+        self.checks, self.calls, self.piece_starts = [], 0, []
+        self.limit_checks = 0
 
     def clears(self, x, growth, steps):
         cleared = _clears(x, growth, steps)
-        self.checks.append((steps, cleared))
+        self.calls += 1
+        if list(steps) == [2 << i for i in range(len(steps))]:
+            self.piece_starts.append(x.tobytes())
+        self.checks += zip(steps, map(bool, cleared))
         return cleared
 
     def past_limit(self, s):
@@ -252,6 +262,88 @@ class TestTrain:
         np.testing.assert_array_equal(net.b, 0.0)
 
 
+def train_tanh_loop():
+    """sha256 of everything a tanh loop net with zeta = 0.25 leaves after
+    training: its weights, errors, step count and train.csv text."""
+    targets = gen_targets("real", 3, 12, seed=43)
+    net = build_loop([5, 4, 3], Activation.TANH, _hyper(zeta=0.25), seed=44)
+    rep = train(net, targets.patterns,
+                TrainingSchedule(duration_per_target=1.0, epochs=2,
+                                 target_order=SHUFFLED), seed=45)
+    digest = hashlib.sha256()
+    for x in (net.M, net.W, net.b, net.E):
+        digest.update(x.tobytes())
+    digest.update(f"{net.steps_taken}\n{rep.to_csv()}".encode())
+    return digest.hexdigest()
+
+
+class TestSquarings:
+    """train squares each target's step matrix on the target's first
+    clamp and reuses the squarings on its later clamps of that call."""
+
+    def test_made_once_per_target(self):
+        """Over 3 targets x 4 shuffled epochs, _square runs 3 times, not
+        12, and the net trains bit for bit as one whose clamps each
+        square afresh.  The shuffled epochs put the targets at other
+        positions, so squarings reused by position would differ."""
+        targets = gen_targets("real", 3, 12, seed=40)
+        net, ref = (build_single_population(12, Activation.RELU, _hyper(), seed=41)
+                    for _ in range(2))
+        schedule = TrainingSchedule(duration_per_target=1.0, epochs=4,
+                                    target_order=SHUFFLED, reset_fast_state=False)
+        with mock.patch.object(learning, "_square", wraps=learning._square) as spy:
+            rep = train(net, targets.patterns, schedule, seed=42)
+        assert spy.call_count == 3
+        orders = {tuple(r.target_id for r in rep.records[k:k + 3]) for k in (0, 3, 6, 9)}
+        assert len(orders) > 1
+
+        clamp = learning._clamp
+
+        def fresh(net, residual, steps, squarings):
+            return clamp(net, residual, steps, learning._square(net, steps))
+
+        with mock.patch.object(learning, "_clamp", fresh):
+            ref_rep = train(ref, targets.patterns, schedule, seed=42)
+        assert rep.to_csv() == ref_rep.to_csv()
+        assert net.steps_taken == ref.steps_taken == 12 * 200
+        for x in ("M", "W", "b", "E"):
+            assert np.array_equal(getattr(net, x), getattr(ref, x))
+
+    def test_squarings_are_read_only(self):
+        """Every array that train keeps for a target's later clamps
+        refuses an in-place write."""
+        net = build_single_population(6, Activation.TANH, _hyper(), seed=46)
+        net.clamp_all(np.linspace(-1.0, 1.0, 6))
+        Q, S, growth = learning._square(net, 1000)
+        assert len(Q) == len(S) == len(growth) == 10
+        for m in (*Q, *S, growth):
+            with pytest.raises(ValueError):
+                m[0] *= 2.0
+
+    @pytest.mark.parametrize("first", ["returns", "raises"])
+    def test_no_state_outlives_train(self, first):
+        """After a relu, zeta = 1 net of the same T trained, returning or
+        raising IntegrationDivergenceError, a tanh loop net with another
+        zeta and mask trains bit for bit as it does alone, in a new
+        interpreter."""
+        rng = np.random.default_rng(24)
+        pats = rng.normal(size=(2, 12))
+        net = build_single_population(12, Activation.RELU, _hyper(), seed=24)
+        schedule = TrainingSchedule(duration_per_target=1.0, epochs=2)
+        if first == "raises":
+            pats[1] *= 3e3
+            with pytest.raises(IntegrationDivergenceError):
+                train(net, pats, schedule, seed=25)
+        else:
+            train(net, pats, schedule, seed=25)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        alone = subprocess.run(
+            [sys.executable, "-c",
+             "from test_learning import train_tanh_loop; print(train_tanh_loop())"],
+            env=env, capture_output=True, text=True, check=True).stdout.strip()
+        assert train_tanh_loop() == alone
+
+
 class TestReducedClamp:
     """train against the step-by-step oracle on configurations the
     property test in test_properties does not reach."""
@@ -289,8 +381,10 @@ class TestReducedClamp:
         (|eigenvalue|^2 = a < 1), but the bound on 100 steps, about 7e6
         times the start's size, is past DIVERGENCE_LIMIT / 2.  Every
         clamp splits: from about 1e98 pieces of 8 steps or more are
-        refused and those of 4 clear, so it takes no single step.  None
-        raises, and each lands where the oracle does."""
+        refused and those of 4 clear, so it takes no single step.  Each
+        piece runs the 4 steps, the longest the bound clears, after one
+        check: 25 checks per clamp after its whole one.  None raises,
+        and each lands where the oracle does."""
         targets = gen_targets("real", 2, 6, seed=31)
         net, ref = (build_single_population(6, Activation.IDENTITY, _hyper(), seed=31)
                     for _ in range(2))
@@ -301,6 +395,7 @@ class TestReducedClamp:
         ref_rep = train_oracle(ref, targets.patterns, schedule, seed=32)
         assert [c for c in spy.checks if c[0] == 100] == [(100, False)] * 2
         assert (8, False) in spy.checks and (4, True) in spy.checks
+        assert spy.calls == 2 * (1 + 100 // 4)
         assert spy.single_steps(clamps=2) == 0
         assert 1e95 < np.abs(ref.E).max() < 1e98
         assert rep.to_csv() == ref_rep.to_csv()
@@ -314,7 +409,8 @@ class TestReducedClamp:
         two or more steps; from 1e99, where two steps are refused, they
         reach single steps.  Neither raises, and both land where the
         oracle does, over shuffled clamps that carry their errors
-        over."""
+        over.  Each piece takes one bound check from the x it starts
+        at, never a second from the same x."""
         targets = gen_targets("real", 3, 12, seed=22)
         net, ref = (build_loop([5, 4, 3], Activation.RELU, _hyper(),
                                tie_weights=True, seed=22) for _ in range(2))
@@ -326,6 +422,7 @@ class TestReducedClamp:
         ref_rep = train_oracle(ref, targets.patterns, schedule, seed=23)
         assert (1200, False) in spy.checks
         assert (spy.single_steps(clamps=6) > 0) == (scale == 1e99)
+        assert len(set(spy.piece_starts)) == len(spy.piece_starts) > 0
         assert rep.to_csv() == ref_rep.to_csv()
         assert net.steps_taken == ref.steps_taken == 6 * 1200
         assert_trained_alike(net, ref)
