@@ -25,8 +25,9 @@ of that target reuses the squarings.  A piece runs whole only when a
 bound shows that none of its steps can pass DIVERGENCE_LIMIT; any other
 piece runs as the longest part that one check clears from where it
 starts, down to single steps, and a single step past the limit raises
-at the step the step-by-step path names.  The result lands where that path does up to rounding,
-which the tests check against step_fast + step_slow.
+at the step the step-by-step path names.  The result lands where that
+path does up to rounding, which the tests check against step_fast +
+step_slow.
 """
 
 import math
