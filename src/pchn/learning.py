@@ -19,9 +19,9 @@ rank-1 weight update driven by the summed errors.  The recurrence is
 linear with coefficients fixed for the clamp, so a clamp is taken in
 closed-form pieces: repeated squaring of each unit's 2 x 2 step matrix
 gives the last errors and the summed errors in O(log K) products.  The
-matrix depends only on the clamped pattern, so train squares it once
-per target per call, on the target's first clamp, and every later clamp
-of that target reuses the squarings.  A piece runs whole only when a
+matrix depends only on the clamped pattern, so train squares every
+target's once per call, before its first clamp, and each clamp of a
+target reuses that target's squarings.  A piece runs whole only when a
 bound shows that none of its steps can pass DIVERGENCE_LIMIT; any other
 piece runs as the longest part that one check clears from where it
 starts, down to single steps, and a single step past the limit raises
@@ -112,17 +112,16 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     if net.weights_frozen:
         raise ContractViolationError("cannot train a frozen network")
     pats = _patterns_array(targets, net.total_units)
-    n_targets = pats.shape[0]
     steps_per = max(1, int(round(schedule.duration_per_target / net.hyper.dt)))
     rng = np.random.default_rng(seed)
 
     report = TrainingReport()
-    squarings = {}  # target index -> _square of its first clamp
+    squarings = [_square(net, pattern, steps_per) for pattern in pats]
     try:
         for epoch in range(schedule.epochs):
-            order = np.arange(n_targets)
+            order = np.arange(len(pats))
             if schedule.target_order == SHUFFLED:
-                order = rng.permutation(n_targets)
+                order = rng.permutation(len(pats))
             for tid in map(int, order):
                 target = pats[tid]
                 net.clamp_all(target)
@@ -130,8 +129,6 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
                     net.E[:] = 0.0
                 residual = net.V - net.predict(net.V)
                 energy_start = net.energy(residual / net.hyper.zeta)
-                if tid not in squarings:
-                    squarings[tid] = _square(net, steps_per)
                 _clamp(net, residual, steps_per, squarings[tid])
                 report.records.append(ClampRecord(epoch, tid, steps_per,
                                                   energy_start, net.energy()))
@@ -140,15 +137,15 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     return report
 
 
-def _square(net, steps):
-    """The squarings of _clamp for clamps of `steps` steps on the values
-    that net.V holds: Q[j] = A^(2^j), S[j] = A + ... + A^(2^j) and the
+def _square(net, pattern, steps):
+    """The squarings of _clamp for clamps of `steps` steps on the (T,)
+    values pattern: Q[j] = A^(2^j), S[j] = A + ... + A^(2^j) and the
     (n, T) rows growth[j] = prod_{i<=j} max(1, ||B^(2^i)||), for j < n =
     steps.bit_length().  They depend only on the clamped values, the
     mask and the hyperparameters, so train makes them once per target
     and every array is read-only."""
     h, T = net.hyper, net.total_units
-    s = net.activation.apply(net.V)
+    s = net.activation.apply(pattern)
     a = 1.0 - h.dt * h.zeta / h.tau
     d = (h.dt / h.tau) * (h.dt / h.gamma) * (net.mask @ (s * s) + 1.0)
     A = np.empty((T, 2, 2))

@@ -27,8 +27,9 @@ Euler step and Network.relax steps it until each run settles or
 diverges.  Linearization lives in stability.py, the training loop in
 learning.py.
 
-Clamped units have V pinned to their clamp target after every step
-while E keeps evolving, which is how training drives weight updates.
+Network.relax holds the clamp it is handed, a (mask, values) pair, after
+every step while E keeps evolving; the net's own clamps (clamped,
+clamp_target) hold only its own state s.
 """
 
 import math
@@ -295,7 +296,7 @@ class Network:
             a[1][..., clamped] = 0.0
         return np.maximum.reduce(a, (0, 2))
 
-    def relax(self, s, tol: float, max_steps: int) -> "Relaxation":
+    def relax(self, s, tol: float, max_steps: int, clamp=None) -> "Relaxation":
         """Step the fast equations on B packed states, the rows of the
         C-contiguous (2, B, T) float array s, E rows then V rows, in
         place, run by run until its derivative sup-norm drops under tol,
@@ -303,9 +304,12 @@ class Network:
         runs out; any other s raises ConstructionError, from the kernel
         bound to it, before a step.
 
-        A run that settles or diverges is frozen at that step and
-        dropped from the batch, while the others go on.  Clamps hold
-        every run, and steps_taken advances by the steps all runs took.
+        clamp, a (mask, values) pair of (T,) arrays, sets every run's
+        masked values after every step and leaves them out of its
+        sup-norm; relax reads no clamp from the net.  A run that settles
+        or diverges is frozen at that step and dropped from the batch,
+        while the others go on; steps_taken advances by the steps all
+        runs took.
         The RHS is evaluated once per step: the derivatives behind each
         residual drive the next step.  The kernel is bound to the batch,
         and again only after runs are dropped, which np.compress does
@@ -331,7 +335,7 @@ class Network:
         kernel, n = self.kernel(s), s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))
-        clamped = self.clamped if self.clamped.any() else None
+        clamped, values = clamp if clamp is not None and clamp[0].any() else (None, None)
         steps_under_limit = self._steps_under_limit(max_steps)
         X, a, live = s, np.empty_like(s), np.arange(n)
         # unchecked: the steps left that the bound clears of divergence;
@@ -344,7 +348,7 @@ class Network:
                     break
                 kernel.euler(d)
                 if clamped is not None:
-                    np.copyto(X[1], self.clamp_target, where=clamped)
+                    np.copyto(X[1], values, where=clamped)
                 if unchecked:
                     unchecked -= 1
                     bad = None
@@ -422,10 +426,11 @@ class Network:
 
     def run_fast_to_equilibrium(self, tol: float = 1e-6,
                                 max_steps: int = 100000) -> Relaxation:
-        """relax on the net's own state, as one row; raises
-        IntegrationDivergenceError at the first step past the divergence
-        limit."""
-        out = self.relax(self.s.reshape(2, 1, -1), tol, max_steps)
+        """relax on the net's own state, as one row, under the net's
+        clamps; raises IntegrationDivergenceError at the first step past
+        the divergence limit."""
+        out = self.relax(self.s.reshape(2, 1, -1), tol, max_steps,
+                         (self.clamped, self.clamp_target))
         if out.diverged[0]:
             raise IntegrationDivergenceError(self.steps_taken)
         return out

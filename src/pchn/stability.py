@@ -184,12 +184,9 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     The equilibrium the dynamics settle into need not be close to the
     requested target (untrained networks drift far away); callers that
     care should look at distance_to_target on the report.  The net must
-    have frozen weights and no clamped unit: the clamps are the caller's,
-    and the dynamics analyzed are the unclamped ones.
+    have frozen weights; the dynamics analyzed are the unclamped ones.
     """
     _check_frozen(net)
-    if net.clamped.any():
-        raise ContractViolationError("unclamp every unit before analyzing equilibria")
     if not tol > 0:
         raise ConstructionError("tol must be positive")
     targets = np.asarray(targets, dtype=float)

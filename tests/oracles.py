@@ -178,15 +178,15 @@ def counting_rhs(net):
     return calls
 
 
-def relax_per_step(net, s, tol, max_steps):
+def relax_per_step(net, s, tol, max_steps, clamp=None):
     """Network.relax with every stop check taken at every step: the
     divergence check of the states and the derivative sup-norms of all
-    live runs after each step.  The reference for relax's bound and
-    witnesses."""
+    live runs after each step, under the (mask, values) clamp when one
+    is given.  The reference for relax's bound and witnesses."""
     kernel, n = net.kernel(s), s.shape[1]
     out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                      np.zeros(n), np.zeros(n, dtype=bool))
-    clamped = net.clamped if net.clamped.any() else None
+    clamped, values = clamp if clamp is not None and clamp[0].any() else (None, None)
     X, a, live = s, np.empty_like(s), np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         d = kernel.rhs()
@@ -196,7 +196,7 @@ def relax_per_step(net, s, tol, max_steps):
                 break
             kernel.euler(d)
             if clamped is not None:
-                np.copyto(X[1], net.clamp_target, where=clamped)
+                np.copyto(X[1], values, where=clamped)
             bad = _past_limit(X)
             d = kernel.rhs()
             r = net._sup_norm(d, clamped, a)

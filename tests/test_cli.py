@@ -11,6 +11,7 @@ import pytest
 from pchn import (IntegrationDivergenceError, NonDifferentiableStateError,
                   NotAnEquilibriumError, analyze_equilibrium, freeze,
                   load_weights)
+from pchn import cli
 from pchn.cli import MAX_STEPS, ConfigError, _corresponds, main, resolve_config
 
 # small custom network keeps every subcommand well under a second
@@ -238,6 +239,23 @@ class TestTrain:
         with pytest.raises(ConfigError, match=f"{key}: .* is more than"):
             resolve_config({}, dict(at_cap, **{key: repr(MAX_STEPS * 0.25 * 1.01)}))
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tie_weights", "maybe"], "tie_weights: expected a boolean, got 'maybe'"),
+        (["--architecture", "Foo"], "architecture: unknown value 'Foo'"),
+        (["--out", ""], "output_dir: must be nonempty"),
+        (["--architecture", "Custom", "--sizes", "3,x"],
+         "sizes: architecture Custom needs comma-separated positive integers"),
+        (["--flip_bits", "13"], "flip_bits must lie in [0, 12]")])
+    def test_bad_value_rejected_before_anything_is_written(self, tmp_path, capsys,
+                                                           monkeypatch, flags, message):
+        """A value its key does not take exits with code 2 and an error
+        line naming it, before anything is written; --out "" would
+        otherwise write into the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--out", "x"] + FAST + flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not list(tmp_path.iterdir())
+
     def test_pairing_override_warns(self, tmp_path, capsys):
         _train(tmp_path / "run", extra=["--activation", "relu"])
         err = capsys.readouterr().err
@@ -382,6 +400,25 @@ class TestStability:
         # both kinds of note occur, so a note read from the wrong
         # equilibrium shows
         assert sum("does not correspond" in line for line in got) == 2
+
+    def test_reports_each_outcome_without_a_spectrum(self, tmp_path, capsys, monkeypatch):
+        """A target whose residual stays over tol, one whose equilibrium
+        sits on a ReLU kink and one that diverges each get their line
+        and no spectrum file, from outcomes a stubbed
+        analyze_equilibrium supplies."""
+        out = _train(tmp_path / "run")
+        outcomes = [NotAnEquilibriumError(2.5e-5),
+                    NonDifferentiableStateError("a value lies within 1e-08 of the ReLU kink"),
+                    IntegrationDivergenceError(7)]
+        monkeypatch.setattr(cli, "analyze_equilibrium", lambda net, targets, tol: outcomes)
+        capsys.readouterr()
+        assert main(["stability", "--out", str(out)] + FAST) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "stability: target 0 no equilibrium found (residual 2.5e-05)",
+            "stability: target 1 equilibrium sits on an activation kink; spectrum undefined",
+            "stability: target 2 no equilibrium found (diverged)",
+            "stability: 0/0 found equilibria stable (3 not found)"]
+        assert not list(out.glob("spectrum_t*.csv"))
 
     def test_target_without_equilibrium_leaves_no_stale_spectrum(self, tmp_path, capsys):
         """A target that finds no equilibrium drops the spectrum an

@@ -6,8 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pchn import (Activation, ConstructionError, Hyperparams, build_loop,
-                  build_single_population, freeze, gen_targets)
+from pchn import (Activation, ConstructionError, ContractViolationError, Hyperparams,
+                  build_loop, build_single_population, freeze, gen_targets)
 from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _chunk_distances,
                               absorption_summary, distance_tables,
                               make_probes, metric_for, perturb_flip,
@@ -44,6 +44,11 @@ class TestTargets:
         with pytest.raises(ValueError):
             gen_targets("ternary", 2, 10, seed=0)
 
+    @pytest.mark.parametrize("n, d", [(0, 10), (2, 0)])
+    def test_rejects_an_empty_shape(self, n, d):
+        with pytest.raises(ConstructionError, match="need n >= 1 and d >= 1"):
+            gen_targets("binary", n, d, seed=0)
+
 
 class TestPerturbations:
     def test_flip_changes_exactly_k_bits(self):
@@ -64,6 +69,10 @@ class TestPerturbations:
     def test_gaussian_zero_sigma_is_identity(self):
         x = np.linspace(-1, 1, 20)
         np.testing.assert_array_equal(perturb_gaussian(x, 0.0, seed=3), x)
+
+    def test_gaussian_rejects_negative_sigma(self):
+        with pytest.raises(ConstructionError, match="sigma must be >= 0"):
+            perturb_gaussian(np.zeros(4), -0.5, seed=0)
 
     def test_gaussian_noise_scale(self):
         x = np.zeros(20000)
@@ -192,6 +201,23 @@ class TestRelaxationStudy:
                    for line in trace_to_csv(trace).decode().splitlines()[1:]
                    if "divergent" in line.split(",")[5]}
         assert flagged == {0, 1}
+
+    def test_rejects_an_unfrozen_net(self):
+        hyper = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
+        net = build_single_population(12, Activation.TANH, hyper, seed=0)
+        ts = gen_targets("binary", 2, 12, seed=24)
+        with pytest.raises(ContractViolationError, match="freeze"):
+            relaxation_study(net, ts, ts.patterns, horizon=0.1)
+
+    @pytest.mark.parametrize("shape", [(2, 13), (12,)])
+    def test_rejects_starts_of_the_wrong_width(self, shape):
+        """Starts must be (runs, T) rows: rows one unit too wide, and a
+        single (T,) state, which would broadcast into T runs, are
+        refused."""
+        net = _tiny_net()
+        ts = gen_targets("binary", 2, 12, seed=24)
+        with pytest.raises(ConstructionError, match=r"starts must be \(runs, 12\)"):
+            relaxation_study(net, ts, np.ones(shape), horizon=0.1)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 0.0])
     @pytest.mark.parametrize("name", ["horizon", "sample_every"])

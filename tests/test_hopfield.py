@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pchn import ConstructionError
 from pchn.hopfield import (HopfieldNet, async_sweep, hebbian_store, hn_energy,
                            interaction_energy, recall)
 
@@ -39,6 +40,10 @@ class TestHebbianStore:
     def test_rejects_non_pm1(self):
         with pytest.raises(ValueError):
             hebbian_store(np.array([[1.0, 0.5, -1.0]]))
+
+    def test_rejects_a_single_pattern_that_is_not_a_stack(self):
+        with pytest.raises(ConstructionError, match=r"patterns must be a \(N, d\) array"):
+            hebbian_store(np.array([1.0, -1.0, 1.0]))
 
 
 class TestAsyncSweep:
@@ -159,6 +164,20 @@ class TestRecall:
         v[:10] *= -1
         res = recall(net, v, seed=0)
         np.testing.assert_array_equal(res.v, x[0])
+
+    def test_budget_that_runs_out_reports_not_converged(self):
+        """A probe that the first sweep changes, recalled with one sweep,
+        ends unconverged after that sweep, at the state it reached."""
+        rng = np.random.default_rng(47)
+        x = _pm1(rng, (3, 40))
+        net = hebbian_store(x)
+        v0 = x[0].copy()
+        v0[:12] *= -1
+        after_one = async_sweep(net, v0, np.random.default_rng(5).permutation(40))
+        assert not np.array_equal(after_one, v0)
+        res = recall(net, v0, max_sweeps=1, seed=5)
+        assert (res.sweeps, res.converged) == (1, False)
+        np.testing.assert_array_equal(res.v, after_one)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(43)

@@ -236,6 +236,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(net, targets.patterns, TrainingSchedule(), seed=0)
 
+    @pytest.mark.parametrize("shape", [(12,), (0, 12)])
+    def test_targets_that_are_not_a_stack_rejected(self, shape):
+        """A single (T,) pattern and an empty stack are refused before
+        any clamp."""
+        net = build_single_population(12, Activation.TANH, _hyper(), seed=19)
+        with pytest.raises(ValueError, match=r"targets must be a \(N, d\) array"):
+            train(net, np.ones(shape), TrainingSchedule(), seed=0)
+        assert net.steps_taken == 0
+
     def test_divergence_leaves_the_net_unclamped(self):
         """A train that raises leaves the net unclamped, as one that
         returns does, so analyze_equilibrium can take it."""
@@ -277,9 +286,14 @@ def train_tanh_loop():
     return digest.hexdigest()
 
 
+class TestReport:
+    def test_final_mean_energy_of_no_records_is_zero(self):
+        assert TrainingReport().final_mean_energy() == 0.0
+
+
 class TestSquarings:
-    """train squares each target's step matrix on the target's first
-    clamp and reuses the squarings on its later clamps of that call."""
+    """train squares each target's step matrix once per call, before
+    its first clamp, and every clamp of that target reuses them."""
 
     def test_made_once_per_target(self):
         """Over 3 targets x 4 shuffled epochs, _square runs 3 times, not
@@ -300,7 +314,7 @@ class TestSquarings:
         clamp = learning._clamp
 
         def fresh(net, residual, steps, squarings):
-            return clamp(net, residual, steps, learning._square(net, steps))
+            return clamp(net, residual, steps, learning._square(net, net.V, steps))
 
         with mock.patch.object(learning, "_clamp", fresh):
             ref_rep = train(ref, targets.patterns, schedule, seed=42)
@@ -314,7 +328,7 @@ class TestSquarings:
         refuses an in-place write."""
         net = build_single_population(6, Activation.TANH, _hyper(), seed=46)
         net.clamp_all(np.linspace(-1.0, 1.0, 6))
-        Q, S, growth = learning._square(net, 1000)
+        Q, S, growth = learning._square(net, net.V, 1000)
         assert len(Q) == len(S) == len(growth) == 10
         for m in (*Q, *S, growth):
             with pytest.raises(ValueError):

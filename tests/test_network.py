@@ -622,12 +622,31 @@ class TestEquilibrium:
         assert np.sum(stop == budget) == 2
 
         rows = _rows(s)
-        res = net.relax(rows, tol, budget)
+        res = net.relax(rows, tol, budget, (net.clamped, net.clamp_target))
         np.testing.assert_array_equal(res.steps, stop)
         np.testing.assert_array_equal(res.converged, converged)
         np.testing.assert_array_equal(res.diverged, diverged)
         assert rows.tobytes() == x.tobytes()
         assert res.residual.tobytes() == residual.tobytes()
+
+    def test_relax_reads_no_clamp_from_the_net(self):
+        """relax steps only the clamp it is handed: on a net with
+        population 0 clamped, a batch relaxed without clamp ends bit for
+        bit where the same relax ends on the net unclamped, with the same
+        stop steps, flags and residuals, and its population 0 values
+        leave the net's clamp."""
+        net = build_loop([4, 3], Activation.TANH, _hyper(), init_scale=1.0, seed=38)
+        start = np.random.default_rng(38).normal(size=(2, 3, 7))
+        target = np.linspace(-0.5, 0.5, 4)
+        clamp_population(net, 0, target)
+        got, want = start.copy(), start.copy()
+        res = net.relax(got, 1e-6, 400)
+        net.unclamp_all()
+        expected = net.relax(want, 1e-6, 400)
+        assert got.tobytes() == want.tobytes()
+        for field in ("steps", "converged", "diverged", "residual"):
+            assert getattr(res, field).tobytes() == getattr(expected, field).tobytes()
+        assert not np.any(got[1][:, :4] == target)
 
     @pytest.mark.parametrize("batch", ["columns", "f_slice", "wrong_t", "float32", "list"])
     def test_relax_refuses_any_batch_but_c_rows(self, batch):
@@ -757,6 +776,13 @@ class TestRestrictedEnergyDescent:
 
 
 class TestStateHelpers:
+    def test_clamp_all_refuses_a_target_of_the_wrong_length(self):
+        net = build_loop([3, 3], Activation.TANH, _hyper(), seed=24)
+        with pytest.raises(ConstructionError, match=r"vector length \(7,\) != \(6,\)"):
+            net.clamp_all(np.arange(7.0))
+        assert not net.clamped.any()
+        np.testing.assert_array_equal(net.s, 0.0)
+
     def test_clamp_all_then_unclamp(self):
         net = build_loop([3, 3], Activation.TANH, _hyper(), seed=24)
         x = np.arange(6.0)
@@ -956,6 +982,25 @@ class TestCheckpoint:
         other = build_single_population(100, Activation.RELU, _hyper(), seed=35)
         before = self._weights(other)
         with pytest.raises(ConstructionError, match="outside the edge mask"):
+            load_weights(other, str(path))
+        self._assert_untouched(other, before)
+
+    @pytest.mark.parametrize("edit", ["truncated", "not_conn"])
+    def test_broken_block_loads_nothing(self, tmp_path, edit):
+        """A checkpoint cut short inside its last edge's bias, or whose
+        block starts with a word other than conn, is refused before any
+        weight is written."""
+        path, other, before = self._saved_loop(tmp_path)
+        lines = path.read_text().splitlines()
+        if edit == "truncated":
+            lines[-1] = lines[-1].rsplit(" ", 1)[0]
+            match = "truncated checkpoint"
+        else:
+            at = lines.index("conn 2 1 4 3")
+            lines[at] = lines[at].replace("conn", "edge")
+            match = "expected conn header, got 'edge'"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstructionError, match=match):
             load_weights(other, str(path))
         self._assert_untouched(other, before)
 

@@ -136,7 +136,7 @@ def test_batched_relaxation_matches_one_state_at_a_time(net, data):
     results = []
     for S, _ in batches:
         before = net.steps_taken
-        results.append(net.relax(S, tol, budget))
+        results.append(net.relax(S, tol, budget, (net.clamped, net.clamp_target)))
         assert net.steps_taken - before == results[-1].steps.sum()
     for j in range(runs):
         net.s[:] = starts[:, j]
@@ -190,9 +190,10 @@ def test_relax_matches_the_per_step_loop_bit_for_bit(net, data):
     calls = counting_rhs(net)
     got, want = starts.copy(), starts.copy()
     before = net.steps_taken
-    expected = relax_per_step(net, want, tol, budget)
+    clamp = (net.clamped, net.clamp_target)
+    expected = relax_per_step(net, want, tol, budget, clamp)
     taken, evaluated = net.steps_taken - before, len(calls)
-    res = net.relax(got, tol, budget)
+    res = net.relax(got, tol, budget, clamp)
     assert got.tobytes() == want.tobytes()
     for field in ("steps", "converged", "diverged", "residual"):
         assert getattr(res, field).tobytes() == getattr(expected, field).tobytes(), field

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pchn import (Activation, ConstructionError, ContractViolationError, Hyperparams,
+from pchn import (Activation, ConstructionError, Hyperparams,
                   IntegrationDivergenceError, NonDifferentiableStateError,
                   NotAnEquilibriumError, TrainingSchedule, build_loop,
                   build_single_population, freeze, gen_targets, train)
@@ -11,7 +11,7 @@ from pchn.stability import (SpectrumReport, _newton_polish, _probe,
                             analyze_equilibrium, classify_spectrum,
                             jacobian_analytic, spectrum_to_csv)
 
-from oracles import jacobian_fd, minpack_polish
+from oracles import clamp_population, jacobian_fd, minpack_polish
 
 
 def _hyper(**kw):
@@ -33,6 +33,11 @@ class TestJacobianAnalytic:
         freeze(net)
         J = jacobian_analytic(net, np.array([0.3, -0.7]))
         np.testing.assert_allclose(J, [[-1.0, 1.0], [-1.0, 0.0]], atol=1e-15)
+
+    def test_state_of_the_wrong_length_refused(self):
+        net = freeze(build_single_population(3, Activation.TANH, _hyper(), seed=0))
+        with pytest.raises(ConstructionError, match=r"state length \(7,\) != \(6,\)"):
+            jacobian_analytic(net, np.zeros(7))
 
     def test_time_constants_scale_rows(self):
         h = Hyperparams(tau=0.5, gamma=100.0, zeta=1.0, dt=0.005)
@@ -216,16 +221,44 @@ class TestAnalyzeEquilibrium:
         with pytest.raises(ConstructionError):
             analyze_equilibrium(net, np.zeros(4))
 
-    def test_clamped_net_refused_and_left_clamped(self):
-        """The clamps are the caller's: a clamped net is refused, not
-        unclamped behind the caller's back."""
+    @pytest.mark.parametrize("clamp", ["all", "population"])
+    def test_clamped_net_analyzed_as_unclamped(self, clamp):
+        """The net's clamps hold only its own state: on a trained,
+        frozen net whose units are all clamped, or one population of a
+        loop's, every outcome is bit for bit the one the same net gives
+        unclamped, and the clamp arrays stay as they were."""
+        targets = gen_targets("binary", 3, 8, seed=16)
+        if clamp == "all":
+            net = build_single_population(8, Activation.TANH, _hyper(), seed=16)
+        else:
+            net = build_loop([5, 3], Activation.TANH, _hyper(), seed=16)
+        train(net, targets, TrainingSchedule(duration_per_target=5.0, epochs=4), seed=17)
+        freeze(net)
+        probes = np.vstack([targets.patterns, 0.5 * targets.patterns[:1]])
+        free = analyze_equilibrium(net, probes, tol=1e-10)
+        if clamp == "all":
+            net.clamp_all(targets.patterns[0])
+        else:
+            clamp_population(net, 1, [0.5, -0.5, 0.25])
+        mask, values = net.clamped.copy(), net.clamp_target.copy()
+        got = analyze_equilibrium(net, probes, tol=1e-10)
+        np.testing.assert_array_equal(net.clamped, mask)
+        assert net.clamp_target.tobytes() == values.tobytes()
+        assert any(isinstance(rep, SpectrumReport) for rep in got)
+        for rep, want in zip(got, free):
+            assert type(rep) is type(want)
+            if isinstance(rep, SpectrumReport):
+                assert rep.state.tobytes() == want.state.tobytes()
+                assert rep.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                assert spectrum_to_csv(rep) == spectrum_to_csv(want)
+            else:
+                assert str(rep) == str(want)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+    def test_tol_that_is_not_positive_refused(self, tol):
         net = freeze(build_single_population(4, Activation.TANH, _hyper(), seed=14))
-        target = np.array([0.5, -0.5, 0.25, 0.0])
-        net.clamp_all(target)
-        with pytest.raises(ContractViolationError, match="unclamp"):
-            analyze_equilibrium(net, target[None])
-        assert net.clamped.all()
-        np.testing.assert_array_equal(net.clamp_target, target)
+        with pytest.raises(ConstructionError, match="tol must be positive"):
+            analyze_equilibrium(net, np.zeros((1, 4)), tol, max_steps=10)
 
     def test_empty_stack_gives_empty_list(self):
         net = freeze(build_loop([3, 2], Activation.TANH, _hyper(), seed=15))
