@@ -247,7 +247,7 @@ class TestTrain:
 
     def test_divergence_leaves_the_net_unclamped(self):
         """A train that raises leaves the net unclamped, as one that
-        returns does, so analyze_equilibrium can take it."""
+        returns does."""
         rng = np.random.default_rng(24)
         pats = rng.normal(size=(2, 10))
         pats[1] *= 3e3
