@@ -86,8 +86,8 @@ def sign_pm1(x):
 def perturb_gaussian(x, sigma: float, seed=0):
     """x plus i.i.d. normal noise with standard deviation sigma."""
     x = np.asarray(x, dtype=float)
-    if sigma < 0:
-        raise ConstructionError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ConstructionError(f"sigma must be >= 0 and finite, not {sigma}")
     if sigma == 0:
         return x.copy()
     return x + np.random.default_rng(seed).normal(0.0, sigma, size=x.shape)

@@ -261,7 +261,7 @@ class Network:
         """
         if self.weights_frozen:
             raise ContractViolationError("weights are frozen")
-        e = self.E if errors is None else errors
+        e = self.E if errors is None else _vector(errors, self.total_units)
         rate = self.hyper.dt / self.hyper.gamma
         dM = (rate * np.outer(e, self.activation.apply(self.V))) * self.mask
         self.M += dM
@@ -274,7 +274,7 @@ class Network:
     def energy(self, errors=None) -> float:
         """Total error energy (zeta/2) * ||E||^2, of the current errors or
         of the given length-T error vector."""
-        e = self.E if errors is None else errors
+        e = self.E if errors is None else _vector(errors, self.total_units)
         return 0.5 * self.hyper.zeta * float(np.dot(e, e))
 
     def residual(self) -> float:
@@ -331,7 +331,10 @@ class Network:
           are the sup-norms taken, the settled runs stopped and the
           witnesses picked again.  The first step is checked in full.
         The residual of a run still live is taken once, at the end.
+        A negative max_steps raises ConstructionError before a step.
         """
+        if max_steps < 0:
+            raise ConstructionError(f"max_steps={max_steps} is negative")
         kernel, n = self.kernel(s), s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))

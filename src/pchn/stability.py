@@ -15,13 +15,15 @@ reduced T-dimensional system and checks the 2T residual against tol.
 
 analyze_equilibrium takes an (n, T) stack of targets, and all of them
 relax together: their states are the rows of one (2, n, T) array, E
-rows then V rows, stepped by Network.relax, first for one stretch and
-then, in rounds, for geometrically growing chunks over the targets still
-unresolved.  Each row stops at its own first step under the tolerance,
-so a target sees the same steps as it would alone; only the rounding of
-the batched matrix products differs.  np.take(S, cols, 1) hands relax
-the C-contiguous batch it takes, where S[:, cols] would not be.  Newton
-probes, Jacobians and eigenvalues stay per target.
+rows then V rows, stepped by Network.relax in one loop of rounds.  Each
+round relaxes the targets still unresolved, for max_steps and then for
+geometrically growing chunks, and decides each of them: diverged,
+settled by the flow, out of rounds, or probed with Newton, which reports
+a stable root or leaves the target to the next round.  Each row stops at
+its own first step under the tolerance, so a target sees the same steps
+as it would alone; only the rounding of the batched matrix products
+differs.  np.compress hands relax the C-contiguous batch of the targets
+left.  Newton probes, Jacobians and eigenvalues stay per target.
 """
 
 from dataclasses import dataclass
@@ -150,11 +152,21 @@ def _newton_polish(net, s, tol):
     return x, r
 
 
-def _probe(net, s, tol):
-    """Newton probe from s: (state, residual, eigenvalues) of a root
-    under tol whose spectrum is stable, else None.  A probe that lands on an
-    unstable root while the flow is still moving found a saddle the
-    trajectory passes near, not the equilibrium it is heading to."""
+def _report(net, s, residual, target) -> SpectrumReport:
+    """The report of the equilibrium s, whose residual is residual;
+    raises NonDifferentiableStateError at a ReLU kink."""
+    eigs = np.linalg.eigvals(jacobian_analytic(net, s))
+    dist = float(np.linalg.norm(s[net.total_units:] - target))
+    rep = classify_spectrum(eigs, net.hyper.tau, float(residual), dist)
+    rep.state = s
+    return rep
+
+
+def _probe(net, s, tol, target):
+    """Newton probe from s: the report of a root under tol whose spectrum
+    is stable, else None.  A probe that lands on an unstable root while
+    the flow is still moving found a saddle the trajectory passes near,
+    not the equilibrium it is heading to."""
     try:
         s_probe, res_probe = _newton_polish(net, s, tol)
     except NonDifferentiableStateError:
@@ -162,10 +174,8 @@ def _probe(net, s, tol):
         return None
     if not res_probe < tol:
         return None
-    eigs = np.linalg.eigvals(jacobian_analytic(net, s_probe))
-    if not np.max(eigs.real) < 0.0:
-        return None
-    return s_probe, res_probe, eigs
+    rep = _report(net, s_probe, res_probe, target)
+    return rep if rep.all_stable else None
 
 
 def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
@@ -189,6 +199,8 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     _check_frozen(net)
     if not tol > 0:
         raise ConstructionError("tol must be positive")
+    if max_steps < 0:
+        raise ConstructionError(f"max_steps={max_steps} is negative")
     targets = np.asarray(targets, dtype=float)
     T = net.total_units
     if targets.ndim != 2 or targets.shape[1] != T:
@@ -196,64 +208,33 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     n = targets.shape[0]
     S = np.zeros((2, n, T))
     S[1] = targets
-    residual, taken = np.zeros(n), np.zeros(n, dtype=int)
-    failed, eigs = [None] * n, [None] * n
-
-    def relax(cols, steps):
-        """Relax the targets cols together for up to steps; returns
-        those still above tol and not diverged."""
-        part = np.take(S, cols, 1)
-        relaxed = net.relax(part, tol, steps)
-        S[:, cols] = part
-        residual[cols] = relaxed.residual
-        taken[cols] += relaxed.steps
-        for k in np.asarray(cols)[relaxed.diverged]:
-            failed[k] = IntegrationDivergenceError(int(taken[k]))
-        return [k for k in cols if failed[k] is None and not residual[k] < tol]
-
-    pending = relax(list(range(n)), max_steps)
-    # The drift along near-marginal directions can take thousands of
-    # simulated seconds to die out, so simulation alone rarely makes a
-    # tight tolerance.  Each unresolved target is probed with Newton
-    # from relaxation snapshots of geometrically growing length; the
-    # simulated flow stays authoritative, so a stalled probe is simply
-    # dropped and that target relaxes on, batched with the others.
-    chunk = max(1, max_steps)
-    for _ in range(8):
-        still = []
-        for k in pending:
+    out, taken = [None] * n, np.zeros(n, dtype=int)
+    pending, steps = np.arange(n), max_steps
+    # rounds relax for max_steps, then for max(1, max_steps) * 2^i steps,
+    # i = 0..7; the simulated flow stays authoritative, so a stalled probe
+    # is dropped and its target relaxes on, batched with the others
+    for i in range(9):
+        relaxed = net.relax(S, tol, steps)
+        taken[pending] += relaxed.steps
+        for j, k in enumerate(pending):
+            s, r = S[:, j].flatten(), relaxed.residual[j]
             try:
-                found = _probe(net, S[:, k].ravel(), tol)
+                if relaxed.diverged[j]:
+                    out[k] = IntegrationDivergenceError(int(taken[k]))
+                elif r < tol:
+                    out[k] = _report(net, s, r, targets[k])
+                elif i == 8:
+                    out[k] = NotAnEquilibriumError(float(r))
+                else:
+                    out[k] = _probe(net, s, tol, targets[k])
             except NonDifferentiableStateError as e:
-                failed[k] = e
-                continue
-            if found is None:
-                still.append(k)
-            else:
-                s, residual[k], eigs[k] = found
-                S[:, k] = s.reshape(2, T)
-        if not still:
+                out[k] = e
+        keep = np.array([out[k] is None for k in pending], dtype=bool)
+        S, pending = np.compress(keep, S, 1), pending[keep]
+        if not pending.size:
             break
-        pending = relax(still, chunk)
-        chunk *= 2
-    return [failed[k] if failed[k] is not None else
-            _outcome(net, S[:, k].flatten(), eigs[k], residual[k], tol, targets[k])
-            for k in range(n)]
-
-
-def _outcome(net, s, eigs, residual, tol, target):
-    """The report of a relaxed state s, or the error that refuses it."""
-    if not residual < tol:
-        return NotAnEquilibriumError(float(residual))
-    try:
-        if eigs is None:
-            eigs = np.linalg.eigvals(jacobian_analytic(net, s))
-    except NonDifferentiableStateError as e:
-        return e
-    dist = float(np.linalg.norm(s[net.total_units:] - target))
-    rep = classify_spectrum(eigs, net.hyper.tau, float(residual), dist)
-    rep.state = s
-    return rep
+        steps = max(1, max_steps) * 2 ** i
+    return out
 
 
 def spectrum_to_csv(report: SpectrumReport) -> str:

@@ -74,6 +74,16 @@ class TestPerturbations:
         with pytest.raises(ConstructionError, match="sigma must be >= 0"):
             perturb_gaussian(np.zeros(4), -0.5, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_gaussian_rejects_sigma_that_is_not_finite(self, sigma):
+        with pytest.raises(ConstructionError, match="sigma must be >= 0 and finite"):
+            perturb_gaussian(np.zeros(3), sigma, seed=0)
+
+    def test_real_probes_inherit_the_sigma_check(self):
+        ts = gen_targets("real", 2, 3, seed=0)
+        with pytest.raises(ConstructionError, match="sigma must be >= 0 and finite"):
+            make_probes(ts, 0, sigma=np.nan)
+
     def test_gaussian_noise_scale(self):
         x = np.zeros(20000)
         y = perturb_gaussian(x, 0.5, seed=9)

@@ -490,6 +490,17 @@ class TestSlowStep:
         with pytest.raises(ContractViolationError):
             net.step_slow()
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (4, 1), ()])
+    def test_errors_of_another_shape_refused(self, shape):
+        """An errors vector that is not (T,) is refused before any
+        weight moves; a (1,) one would broadcast into every row of M."""
+        net = build_single_population(4, Activation.TANH, _hyper(), seed=14)
+        net.V[:] = [0.1, -0.2, 0.3, -0.4]
+        M, b = net.M.copy(), net.b.copy()
+        with pytest.raises(ConstructionError, match=r"vector length"):
+            net.step_slow(errors=np.ones(shape))
+        assert net.M.tobytes() == M.tobytes() and net.b.tobytes() == b.tobytes()
+
 
 class TestEnergy:
     def test_value_example(self):
@@ -507,6 +518,17 @@ class TestEnergy:
     def test_zero_errors_zero_energy(self):
         net = build_loop([3, 2], Activation.TANH, _hyper(), seed=17)
         assert net.energy() == 0.0
+
+    def test_given_errors(self):
+        net = build_single_population(2, Activation.IDENTITY, _hyper(zeta=2.0),
+                                      seed=16)
+        assert net.energy(np.array([1.0, 2.0])) == 5.0
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (4, 1)])
+    def test_errors_of_another_shape_refused(self, shape):
+        net = build_single_population(4, Activation.IDENTITY, _hyper(), seed=16)
+        with pytest.raises(ConstructionError, match=r"vector length"):
+            net.energy(np.ones(shape))
 
 
 class TestEquilibrium:
@@ -530,6 +552,19 @@ class TestEquilibrium:
         assert not res.converged[0]
         assert res.steps[0] == 0
         assert res.residual[0] > 0
+
+    @pytest.mark.parametrize("max_steps", [-1, -5])
+    def test_negative_step_budget_refused(self, max_steps):
+        """A negative budget is refused before a step: it would report
+        negative step counts and move steps_taken backwards."""
+        net = build_single_population(3, Activation.TANH, _hyper(), seed=19)
+        s = np.zeros((2, 3, 3))
+        s[1] = np.random.default_rng(19).normal(size=(3, 3))
+        before = s.copy()
+        with pytest.raises(ConstructionError, match="max_steps=.* is negative"):
+            net.relax(s, 1e-12, max_steps)
+        assert s.tobytes() == before.tobytes()
+        assert net.steps_taken == 0
 
     def test_empty_batch_relaxes_to_an_empty_result(self):
         net = build_loop([4, 3], Activation.TANH, _hyper(), seed=19)

@@ -7,6 +7,7 @@ from pchn import (Activation, ConstructionError, Hyperparams,
                   IntegrationDivergenceError, NonDifferentiableStateError,
                   NotAnEquilibriumError, TrainingSchedule, build_loop,
                   build_single_population, freeze, gen_targets, train)
+from pchn import stability
 from pchn.stability import (SpectrumReport, _newton_polish, _probe,
                             analyze_equilibrium, classify_spectrum,
                             jacobian_analytic, spectrum_to_csv)
@@ -254,6 +255,47 @@ class TestAnalyzeEquilibrium:
             else:
                 assert str(rep) == str(want)
 
+    def test_rounds_relax_the_targets_left_on_a_doubling_budget(self, monkeypatch):
+        """With a tol no flow reaches and every Newton root refused, each
+        target takes all nine rounds: a relaxation of max_steps, then of
+        max_steps, 2 max_steps, ..., 128 max_steps, all targets in one
+        batch, and ends with the NotAnEquilibriumError carrying the
+        residual of its last relaxation."""
+        net = build_single_population(6, Activation.TANH, _hyper(), seed=12,
+                                      init_scale=1.0)
+        net.b[:] = np.random.default_rng(0).normal(size=6)
+        freeze(net)
+        monkeypatch.setattr(stability, "_probe", lambda *a: None)
+        calls, last = [], []
+        relax = net.relax
+
+        def spy(s, tol, max_steps):
+            calls.append((s.shape[1], max_steps))
+            out = relax(s, tol, max_steps)
+            last[:] = out.residual
+            return out
+
+        monkeypatch.setattr(net, "relax", spy)
+        targets = np.random.default_rng(122).normal(size=(3, 6))
+        got = analyze_equilibrium(net, targets, tol=1e-300, max_steps=5)
+        assert calls == [(3, 5)] + [(3, 5 * 2 ** i) for i in range(8)]
+        assert [type(err) for err in got] == [NotAnEquilibriumError] * 3
+        assert [err.residual for err in got] == last
+
+    @pytest.mark.parametrize("max_steps", [-1, -3])
+    def test_negative_step_budget_refused(self, max_steps):
+        net = freeze(build_single_population(4, Activation.TANH, _hyper(), seed=14))
+        with pytest.raises(ConstructionError, match="max_steps=.* is negative"):
+            analyze_equilibrium(net, np.zeros((1, 4)), max_steps=max_steps)
+
+    def test_zero_step_budget_still_resolves(self):
+        """max_steps = 0 relaxes for no step first, then for one step
+        rounds that double; the probes still find the equilibrium."""
+        net = freeze(build_single_population(10, Activation.TANH, _hyper(), seed=10))
+        targets = np.random.default_rng(101).normal(size=(1, 10))
+        [rep] = analyze_equilibrium(net, targets, tol=1e-10, max_steps=0)
+        assert rep.residual < 1e-10
+
     @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
     def test_tol_that_is_not_positive_refused(self, tol):
         net = freeze(build_single_population(4, Activation.TANH, _hyper(), seed=14))
@@ -344,7 +386,7 @@ class TestNewtonPolish:
         s = np.array([0.1, 0.2, 0.3, 0.5, 0.0, 0.4])
         with pytest.raises(NonDifferentiableStateError):
             _newton_polish(net, s, 1e-8)
-        assert _probe(net, s, 1e-8) is None
+        assert _probe(net, s, 1e-8, np.zeros(3)) is None
 
     def test_singular_jacobian_takes_a_least_squares_step(self):
         """Two identity units that predict each other with unit weights
