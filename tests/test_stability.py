@@ -289,8 +289,8 @@ class TestAnalyzeEquilibrium:
             analyze_equilibrium(net, np.zeros((1, 4)), max_steps=max_steps)
 
     def test_zero_step_budget_still_resolves(self):
-        """max_steps = 0 relaxes for no step first, then for one step
-        rounds that double; the probes still find the equilibrium."""
+        """max_steps = 0 relaxes for no step in the first round and for
+        1, 2, 4, ... steps after; the probes still find the equilibrium."""
         net = freeze(build_single_population(10, Activation.TANH, _hyper(), seed=10))
         targets = np.random.default_rng(101).normal(size=(1, 10))
         [rep] = analyze_equilibrium(net, targets, tol=1e-10, max_steps=0)
