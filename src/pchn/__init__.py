@@ -16,8 +16,7 @@ from .experiments import (TargetSet, Trace, gen_targets, make_probes,
 from .hopfield import (HopfieldNet, async_sweep, hebbian_store, hn_energy,
                        interaction_energy, recall)
 from .learning import TrainingReport, TrainingSchedule, freeze, train
-from .network import (Hyperparams, Network, build_loop, build_network,
-                      build_single_population)
+from .network import Hyperparams, Network, build_loop, build_network
 from .stability import (SpectrumReport, analyze_equilibrium, classify_spectrum,
                         jacobian_analytic, spectrum_to_csv)
 

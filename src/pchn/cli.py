@@ -13,9 +13,9 @@ the same name.  That table gives the keys a config file may set, the
 command-line flags, the attributes and the order of the echo.  Beside
 it, KIND_DEFAULTS holds the three defaults that depend on the target
 kind, and ARCHITECTURES the population sizes of each architecture.  A
-number must be finite and in range, and a clamp or a study may take
-at most MAX_STEPS Euler steps; a bad value exits with code 2 before
-anything is written.
+number must be finite and in range, and a clamp, a study or its sample
+gap may take at most MAX_STEPS Euler steps; a bad value exits with code
+2 before anything is written.
 
 All randomness flows from the single root seed.  Child seeds are drawn
 as SeedSequence(seed, spawn_key=(purpose,)).generate_state(1)[0] with a
@@ -45,7 +45,7 @@ from .experiments import (FLIP_BITS, HAMMING, PERTURB_STD, absorption_summary,
 from .fileio import atomic_write_text
 from .hopfield import hebbian_store, recall
 from .learning import SEQUENTIAL, TrainingSchedule, freeze, train
-from .network import Hyperparams, build_loop
+from .network import MAX_STEPS, Hyperparams, build_loop
 from .stability import analyze_equilibrium, spectrum_to_csv
 
 BINARY_KIND = "BinarySign"
@@ -146,10 +146,6 @@ CONFIG = {
     "output_dir": ("out", _nonempty),
 }
 
-# Most Euler steps a clamp (duration_per_target) or a study (horizon) may
-# take: 5e4 s at the default dt, 139 times the longest default horizon
-MAX_STEPS = 10**7
-
 
 def child_seed(root: int, purpose: int) -> int:
     return int(np.random.SeedSequence(root, spawn_key=(purpose,)).generate_state(1)[0])
@@ -210,7 +206,7 @@ class RunConfig:
                                              self.target_order, self.reset_fast_state)
         except ConstructionError as e:
             raise ConfigError(str(e)) from None
-        for key in ("duration_per_target", "horizon"):
+        for key in ("duration_per_target", "horizon", "sample_every"):
             if getattr(self, key) / self.dt > MAX_STEPS:
                 raise ConfigError(f"{key}: {self.raw[key]} is more than {MAX_STEPS} steps "
                                   f"of dt = {self.raw['dt']}")

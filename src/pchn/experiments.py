@@ -26,13 +26,12 @@ spawn_key=(r,)), so independent commands can regenerate the exact same
 probes.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionError, ContractViolationError
-from .network import _past_limit
+from .network import _past_limit, _steps_of
 
 BINARY = "binary"
 REAL = "real"
@@ -186,7 +185,8 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
 
     A run that goes non-finite (or past DIVERGENCE_LIMIT) ends at that
     sample, flagged as diverged and carrying its last finite distances;
-    the rest of the batch keeps going.
+    the rest of the batch keeps going.  A horizon or a sample_every of
+    more than MAX_STEPS steps raises ConstructionError before a step.
     """
     if not net.weights_frozen:
         raise ContractViolationError("freeze the network before running studies")
@@ -194,22 +194,16 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     if starts.ndim != 2 or starts.shape[1] != net.total_units:
         raise ConstructionError(
             f"starts must be (runs, {net.total_units}), got {starts.shape}")
-    for name, value in (("horizon", horizon), ("sample_every", sample_every)):
-        if not 0.0 < value < math.inf:
-            raise ConstructionError(f"{name} must be positive and finite")
+    dt = net.hyper.dt
+    steps = _steps_of("horizon", horizon, dt)
+    stride = _steps_of("sample_every", sample_every, dt)
     n_runs = starts.shape[0]
     metric = metric_for(targets.kind)
-    dt = net.hyper.dt
-    steps = max(1, int(round(horizon / dt)))
-    stride = max(1, int(round(sample_every / dt)))
-    sampled = np.arange(0, steps + 1, stride)
-    if sampled[-1] != steps:
-        sampled = np.append(sampled, steps)
+    sampled = np.append(np.arange(0, steps, stride), steps)
 
     # a (2, runs, T) batch of rows: errors, then values
     T = net.total_units
-    S = np.zeros((2, n_runs, T))
-    S[1] = starts
+    S = np.stack((np.zeros_like(starts), starts))
     chunk = np.empty((SAMPLE_CHUNK, n_runs, T))
     work = np.empty((targets.n, SAMPLE_CHUNK * n_runs, T))
     trace = Trace(metric, sampled * dt,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (ConstructionError, ContractViolationError,
                      IntegrationDivergenceError)
-from .network import DIVERGENCE_LIMIT, _past_limit
+from .network import DIVERGENCE_LIMIT, _past_limit, _steps_of
 
 SEQUENTIAL = "sequential"
 SHUFFLED = "shuffled"
@@ -107,12 +107,14 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     the pre-clamp weights (errors at their algebraic equilibrium for the
     clamped values); energy_end is the actual energy when the clamp
     ends.  Falling energy means the pattern became better predicted.
-    The net ends unclamped, also when a clamp raises.
+    The net ends unclamped, also when a clamp raises.  A clamp of more
+    than MAX_STEPS steps raises ConstructionError before any weight moves.
     """
     if net.weights_frozen:
         raise ContractViolationError("cannot train a frozen network")
     pats = _patterns_array(targets, net.total_units)
-    steps_per = max(1, int(round(schedule.duration_per_target / net.hyper.dt)))
+    steps_per = _steps_of("duration_per_target", schedule.duration_per_target,
+                          net.hyper.dt)
     rng = np.random.default_rng(seed)
 
     report = TrainingReport()
@@ -123,8 +125,7 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
             if schedule.target_order == SHUFFLED:
                 order = rng.permutation(len(pats))
             for tid in map(int, order):
-                target = pats[tid]
-                net.clamp_all(target)
+                net.clamp_all(pats[tid])
                 if schedule.reset_fast_state:
                     net.E[:] = 0.0
                 residual = net.V - net.predict(net.V)

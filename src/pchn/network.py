@@ -20,9 +20,9 @@ dynamics are then one recurrent system, Euler-integrated with step dt:
 
 and learning is one local outer-product rule restricted to the mask (see
 step_slow).  Network.edge_blocks is the one walk from an edge to its
-blocks of M, W, b and mask.  build_network is the one builder that draws
-the weights, and build_loop names its common shape, a ring, of which
-build_single_population is the ring of one.  Network.kernel is the one
+blocks of M, W, b and mask.  Two builders draw the weights:
+build_network for any edges, and build_loop for a ring, where a ring of
+one is a population that predicts itself.  Network.kernel is the one
 Euler step and Network.relax steps it until each run settles or
 diverges.  Linearization lives in stability.py, the training loop in
 learning.py.
@@ -45,6 +45,9 @@ from .errors import ConstructionError, ContractViolationError, IntegrationDiverg
 
 # state magnitudes beyond this are treated the same as inf/nan
 DIVERGENCE_LIMIT = 1e100
+
+# most Euler steps a clamp or a study may take: 5e4 s at the default dt
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,16 @@ class Hyperparams:
         if not self.dt * self.zeta / self.tau < 2.0:
             raise ConstructionError("need dt*zeta/tau < 2 for a stable Euler step "
                                     "of the error leak")
+
+
+def _steps_of(name, duration, dt):
+    """The Euler steps of dt nearest to duration, at least one; a duration
+    not positive and finite, or past MAX_STEPS steps, raises ConstructionError."""
+    steps = max(1, int(round(duration / dt))) if 0.0 < duration < math.inf else 0
+    if not 0 < steps <= MAX_STEPS:
+        raise ConstructionError(f"{name}: {duration} is not a positive, finite duration "
+                                f"of at most MAX_STEPS = {MAX_STEPS} steps of dt = {dt}")
+    return steps
 
 
 def _vector(x, n):
@@ -331,8 +344,15 @@ class Network:
           are the sup-norms taken, the settled runs stopped and the
           witnesses picked again.  The first step is checked in full.
         The residual of a run still live is taken once, at the end.
-        A negative max_steps raises ConstructionError before a step.
+        A NaN or negative tol, or a max_steps that is not an integer >= 0,
+        raises ConstructionError before a step.
         """
+        if not tol >= 0:
+            raise ConstructionError(f"tol={tol} is not >= 0")
+        try:
+            max_steps = operator.index(max_steps)
+        except TypeError:
+            raise ConstructionError(f"max_steps={max_steps!r} is not an integer") from None
         if max_steps < 0:
             raise ConstructionError(f"max_steps={max_steps} is negative")
         kernel, n = self.kernel(s), s.shape[1]
@@ -481,15 +501,6 @@ def build_network(sizes, edges, activation: Activation, hyper: Hyperparams,
         M[mask == 0.0] = 0.0
         W[mask.T == 0.0] = 0.0
     return net
-
-
-def build_single_population(n: int, activation: Activation, hyper: Hyperparams,
-                            *, tie_weights: bool = False,
-                            init_scale: float = 0.01, seed=0) -> Network:
-    """Single population predicting itself through a self edge (diagonal
-    held at zero so no unit predicts itself): the ring of one."""
-    return build_loop([n], activation, hyper, tie_weights=tie_weights,
-                      init_scale=init_scale, seed=seed)
 
 
 def build_loop(sizes, activation: Activation, hyper: Hyperparams,

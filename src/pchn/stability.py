@@ -116,6 +116,7 @@ def _sup(x) -> float:
     return float(np.max(np.abs(x)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_polish(net, s, tol):
     """Root-polish the fast RHS from s; returns (state, residual).
 
@@ -199,15 +200,12 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     _check_frozen(net)
     if not tol > 0:
         raise ConstructionError("tol must be positive")
-    if max_steps < 0:
-        raise ConstructionError(f"max_steps={max_steps} is negative")
     targets = np.asarray(targets, dtype=float)
     T = net.total_units
     if targets.ndim != 2 or targets.shape[1] != T:
         raise ConstructionError(f"targets {targets.shape} are not (n, {T})")
     n = targets.shape[0]
-    S = np.zeros((2, n, T))
-    S[1] = targets
+    S = np.stack((np.zeros_like(targets), targets))
     out, taken = [None] * n, np.zeros(n, dtype=int)
     pending, steps = np.arange(n), max_steps
     # rounds relax for max_steps, then for max(1, max_steps) * 2^i steps,

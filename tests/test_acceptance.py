@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from pchn import (Activation, Hyperparams, NotAnEquilibriumError,
-                  TrainingSchedule, analyze_equilibrium, build_loop,
-                  build_single_population, freeze, gen_targets, hebbian_store,
-                  jacobian_analytic, make_probes, perturb_flip,
-                  perturb_gaussian, perturbation_study, random_init_study,
-                  recall, relaxation_study, train)
+                  TrainingSchedule, analyze_equilibrium, build_loop, freeze,
+                  gen_targets, hebbian_store, jacobian_analytic, make_probes,
+                  perturb_flip, perturb_gaussian, perturbation_study,
+                  random_init_study, recall, relaxation_study, train)
 from pchn.cli import main
 from pchn.experiments import (EUCLIDEAN, HAMMING, absorption_summary,
                               distance_tables, recovery_summary)
@@ -44,10 +43,8 @@ HOPFIELD_SEEDS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
 def _trained(kind, arch, cfg, activation):
     hyper = Hyperparams(zeta=cfg.get("zeta", 1.0), gamma=cfg.get("gamma", 100.0))
     targets = gen_targets(kind, 10, 100, seed=cfg["tseed"])
-    if arch == "single":
-        net = build_single_population(100, activation, hyper, seed=cfg["wseed"])
-    else:
-        net = build_loop([50, 30, 20], activation, hyper, seed=cfg["wseed"])
+    sizes = [100] if arch == "single" else [50, 30, 20]
+    net = build_loop(sizes, activation, hyper, seed=cfg["wseed"])
     t0 = time.monotonic()
     train(net, targets,
           TrainingSchedule(duration_per_target=cfg["dur"], epochs=cfg["epochs"]),
@@ -212,8 +209,7 @@ class TestEquilibriumSpectra:
 
 class TestJacobian:
     def test_matches_central_differences_tanh(self):
-        net = build_single_population(100, Activation.TANH, Hyperparams(),
-                                      seed=3)
+        net = build_loop([100], Activation.TANH, Hyperparams(), seed=3)
         freeze(net)
         rng = np.random.default_rng(4)
         worst = 0.0
@@ -226,8 +222,7 @@ class TestJacobian:
         assert worst < 1e-5
 
     def test_exact_for_identity_activation(self):
-        net = build_single_population(30, Activation.IDENTITY, Hyperparams(),
-                                      seed=3)
+        net = build_loop([30], Activation.IDENTITY, Hyperparams(), seed=3)
         freeze(net)
         rng = np.random.default_rng(5)
         s = rng.normal(size=2 * net.total_units)
@@ -331,8 +326,8 @@ class TestRestrictedEnergyDescent:
         random states never raise the energy by more than 1e-9."""
         rng = np.random.default_rng(21)
         for trial in range(20):
-            net = build_single_population(
-                12, Activation.TANH, Hyperparams(dt=0.002),
+            net = build_loop(
+                [12], Activation.TANH, Hyperparams(dt=0.002),
                 tie_weights=True, seed=200 + trial)
             freeze(net)
             net.V[:] = rng.normal(size=12)

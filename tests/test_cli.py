@@ -167,6 +167,27 @@ class TestTrain:
         rc = main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_config_comments_and_blank_lines_skipped(self, tmp_path, capsys):
+        """Comment-only, blank and whitespace-only lines are skipped, and
+        a trailing comment is cut from its value."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("# a run\n\n   \t\nseed = 3  # the root seed\n# seed = 4\n")
+        out = tmp_path / "x"
+        assert main(["hopfield-baseline", "--config", str(cfgfile), "--out", str(out)]
+                    + FAST) == 0
+        assert "seed = 3\n" in (out / "config.echo").read_text()
+
+    def test_config_line_without_equals_rejected(self, tmp_path, capsys):
+        """A line that is not key = value exits with code 2, naming the
+        line, before anything is written."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed = 3\n\nepochs 2\n")
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfgfile), "--out", str(out)] + FAST) == 2
+        assert ("error: line 3: expected key = value, got 'epochs 2'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_config_rejected_before_anything_is_written(self, tmp_path,
                                                                    capsys, kind):
@@ -225,7 +246,8 @@ class TestTrain:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, key", [("perturb", "horizon"),
-                                              ("train", "duration_per_target")])
+                                              ("train", "duration_per_target"),
+                                              ("random-init", "sample_every")])
     def test_step_count_past_the_cap_rejected(self, tmp_path, capsys, command, key):
         """A finite duration of more than MAX_STEPS Euler steps at dt is
         refused with exit code 2 before anything is written; one of

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pchn import (Activation, ConstructionError, ContractViolationError, Hyperparams,
-                  build_loop, build_single_population, freeze, gen_targets)
+                  build_loop, freeze, gen_targets)
 from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _chunk_distances,
                               absorption_summary, distance_tables,
                               make_probes, metric_for, perturb_flip,
@@ -15,6 +15,7 @@ from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _chunk_di
                               random_init_study, recovery_summary,
                               relaxation_study, sign_pm1, success_threshold,
                               trace_to_csv)
+from pchn.network import MAX_STEPS
 
 from oracles import distance, distance_table, relaxation_study_sampled, textbook_euler
 
@@ -22,7 +23,7 @@ from oracles import distance, distance_table, relaxation_study_sampled, textbook
 class TestTargets:
     def test_binary_entries_are_pm1(self):
         ts = gen_targets("binary", 10, 100, seed=3)
-        assert ts.patterns.shape == (10, 100)
+        assert ts.patterns.shape == (10, 100) == (ts.n, ts.d)
         assert np.all(np.abs(ts.patterns) == 1.0)
 
     def test_binary_roughly_balanced(self):
@@ -166,7 +167,7 @@ class TestDistances:
 
 def _tiny_net(seed=0):
     hyper = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
-    net = build_single_population(12, Activation.TANH, hyper, seed=seed)
+    net = build_loop([12], Activation.TANH, hyper, seed=seed)
     freeze(net)
     return net
 
@@ -199,7 +200,7 @@ class TestRelaxationStudy:
         # linear units with huge weights blow past the finite cutoff in
         # a couple of steps; both runs must be closed out, not raised
         hyper = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
-        net = build_single_population(12, Activation.IDENTITY, hyper, seed=0)
+        net = build_loop([12], Activation.IDENTITY, hyper, seed=0)
         net.M[:] = 1e60
         net.W[:] = 1e60
         freeze(net)
@@ -214,7 +215,7 @@ class TestRelaxationStudy:
 
     def test_rejects_an_unfrozen_net(self):
         hyper = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
-        net = build_single_population(12, Activation.TANH, hyper, seed=0)
+        net = build_loop([12], Activation.TANH, hyper, seed=0)
         ts = gen_targets("binary", 2, 12, seed=24)
         with pytest.raises(ContractViolationError, match="freeze"):
             relaxation_study(net, ts, ts.patterns, horizon=0.1)
@@ -239,6 +240,19 @@ class TestRelaxationStudy:
         ts = gen_targets("binary", 2, 12, seed=25)
         with pytest.raises(ConstructionError, match=name):
             relaxation_study(net, ts, ts.patterns, **{name: bad})
+
+    @pytest.mark.parametrize("name", ["horizon", "sample_every"])
+    def test_rejects_a_horizon_or_sample_every_past_the_step_cap(self, name):
+        """A horizon of 1e300 and samples MAX_STEPS + 1 steps of dt apart
+        are refused before any step, not left to np.arange or run for
+        hours."""
+        net = _tiny_net()
+        ts = gen_targets("binary", 2, 12, seed=25)
+        past_cap = {"horizon": {"horizon": 1e300},
+                    "sample_every": {"horizon": 0.1,
+                                     "sample_every": (MAX_STEPS + 1) * net.hyper.dt}}
+        with pytest.raises(ConstructionError, match=f"{name}: .* at most MAX_STEPS"):
+            relaxation_study(net, ts, ts.patterns, **past_cap[name])
 
     def test_columns_follow_step_fast(self):
         """Each batch column is the trajectory step_fast integrates from
@@ -266,8 +280,7 @@ class TestRelaxationStudy:
         """A T = 100 study, whose row products round differently from the
         textbook M @ sigma(V) on C-ordered columns, agrees with a study
         stepped on such columns to 1e-12 relative on every distance."""
-        net = build_single_population(100, activation, Hyperparams(dt=0.01),
-                                      init_scale=1.0, seed=51)
+        net = build_loop([100], activation, Hyperparams(dt=0.01), init_scale=1.0, seed=51)
         net.b[:] = np.random.default_rng(51).normal(size=100)
         freeze(net)
         ts = gen_targets("real", 10, 100, seed=51)
@@ -297,7 +310,7 @@ def _unstable_linear_net():
     e-fold every 0.02 s: a start scaled to 1e95 crosses the divergence
     limit within 0.3 s, while a unit-scale start stays finite."""
     hyper = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
-    net = build_single_population(12, Activation.IDENTITY, hyper, seed=0)
+    net = build_loop([12], Activation.IDENTITY, hyper, seed=0)
     M = np.full((12, 12), 50.0 / 11.0)
     np.fill_diagonal(M, 0.0)
     net.M[:] = M
@@ -339,8 +352,8 @@ class TestPinnedBytes:
     def _moving_net(activation, seed):
         """Twelve units with unit-scale weights and a random bias: the
         states move far from their starts within a short study."""
-        net = build_single_population(12, activation, Hyperparams(dt=0.01),
-                                      init_scale=1.0, seed=seed)
+        net = build_loop([12], activation, Hyperparams(dt=0.01),
+                         init_scale=1.0, seed=seed)
         net.b[:] = np.random.default_rng(seed).normal(size=12)
         return freeze(net)
 
@@ -429,8 +442,8 @@ class TestChunkedSamples:
         chunk holds 1 sample or 15.  A single run's final sample is a
         one-row chunk, which must sum over T as the oracle's one sample
         does."""
-        net = build_single_population(100, Activation.TANH, Hyperparams(dt=0.01),
-                                      init_scale=1.0, seed=49)
+        net = build_loop([100], Activation.TANH, Hyperparams(dt=0.01),
+                         init_scale=1.0, seed=49)
         net.b[:] = np.random.default_rng(49).normal(size=100)
         freeze(net)
         ts = gen_targets("real", n_targets, 100, seed=49)

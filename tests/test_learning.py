@@ -15,15 +15,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from pchn import (Activation, ContractViolationError, Hyperparams,
+from pchn import (Activation, ConstructionError, ContractViolationError, Hyperparams,
                   IntegrationDivergenceError, TrainingSchedule,
-                  build_single_population, build_loop, freeze, gen_targets,
-                  train)
+                  build_loop, freeze, gen_targets, train)
 from pchn import learning
 from pchn.cli import SEED_TRAIN, child_seed, main, resolve_config
 from pchn.learning import (SEQUENTIAL, SHUFFLED, ClampRecord, TrainingReport,
                            _clears)
-from pchn.network import _past_limit
+from pchn.network import MAX_STEPS, _past_limit
 
 from oracles import prediction_mse
 
@@ -141,7 +140,7 @@ class TestTrain:
         mean end-of-clamp energy falls every epoch and ends well under
         the first epoch's."""
         targets = gen_targets("binary", 5, 40, seed=1)
-        net = build_single_population(40, Activation.TANH, _hyper(), seed=1)
+        net = build_loop([40], Activation.TANH, _hyper(), seed=1)
         report = train(net, targets.patterns,
                        TrainingSchedule(duration_per_target=2.0, epochs=5), seed=2)
         means = [np.mean([r.energy_end for r in report.records if r.epoch == ep])
@@ -151,7 +150,7 @@ class TestTrain:
 
     def test_prediction_error_falls(self):
         targets = gen_targets("real", 5, 30, seed=3)
-        net = build_single_population(30, Activation.RELU, _hyper(), seed=3)
+        net = build_loop([30], Activation.RELU, _hyper(), seed=3)
         before = prediction_mse(net, targets.patterns)
         train(net, targets.patterns,
               TrainingSchedule(duration_per_target=5.0, epochs=4), seed=4)
@@ -160,7 +159,7 @@ class TestTrain:
 
     def test_record_layout(self):
         targets = gen_targets("binary", 3, 20, seed=5)
-        net = build_single_population(20, Activation.TANH, _hyper(), seed=5)
+        net = build_loop([20], Activation.TANH, _hyper(), seed=5)
         report = train(net, targets.patterns,
                        TrainingSchedule(duration_per_target=0.5, epochs=2), seed=6)
         assert len(report.records) == 6
@@ -175,7 +174,7 @@ class TestTrain:
         """After enough training the clamp-onset energy of a pattern must
         be far below what the untrained network scored."""
         targets = gen_targets("binary", 4, 30, seed=7)
-        net = build_single_population(30, Activation.TANH, _hyper(), seed=7)
+        net = build_loop([30], Activation.TANH, _hyper(), seed=7)
         rep = train(net, targets.patterns,
                     TrainingSchedule(duration_per_target=3.0, epochs=6), seed=8)
         starts0 = [r.energy_start for r in rep.records if r.epoch == 0]
@@ -184,8 +183,8 @@ class TestTrain:
 
     def test_deterministic_given_seed(self):
         targets = gen_targets("real", 4, 25, seed=9)
-        a = build_single_population(25, Activation.RELU, _hyper(), seed=10)
-        b = build_single_population(25, Activation.RELU, _hyper(), seed=10)
+        a = build_loop([25], Activation.RELU, _hyper(), seed=10)
+        b = build_loop([25], Activation.RELU, _hyper(), seed=10)
         schedule = TrainingSchedule(duration_per_target=0.5, epochs=2,
                                     target_order=SHUFFLED)
         ra = train(a, targets.patterns, schedule, seed=11)
@@ -199,8 +198,8 @@ class TestTrain:
 
     def test_shuffled_order_differs_from_sequential(self):
         targets = gen_targets("real", 6, 25, seed=12)
-        a = build_single_population(25, Activation.RELU, _hyper(), seed=13)
-        b = build_single_population(25, Activation.RELU, _hyper(), seed=13)
+        a = build_loop([25], Activation.RELU, _hyper(), seed=13)
+        b = build_loop([25], Activation.RELU, _hyper(), seed=13)
         ra = train(a, targets.patterns,
                    TrainingSchedule(duration_per_target=0.2, epochs=1,
                                     target_order=SHUFFLED), seed=14)
@@ -211,13 +210,13 @@ class TestTrain:
 
     def test_frozen_network_rejected(self):
         targets = gen_targets("binary", 2, 10, seed=15)
-        net = build_single_population(10, Activation.TANH, _hyper(), seed=15)
+        net = build_loop([10], Activation.TANH, _hyper(), seed=15)
         freeze(net)
         with pytest.raises(ContractViolationError):
             train(net, targets.patterns, TrainingSchedule(), seed=0)
 
     def test_freeze_idempotent(self):
-        net = build_single_population(5, Activation.TANH, _hyper(), seed=16)
+        net = build_loop([5], Activation.TANH, _hyper(), seed=16)
         freeze(net)
         freeze(net)
         assert net.weights_frozen
@@ -232,15 +231,35 @@ class TestTrain:
 
     def test_dimension_mismatch_rejected(self):
         targets = gen_targets("binary", 2, 11, seed=19)
-        net = build_single_population(10, Activation.TANH, _hyper(), seed=19)
+        net = build_loop([10], Activation.TANH, _hyper(), seed=19)
         with pytest.raises(ValueError):
             train(net, targets.patterns, TrainingSchedule(), seed=0)
+
+    def test_clamp_past_the_step_cap_refused(self):
+        """A clamp of MAX_STEPS + 1 steps of dt is refused before any
+        weight or state moves."""
+        net = build_loop([6], Activation.TANH, _hyper(), seed=19)
+        before = [x.copy() for x in (net.M, net.W, net.b, net.s)]
+        schedule = TrainingSchedule(duration_per_target=(MAX_STEPS + 1) * net.hyper.dt)
+        with pytest.raises(ConstructionError, match="duration_per_target: .* at most "
+                                                    f"MAX_STEPS = {MAX_STEPS} steps"):
+            train(net, gen_targets("binary", 2, 6, seed=19).patterns, schedule)
+        for x, y in zip((net.M, net.W, net.b, net.s), before):
+            assert x.tobytes() == y.tobytes()
+        assert net.steps_taken == 0 and not net.clamped.any()
+
+    def test_clamp_of_exactly_the_step_cap_trains(self):
+        net = build_loop([6], Activation.TANH, _hyper(), seed=19)
+        schedule = TrainingSchedule(duration_per_target=MAX_STEPS * net.hyper.dt)
+        report = train(net, gen_targets("binary", 2, 6, seed=19).patterns, schedule)
+        assert [r.steps for r in report.records] == [MAX_STEPS] * 2
+        assert net.steps_taken == 2 * MAX_STEPS
 
     @pytest.mark.parametrize("shape", [(12,), (0, 12)])
     def test_targets_that_are_not_a_stack_rejected(self, shape):
         """A single (T,) pattern and an empty stack are refused before
         any clamp."""
-        net = build_single_population(12, Activation.TANH, _hyper(), seed=19)
+        net = build_loop([12], Activation.TANH, _hyper(), seed=19)
         with pytest.raises(ValueError, match=r"targets must be a \(N, d\) array"):
             train(net, np.ones(shape), TrainingSchedule(), seed=0)
         assert net.steps_taken == 0
@@ -251,7 +270,7 @@ class TestTrain:
         rng = np.random.default_rng(24)
         pats = rng.normal(size=(2, 10))
         pats[1] *= 3e3
-        net = build_single_population(10, Activation.IDENTITY, _hyper(), seed=24)
+        net = build_loop([10], Activation.IDENTITY, _hyper(), seed=24)
         with pytest.raises(IntegrationDivergenceError):
             train(net, pats, TrainingSchedule(duration_per_target=1.0), seed=25)
         assert not net.clamped.any()
@@ -259,7 +278,7 @@ class TestTrain:
     def test_zero_initial_error_keeps_weights_still(self):
         """A network whose prediction already matches the clamp exactly
         generates no error signal, so the weights must not move."""
-        net = build_single_population(6, Activation.IDENTITY, _hyper(), seed=20)
+        net = build_loop([6], Activation.IDENTITY, _hyper(), seed=20)
         net.M[:] = 0.0
         net.W[:] = 0.0
         net.b[:] = 0.0
@@ -301,7 +320,7 @@ class TestSquarings:
         square afresh.  The shuffled epochs put the targets at other
         positions, so squarings reused by position would differ."""
         targets = gen_targets("real", 3, 12, seed=40)
-        net, ref = (build_single_population(12, Activation.RELU, _hyper(), seed=41)
+        net, ref = (build_loop([12], Activation.RELU, _hyper(), seed=41)
                     for _ in range(2))
         schedule = TrainingSchedule(duration_per_target=1.0, epochs=4,
                                     target_order=SHUFFLED, reset_fast_state=False)
@@ -326,7 +345,7 @@ class TestSquarings:
     def test_squarings_are_read_only(self):
         """Every array that train keeps for a target's later clamps
         refuses an in-place write."""
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=46)
+        net = build_loop([6], Activation.TANH, _hyper(), seed=46)
         net.clamp_all(np.linspace(-1.0, 1.0, 6))
         Q, S, growth = learning._square(net, net.V, 1000)
         assert len(Q) == len(S) == len(growth) == 10
@@ -342,7 +361,7 @@ class TestSquarings:
         interpreter."""
         rng = np.random.default_rng(24)
         pats = rng.normal(size=(2, 12))
-        net = build_single_population(12, Activation.RELU, _hyper(), seed=24)
+        net = build_loop([12], Activation.RELU, _hyper(), seed=24)
         schedule = TrainingSchedule(duration_per_target=1.0, epochs=2)
         if first == "raises":
             pats[1] *= 3e3
@@ -376,7 +395,7 @@ class TestReducedClamp:
             net, ref = (build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=28)
                         for _ in range(2))
         else:
-            net, ref = (build_single_population(12, Activation.RELU, _hyper(), seed=28)
+            net, ref = (build_loop([12], Activation.RELU, _hyper(), seed=28)
                         for _ in range(2))
         net.E[:] = ref.E[:] = np.random.default_rng(29).normal(size=12)
         schedule = TrainingSchedule(duration_per_target=steps * 0.005,
@@ -400,7 +419,7 @@ class TestReducedClamp:
         check: 25 checks per clamp after its whole one.  None raises,
         and each lands where the oracle does."""
         targets = gen_targets("real", 2, 6, seed=31)
-        net, ref = (build_single_population(6, Activation.IDENTITY, _hyper(), seed=31)
+        net, ref = (build_loop([6], Activation.IDENTITY, _hyper(), seed=31)
                     for _ in range(2))
         net.E[:] = ref.E[:] = 1e98
         schedule = TrainingSchedule(duration_per_target=0.5, reset_fast_state=False)
@@ -454,7 +473,7 @@ class TestReducedClamp:
         pats = rng.normal(size=(2, 10))
         pats[1] *= 3e3
         schedule = TrainingSchedule(duration_per_target=steps * 0.005, epochs=1)
-        net, ref = (build_single_population(10, Activation.IDENTITY, _hyper(), seed=24)
+        net, ref = (build_loop([10], Activation.IDENTITY, _hyper(), seed=24)
                     for _ in range(2))
         with spy_pieces() as spy, pytest.raises(IntegrationDivergenceError) as got:
             train(net, pats, schedule, seed=25)
@@ -473,7 +492,7 @@ class TestReducedClamp:
         target entry past DIVERGENCE_LIMIT fails the first step even
         while the errors are still under it."""
         pats = np.array([[1.0, bad, 0.5]])
-        net, ref = (build_single_population(3, Activation.TANH, _hyper(), seed=26)
+        net, ref = (build_loop([3], Activation.TANH, _hyper(), seed=26)
                     for _ in range(2))
         before = net.M.copy()
         with pytest.raises(IntegrationDivergenceError) as got:
@@ -491,7 +510,7 @@ class TestReducedClamp:
         fails at step 1 as the oracle's does, with the weights
         untouched."""
         targets = gen_targets("real", 1, 6, seed=33)
-        net, ref = (build_single_population(6, Activation.TANH, _hyper(), seed=33)
+        net, ref = (build_loop([6], Activation.TANH, _hyper(), seed=33)
                     for _ in range(2))
         for x in (net, ref):
             getattr(x, where)[2] = np.nan
@@ -514,7 +533,7 @@ class TestReducedClamp:
         and lands where the oracle does."""
         hyper = _hyper(dt=0.1, gamma=1.01)
         targets = gen_targets("binary", 2, 12, seed=27)
-        net, ref = (build_single_population(12, Activation.TANH, hyper, seed=28)
+        net, ref = (build_loop([12], Activation.TANH, hyper, seed=28)
                     for _ in range(2))
         schedule = TrainingSchedule(duration_per_target=100.0)
         with spy_pieces() as spy:

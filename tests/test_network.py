@@ -5,12 +5,13 @@ from the edge list with plain loops over the edges' weight blocks, so any
 vectorization slip in the library shows up as a mismatch.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from pchn import (Activation, ConstructionError, ContractViolationError,
-                  Hyperparams, IntegrationDivergenceError, build_loop,
-                  build_single_population, freeze)
+                  Hyperparams, IntegrationDivergenceError, build_loop, freeze)
 from pchn.checkpoint import load_weights, save_weights
 from pchn import checkpoint, network
 from pchn.network import Network, build_network
@@ -92,7 +93,7 @@ def _plain_step(net, x):
 
 class TestConstruction:
     def test_single_population_shapes(self):
-        net = build_single_population(10, Activation.TANH, _hyper(), seed=0)
+        net = build_loop([10], Activation.TANH, _hyper(), seed=0)
         assert net.total_units == 10
         assert net.edges == [(0, 0)]
         assert net.slices == [slice(0, 10)]
@@ -115,7 +116,7 @@ class TestConstruction:
         assert np.all(net.W[net.mask.T == 0.0] == 0.0)
 
     def test_init_scale_shrinks_with_size(self):
-        a = build_single_population(100, Activation.TANH, _hyper(), seed=3)
+        a = build_loop([100], Activation.TANH, _hyper(), seed=3)
         big = np.abs(a.M).max()
         assert big < 0.01
 
@@ -128,8 +129,8 @@ class TestConstruction:
         build = {"network": lambda **kw: build_network([3, 2], [(1, 0), (0, 1)],
                                                        Activation.TANH, _hyper(), **kw),
                  "loop": lambda **kw: build_loop([3, 2], Activation.TANH, _hyper(), **kw),
-                 "single": lambda **kw: build_single_population(5, Activation.TANH,
-                                                                _hyper(), **kw)}[builder]
+                 "single": lambda **kw: build_loop([5], Activation.TANH,
+                                                   _hyper(), **kw)}[builder]
         with pytest.raises(ConstructionError, match="init_scale"):
             build(init_scale=scale)
         net = build(init_scale=0.0)
@@ -137,8 +138,7 @@ class TestConstruction:
             np.testing.assert_array_equal(x, 0.0)
 
     def test_tied_weights_start_transposed(self):
-        net = build_single_population(8, Activation.TANH, _hyper(),
-                                      tie_weights=True, seed=4)
+        net = build_loop([8], Activation.TANH, _hyper(), tie_weights=True, seed=4)
         np.testing.assert_array_equal(net.W, net.M.T)
 
     def test_builder_draws_m_then_w_per_edge_in_edge_order(self):
@@ -193,14 +193,12 @@ class TestConstruction:
         self edge: M, then W (or M transposed), the diagonals assigned
         +0.0, never -0.0."""
         ring = build_loop([7], Activation.TANH, _hyper(), tie_weights=tied, seed=5)
-        for other in (build_single_population(7, Activation.TANH, _hyper(),
-                                              tie_weights=tied, seed=5),
-                      build_network([7], [(0, 0)], Activation.TANH, _hyper(),
-                                    tie_weights=tied, seed=5)):
-            assert ring.edges == other.edges == [(0, 0)]
-            for name in ("mask", "M", "W", "b"):
-                x, y = getattr(ring, name), getattr(other, name)
-                assert x.tobytes() == y.tobytes(), name
+        other = build_network([7], [(0, 0)], Activation.TANH, _hyper(),
+                              tie_weights=tied, seed=5)
+        assert ring.edges == other.edges == [(0, 0)]
+        for name in ("mask", "M", "W", "b"):
+            x, y = getattr(ring, name), getattr(other, name)
+            assert x.tobytes() == y.tobytes(), name
         rng = np.random.default_rng(5)
         std = 0.01 / np.sqrt(7)
         M = rng.normal(0.0, std, size=(7, 7))
@@ -245,7 +243,7 @@ class TestFastStep:
     @pytest.mark.parametrize("act", list(Activation))
     def test_matches_oracle_single(self, act):
         rng = np.random.default_rng(5)
-        net = build_single_population(9, act, _hyper(), seed=5)
+        net = build_loop([9], act, _hyper(), seed=5)
         for rows in net.slices:
             net.V[rows] = rng.normal(size=rows.stop - rows.start)
             net.E[rows] = rng.normal(size=rows.stop - rows.start)
@@ -269,7 +267,7 @@ class TestFastStep:
 
     def test_euler_step_applies_derivatives(self):
         rng = np.random.default_rng(7)
-        net = build_single_population(5, Activation.TANH, _hyper(), seed=7)
+        net = build_loop([5], Activation.TANH, _hyper(), seed=7)
         net.V[:] = rng.normal(size=5)
         net.E[:] = rng.normal(size=5)
         dv, de = rhs_oracle(net)
@@ -414,7 +412,7 @@ class TestFastStep:
 
     def test_clamped_values_pinned(self):
         rng = np.random.default_rng(8)
-        net = build_single_population(5, Activation.TANH, _hyper(), seed=8)
+        net = build_loop([5], Activation.TANH, _hyper(), seed=8)
         target = rng.normal(size=5)
         net.clamp_all(target)
         for _ in range(50):
@@ -427,7 +425,7 @@ class TestFastStep:
         """With algebraic errors, eps jumps straight to (v - mu)/zeta
         evaluated at the pre-update values."""
         rng = np.random.default_rng(9)
-        net = build_single_population(5, Activation.TANH, _hyper(zeta=2.0), seed=9)
+        net = build_loop([5], Activation.TANH, _hyper(zeta=2.0), seed=9)
         net.V[:] = rng.normal(size=5)
         v0 = net.V.copy()
         mu0 = net.predict(v0)
@@ -435,7 +433,7 @@ class TestFastStep:
         np.testing.assert_allclose(net.E, (v0 - mu0) / 2.0, atol=1e-12)
 
     def test_divergence_raises_with_step(self):
-        net = build_single_population(4, Activation.IDENTITY, _hyper(), seed=10)
+        net = build_loop([4], Activation.IDENTITY, _hyper(), seed=10)
         net.M[:] = 1e80
         net.W[:] = 1e80
         net.V[:] = 1e80
@@ -448,7 +446,7 @@ class TestFastStep:
 class TestSlowStep:
     def test_learning_increment_arithmetic(self):
         """One slow step must add exactly (dt/gamma) * outer products."""
-        net = build_single_population(4, Activation.TANH, _hyper(), seed=11)
+        net = build_loop([4], Activation.TANH, _hyper(), seed=11)
         rng = np.random.default_rng(11)
         net.V[:] = rng.normal(size=4)
         net.E[:] = rng.normal(size=4)
@@ -465,7 +463,7 @@ class TestSlowStep:
         np.testing.assert_allclose(net.b, b0 + scale * net.E, atol=1e-15)
 
     def test_self_connection_diagonal_stays_zero(self):
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=12)
+        net = build_loop([6], Activation.TANH, _hyper(), seed=12)
         rng = np.random.default_rng(12)
         net.V[:] = rng.normal(size=6)
         net.E[:] = rng.normal(size=6)
@@ -475,8 +473,7 @@ class TestSlowStep:
         np.testing.assert_array_equal(np.diag(net.W), 0.0)
 
     def test_tied_mode_keeps_transpose(self):
-        net = build_single_population(5, Activation.TANH, _hyper(),
-                                      tie_weights=True, seed=13)
+        net = build_loop([5], Activation.TANH, _hyper(), tie_weights=True, seed=13)
         rng = np.random.default_rng(13)
         net.V[:] = rng.normal(size=5)
         net.E[:] = rng.normal(size=5)
@@ -485,7 +482,7 @@ class TestSlowStep:
         np.testing.assert_array_equal(net.W, net.M.T)
 
     def test_frozen_rejects_slow_step(self):
-        net = build_single_population(3, Activation.TANH, _hyper(), seed=14)
+        net = build_loop([3], Activation.TANH, _hyper(), seed=14)
         freeze(net)
         with pytest.raises(ContractViolationError):
             net.step_slow()
@@ -494,7 +491,7 @@ class TestSlowStep:
     def test_errors_of_another_shape_refused(self, shape):
         """An errors vector that is not (T,) is refused before any
         weight moves; a (1,) one would broadcast into every row of M."""
-        net = build_single_population(4, Activation.TANH, _hyper(), seed=14)
+        net = build_loop([4], Activation.TANH, _hyper(), seed=14)
         net.V[:] = [0.1, -0.2, 0.3, -0.4]
         M, b = net.M.copy(), net.b.copy()
         with pytest.raises(ConstructionError, match=r"vector length"):
@@ -505,13 +502,12 @@ class TestSlowStep:
 class TestEnergy:
     def test_value_example(self):
         # E = sum_i (zeta/2) |eps_i|^2; zeta=1, eps=(3,4) -> 12.5
-        net = build_single_population(2, Activation.IDENTITY, _hyper(), seed=15)
+        net = build_loop([2], Activation.IDENTITY, _hyper(), seed=15)
         net.E[:] = [3.0, 4.0]
         assert net.energy() == 12.5
 
     def test_zeta_scales_energy(self):
-        net = build_single_population(2, Activation.IDENTITY, _hyper(zeta=3.0),
-                                      seed=16)
+        net = build_loop([2], Activation.IDENTITY, _hyper(zeta=3.0), seed=16)
         net.E[:] = [1.0, 1.0]
         assert net.energy() == 3.0
 
@@ -520,20 +516,19 @@ class TestEnergy:
         assert net.energy() == 0.0
 
     def test_given_errors(self):
-        net = build_single_population(2, Activation.IDENTITY, _hyper(zeta=2.0),
-                                      seed=16)
+        net = build_loop([2], Activation.IDENTITY, _hyper(zeta=2.0), seed=16)
         assert net.energy(np.array([1.0, 2.0])) == 5.0
 
     @pytest.mark.parametrize("shape", [(1,), (7,), (4, 1)])
     def test_errors_of_another_shape_refused(self, shape):
-        net = build_single_population(4, Activation.IDENTITY, _hyper(), seed=16)
+        net = build_loop([4], Activation.IDENTITY, _hyper(), seed=16)
         with pytest.raises(ConstructionError, match=r"vector length"):
             net.energy(np.ones(shape))
 
 
 class TestEquilibrium:
     def test_relaxation_reaches_small_residual(self):
-        net = build_single_population(10, Activation.TANH, _hyper(), seed=18)
+        net = build_loop([10], Activation.TANH, _hyper(), seed=18)
         rng = np.random.default_rng(18)
         net.V[:] = rng.normal(size=10)
         res = net.run_fast_to_equilibrium(1e-9, 200000)
@@ -545,7 +540,7 @@ class TestEquilibrium:
             np.testing.assert_allclose(arr, 0.0, atol=1e-8)
 
     def test_zero_step_budget_reports_current_residual(self):
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=19)
+        net = build_loop([6], Activation.TANH, _hyper(), seed=19)
         rng = np.random.default_rng(19)
         net.V[:] = rng.normal(size=6)
         res = net.run_fast_to_equilibrium(1e-12, 0)
@@ -557,7 +552,7 @@ class TestEquilibrium:
     def test_negative_step_budget_refused(self, max_steps):
         """A negative budget is refused before a step: it would report
         negative step counts and move steps_taken backwards."""
-        net = build_single_population(3, Activation.TANH, _hyper(), seed=19)
+        net = build_loop([3], Activation.TANH, _hyper(), seed=19)
         s = np.zeros((2, 3, 3))
         s[1] = np.random.default_rng(19).normal(size=(3, 3))
         before = s.copy()
@@ -565,6 +560,33 @@ class TestEquilibrium:
             net.relax(s, 1e-12, max_steps)
         assert s.tobytes() == before.tobytes()
         assert net.steps_taken == 0
+
+    @pytest.mark.parametrize("tol, max_steps, message", [
+        (np.nan, 5, "tol=nan is not >= 0"), (-1e-8, 5, "tol=-1e-08 is not >= 0"),
+        (1e-12, 2.5, "max_steps=2.5 is not an integer"),
+        (1e-12, "5", "max_steps='5' is not an integer")])
+    def test_bad_tol_or_step_budget_refused(self, tol, max_steps, message):
+        """A NaN tol, under which no run would ever settle, a negative
+        tol and a budget that is not an integer are refused before a
+        step, not run to the end of the budget or left to range."""
+        net = build_loop([3], Activation.TANH, _hyper(), seed=19)
+        s = np.zeros((2, 3, 3))
+        s[1] = np.random.default_rng(19).normal(size=(3, 3))
+        before = s.copy()
+        with pytest.raises(ConstructionError, match=re.escape(message)):
+            net.relax(s, tol, max_steps)
+        assert s.tobytes() == before.tobytes()
+        assert net.steps_taken == 0
+
+    def test_zero_tol_and_integer_budget_types_accepted(self):
+        """tol = 0, which settles no run early, is a valid tolerance, and
+        a numpy integer is a valid budget."""
+        net = build_loop([3], Activation.TANH, _hyper(), seed=19)
+        s = np.zeros((2, 2, 3))
+        s[1] = np.random.default_rng(19).normal(size=(2, 3))
+        res = net.relax(s, 0.0, np.int64(7))
+        assert res.steps.tolist() == [7, 7]
+        assert not res.converged.any()
 
     def test_empty_batch_relaxes_to_an_empty_result(self):
         net = build_loop([4, 3], Activation.TANH, _hyper(), seed=19)
@@ -778,7 +800,7 @@ class TestEquilibrium:
             assert getattr(res, field).tobytes() == getattr(expected, field).tobytes()
 
     def test_residual_ignores_clamped_value_rows(self):
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=20)
+        net = build_loop([6], Activation.TANH, _hyper(), seed=20)
         rng = np.random.default_rng(20)
         target = rng.normal(size=6)
         net.clamp_all(target)
@@ -796,8 +818,8 @@ class TestRestrictedEnergyDescent:
         fast step must not raise the energy (up to integrator slack)."""
         rng = np.random.default_rng(21)
         for trial in range(20):
-            net = build_single_population(
-                12, Activation.TANH, _hyper(dt=0.002),
+            net = build_loop(
+                [12], Activation.TANH, _hyper(dt=0.002),
                 tie_weights=True, seed=100 + trial)
             freeze(net)
             net.V[:] = rng.normal(size=12)
@@ -914,29 +936,29 @@ class TestCheckpoint:
                                                         "-4.9406564584124654e-324"]
 
     def test_same_weights_same_bytes(self, tmp_path):
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=26)
+        net = build_loop([6], Activation.TANH, _hyper(), seed=26)
         p1, p2 = tmp_path / "a.pchn", tmp_path / "b.pchn"
         save_weights(net, str(p1))
         save_weights(net, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_architecture_mismatch_rejected(self, tmp_path):
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=27)
+        net = build_loop([6], Activation.TANH, _hyper(), seed=27)
         path = tmp_path / "net.pchn"
         save_weights(net, str(path))
-        other = build_single_population(7, Activation.TANH, _hyper(), seed=27)
+        other = build_loop([7], Activation.TANH, _hyper(), seed=27)
         with pytest.raises(ConstructionError):
             load_weights(other, str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
-        net = build_single_population(3, Activation.TANH, _hyper(), seed=28)
+        net = build_loop([3], Activation.TANH, _hyper(), seed=28)
         path = tmp_path / "bad.pchn"
         path.write_text("NOPE v9\n")
         with pytest.raises(ConstructionError):
             load_weights(net, str(path))
 
     def test_trailing_garbage_rejected(self, tmp_path):
-        net = build_single_population(3, Activation.TANH, _hyper(), seed=29)
+        net = build_loop([3], Activation.TANH, _hyper(), seed=29)
         path = tmp_path / "net.pchn"
         save_weights(net, str(path))
         path.write_text(path.read_text() + "1.0 2.0\n")
@@ -1004,7 +1026,7 @@ class TestCheckpoint:
         """A Single100 checkpoint with M[0, 0] or W[0, 0], the first row
         of its block after the conn line, edited to 0.5 would let a unit
         predict itself: it is refused before any weight is written."""
-        net = build_single_population(100, Activation.RELU, _hyper(), seed=34)
+        net = build_loop([100], Activation.RELU, _hyper(), seed=34)
         path = tmp_path / "net.pchn"
         save_weights(net, str(path))
         lines = path.read_text().splitlines()
@@ -1014,7 +1036,7 @@ class TestCheckpoint:
         cells[0] = "0.5"
         lines[at] = " ".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        other = build_single_population(100, Activation.RELU, _hyper(), seed=35)
+        other = build_loop([100], Activation.RELU, _hyper(), seed=35)
         before = self._weights(other)
         with pytest.raises(ConstructionError, match="outside the edge mask"):
             load_weights(other, str(path))
@@ -1085,8 +1107,8 @@ class TestCheckpoint:
         W = ["0 -0.25", "0.5 0"] if tied else ["0 0.125", "1.5 0"]
         path.write_text("\n".join(["PCHN v1", "conn 0 0 2 2", "0 0.5", "-0.25 0", *W,
                                    "0.75 -2"]) + "\n")
-        net = build_single_population(2, Activation.RELU, _hyper(), tie_weights=True,
-                                      seed=33)
+        net = build_loop([2], Activation.RELU, _hyper(), tie_weights=True,
+                         seed=33)
         if tied:
             load_weights(net, str(path))
             np.testing.assert_array_equal(net.W, net.M.T)
@@ -1108,7 +1130,7 @@ class TestCheckpoint:
                         "0 0.125\n"
                         "1.5 0\n"
                         "0.75 -2\n")
-        net = build_single_population(2, Activation.RELU, _hyper(), seed=33)
+        net = build_loop([2], Activation.RELU, _hyper(), seed=33)
         load_weights(net, str(path))
         np.testing.assert_array_equal(net.M, [[0.0, 0.5], [-0.25, 0.0]])
         np.testing.assert_array_equal(net.W, [[0.0, 0.125], [1.5, 0.0]])

@@ -5,8 +5,8 @@ import pytest
 
 from pchn import (Activation, ConstructionError, Hyperparams,
                   IntegrationDivergenceError, NonDifferentiableStateError,
-                  NotAnEquilibriumError, TrainingSchedule, build_loop,
-                  build_single_population, freeze, gen_targets, train)
+                  NotAnEquilibriumError, TrainingSchedule, build_loop, freeze,
+                  gen_targets, train)
 from pchn import stability
 from pchn.stability import (SpectrumReport, _newton_polish, _probe,
                             analyze_equilibrium, classify_spectrum,
@@ -30,19 +30,19 @@ class TestJacobianAnalytic:
     def test_single_linear_unit_block_matrix(self):
         """One identity unit with zero weights: d(eps)/dt = v - eps,
         dv/dt = -eps, so the Jacobian is [[-1, 1], [-1, 0]]."""
-        net = build_single_population(1, Activation.IDENTITY, _hyper(), seed=0)
+        net = build_loop([1], Activation.IDENTITY, _hyper(), seed=0)
         freeze(net)
         J = jacobian_analytic(net, np.array([0.3, -0.7]))
         np.testing.assert_allclose(J, [[-1.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_state_of_the_wrong_length_refused(self):
-        net = freeze(build_single_population(3, Activation.TANH, _hyper(), seed=0))
+        net = freeze(build_loop([3], Activation.TANH, _hyper(), seed=0))
         with pytest.raises(ConstructionError, match=r"state length \(7,\) != \(6,\)"):
             jacobian_analytic(net, np.zeros(7))
 
     def test_time_constants_scale_rows(self):
         h = Hyperparams(tau=0.5, gamma=100.0, zeta=1.0, dt=0.005)
-        net = build_single_population(1, Activation.IDENTITY, h, seed=0)
+        net = build_loop([1], Activation.IDENTITY, h, seed=0)
         freeze(net)
         J = jacobian_analytic(net, np.array([0.0, 0.0]))
         np.testing.assert_allclose(J, [[-2.0, 2.0], [-2.0, 0.0]], atol=1e-15)
@@ -50,7 +50,7 @@ class TestJacobianAnalytic:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_fd_tanh(self, seed):
         """Acceptance-grade agreement: entrywise < 1e-5 at h=1e-5."""
-        net = build_single_population(7, Activation.TANH, _hyper(), seed=seed)
+        net = build_loop([7], Activation.TANH, _hyper(), seed=seed)
         freeze(net)
         s = _random_state(net, 100 + seed)
         J = jacobian_analytic(net, s)
@@ -76,7 +76,7 @@ class TestJacobianAnalytic:
 
     def test_directional_derivative(self):
         """J w must match the directional difference quotient of the RHS."""
-        net = build_single_population(8, Activation.TANH, _hyper(), seed=5)
+        net = build_loop([8], Activation.TANH, _hyper(), seed=5)
         freeze(net)
         rng = np.random.default_rng(55)
         s = rng.normal(size=16)
@@ -87,19 +87,19 @@ class TestJacobianAnalytic:
         np.testing.assert_allclose(jacobian_analytic(net, s) @ w, fd, atol=1e-6)
 
     def test_relu_kink_rejected(self):
-        net = build_single_population(3, Activation.RELU, _hyper(), seed=6)
+        net = build_loop([3], Activation.RELU, _hyper(), seed=6)
         freeze(net)
         s = np.array([0.1, 0.2, 0.3, 0.5, 0.0, 0.4])  # one value at the kink
         with pytest.raises(NonDifferentiableStateError):
             jacobian_analytic(net, s)
 
     def test_requires_frozen_weights(self):
-        net = build_single_population(3, Activation.TANH, _hyper(), seed=7)
+        net = build_loop([3], Activation.TANH, _hyper(), seed=7)
         with pytest.raises(RuntimeError):
             jacobian_analytic(net, np.zeros(6))
 
     def test_fd_step_bounds(self):
-        net = build_single_population(3, Activation.TANH, _hyper(), seed=8)
+        net = build_loop([3], Activation.TANH, _hyper(), seed=8)
         freeze(net)
         with pytest.raises(ValueError):
             jacobian_fd(net, np.zeros(6), h=1e-2)
@@ -141,7 +141,7 @@ class TestClassifySpectrum:
 
     def test_conjugate_pairs_survive_sorting(self):
         rng = np.random.default_rng(9)
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=9)
+        net = build_loop([6], Activation.TANH, _hyper(), seed=9)
         freeze(net)
         J = jacobian_analytic(net, _random_state(net, 90))
         eigs = np.linalg.eigvals(J)
@@ -167,7 +167,7 @@ class TestSpectrumCsv:
 
 class TestAnalyzeEquilibrium:
     def test_small_net_reaches_machine_residual(self):
-        net = build_single_population(10, Activation.TANH, _hyper(), seed=10)
+        net = build_loop([10], Activation.TANH, _hyper(), seed=10)
         freeze(net)
         rng = np.random.default_rng(101)
         [rep] = analyze_equilibrium(net, rng.normal(size=(1, 10)), tol=1e-10)
@@ -175,7 +175,7 @@ class TestAnalyzeEquilibrium:
         assert len(rep.eigenvalues) == 2 * net.total_units
 
     def test_report_carries_distance_to_target(self):
-        net = build_single_population(10, Activation.TANH, _hyper(), seed=11)
+        net = build_loop([10], Activation.TANH, _hyper(), seed=11)
         freeze(net)
         rng = np.random.default_rng(111)
         target = rng.normal(size=10)
@@ -189,8 +189,8 @@ class TestAnalyzeEquilibrium:
         its residual.  tol = 1e-300 admits only an exact root, which the
         probes reach on a small-weight net; unit-scale weights and a
         random bias keep them off it."""
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=12,
-                                      init_scale=1.0)
+        net = build_loop([6], Activation.TANH, _hyper(), seed=12,
+                         init_scale=1.0)
         net.b[:] = np.random.default_rng(0).normal(size=6)
         freeze(net)
         rng = np.random.default_rng(121)
@@ -202,7 +202,7 @@ class TestAnalyzeEquilibrium:
     def test_stable_equilibrium_attracts_nearby_states(self):
         """all_stable must predict actual attraction: a small kick decays
         back toward the equilibrium under simulation."""
-        net = build_single_population(8, Activation.TANH, _hyper(), seed=13)
+        net = build_loop([8], Activation.TANH, _hyper(), seed=13)
         freeze(net)
         rng = np.random.default_rng(131)
         [rep] = analyze_equilibrium(net, rng.normal(size=(1, 8)), tol=1e-10)
@@ -218,7 +218,7 @@ class TestAnalyzeEquilibrium:
         assert d1 < 0.5 * d0
 
     def test_single_pattern_refused(self):
-        net = freeze(build_single_population(4, Activation.TANH, _hyper(), seed=14))
+        net = freeze(build_loop([4], Activation.TANH, _hyper(), seed=14))
         with pytest.raises(ConstructionError):
             analyze_equilibrium(net, np.zeros(4))
 
@@ -230,7 +230,7 @@ class TestAnalyzeEquilibrium:
         unclamped, and the clamp arrays stay as they were."""
         targets = gen_targets("binary", 3, 8, seed=16)
         if clamp == "all":
-            net = build_single_population(8, Activation.TANH, _hyper(), seed=16)
+            net = build_loop([8], Activation.TANH, _hyper(), seed=16)
         else:
             net = build_loop([5, 3], Activation.TANH, _hyper(), seed=16)
         train(net, targets, TrainingSchedule(duration_per_target=5.0, epochs=4), seed=17)
@@ -261,8 +261,8 @@ class TestAnalyzeEquilibrium:
         max_steps, 2 max_steps, ..., 128 max_steps, all targets in one
         batch, and ends with the NotAnEquilibriumError carrying the
         residual of its last relaxation."""
-        net = build_single_population(6, Activation.TANH, _hyper(), seed=12,
-                                      init_scale=1.0)
+        net = build_loop([6], Activation.TANH, _hyper(), seed=12,
+                         init_scale=1.0)
         net.b[:] = np.random.default_rng(0).normal(size=6)
         freeze(net)
         monkeypatch.setattr(stability, "_probe", lambda *a: None)
@@ -284,21 +284,55 @@ class TestAnalyzeEquilibrium:
 
     @pytest.mark.parametrize("max_steps", [-1, -3])
     def test_negative_step_budget_refused(self, max_steps):
-        net = freeze(build_single_population(4, Activation.TANH, _hyper(), seed=14))
+        net = freeze(build_loop([4], Activation.TANH, _hyper(), seed=14))
         with pytest.raises(ConstructionError, match="max_steps=.* is negative"):
             analyze_equilibrium(net, np.zeros((1, 4)), max_steps=max_steps)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_step_budget_that_is_not_an_integer_refused(self, n):
+        """relax refuses the budget in the first round, before a step,
+        also when there is no target to relax."""
+        net = freeze(build_loop([4], Activation.TANH, _hyper(), seed=14))
+        with pytest.raises(ConstructionError, match="max_steps=2.5 is not an integer"):
+            analyze_equilibrium(net, np.zeros((n, 4)), max_steps=2.5)
+        assert net.steps_taken == 0
+
+    def test_kink_reached_by_the_flow_is_the_outcome(self, monkeypatch):
+        """A relu ring with zero weights relaxes every value to 0, the
+        kink.  The first round's Newton probe steps onto it and is
+        dropped; the flow then settles there, and the report of the
+        settled state raises NonDifferentiableStateError, which becomes
+        the target's outcome."""
+        net = freeze(build_loop([4], Activation.RELU, _hyper(), init_scale=0.0))
+        probes, reports = [], []
+        probe, report = stability._probe, stability._report
+
+        def spy_probe(*args):
+            probes.append(probe(*args))
+            return probes[-1]
+
+        def spy_report(net, s, residual, target):
+            reports.append(residual)
+            return report(net, s, residual, target)
+
+        monkeypatch.setattr(stability, "_probe", spy_probe)
+        monkeypatch.setattr(stability, "_report", spy_report)
+        [got] = analyze_equilibrium(net, np.array([[1.0, -2.0, 0.5, 3.0]]))
+        assert isinstance(got, NonDifferentiableStateError)
+        assert probes == [None]
+        assert len(reports) == 1 and reports[0] < 1e-8
 
     def test_zero_step_budget_still_resolves(self):
         """max_steps = 0 relaxes for no step in the first round and for
         1, 2, 4, ... steps after; the probes still find the equilibrium."""
-        net = freeze(build_single_population(10, Activation.TANH, _hyper(), seed=10))
+        net = freeze(build_loop([10], Activation.TANH, _hyper(), seed=10))
         targets = np.random.default_rng(101).normal(size=(1, 10))
         [rep] = analyze_equilibrium(net, targets, tol=1e-10, max_steps=0)
         assert rep.residual < 1e-10
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
     def test_tol_that_is_not_positive_refused(self, tol):
-        net = freeze(build_single_population(4, Activation.TANH, _hyper(), seed=14))
+        net = freeze(build_loop([4], Activation.TANH, _hyper(), seed=14))
         with pytest.raises(ConstructionError, match="tol must be positive"):
             analyze_equilibrium(net, np.zeros((1, 4)), tol, max_steps=10)
 
@@ -313,7 +347,7 @@ class TestAnalyzeEquilibrium:
         settle at v = b = -1.  In one batch the diverging target gets its
         IntegrationDivergenceError and the others the reports they get
         when analyzed one at a time."""
-        net = build_single_population(4, Activation.RELU, _hyper(), seed=0)
+        net = build_loop([4], Activation.RELU, _hyper(), seed=0)
         M = np.full((4, 4), 10.0)
         np.fill_diagonal(M, 0.0)
         net.M[:], net.W[:] = M, -M
@@ -341,7 +375,7 @@ def _polish_net(name):
     population, a trained tanh loop, or an identity net with a bias."""
     if name == "relu_single":
         targets = gen_targets("real", 3, 20, seed=1)
-        net = build_single_population(20, Activation.RELU, _hyper(zeta=0.25), seed=2)
+        net = build_loop([20], Activation.RELU, _hyper(zeta=0.25), seed=2)
         train(net, targets, TrainingSchedule(duration_per_target=5.0, epochs=16), seed=3)
         return freeze(net), targets.patterns
     if name == "tanh_loop":
@@ -349,7 +383,7 @@ def _polish_net(name):
         net = build_loop([8, 6, 4], Activation.TANH, _hyper(), seed=5)
         train(net, targets, TrainingSchedule(duration_per_target=2.0, epochs=16), seed=6)
         return freeze(net), targets.patterns
-    net = build_single_population(10, Activation.IDENTITY, _hyper(), seed=7, init_scale=0.5)
+    net = build_loop([10], Activation.IDENTITY, _hyper(), seed=7, init_scale=0.5)
     net.b[:] = np.random.default_rng(9).normal(size=10)
     return freeze(net), np.random.default_rng(8).normal(size=(3, 10))
 
@@ -382,18 +416,30 @@ class TestNewtonPolish:
     def test_relu_kink_drops_the_probe(self):
         """A value on the ReLU kink refuses the reduced Jacobian, so the
         polish raises and the probe is dropped."""
-        net = freeze(build_single_population(3, Activation.RELU, _hyper(), seed=6))
+        net = freeze(build_loop([3], Activation.RELU, _hyper(), seed=6))
         s = np.array([0.1, 0.2, 0.3, 0.5, 0.0, 0.4])
         with pytest.raises(NonDifferentiableStateError):
             _newton_polish(net, s, 1e-8)
         assert _probe(net, s, 1e-8, np.zeros(3)) is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_iterate_returns_the_start(self, monkeypatch):
+        """A Newton step that sends the iterate to infinity ends the
+        polish at its start state and that state's residual, and the
+        overflow on the way warns no more than a relax step does."""
+        net = freeze(build_loop([3], Activation.TANH, _hyper(), seed=6))
+        s = np.array([0.1, 0.2, 0.3, 0.5, -0.4, 0.4])
+        monkeypatch.setattr(np.linalg, "solve", lambda J, G: np.full_like(G, np.inf))
+        x, res = _newton_polish(net, s, 1e-8)
+        assert x is s
+        assert res == np.max(np.abs(net.fast_rhs_flat(s)))
 
     def test_singular_jacobian_takes_a_least_squares_step(self):
         """Two identity units that predict each other with unit weights
         have a line of equilibria, v0 - v1 = b0, and a reduced Jacobian
         -(I - M)^2 that is exactly singular, so it has no Newton step;
         the least-squares step still reaches that line."""
-        net = build_single_population(2, Activation.IDENTITY, _hyper(), seed=0)
+        net = build_loop([2], Activation.IDENTITY, _hyper(), seed=0)
         net.M[:] = net.W[:] = [[0.0, 1.0], [1.0, 0.0]]
         net.b[:] = [0.5, -0.5]
         freeze(net)
