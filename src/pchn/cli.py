@@ -45,7 +45,7 @@ from .experiments import (FLIP_BITS, HAMMING, PERTURB_STD, absorption_summary,
 from .fileio import atomic_write_text
 from .hopfield import hebbian_store, recall
 from .learning import SEQUENTIAL, TrainingSchedule, freeze, train
-from .network import MAX_STEPS, Hyperparams, build_loop
+from .network import MAX_STEPS, Hyperparams, _steps_of, build_loop
 from .stability import analyze_equilibrium, spectrum_to_csv
 
 BINARY_KIND = "BinarySign"
@@ -207,9 +207,11 @@ class RunConfig:
         except ConstructionError as e:
             raise ConfigError(str(e)) from None
         for key in ("duration_per_target", "horizon", "sample_every"):
-            if getattr(self, key) / self.dt > MAX_STEPS:
+            try:
+                _steps_of(key, getattr(self, key), self.dt)
+            except ConstructionError:
                 raise ConfigError(f"{key}: {self.raw[key]} is more than {MAX_STEPS} steps "
-                                  f"of dt = {self.raw['dt']}")
+                                  f"of dt = {self.raw['dt']}") from None
         if self.flip_bits > self.total_units:
             raise ConfigError(f"flip_bits must lie in [0, {self.total_units}]")
 

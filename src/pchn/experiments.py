@@ -194,16 +194,19 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     if starts.ndim != 2 or starts.shape[1] != net.total_units:
         raise ConstructionError(
             f"starts must be (runs, {net.total_units}), got {starts.shape}")
+    n_runs = starts.shape[0]
+    metric = metric_for(targets.kind)
     dt = net.hyper.dt
     steps = _steps_of("horizon", horizon, dt)
     stride = _steps_of("sample_every", sample_every, dt)
-    n_runs = starts.shape[0]
-    metric = metric_for(targets.kind)
-    sampled = np.append(np.arange(0, steps, stride), steps)
+    sampled = np.arange(0, steps + 1, stride)
+    if sampled[-1] != steps:
+        sampled = np.append(sampled, steps)
 
     # a (2, runs, T) batch of rows: errors, then values
     T = net.total_units
-    S = np.stack((np.zeros_like(starts), starts))
+    S = np.zeros((2, n_runs, T))
+    S[1] = starts
     chunk = np.empty((SAMPLE_CHUNK, n_runs, T))
     work = np.empty((targets.n, SAMPLE_CHUNK * n_runs, T))
     trace = Trace(metric, sampled * dt,

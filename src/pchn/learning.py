@@ -125,7 +125,8 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
             if schedule.target_order == SHUFFLED:
                 order = rng.permutation(len(pats))
             for tid in map(int, order):
-                net.clamp_all(pats[tid])
+                target = pats[tid]
+                net.clamp_all(target)
                 if schedule.reset_fast_state:
                     net.E[:] = 0.0
                 residual = net.V - net.predict(net.V)

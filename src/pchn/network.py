@@ -80,11 +80,14 @@ class Hyperparams:
 def _steps_of(name, duration, dt):
     """The Euler steps of dt nearest to duration, at least one; a duration
     not positive and finite, or past MAX_STEPS steps, raises ConstructionError."""
-    steps = max(1, int(round(duration / dt))) if 0.0 < duration < math.inf else 0
-    if not 0 < steps <= MAX_STEPS:
+    with np.errstate(over="ignore"):
+        x = duration / dt
+    # NaN, inf and an overflowed ratio fail the test; MAX_STEPS + 0.5
+    # rounds to the even MAX_STEPS
+    if not 0.0 < x <= MAX_STEPS + 0.5:
         raise ConstructionError(f"{name}: {duration} is not a positive, finite duration "
                                 f"of at most MAX_STEPS = {MAX_STEPS} steps of dt = {dt}")
-    return steps
+    return max(1, int(round(x)))
 
 
 def _vector(x, n):

@@ -205,7 +205,8 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     if targets.ndim != 2 or targets.shape[1] != T:
         raise ConstructionError(f"targets {targets.shape} are not (n, {T})")
     n = targets.shape[0]
-    S = np.stack((np.zeros_like(targets), targets))
+    S = np.zeros((2, n, T))
+    S[1] = targets
     out, taken = [None] * n, np.zeros(n, dtype=int)
     pending, steps = np.arange(n), max_steps
     # rounds relax for max_steps, then for max(1, max_steps) * 2^i steps,

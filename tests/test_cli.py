@@ -251,13 +251,16 @@ class TestTrain:
     def test_step_count_past_the_cap_rejected(self, tmp_path, capsys, command, key):
         """A finite duration of more than MAX_STEPS Euler steps at dt is
         refused with exit code 2 before anything is written; one of
-        exactly MAX_STEPS steps resolves."""
+        exactly MAX_STEPS steps resolves, and so does one that the library
+        rounds to MAX_STEPS steps."""
         argv = [command, "--out", str(tmp_path / "x")] + FAST + [f"--{key}", "1e300"]
         assert main(argv) == 2
         assert f"error: {key}: 1e300 is more than {MAX_STEPS} steps" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
         at_cap = {"dt": "0.25", key: repr(MAX_STEPS * 0.25)}
         assert getattr(resolve_config({}, at_cap), key) == MAX_STEPS * 0.25
+        rounds_to_cap = dict(at_cap, **{key: repr(MAX_STEPS * 0.25 + 0.1)})
+        assert getattr(resolve_config({}, rounds_to_cap), key) == MAX_STEPS * 0.25 + 0.1
         with pytest.raises(ConfigError, match=f"{key}: .* is more than"):
             resolve_config({}, dict(at_cap, **{key: repr(MAX_STEPS * 0.25 * 1.01)}))
 

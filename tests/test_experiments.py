@@ -241,18 +241,19 @@ class TestRelaxationStudy:
         with pytest.raises(ConstructionError, match=name):
             relaxation_study(net, ts, ts.patterns, **{name: bad})
 
-    @pytest.mark.parametrize("name", ["horizon", "sample_every"])
-    def test_rejects_a_horizon_or_sample_every_past_the_step_cap(self, name):
-        """A horizon of 1e300 and samples MAX_STEPS + 1 steps of dt apart
-        are refused before any step, not left to np.arange or run for
-        hours."""
+    @pytest.mark.parametrize("name, past_cap", [
+        ("horizon", {"horizon": 1e300}),
+        ("horizon", {"horizon": 1e307}),
+        ("sample_every", {"horizon": 0.1, "sample_every": (MAX_STEPS + 1) * 0.005})])
+    def test_rejects_a_horizon_or_sample_every_past_the_step_cap(self, name, past_cap):
+        """A horizon of 1e300, one of 1e307 (whose ratio to dt overflows)
+        and samples MAX_STEPS + 1 steps of dt apart are refused before any
+        step, not left to np.arange or run for hours."""
         net = _tiny_net()
+        assert net.hyper.dt == 0.005
         ts = gen_targets("binary", 2, 12, seed=25)
-        past_cap = {"horizon": {"horizon": 1e300},
-                    "sample_every": {"horizon": 0.1,
-                                     "sample_every": (MAX_STEPS + 1) * net.hyper.dt}}
         with pytest.raises(ConstructionError, match=f"{name}: .* at most MAX_STEPS"):
-            relaxation_study(net, ts, ts.patterns, **past_cap[name])
+            relaxation_study(net, ts, ts.patterns, **past_cap)
 
     def test_columns_follow_step_fast(self):
         """Each batch column is the trajectory step_fast integrates from

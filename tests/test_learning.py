@@ -235,12 +235,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(net, targets.patterns, TrainingSchedule(), seed=0)
 
-    def test_clamp_past_the_step_cap_refused(self):
-        """A clamp of MAX_STEPS + 1 steps of dt is refused before any
-        weight or state moves."""
+    @pytest.mark.parametrize("duration", [(MAX_STEPS + 1) * 0.005, 1e307])
+    def test_clamp_past_the_step_cap_refused(self, duration):
+        """A clamp of MAX_STEPS + 1 steps of dt, or of 1e307 s (whose ratio
+        to dt overflows), is refused before any weight or state moves."""
         net = build_loop([6], Activation.TANH, _hyper(), seed=19)
+        assert net.hyper.dt == 0.005
         before = [x.copy() for x in (net.M, net.W, net.b, net.s)]
-        schedule = TrainingSchedule(duration_per_target=(MAX_STEPS + 1) * net.hyper.dt)
+        schedule = TrainingSchedule(duration_per_target=duration)
         with pytest.raises(ConstructionError, match="duration_per_target: .* at most "
                                                     f"MAX_STEPS = {MAX_STEPS} steps"):
             train(net, gen_targets("binary", 2, 6, seed=19).patterns, schedule)

@@ -6,6 +6,7 @@ vectorization slip in the library shows up as a mismatch.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -904,6 +905,32 @@ class TestPastLimit:
         self._check(rows, [False, False, True, False])
         rows[2, 1] = self.LIMIT
         self._check(rows, [False] * 4)
+
+
+class TestStepsOf:
+    """network._steps_of, the one rounding of a duration to Euler steps
+    that train, relaxation_study and the CLI share."""
+
+    CAP = network.MAX_STEPS
+
+    @pytest.mark.parametrize("duration, dt, steps", [
+        (1.0, 0.25, 4), (1e-9, 0.005, 1), (1.1, 0.25, 4), (0.9, 0.25, 4),
+        ((network.MAX_STEPS + 0.5) * 0.25, 0.25, network.MAX_STEPS)])
+    def test_nearest_step_count_at_least_one(self, duration, dt, steps):
+        assert network._steps_of("d", duration, dt) == steps
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, np.nan, np.inf, -np.inf,
+                                          (network.MAX_STEPS + 0.75) * 0.25,
+                                          1e307, np.float64(1e307)])
+    def test_refused_with_construction_error(self, duration):
+        """At dt = 0.25 a ratio past MAX_STEPS + 0.5 rounds past the cap;
+        1e307 / 0.005 overflows to inf, without a warning or a bare
+        OverflowError."""
+        dt = 0.005 if duration == 1e307 else 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError, match=f"d: .* at most MAX_STEPS = {self.CAP}"):
+                network._steps_of("d", duration, dt)
 
 
 class TestCheckpoint:
