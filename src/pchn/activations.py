@@ -30,8 +30,7 @@ class Activation(Enum):
     def in_place(self, out):
         """(sigma, gain), the integrator's form of the activation: sigma(x)
         writes sigma(x) into out; gain(), with out holding sigma(x), turns
-        it into sigma'(x) in place.  Both return out.  gain is None for
-        the identity, whose sigma' is 1."""
+        it into sigma'(x) in place.  Both return out."""
         if self is Activation.RELU:
             # convention: derivative at the kink itself is 0, as the sign
             # of max(x, 0) has it
@@ -41,7 +40,7 @@ class Activation(Enum):
         if self is Activation.TANH:
             return ((lambda x: np.tanh(x, out)),
                     (lambda: np.subtract(1.0, np.multiply(out, out, out), out)))
-        return (lambda x: np.copyto(out, x) or out), None
+        return (lambda x: np.copyto(out, x) or out), (lambda: out.fill(1.0) or out)
 
     def apply(self, x):
         """sigma(x)."""
@@ -53,7 +52,7 @@ class Activation(Enum):
         x = np.asarray(x, dtype=float)
         sigma, gain = self.in_place(np.empty_like(x))
         sigma(x)
-        return np.ones_like(x) if gain is None else gain()
+        return gain()
 
     def second_derivative(self, x):
         x = np.asarray(x, dtype=float)

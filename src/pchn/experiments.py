@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, ContractViolationError
-from .network import _past_limit, _steps_of
+from .hopfield import _check_pm1
+from .network import _past_limit, _rows, _steps_of
 
 BINARY = "binary"
 REAL = "real"
@@ -94,9 +95,7 @@ def perturb_gaussian(x, sigma: float, seed=0):
 
 def perturb_flip(x, k: int, seed=0):
     """Flip the sign of exactly k distinct positions of the +-1 vector x."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.abs(x) == 1.0):
-        raise ConstructionError("flip perturbation needs a +-1 vector")
+    x = _check_pm1(x, "a flipped vector")
     if not 0 <= k <= x.size:
         raise ConstructionError(f"k={k} outside [0, {x.size}]")
     out = x.copy()
@@ -185,16 +184,16 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
 
     A run that goes non-finite (or past DIVERGENCE_LIMIT) ends at that
     sample, flagged as diverged and carrying its last finite distances;
-    the rest of the batch keeps going.  A horizon or a sample_every of
-    more than MAX_STEPS steps raises ConstructionError before a step.
+    the rest of the batch keeps going.  Starts or target patterns that
+    are not (rows, T) arrays, and a horizon or a sample_every of more
+    than MAX_STEPS steps, raise ConstructionError before a step.
     """
     if not net.weights_frozen:
         raise ContractViolationError("freeze the network before running studies")
-    starts = np.asarray(starts, dtype=float)
-    if starts.ndim != 2 or starts.shape[1] != net.total_units:
-        raise ConstructionError(
-            f"starts must be (runs, {net.total_units}), got {starts.shape}")
-    n_runs = starts.shape[0]
+    T = net.total_units
+    starts = _rows(starts, T, "starts")
+    patterns = _rows(targets.patterns, T, "targets")
+    n_runs, n_targets = len(starts), len(patterns)
     metric = metric_for(targets.kind)
     dt = net.hyper.dt
     steps = _steps_of("horizon", horizon, dt)
@@ -204,13 +203,12 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
         sampled = np.append(sampled, steps)
 
     # a (2, runs, T) batch of rows: errors, then values
-    T = net.total_units
     S = np.zeros((2, n_runs, T))
     S[1] = starts
     chunk = np.empty((SAMPLE_CHUNK, n_runs, T))
-    work = np.empty((targets.n, SAMPLE_CHUNK * n_runs, T))
+    work = np.empty((n_targets, SAMPLE_CHUNK * n_runs, T))
     trace = Trace(metric, sampled * dt,
-                  np.zeros((n_runs, sampled.size, targets.n)),
+                  np.zeros((n_runs, sampled.size, n_targets)),
                   np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
 
     step, first = net.kernel(S).euler, 0
@@ -228,8 +226,8 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
             bad = _past_limit(values).reshape(m, n_runs) & ~trace.diverged
             ends = np.where(bad.any(axis=0), bad.argmax(axis=0), m)
             kept = (np.arange(m) < ends[:, None]) & ~trace.diverged[:, None]
-            D = _chunk_distances(values, targets.patterns, metric, work)
-            np.copyto(trace.dist[:, first:i + 1], D.reshape(targets.n, m, n_runs).T,
+            D = _chunk_distances(values, patterns, metric, work)
+            np.copyto(trace.dist[:, first:i + 1], D.reshape(n_targets, m, n_runs).T,
                       where=kept[:, :, None])
             for r in np.flatnonzero(ends < m).tolist():
                 at = first + int(ends[r])

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (ConstructionError, ContractViolationError,
                      IntegrationDivergenceError)
-from .network import DIVERGENCE_LIMIT, _past_limit, _steps_of
+from .network import DIVERGENCE_LIMIT, _past_limit, _rows, _steps_of
 
 SEQUENTIAL = "sequential"
 SHUFFLED = "shuffled"
@@ -89,16 +89,6 @@ class TrainingReport:
         return "\n".join(lines) + "\n"
 
 
-def _patterns_array(targets, total_units):
-    pats = np.asarray(getattr(targets, "patterns", targets), dtype=float)
-    if pats.ndim != 2 or pats.shape[0] < 1:
-        raise ConstructionError("targets must be a (N, d) array, N >= 1")
-    if pats.shape[1] != total_units:
-        raise ConstructionError(
-            f"target length {pats.shape[1]} != network units {total_units}")
-    return pats
-
-
 def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     """Present every target for schedule.duration_per_target seconds per
     epoch, fully clamped, learning on.  Returns per-clamp energy records.
@@ -112,7 +102,9 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     """
     if net.weights_frozen:
         raise ContractViolationError("cannot train a frozen network")
-    pats = _patterns_array(targets, net.total_units)
+    pats = _rows(getattr(targets, "patterns", targets), net.total_units, "targets")
+    if not len(pats):
+        raise ConstructionError(f"targets must be a (rows, {pats.shape[1]}) array, rows >= 1")
     steps_per = _steps_of("duration_per_target", schedule.duration_per_target,
                           net.hyper.dt)
     rng = np.random.default_rng(seed)

@@ -97,6 +97,14 @@ def _vector(x, n):
     return x
 
 
+def _rows(x, n, name):
+    """x as a float (rows, n) array; any other shape raises ConstructionError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ConstructionError(f"{name} must be a (rows, {n}) array, not {x.shape}")
+    return x
+
+
 # the step of Network.kernel, bound to one state array s: rhs() fills its
 # buffer with the packed derivatives at s; euler(d=rhs()) scales d by dt in
 # place and adds it to s
@@ -203,8 +211,8 @@ class Network:
         and np.dot(E, Wt), which OpenBLAS runs faster against a
         C-contiguous transpose than against the view M.T, and the (B, T)
         bias adds faster than a broadcast of b.  A unit zeta or tau skips
-        its multiply or divide, the identity its sigma' multiply: x * 1.0
-        and x / 1.0 are x in IEEE arithmetic, inf, NaN and -0 included."""
+        its multiply or divide: x * 1.0 and x / 1.0 are x in IEEE
+        arithmetic, inf, NaN and -0 included."""
         T, h = self.total_units, self.hyper
         if not (isinstance(s, np.ndarray) and s.dtype == np.float64 and s.ndim == 3
                 and s.shape[::2] == (2, T) and s.flags.c_contiguous):
@@ -240,8 +248,7 @@ class Network:
                 sub(dE, dV, dE)
             # dV = (-E + sigma'(V) * (W @ E)) / tau
             w_dot(dV)
-            if gain is not None:
-                mul(dV, gain(), dV)
+            mul(dV, gain(), dV)
             sub(dV, E, dV)
             if tau is not None:
                 np.divide(buf, tau, buf)
@@ -320,10 +327,10 @@ class Network:
         runs out; any other s raises ConstructionError, from the kernel
         bound to it, before a step.
 
-        clamp, a (mask, values) pair of (T,) arrays, sets every run's
-        masked values after every step and leaves them out of its
-        sup-norm; relax reads no clamp from the net.  A run that settles
-        or diverges is frozen at that step and dropped from the batch,
+        clamp, a (mask, values) pair of a (T,) bool array and T floats,
+        sets every run's masked values after every step and leaves them
+        out of its sup-norm; relax reads no clamp from the net.  A run that
+        settles or diverges is frozen at that step and dropped from the batch,
         while the others go on; steps_taken advances by the steps all
         runs took.
         The RHS is evaluated once per step: the derivatives behind each
@@ -347,8 +354,8 @@ class Network:
           are the sup-norms taken, the settled runs stopped and the
           witnesses picked again.  The first step is checked in full.
         The residual of a run still live is taken once, at the end.
-        A NaN or negative tol, or a max_steps that is not an integer >= 0,
-        raises ConstructionError before a step.
+        A NaN or negative tol, a max_steps that is not an integer >= 0, or
+        any other clamp raises ConstructionError before a step.
         """
         if not tol >= 0:
             raise ConstructionError(f"tol={tol} is not >= 0")
@@ -358,10 +365,16 @@ class Network:
             raise ConstructionError(f"max_steps={max_steps!r} is not an integer") from None
         if max_steps < 0:
             raise ConstructionError(f"max_steps={max_steps} is negative")
+        clamped = values = None
+        if clamp is not None:
+            clamped, values = np.asarray(clamp[0]), _vector(clamp[1], self.total_units)
+            if clamped.dtype != bool or clamped.shape != values.shape:
+                raise ConstructionError(f"clamp mask {clamped.dtype} {clamped.shape} is not "
+                                        f"a {values.shape} bool array")
+            clamped = clamped if clamped.any() else None
         kernel, n = self.kernel(s), s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))
-        clamped, values = clamp if clamp is not None and clamp[0].any() else (None, None)
         steps_under_limit = self._steps_under_limit(max_steps)
         X, a, live = s, np.empty_like(s), np.arange(n)
         # unchecked: the steps left that the bound clears of divergence;

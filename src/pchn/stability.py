@@ -35,6 +35,8 @@ from .activations import Activation
 from .errors import (ConstructionError, ContractViolationError,
                      IntegrationDivergenceError, NonDifferentiableStateError,
                      NotAnEquilibriumError)
+from .network import _rows, _vector
+
 KINK_MARGIN = 1e-8
 
 
@@ -49,9 +51,7 @@ def jacobian_analytic(net, state):
     derivative is not defined there."""
     _check_frozen(net)
     T = net.total_units
-    state = np.asarray(state, dtype=float)
-    if state.shape != (2 * T,):
-        raise ConstructionError(f"state length {state.shape} != ({2 * T},)")
+    state = _vector(state, 2 * T)
     E, V = state[:T], state[T:]
     h, act = net.hyper, net.activation
     if act is Activation.RELU and np.any(np.abs(V) < KINK_MARGIN):
@@ -200,11 +200,8 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     _check_frozen(net)
     if not tol > 0:
         raise ConstructionError("tol must be positive")
-    targets = np.asarray(targets, dtype=float)
-    T = net.total_units
-    if targets.ndim != 2 or targets.shape[1] != T:
-        raise ConstructionError(f"targets {targets.shape} are not (n, {T})")
-    n = targets.shape[0]
+    targets = _rows(targets, net.total_units, "targets")
+    n, T = targets.shape
     S = np.zeros((2, n, T))
     S[1] = targets
     out, taken = [None] * n, np.zeros(n, dtype=int)

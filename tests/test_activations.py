@@ -64,6 +64,18 @@ class TestDerivatives:
         fd = (act.apply(x + h) - 2 * act.apply(x) + act.apply(x - h)) / h**2
         np.testing.assert_allclose(act.second_derivative(x), fd, atol=1e-5)
 
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_gain_turns_sigma_into_the_derivative(self, act):
+        """in_place's gain, run on sigma(x), leaves sigma'(x) in the
+        buffer, bit for bit what derivative gives, non-finite and signed
+        zero inputs included."""
+        x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -0.5, 2.0, -1e300])
+        out = np.empty_like(x)
+        sigma, gain = act.in_place(out)
+        assert sigma(x) is out
+        assert gain() is out
+        assert out.tobytes() == act.derivative(x).tobytes()
+
     def test_relu_derivative_at_zero_is_zero(self):
         assert Activation.RELU.derivative(np.array([0.0]))[0] == 0.0
 

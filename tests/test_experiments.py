@@ -227,8 +227,19 @@ class TestRelaxationStudy:
         refused."""
         net = _tiny_net()
         ts = gen_targets("binary", 2, 12, seed=24)
-        with pytest.raises(ConstructionError, match=r"starts must be \(runs, 12\)"):
+        with pytest.raises(ConstructionError, match=r"starts must be a \(rows, 12\) array"):
             relaxation_study(net, ts, np.ones(shape), horizon=0.1)
+
+    @pytest.mark.parametrize("kind", ["binary", "real"])
+    def test_rejects_targets_of_the_wrong_width(self, kind, monkeypatch):
+        """Targets one unit too wide are refused before a step, not at
+        the first sample flush; random-init starts, drawn at the net's
+        width, do not catch them."""
+        net = _tiny_net()
+        monkeypatch.setattr(net, "kernel", lambda s: pytest.fail("the study stepped"))
+        ts = gen_targets(kind, 3, 13, seed=24)
+        with pytest.raises(ConstructionError, match=r"targets must be a \(rows, 12\) array"):
+            random_init_study(net, ts, n_runs=2, horizon=0.1)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 0.0])
     @pytest.mark.parametrize("name", ["horizon", "sample_every"])

@@ -262,7 +262,7 @@ class TestTrain:
         """A single (T,) pattern and an empty stack are refused before
         any clamp."""
         net = build_loop([12], Activation.TANH, _hyper(), seed=19)
-        with pytest.raises(ValueError, match=r"targets must be a \(N, d\) array"):
+        with pytest.raises(ValueError, match=r"targets must be a \(rows, 12\) array"):
             train(net, np.ones(shape), TrainingSchedule(), seed=0)
         assert net.steps_taken == 0
 

@@ -579,6 +579,25 @@ class TestEquilibrium:
         assert s.tobytes() == before.tobytes()
         assert net.steps_taken == 0
 
+    @pytest.mark.parametrize("mask, values, message", [
+        (np.ones(3, dtype=bool), np.zeros(4), "clamp mask bool (3,) is not a (4,) bool"),
+        (np.array([1.0, 0.0, 1.0, 0.0]), np.zeros(4),
+         "clamp mask float64 (4,) is not a (4,) bool"),
+        (np.ones(4, dtype=bool), np.zeros(5), "vector length (5,) != (4,)"),
+    ], ids=["short mask", "float mask", "long values"])
+    def test_malformed_clamp_refused(self, mask, values, message):
+        """A clamp mask that is not a (T,) bool array, and clamp values
+        that are not T floats, are refused before a step, not after one
+        step on the caller's batch."""
+        net = build_loop([4], Activation.TANH, _hyper(), seed=19)
+        s = np.zeros((2, 2, 4))
+        s[1] = np.random.default_rng(19).normal(size=(2, 4))
+        before = s.copy()
+        with pytest.raises(ConstructionError, match=re.escape(message)):
+            net.relax(s, 1e-6, 100, (mask, values))
+        assert s.tobytes() == before.tobytes()
+        assert net.steps_taken == 0
+
     def test_zero_tol_and_integer_budget_types_accepted(self):
         """tol = 0, which settles no run early, is a valid tolerance, and
         a numpy integer is a valid budget."""

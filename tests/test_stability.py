@@ -37,7 +37,7 @@ class TestJacobianAnalytic:
 
     def test_state_of_the_wrong_length_refused(self):
         net = freeze(build_loop([3], Activation.TANH, _hyper(), seed=0))
-        with pytest.raises(ConstructionError, match=r"state length \(7,\) != \(6,\)"):
+        with pytest.raises(ConstructionError, match=r"vector length \(7,\) != \(6,\)"):
             jacobian_analytic(net, np.zeros(7))
 
     def test_time_constants_scale_rows(self):
