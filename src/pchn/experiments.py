@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConstructionError, ContractViolationError
 from .hopfield import _check_pm1
-from .network import _past_limit, _rows, _steps_of
+from .network import _natural, _past_limit, _rows, _steps_of
 
 BINARY = "binary"
 REAL = "real"
@@ -251,10 +251,10 @@ def perturbation_study(net, targets: TargetSet, *, horizon: float = 20.0,
 def random_init_study(net, targets: TargetSet, *, n_runs: int = 10,
                       horizon: float = 20.0, sample_every: float = 0.05,
                       seed=0) -> Trace:
-    """Fresh draws of the target distribution, unrelated to any stored
-    pattern: run r starts at gen_targets(kind, 1, d, _run_seed(seed, r))."""
+    """n_runs >= 0 fresh draws of the target distribution, unrelated to any
+    stored pattern: run r starts at gen_targets(kind, 1, d, _run_seed(seed, r))."""
     d = net.total_units
-    starts = np.empty((n_runs, d))
+    starts = np.empty((_natural("n_runs", n_runs), d))
     for r in range(n_runs):
         starts[r] = gen_targets(targets.kind, 1, d, _run_seed(seed, r)).patterns
     return relaxation_study(net, targets, starts, horizon=horizon,

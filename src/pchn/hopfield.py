@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
+from .network import _natural
 
 
 @dataclass
@@ -69,7 +70,8 @@ def interaction_energy(patterns, v) -> float:
 
 def recall(net: HopfieldNet, v0, max_sweeps: int = 50, seed=0) -> RecallResult:
     """Sweep all neurons in a fresh random order until a full sweep
-    changes nothing or the sweep budget runs out."""
+    changes nothing or the budget of max_sweeps >= 0 sweeps runs out."""
+    max_sweeps = _natural("max_sweeps", max_sweeps)
     rng = np.random.default_rng(seed)
     v = _check_pm1(v0, "state").copy()
     for k in range(1, max_sweeps + 1):

@@ -97,14 +97,16 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     the pre-clamp weights (errors at their algebraic equilibrium for the
     clamped values); energy_end is the actual energy when the clamp
     ends.  Falling energy means the pattern became better predicted.
-    The net ends unclamped, also when a clamp raises.  A clamp of more
-    than MAX_STEPS steps raises ConstructionError before any weight moves.
+    The net ends unclamped, also when a clamp raises.  A target with a
+    NaN or an entry past DIVERGENCE_LIMIT, or a clamp of more than
+    MAX_STEPS steps, raises ConstructionError before any weight moves.
     """
     if net.weights_frozen:
         raise ContractViolationError("cannot train a frozen network")
     pats = _rows(getattr(targets, "patterns", targets), net.total_units, "targets")
-    if not len(pats):
-        raise ConstructionError(f"targets must be a (rows, {pats.shape[1]}) array, rows >= 1")
+    if not len(pats) or _past_limit(pats).any():
+        raise ConstructionError(f"targets must be a (rows, {pats.shape[1]}) array, rows >= 1, "
+                                f"of finite entries within {DIVERGENCE_LIMIT:g}")
     steps_per = _steps_of("duration_per_target", schedule.duration_per_target,
                           net.hyper.dt)
     rng = np.random.default_rng(seed)
@@ -113,12 +115,10 @@ def train(net, targets, schedule: TrainingSchedule, seed=0) -> TrainingReport:
     squarings = [_square(net, pattern, steps_per) for pattern in pats]
     try:
         for epoch in range(schedule.epochs):
-            order = np.arange(len(pats))
-            if schedule.target_order == SHUFFLED:
-                order = rng.permutation(len(pats))
+            order = (rng.permutation(len(pats)) if schedule.target_order == SHUFFLED
+                     else range(len(pats)))
             for tid in map(int, order):
-                target = pats[tid]
-                net.clamp_all(target)
+                net.clamp_all(pats[tid])
                 if schedule.reset_fast_state:
                     net.E[:] = 0.0
                 residual = net.V - net.predict(net.V)
@@ -189,29 +189,21 @@ def _clamp(net, residual, steps, squarings):
     at, and the longest that clears, 2^i steps, runs first; the rest of
     the piece waits as pieces of 2^i, 2^(i+1), ..., 2^(j-1) steps, which
     is where halving the piece down to 2^i would leave it.  When none
-    clears, a single step runs, and one whose errors pass the limit
-    raises there.  So does the first step when a clamped value is past
-    it, as the step-by-step check covers the values too.
+    clears, a single step runs, and one whose errors pass the limit ends
+    the clamp (train refuses targets past it before any weight moves).
 
-    Leaves net.E, the weights and net.steps_taken where the step-by-step
-    path leaves them, also when it raises: net.E then holds the errors
-    of the step raised and the weights the updates of the steps before
-    it.
+    The clamp leaves net.E, the weights and net.steps_taken where the
+    step-by-step path leaves them, also when it raises: net.E then holds
+    the errors of the step raised, steps_taken counts that step, and the
+    weights hold the updates of the steps before it.
     """
     Q, S, growth = squarings
-    h = net.hyper
-    x = np.stack((net.E, (h.dt / h.tau) * residual), 1)[..., None]
+    x = np.stack((net.E, (net.hyper.dt / net.hyper.tau) * residual), 1)[..., None]
+    total, done, diverged = np.zeros_like(x), 0, False
     with np.errstate(over="ignore", invalid="ignore"):
-        if _past_limit(net.V[None])[0]:
-            # the step-by-step check covers the clamped values too
-            net.E[:] = (Q[0] @ x)[:, 0, 0]
-            net.steps_taken += 1
-            raise IntegrationDivergenceError(net.steps_taken)
         checked = not _clears(x, growth[-1:], [steps])[0]
-        total = np.zeros_like(x)
         pieces = [j for j in range(len(Q) - 1, -1, -1) if steps >> j & 1]
-        done = 0
-        while pieces:
+        while pieces and not diverged:
             j = pieces.pop()
             if checked and j:
                 ok = np.flatnonzero(_clears(x, growth[1:j + 1],
@@ -220,18 +212,17 @@ def _clamp(net, residual, steps, squarings):
                 pieces += range(j - 1, i - 1, -1)
                 j = i
             y = Q[j] @ x
-            if checked and not j and _past_limit(y[:, 0, 0][None])[0]:
-                net.E[:] = y[:, 0, 0]
-                net.steps_taken += done + 1
-                if done:
-                    net.step_slow(errors=total[:, 0, 0])
-                raise IntegrationDivergenceError(net.steps_taken)
-            total += S[j] @ x
+            diverged = bool(checked and not j and _past_limit(y[:, 0, 0][None])[0])
+            if not diverged:
+                total += S[j] @ x
+                done += 1 << j
             x = y
-            done += 1 << j
     net.E[:] = x[:, 0, 0]
-    net.steps_taken += steps
-    net.step_slow(errors=total[:, 0, 0])
+    net.steps_taken += done + diverged
+    if done:
+        net.step_slow(errors=total[:, 0, 0])
+    if diverged:
+        raise IntegrationDivergenceError(net.steps_taken)
 
 
 def _clears(x, growth, steps):

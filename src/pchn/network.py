@@ -66,8 +66,8 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("tau", "gamma", "zeta", "dt"):
-            if not getattr(self, name) > 0.0:
-                raise ConstructionError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConstructionError(f"{name} must be positive and finite")
         if not self.tau < self.gamma:
             raise ConstructionError("need tau < gamma (inference faster than learning)")
         if not self.dt < self.tau / 2.0:
@@ -88,6 +88,17 @@ def _steps_of(name, duration, dt):
         raise ConstructionError(f"{name}: {duration} is not a positive, finite duration "
                                 f"of at most MAX_STEPS = {MAX_STEPS} steps of dt = {dt}")
     return max(1, int(round(x)))
+
+
+def _natural(name, n):
+    """n as an int >= 0; anything else raises ConstructionError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ConstructionError(f"{name}={n!r} is not an integer") from None
+    if n < 0:
+        raise ConstructionError(f"{name}={n} is negative")
+    return n
 
 
 def _vector(x, n):
@@ -359,12 +370,7 @@ class Network:
         """
         if not tol >= 0:
             raise ConstructionError(f"tol={tol} is not >= 0")
-        try:
-            max_steps = operator.index(max_steps)
-        except TypeError:
-            raise ConstructionError(f"max_steps={max_steps!r} is not an integer") from None
-        if max_steps < 0:
-            raise ConstructionError(f"max_steps={max_steps} is negative")
+        max_steps = _natural("max_steps", max_steps)
         clamped = values = None
         if clamp is not None:
             clamped, values = np.asarray(clamp[0]), _vector(clamp[1], self.total_units)

@@ -3,8 +3,9 @@ the algebraic-error step, a central-difference Jacobian, MINPACK's root
 polish, the mean squared prediction error, the distance between two
 single states, a table of distances between states and targets, the
 fast equations' textbook products on columns, a recall study that takes
-its distances one sample at a time, a count of rhs evaluations, and
-Network.relax as a loop that checks every run at every step."""
+its distances one sample at a time, a count of rhs evaluations,
+Network.relax as a loop that checks every run at every step, and the
+least-squares couplings that training converges to."""
 
 import numpy as np
 
@@ -218,3 +219,30 @@ def relax_per_step(net, s, tol, max_steps, clamp=None):
         s[:, live] = X
     net.steps_taken += int(out.steps.sum())
     return out
+
+
+def row_features(net, patterns):
+    """Per unit i, the (N, k_i + 1) features that step_slow moves row i
+    of [M | b] along while every value is clamped to one of the (N, T)
+    patterns: sigma of the pattern on the row's mask, then 1."""
+    X = np.asarray(patterns, dtype=float)
+    s = net.activation.apply(X)
+    ones = np.ones((len(X), 1))
+    return [np.hstack((s[:, row > 0], ones)) for row in net.mask]
+
+
+def training_limit(net, patterns):
+    """(M, W, b) that PC training on the (N, T) patterns converges to
+    from the net's current weights when every clamp residual goes to 0:
+    row by row, w_i = w_i0 + pinv(Phi_i)(y_i - Phi_i w_i0), the
+    least-squares fit nearest the start, for [M | b]; and W0 + (M - M0)^T,
+    as every update of W is the transpose of that of M.  It is the
+    limit only when every Phi_i has rank N."""
+    X = np.asarray(patterns, dtype=float)
+    M, b = net.M.copy(), net.b.copy()
+    for i, phi in enumerate(row_features(net, X)):
+        cols = net.mask[i] > 0
+        w0 = np.append(M[i, cols], b[i])
+        w = w0 + np.linalg.pinv(phi) @ (X[:, i] - phi @ w0)
+        M[i, cols], b[i] = w[:-1], w[-1]
+    return M, net.W + (M - net.M).T, b

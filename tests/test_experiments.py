@@ -2,12 +2,14 @@
 
 import hashlib
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from pchn import (Activation, ConstructionError, ContractViolationError, Hyperparams,
                   build_loop, freeze, gen_targets)
+from pchn import experiments
 from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _chunk_distances,
                               absorption_summary, distance_tables,
                               make_probes, metric_for, perturb_flip,
@@ -496,6 +498,19 @@ class TestStudiesAndSummaries:
         assert diverged.shape == (0,)
         for summ in (absorption_summary(trace, 12), recovery_summary(trace)):
             assert (summ.n_runs, summ.successes) == (0, 0)
+
+    @pytest.mark.parametrize("n_runs, match", [(-1, "n_runs=-1 is negative"),
+                                               (2.5, "n_runs=2.5 is not an integer")],
+                             ids=["negative", "float"])
+    def test_random_init_refuses_a_run_count_that_is_not_a_count(self, n_runs, match):
+        """A run count that is not an integer >= 0 is refused before any
+        start is drawn, not left to numpy's bare ValueError."""
+        net = _tiny_net(6)
+        ts = gen_targets("real", 2, 12, seed=26)
+        with mock.patch.object(experiments, "gen_targets") as draw, \
+                pytest.raises(ConstructionError, match=match):
+            random_init_study(net, ts, n_runs=n_runs, horizon=0.2, seed=33)
+        assert draw.call_count == 0
 
     def test_random_init_takes_a_seed_sequence(self):
         """random_init_study seeds its runs as make_probes does: a

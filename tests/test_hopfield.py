@@ -179,6 +179,25 @@ class TestRecall:
         assert (res.sweeps, res.converged) == (1, False)
         np.testing.assert_array_equal(res.v, after_one)
 
+    @pytest.mark.parametrize("max_sweeps, match", [
+        (-3, "max_sweeps=-3 is negative"),
+        (2.5, "max_sweeps=2.5 is not an integer"),
+        ("5", "max_sweeps='5' is not an integer")], ids=["negative", "float", "text"])
+    def test_refuses_a_budget_that_is_not_a_count(self, max_sweeps, match):
+        """The budget is an integer >= 0, as the CLI's counts are; a
+        negative one would otherwise come back as sweeps=-3,
+        converged=False."""
+        net = hebbian_store(_pm1(np.random.default_rng(53), (2, 20)))
+        with pytest.raises(ConstructionError, match=match):
+            recall(net, np.ones(20), max_sweeps=max_sweeps)
+
+    def test_zero_budget_returns_the_probe(self):
+        net = hebbian_store(_pm1(np.random.default_rng(59), (2, 20)))
+        v0 = _pm1(np.random.default_rng(61), 20)
+        res = recall(net, v0, max_sweeps=0)
+        assert (res.sweeps, res.converged) == (0, False)
+        np.testing.assert_array_equal(res.v, v0)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(43)
         x = _pm1(rng, (8, 80))

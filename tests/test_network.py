@@ -222,6 +222,14 @@ class TestHyperparams:
             with pytest.raises(ConstructionError):
                 _hyper(**kw)
 
+    @pytest.mark.parametrize("name", ["tau", "gamma", "zeta", "dt"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_nonfinite(self, name, value):
+        """gamma = inf passes every ordering check, and its learning rate
+        dt/gamma is 0: train would leave the weights as they were."""
+        with pytest.raises(ConstructionError, match=f"{name} must be positive and finite"):
+            _hyper(**{name: value})
+
     def test_rejects_slow_faster_than_fast(self):
         with pytest.raises(ConstructionError):
             _hyper(tau=2.0, gamma=1.0)
