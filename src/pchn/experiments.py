@@ -66,7 +66,7 @@ class TargetSet:
 def gen_targets(kind: str, n: int, d: int, seed) -> TargetSet:
     """Draw n stored patterns of length d: standard normal entries for
     kind 'real', fair +-1 entries for kind 'binary'."""
-    if n < 1 or d < 1:
+    if _natural("n", n) < 1 or _natural("d", d) < 1:
         raise ConstructionError("need n >= 1 and d >= 1")
     rng = np.random.default_rng(seed)
     if kind == BINARY:
@@ -96,7 +96,7 @@ def perturb_gaussian(x, sigma: float, seed=0):
 def perturb_flip(x, k: int, seed=0):
     """Flip the sign of exactly k distinct positions of the +-1 vector x."""
     x = _check_pm1(x, "a flipped vector")
-    if not 0 <= k <= x.size:
+    if _natural("k", k) > x.size:
         raise ConstructionError(f"k={k} outside [0, {x.size}]")
     out = x.copy()
     if k:

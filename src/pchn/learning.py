@@ -30,7 +30,6 @@ path does up to rounding, which the tests check against step_fast +
 step_slow.
 """
 
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -51,8 +50,6 @@ class TrainingSchedule:
     reset_fast_state: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.duration_per_target < math.inf:
-            raise ConstructionError("duration_per_target must be positive and finite")
         if operator.index(self.epochs) < 1:
             raise ConstructionError("epochs must be >= 1")
         if self.target_order not in (SEQUENTIAL, SHUFFLED):

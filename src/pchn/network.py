@@ -350,20 +350,16 @@ class Network:
         into a new C-contiguous batch; each run is written back to s
         when it stops.
 
-        Two exact shortcuts stand in for the whole-batch checks of each
-        step; a step is checked in full, as a step of a plain loop is,
-        whenever they do not rule a stop out:
-        - the divergence check runs only once the steps that the bound
-          of _steps_under_limit gives from the last checked state are
-          used up, so it runs at every step where the weights give no
-          finite bound or the states near the limit;
-        - each run keeps a witness, the flat index of its largest
-          unclamped |d| at the last full check.  A run whose witness is
-          still at least tol has a sup-norm of at least tol, so it has
-          not settled; only when some witness drops under tol (a NaN
-          witness never does, and a NaN sup-norm never settles either)
-          are the sup-norms taken, the settled runs stopped and the
-          witnesses picked again.  The first step is checked in full.
+        A step is skipped or checked in full, as a step of a plain loop
+        is.  It is skipped only while two exact shortcuts both rule a stop
+        out: the bound of _steps_under_limit, counted from the last full
+        check, still clears the step of divergence, and every live run's
+        witness, the flat index of its largest unclamped |d| at that
+        check, is still at least tol, so its sup-norm is too.  A full
+        check finds the runs past the limit, counts the bound afresh
+        (none while a run is past it, or where the weights give no finite
+        bound or the states near the limit), takes the sup-norms, stops
+        the runs that settled or diverged and picks the witnesses again.
         The residual of a run still live is taken once, at the end.
         A NaN or negative tol, a max_steps that is not an integer >= 0, or
         any other clamp raises ConstructionError before a step.
@@ -384,7 +380,8 @@ class Network:
         steps_under_limit = self._steps_under_limit(max_steps)
         X, a, live = s, np.empty_like(s), np.arange(n)
         # unchecked: the steps left that the bound clears of divergence;
-        # pick: the flat index into d of each live run's witness
+        # pick: the flat index into d of each live run's witness, set by
+        # the first step's full check
         unchecked, pick = 0, None
         with np.errstate(over="ignore", invalid="ignore"):
             d = kernel.rhs()
@@ -394,20 +391,13 @@ class Network:
                 kernel.euler(d)
                 if clamped is not None:
                     np.copyto(X[1], values, where=clamped)
-                if unchecked:
-                    unchecked -= 1
-                    bad = None
-                else:
-                    bad = _past_limit(X)
-                    if not bad.any():
-                        bad, unchecked = None, steps_under_limit(X)
                 d = kernel.rhs()
-                if (bad is None and pick is not None
-                        and min(map(abs, d.ravel()[pick].tolist())) >= tol):
+                if unchecked and min(map(abs, d.ravel()[pick].tolist())) >= tol:
+                    unchecked -= 1
                     continue
+                bad = _past_limit(X)
+                unchecked = 0 if bad.any() else steps_under_limit(X)
                 r = self._sup_norm(d, clamped, a)
-                if bad is None:
-                    bad = np.zeros(live.size, dtype=bool)
                 done = bad | (r < tol)
                 keep = ~done
                 pick = _witnesses(a[:, keep])

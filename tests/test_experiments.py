@@ -1,6 +1,7 @@
 """Target generation, perturbations, distance traces, and summaries."""
 
 import hashlib
+import re
 from functools import partial
 from unittest import mock
 
@@ -47,9 +48,14 @@ class TestTargets:
         with pytest.raises(ValueError):
             gen_targets("ternary", 2, 10, seed=0)
 
-    @pytest.mark.parametrize("n, d", [(0, 10), (2, 0)])
-    def test_rejects_an_empty_shape(self, n, d):
-        with pytest.raises(ConstructionError, match="need n >= 1 and d >= 1"):
+    @pytest.mark.parametrize("n, d, message", [
+        (0, 10, "need n >= 1 and d >= 1"), (2, 0, "need n >= 1 and d >= 1"),
+        (2.5, 4, "n=2.5 is not an integer"), (2, 4.0, "d=4.0 is not an integer")],
+        ids=["0-10", "2-0", "float n", "float d"])
+    def test_rejects_an_empty_shape(self, n, d, message):
+        """An empty shape, and a size that is not an integer, are refused
+        before numpy draws anything."""
+        with pytest.raises(ConstructionError, match=re.escape(message)):
             gen_targets("binary", n, d, seed=0)
 
 
@@ -68,6 +74,8 @@ class TestPerturbations:
             perturb_flip(np.array([1.0, 0.5]), 1, seed=0)
         with pytest.raises(ValueError):
             perturb_flip(x, 11, seed=0)
+        with pytest.raises(ConstructionError, match=re.escape("k=2.5 is not an integer")):
+            perturb_flip(np.ones(6), 2.5, seed=0)
 
     def test_gaussian_zero_sigma_is_identity(self):
         x = np.linspace(-1, 1, 20)

@@ -121,9 +121,6 @@ class TestSchedule:
         assert s.target_order == SEQUENTIAL
 
     def test_rejects_bad_values(self):
-        for duration in (0.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                TrainingSchedule(duration_per_target=duration)
         with pytest.raises(ValueError):
             TrainingSchedule(epochs=0)
         # a fractional or float epoch count is refused as Network refuses
@@ -250,6 +247,21 @@ class TestTrain:
         for x, y in zip((net.M, net.W, net.b, net.s), before):
             assert x.tobytes() == y.tobytes()
         assert net.steps_taken == 0 and not net.clamped.any()
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, np.inf, np.nan])
+    def test_clamp_duration_not_positive_and_finite_refused(self, duration):
+        """A clamp duration of zero, below zero, inf or NaN is refused by
+        train before any weight moves; the schedule leaves the check to
+        it."""
+        net = build_loop([6], Activation.TANH, _hyper(), seed=19)
+        before = [x.copy() for x in (net.M, net.W, net.b)]
+        schedule = TrainingSchedule(duration_per_target=duration)
+        with pytest.raises(ConstructionError, match="duration_per_target: .* is not a "
+                                                    "positive, finite duration"):
+            train(net, gen_targets("binary", 2, 6, seed=19).patterns, schedule)
+        for x, y in zip((net.M, net.W, net.b), before):
+            assert x.tobytes() == y.tobytes()
+        assert net.steps_taken == 0
 
     def test_clamp_of_exactly_the_step_cap_trains(self):
         net = build_loop([6], Activation.TANH, _hyper(), seed=19)

@@ -827,6 +827,31 @@ class TestEquilibrium:
         for field in ("steps", "converged", "diverged", "residual"):
             assert getattr(res, field).tobytes() == getattr(expected, field).tobytes()
 
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_relax_checks_a_full_size_batch_in_full_only_once(self, activation, monkeypatch):
+        """On the (50, 30, 20) loop, a (2, 10, 100) batch of +-1 states
+        run 4,000 steps at tol = 0, where no witness can drop, is checked
+        in full at the first step only: the bound counted there clears the
+        whole budget.  So relax makes one divergence check, one witness
+        pick and two sup-norms, the first step's and the final residual."""
+        net = build_loop([50, 30, 20], activation, _hyper(), seed=36)
+        calls = {"_past_limit": 0, "_witnesses": 0, "_sup_norm": 0}
+
+        def spy(name, f):
+            def counted(*args):
+                calls[name] += 1
+                return f(*args)
+            return counted
+
+        for name in ("_past_limit", "_witnesses"):
+            monkeypatch.setattr(network, name, spy(name, getattr(network, name)))
+        monkeypatch.setattr(net, "_sup_norm", spy("_sup_norm", net._sup_norm))
+        s = np.where(np.random.default_rng(36).random((2, 10, 100)) < 0.5, -1.0, 1.0)
+        res = net.relax(s, 0.0, 4000)
+        np.testing.assert_array_equal(res.steps, 4000)
+        assert not (res.converged.any() or res.diverged.any())
+        assert calls == {"_past_limit": 1, "_witnesses": 1, "_sup_norm": 2}
+
     def test_residual_ignores_clamped_value_rows(self):
         net = build_loop([6], Activation.TANH, _hyper(), seed=20)
         rng = np.random.default_rng(20)
