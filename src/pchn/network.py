@@ -33,6 +33,7 @@ clamp_target) hold only its own state s.
 """
 
 import math
+import numbers
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
@@ -79,7 +80,10 @@ class Hyperparams:
 
 def _steps_of(name, duration, dt):
     """The Euler steps of dt nearest to duration, at least one; a duration
-    not positive and finite, or past MAX_STEPS steps, raises ConstructionError."""
+    that is not a real number, not positive and finite, or past MAX_STEPS
+    steps raises ConstructionError."""
+    if not isinstance(duration, numbers.Real):
+        raise ConstructionError(f"{name}={duration!r} is not a real number")
     with np.errstate(over="ignore"):
         x = duration / dt
     # NaN, inf and an overflowed ratio fail the test; MAX_STEPS + 0.5

@@ -5,7 +5,10 @@ RHS is network.fast_rhs_flat.  The analytic Jacobian is four dense
 T x T blocks built from the global M and W (entries outside the
 connection mask are zero there), including the second-derivative term
 that enters through sigma'(v) multiplying the correction current.
-Eigenvalues come from a dense general eigensolver.
+A tanh spectrum comes from a dense general eigensolver on that 2T x 2T
+matrix.  For relu off its kink and the identity, sigma'' = 0 zeroes its
+(2, 2) block, and _eigenvalues reduces the spectrum to one T x T
+eigenproblem, equal to the 2T x 2T one up to round-off.
 
 Because trained networks carry modes with |Re(lambda)| down to 1e-4,
 driving the derivative residual to a tight tolerance by simulation alone
@@ -94,8 +97,16 @@ def classify_spectrum(eigs, tau: float, residual: float = float("nan"),
     decay-rate reading is the one the multiplicity claim is about.
     """
     eigs = np.asarray(eigs, dtype=complex)
-    order = np.lexsort((-eigs.imag, -eigs.real))
-    eigs = eigs[order]
+    rows = [_row(z) for z in eigs.tolist()]
+
+    def printed(i):
+        re, im = rows[i].split(",")
+        return -float(re), -float(im), rows[i]
+
+    # by the printed re, then the printed im, descending, as spectrum_to_csv
+    # writes them (the row breaks a 0 / -0 tie): a file depends only on its
+    # multiset of rows, whatever order round-off left the eigenvalues in
+    eigs = eigs[sorted(range(eigs.size), key=printed)]
     half = 1.0 / (2.0 * tau)
     count_half = int(np.sum(np.abs(eigs.real + half) / half < 0.01))
     count_m1 = int(np.sum(np.abs(eigs + 1.0) < 0.1))
@@ -153,10 +164,32 @@ def _newton_polish(net, s, tol):
     return x, r
 
 
+def _eigenvalues(net, s):
+    """The 2T eigenvalues of the Jacobian at the packed state s.
+
+    With G = diag sigma'(V), tau J = [[-zeta I, I - M G], [G W - I, H]],
+    H = diag(sigma''(V) * (W @ E)).  tanh has sigma'' != 0 and takes the
+    dense 2T x 2T eigensolver.  For relu and the identity H = 0, and the
+    Schur complement of the (1, 1) block turns det(mu I - tau J) into
+    det((mu^2 + zeta mu) I - K), K = (G W - I)(I - M G): lambda = mu / tau
+    for both roots of mu^2 + zeta mu = kappa, for each eigenvalue kappa of
+    K = tau^2 J21 J12.  The principal root keeps Re(zeta + sqrt) >= zeta
+    > 0, so mu1 is not zero and mu2 = -kappa / mu1 cancels nothing.
+    """
+    J = jacobian_analytic(net, s)
+    if net.activation is Activation.TANH:
+        return np.linalg.eigvals(J)
+    T, h = net.total_units, net.hyper
+    kappa = np.linalg.eigvals(h.tau ** 2 * J[T:, :T] @ J[:T, T:]).astype(complex)
+    mu1 = -0.5 * (h.zeta + np.sqrt(h.zeta ** 2 + 4.0 * kappa))
+    return np.concatenate([mu1, -kappa / mu1]) / h.tau
+
+
 def _report(net, s, residual, target) -> SpectrumReport:
-    """The report of the equilibrium s, whose residual is residual;
-    raises NonDifferentiableStateError at a ReLU kink."""
-    eigs = np.linalg.eigvals(jacobian_analytic(net, s))
+    """The report of the equilibrium s, whose residual is residual; its
+    eigenvalues come from _eigenvalues.  Raises NonDifferentiableStateError
+    at a ReLU kink, before any eigensolve."""
+    eigs = _eigenvalues(net, s)
     dist = float(np.linalg.norm(s[net.total_units:] - target))
     rep = classify_spectrum(eigs, net.hyper.tau, float(residual), dist)
     rep.state = s
@@ -233,10 +266,13 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
     return out
 
 
+def _row(z) -> str:
+    """The eigenvalue z as a spectrum_to_csv row."""
+    return f"{z.real:.10g},{z.imag:.10g}"
+
+
 def spectrum_to_csv(report: SpectrumReport) -> str:
-    lines = ["re,im"]
-    for z in report.eigenvalues:
-        lines.append(f"{z.real:.10g},{z.imag:.10g}")
+    lines = ["re,im"] + [_row(z) for z in report.eigenvalues.tolist()]
     lines.append(
         f"# summary max_real_part={report.max_real_part:.10g} "
         f"count_at_minus_half_tau={report.count_at_minus_half_tau} "

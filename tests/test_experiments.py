@@ -251,12 +251,13 @@ class TestRelaxationStudy:
         with pytest.raises(ConstructionError, match=r"targets must be a \(rows, 12\) array"):
             random_init_study(net, ts, n_runs=2, horizon=0.1)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 0.0, "1.0", None])
     @pytest.mark.parametrize("name", ["horizon", "sample_every"])
     def test_rejects_bad_horizon_and_sample_every(self, name, bad):
         """A horizon or sampling interval that is not positive and finite
         is refused before any step, not run for one step or sampled at
-        every step."""
+        every step; one that is not a number, not left to a bare
+        TypeError."""
         net = _tiny_net()
         ts = gen_targets("binary", 2, 12, seed=25)
         with pytest.raises(ConstructionError, match=name):

@@ -263,6 +263,20 @@ class TestTrain:
             assert x.tobytes() == y.tobytes()
         assert net.steps_taken == 0
 
+    @pytest.mark.parametrize("duration", ["1.0", None], ids=["str", "None"])
+    def test_clamp_duration_that_is_not_a_real_number_refused(self, duration):
+        """A clamp duration that is not a number is refused by train with
+        ConstructionError naming it, before any weight moves."""
+        net = build_loop([6], Activation.TANH, _hyper(), seed=19)
+        before = [x.copy() for x in (net.M, net.W, net.b)]
+        schedule = TrainingSchedule(duration_per_target=duration)
+        with pytest.raises(ConstructionError,
+                           match=rf"duration_per_target={duration!r} is not a real number"):
+            train(net, gen_targets("binary", 2, 6, seed=19).patterns, schedule)
+        for x, y in zip((net.M, net.W, net.b), before):
+            assert x.tobytes() == y.tobytes()
+        assert net.steps_taken == 0
+
     def test_clamp_of_exactly_the_step_cap_trains(self):
         net = build_loop([6], Activation.TANH, _hyper(), seed=19)
         schedule = TrainingSchedule(duration_per_target=MAX_STEPS * net.hyper.dt)

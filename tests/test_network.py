@@ -984,6 +984,13 @@ class TestStepsOf:
             with pytest.raises(ConstructionError, match=f"d: .* at most MAX_STEPS = {self.CAP}"):
                 network._steps_of("d", duration, dt)
 
+    @pytest.mark.parametrize("duration", ["1.0", None], ids=["str", "None"])
+    def test_a_duration_that_is_not_a_real_number_refused(self, duration):
+        """A string or None is refused as _natural refuses a count that is
+        not an integer, not left to fail the division with a TypeError."""
+        with pytest.raises(ConstructionError, match=rf"d={duration!r} is not a real number"):
+            network._steps_of("d", duration, 0.25)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

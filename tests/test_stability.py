@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from pchn import (Activation, ConstructionError, Hyperparams,
                   IntegrationDivergenceError, NonDifferentiableStateError,
                   NotAnEquilibriumError, TrainingSchedule, build_loop, freeze,
                   gen_targets, train)
 from pchn import stability
-from pchn.stability import (SpectrumReport, _newton_polish, _probe,
+from pchn.cli import SEED_TRAIN, child_seed, resolve_config
+from pchn.stability import (KINK_MARGIN, SpectrumReport, _newton_polish, _probe,
                             analyze_equilibrium, classify_spectrum,
                             jacobian_analytic, spectrum_to_csv)
 
@@ -163,6 +165,107 @@ class TestSpectrumCsv:
         assert lines[-1].startswith("# summary max_real_part=")
         assert "count_at_minus_half_tau=2" in lines[-1]
         assert "all_stable=True" in lines[-1]
+
+
+    def test_rows_depend_only_on_their_printed_values(self):
+        """A tied cluster at re = -0.5, shuffled and with every re and im
+        moved by one ulp, prints the same rows, so it writes the same
+        bytes: the rows are ordered by their printed re, then im."""
+        im = np.array([0.75, 0.75, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -0.75])
+        eigs = np.concatenate([-0.5 + 1j * im, [-1.0, -0.005]])
+        rng = np.random.default_rng(11)
+        up = rng.random(eigs.size) < 0.5
+        # a zero im stays zero: one ulp off it would print 4.9e-324
+        nudged = (np.where(up, np.nextafter(eigs.real, np.inf), np.nextafter(eigs.real, -np.inf))
+                  + 1j * np.where(up, np.nextafter(eigs.imag, -np.inf),
+                                  np.nextafter(eigs.imag, np.inf)) * (eigs.imag != 0.0))
+        assert not np.any(nudged.real == eigs.real)
+        nudged = nudged[rng.permutation(eigs.size)]
+        text = spectrum_to_csv(classify_spectrum(eigs, 1.0))
+        assert spectrum_to_csv(classify_spectrum(nudged, 1.0)) == text
+        assert text.splitlines()[1:5] == ["-0.005,0", "-0.5,0.75", "-0.5,0.75", "-0.5,0.5"]
+
+
+def _assert_same_eigenvalues(got, J):
+    """got matches LAPACK's eigenvalues of J one to one, each pair within
+    1e-12 max(1, ||J||_inf)."""
+    want = np.linalg.eigvals(J)
+    assert got.shape == want.shape
+    gap = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(gap)
+    assert gap[rows, cols].max() <= 1e-12 * max(1.0, np.linalg.norm(J, np.inf))
+
+
+@pytest.mark.parametrize("hyper", [{}, {"tau": 2.0, "zeta": 0.25}],
+                         ids=["default", "tau2-zeta0.25"])
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("sizes", [[12], [6, 4]], ids=["single12", "loop6-4"])
+@pytest.mark.parametrize("act", [Activation.RELU, Activation.IDENTITY],
+                         ids=["relu", "identity"])
+class TestReducedSpectrum:
+    """relu off its kink and the identity have sigma'' = 0, so _report
+    takes the 2T eigenvalues from the T x T product (G W - I)(I - M G),
+    two roots of mu^2 + zeta mu = kappa per eigenvalue kappa; they match
+    the dense eigensolver on jacobian_analytic."""
+
+    def test_random_states(self, act, sizes, tied, hyper):
+        net = freeze(build_loop(sizes, act, Hyperparams(**hyper), tie_weights=tied,
+                                init_scale=1.0, seed=12))
+        T = net.total_units
+        for seed in range(5):
+            s = _random_state(net, 120 + seed)
+            assert np.min(np.abs(s[T:])) > KINK_MARGIN
+            rep = stability._report(net, s, 0.0, s[T:])
+            _assert_same_eigenvalues(rep.eigenvalues, jacobian_analytic(net, s))
+
+    def test_equilibria(self, act, sizes, tied, hyper):
+        """At the roots analyze_equilibrium reports for three real targets
+        a net was trained on; each root has values of both signs, so a
+        relu G holds both zeros and ones."""
+        net = build_loop(sizes, act, Hyperparams(**hyper), tie_weights=tied, seed=13)
+        targets = gen_targets("real", 3, sum(sizes), seed=14)
+        train(net, targets, TrainingSchedule(duration_per_target=1.0, epochs=16), seed=15)
+        reports = analyze_equilibrium(freeze(net), targets.patterns, max_steps=200)
+        assert all(isinstance(rep, SpectrumReport) for rep in reports)
+        for rep in reports:
+            V = rep.state[net.total_units:]
+            assert V.min() < 0.0 < V.max()
+            _assert_same_eigenvalues(rep.eigenvalues, jacobian_analytic(net, rep.state))
+
+
+def test_reduced_spectrum_refuses_a_relu_kink_before_any_eigensolve(monkeypatch):
+    """A relu value within KINK_MARGIN of the kink raises with the
+    message jacobian_analytic gives, before any eigensolve."""
+    net = freeze(build_loop([6, 4], Activation.RELU, _hyper(), init_scale=1.0, seed=12))
+    s = _random_state(net, 16)
+    s[net.total_units + 1] = 0.5 * KINK_MARGIN
+    monkeypatch.setattr(np.linalg, "eigvals", lambda J: pytest.fail("eigensolve"))
+    with pytest.raises(NonDifferentiableStateError,
+                       match="a value lies within 1e-08 of the ReLU kink"):
+        stability._report(net, s, 0.0, s[net.total_units:])
+
+
+def test_tanh_report_carries_the_full_jacobian_eigenvalues():
+    net = freeze(build_loop([6, 4], Activation.TANH, _hyper(), init_scale=1.0, seed=17))
+    s = _random_state(net, 170)
+    want = classify_spectrum(np.linalg.eigvals(jacobian_analytic(net, s)), 1.0)
+    got = stability._report(net, s, 0.0, s[net.total_units:])
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+
+def test_reduced_spectrum_of_the_default_relu_net():
+    """The CLI's default RealGaussian net (Single100, relu), trained as
+    pchn train trains it: at each of its 10 equilibria the reduced
+    spectrum matches the dense eigensolver on the 200 x 200 Jacobian."""
+    cfg = resolve_config({}, {"target_kind": "RealGaussian"})
+    net = cfg.build_network()
+    targets = cfg.targets()
+    assert net.activation is Activation.RELU and net.total_units == 100
+    train(net, targets.patterns, cfg.schedule, seed=child_seed(cfg.seed, SEED_TRAIN))
+    reports = analyze_equilibrium(freeze(net), targets.patterns, tol=cfg.stability_tol)
+    assert all(isinstance(rep, SpectrumReport) for rep in reports)
+    for rep in reports:
+        _assert_same_eigenvalues(rep.eigenvalues, jacobian_analytic(net, rep.state))
 
 
 class TestAnalyzeEquilibrium:
