@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: train, perturb, stability, random-init, hopfield-baseline.
-Configuration is a flat key=value text file; every key can also be set
-on the command line as --key value (output_dir as --out).  The
-effective configuration is echoed to output_dir/config.echo, and
-re-running any subcommand from the echoed file reproduces the outputs
-byte for byte.
+Configuration is a flat key=value text file, in which a key may be set
+once; every key can also be set on the command line as --key value
+(output_dir as --out), which overrides the file.  The effective
+configuration is echoed to output_dir/config.echo, and re-running any
+subcommand from the echoed file reproduces the outputs byte for byte.
+Before a subcommand runs, main removes from output_dir every file that
+subcommand writes (COMMANDS names them), so a run leaves beside its
+config.echo only what it wrote, and a failed run none of its files.
 
 Every key is declared once, in the ordered table CONFIG: its default
 text and the parser that turns the text into the RunConfig attribute of
@@ -15,7 +18,8 @@ it, KIND_DEFAULTS holds the three defaults that depend on the target
 kind, and ARCHITECTURES the population sizes of each architecture.  A
 number must be finite and in range, and a clamp, a study or its sample
 gap may take at most MAX_STEPS Euler steps; a bad value exits with code
-2 before anything is written.
+2 before anything is written.  A refusal once the subcommand runs exits
+with code 1 and one error line.
 
 All randomness flows from the single root seed.  Child seeds are drawn
 as SeedSequence(seed, spawn_key=(purpose,)).generate_state(1)[0] with a
@@ -152,8 +156,9 @@ def child_seed(root: int, purpose: int) -> int:
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; blank lines skipped."""
-    out = {}
+    """Flat key = value lines; '#' starts a comment; blank lines skipped;
+    a key set twice is refused."""
+    out, where = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,7 +169,10 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in CONFIG:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        out[key] = val.strip()
+        if key in out:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line "
+                              f"{where[key]}")
+        out[key], where[key] = val.strip(), lineno
     return out
 
 
@@ -252,13 +260,6 @@ def resolve_config(file_values: dict, overrides: dict) -> RunConfig:
     return RunConfig(raw)
 
 
-def _drop_output(cfg, name):
-    """Remove the output an earlier run left in output_dir under name,
-    which this run's config.echo would no longer describe."""
-    if os.path.exists(cfg.path(name)):
-        os.remove(cfg.path(name))
-
-
 def _load_trained(cfg, args):
     path = cfg.path("checkpoint.pchn") if args.checkpoint is None else args.checkpoint
     net = cfg.build_network()
@@ -281,16 +282,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     net = cfg.build_network()
     targets = cfg.targets()
     t0 = time.perf_counter()
-    try:
-        report = train(net, targets.patterns, cfg.schedule,
-                       seed=child_seed(cfg.seed, SEED_TRAIN))
-    except IntegrationDivergenceError as e:
-        # config.echo now describes this failed run: drop the outputs
-        # an earlier run left beside it
-        for name in ("checkpoint.pchn", "train.csv"):
-            _drop_output(cfg, name)
-        print(f"error: training diverged at step {e.step}", file=sys.stderr)
-        return 1
+    report = train(net, targets.patterns, cfg.schedule,
+                   seed=child_seed(cfg.seed, SEED_TRAIN))
     wall = time.perf_counter() - t0
     freeze(net)
     save_weights(net, cfg.path("checkpoint.pchn"))
@@ -325,7 +318,6 @@ def cmd_stability(cfg: RunConfig, args) -> int:
     T = cfg.total_units
     n_stable = n_found = 0
     outcomes = analyze_equilibrium(net, targets.patterns, tol=cfg.stability_tol)
-    written = set()
     for k, rep in enumerate(outcomes):
         if isinstance(rep, NotAnEquilibriumError):
             print(f"stability: target {k} no equilibrium found "
@@ -339,7 +331,6 @@ def cmd_stability(cfg: RunConfig, args) -> int:
                   f"kink; spectrum undefined")
             continue
         ok = _corresponds(cfg, rep, targets.patterns[k])
-        written.add(f"spectrum_t{k}.csv")
         atomic_write_text(cfg.path(f"spectrum_t{k}.csv"), spectrum_to_csv(rep))
         n_found += 1
         n_stable += bool(rep.all_stable)
@@ -351,11 +342,6 @@ def cmd_stability(cfg: RunConfig, args) -> int:
               f"near_zero={len(rep.near_zero)} dist={rep.distance_to_target:.3g}{note}")
     print(f"stability: {n_stable}/{n_found} found equilibria stable "
           f"({targets.n - n_found} not found)")
-    # the spectra an earlier run left, of targets this run found no
-    # equilibrium for or of targets past its n_targets
-    for name in os.listdir(cfg.output_dir):
-        if re.fullmatch(r"spectrum_t[0-9]+\.csv", name) and name not in written:
-            _drop_output(cfg, name)
     return 0
 
 
@@ -374,9 +360,7 @@ def cmd_random_init(cfg: RunConfig, args) -> int:
 
 def cmd_hopfield_baseline(cfg: RunConfig, args) -> int:
     if not cfg.binary:
-        print("error: hopfield-baseline requires target_kind = BinarySign",
-              file=sys.stderr)
-        return 1
+        raise ConstructionError("hopfield-baseline requires target_kind = BinarySign")
     targets = cfg.targets()
     hn = hebbian_store(targets.patterns)
     probes = make_probes(targets, child_seed(cfg.seed, SEED_PROBES),
@@ -398,8 +382,13 @@ def cmd_hopfield_baseline(cfg: RunConfig, args) -> int:
     return 0
 
 
-COMMANDS = {"train": cmd_train, "perturb": cmd_perturb, "stability": cmd_stability,
-            "random-init": cmd_random_init, "hopfield-baseline": cmd_hopfield_baseline}
+# Each subcommand's function and the names of the files it writes into
+# output_dir, which main removes before the subcommand runs
+COMMANDS = {"train": (cmd_train, r"checkpoint\.pchn|train\.csv"),
+            "perturb": (cmd_perturb, r"perturb\.csv"),
+            "stability": (cmd_stability, r"spectrum_t[0-9]+\.csv"),
+            "random-init": (cmd_random_init, r"random\.csv"),
+            "hopfield-baseline": (cmd_hopfield_baseline, r"baseline\.csv")}
 
 
 def build_parser():
@@ -438,8 +427,14 @@ def main(argv=None) -> int:
     if cfg.pairing_warning:
         print(cfg.pairing_warning, file=sys.stderr)
     atomic_write_text(cfg.path("config.echo"), cfg.echo_text())
+    command, outputs = COMMANDS[args.command]
+    # config.echo now describes this run: outputs an earlier run left
+    # would not be this run's
+    for name in os.listdir(cfg.output_dir):
+        if re.fullmatch(outputs, name):
+            os.remove(cfg.path(name))
     try:
-        return COMMANDS[args.command](cfg, args)
+        return command(cfg, args)
     except (ConstructionError, IntegrationDivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

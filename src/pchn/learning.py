@@ -219,7 +219,8 @@ def _clamp(net, residual, steps, squarings):
     if done:
         net.step_slow(errors=total[:, 0, 0])
     if diverged:
-        raise IntegrationDivergenceError(net.steps_taken)
+        raise IntegrationDivergenceError(
+            net.steps_taken, f"training diverged at step {net.steps_taken}")
 
 
 def _clears(x, growth, steps):

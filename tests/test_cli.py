@@ -177,6 +177,23 @@ class TestTrain:
                     + FAST) == 0
         assert "seed = 3\n" in (out / "config.echo").read_text()
 
+    def test_config_key_set_twice_rejected(self, tmp_path, capsys):
+        """A key set twice in a config file exits with code 2, naming
+        both lines, before anything is written; a flag still overrides
+        a key the file sets once."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed = 3\n# seed = 4\nseed = 4\n")
+        out = tmp_path / "x"
+        assert main(["hopfield-baseline", "--config", str(cfgfile), "--out", str(out)]
+                    + FAST) == 2
+        assert capsys.readouterr().err == \
+            "error: line 3: key 'seed' is already set on line 1\n"
+        assert not out.exists()
+        cfgfile.write_text("seed = 3\n")
+        assert main(["hopfield-baseline", "--config", str(cfgfile), "--out", str(out),
+                     "--seed", "4"] + FAST) == 0
+        assert "seed = 4\n" in (out / "config.echo").read_text()
+
     def test_config_line_without_equals_rejected(self, tmp_path, capsys):
         """A line that is not key = value exits with code 2, naming the
         line, before anything is written."""
@@ -591,3 +608,51 @@ class TestHopfieldBaseline:
         for row in base:
             run, tid, h0 = row.split(",")[:3]
             assert init[int(run)] == h0
+
+
+# the files each study subcommand writes, as glob patterns
+STUDY_OUTPUTS = {"perturb": ["perturb.csv"], "stability": ["spectrum_t*.csv"],
+                 "random-init": ["random.csv"], "hopfield-baseline": ["baseline.csv"]}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """An output directory that holds a full good pipeline's outputs."""
+    out = tmp_path_factory.mktemp("pipeline") / "run"
+    for command in ("train", *STUDY_OUTPUTS):
+        assert main([command, "--out", str(out)] + FAST) == 0
+    return out
+
+
+class TestFailedRerun:
+    @pytest.mark.parametrize("command", STUDY_OUTPUTS)
+    def test_leaves_none_of_its_outputs(self, pipeline, tmp_path, capsys, command):
+        """A rerun that fails, on a checkpoint with a corrupted token or
+        on real targets for hopfield-baseline, exits with code 1 and one
+        error line.  It leaves none of its own files beside the
+        config.echo that now describes it, and every other file keeps
+        its bytes."""
+        out = tmp_path / "run"
+        out.mkdir()
+        for path in pipeline.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        mine = {p.name for pattern in STUDY_OUTPUTS[command] for p in out.glob(pattern)}
+        assert mine
+        if command == "hopfield-baseline":
+            change = ["--target_kind", "RealGaussian"]
+        else:
+            change = ["--seed", "5"]
+            path = out / "checkpoint.pchn"
+            path.write_text(path.read_text().rstrip("\n") + "x\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main([command, "--out", str(out)] + FAST + change) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if command == "hopfield-baseline":
+            assert err == "error: hopfield-baseline requires target_kind = BinarySign\n"
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(after) == set(before) - mine
+        flag, value = change
+        assert f"{flag[2:]} = {value}\n" in after.pop("config.echo").decode()
+        assert all(after[name] == before[name] for name in after)

@@ -356,6 +356,28 @@ class TestFastStep:
         np.testing.assert_array_less(np.abs(got - want), 4 * np.spacing(np.abs(want).max()))
 
     @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("sizes", [[100], [50, 30, 20]], ids=["single100", "loop50"])
+    def test_a_row_gets_the_same_bits_at_every_batch_size(self, activation, sizes):
+        """On T = 100 nets, one row's rhs is bit-identical at B = 2, 10 and
+        100, first or last in the batch, with every other row redrawn.
+        This pins the installed BLAS: OpenBLAS rounds B = 1 (its gemv
+        path) and B > 100 differently, so a run's bits depend on its
+        batch only outside 2 <= B <= 100."""
+        net = build_loop(sizes, activation, _hyper(), init_scale=1.0, seed=41)
+        T = net.total_units
+        net.b[:] = np.random.default_rng(42).normal(size=T)
+        rng = np.random.default_rng(43)
+        row = rng.normal(size=(2, T))
+        want = None
+        for B in (2, 10, 100):
+            for k in (0, B - 1):
+                s = rng.normal(size=(2, B, T))
+                s[:, k] = row
+                got = net.kernel(s).rhs()[:, k]
+                want = got.copy() if want is None else want
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("write", ["step_slow", "load_weights", "b"])
     def test_weight_writes_between_steps_reach_the_next_step(self, activation, write,
                                                              tmp_path):
