@@ -48,7 +48,7 @@ from .experiments import (FLIP_BITS, HAMMING, PERTURB_STD, absorption_summary,
                           trace_to_csv)
 from .fileio import atomic_write_text
 from .hopfield import hebbian_store, recall
-from .learning import SEQUENTIAL, TrainingSchedule, freeze, train
+from .learning import SEQUENTIAL, TrainingSchedule, train
 from .network import MAX_STEPS, Hyperparams, _steps_of, build_loop
 from .stability import analyze_equilibrium, spectrum_to_csv
 
@@ -264,7 +264,6 @@ def _load_trained(cfg, args):
     path = cfg.path("checkpoint.pchn") if args.checkpoint is None else args.checkpoint
     net = cfg.build_network()
     load_weights(net, path)
-    freeze(net)
     return net
 
 
@@ -285,7 +284,6 @@ def cmd_train(cfg: RunConfig, args) -> int:
     report = train(net, targets.patterns, cfg.schedule,
                    seed=child_seed(cfg.seed, SEED_TRAIN))
     wall = time.perf_counter() - t0
-    freeze(net)
     save_weights(net, cfg.path("checkpoint.pchn"))
     atomic_write_text(cfg.path("train.csv"), report.to_csv())
     print(f"train: {cfg.architecture} {cfg.target_kind} n_targets={cfg.n_targets} "

@@ -1,8 +1,9 @@
 """Recall studies: perturbation recovery, discrimination, random starts.
 
-A study drops a frozen network at a set of initial value states, lets the
-fast dynamics run, and records the distance from the state to every
-stored target at a fixed sampling interval.  Runs are the rows of one
+A study drops a network at a set of initial value states, lets the fast
+dynamics run, and records the distance from the state to every stored
+target at a fixed sampling interval.  The fast dynamics never move a
+weight, so a net need not be frozen.  Runs are the rows of one
 (2, runs, T) batch of fast states, error rows then value rows; they
 share the weights, so one Euler kernel, bound once per study (see
 Network.kernel), advances every run with the same matrix products.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ContractViolationError
+from .errors import ConstructionError
 from .hopfield import _check_pm1
 from .network import _natural, _past_limit, _rows, _steps_of
 
@@ -94,8 +95,11 @@ def perturb_gaussian(x, sigma: float, seed=0):
 
 
 def perturb_flip(x, k: int, seed=0):
-    """Flip the sign of exactly k distinct positions of the +-1 vector x."""
+    """Flip the sign of exactly k distinct positions of the +-1 vector x;
+    an x that is not a 1-D vector raises ConstructionError."""
     x = _check_pm1(x, "a flipped vector")
+    if x.ndim != 1:
+        raise ConstructionError(f"a flipped vector must be 1-D, not of shape {x.shape}")
     if _natural("k", k) > x.size:
         raise ConstructionError(f"k={k} outside [0, {x.size}]")
     out = x.copy()
@@ -179,8 +183,9 @@ def _chunk_distances(X, P, metric: str, work):
 
 def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
                      sample_every: float = 0.05) -> Trace:
-    """Integrate the frozen fast dynamics from each row of starts and
-    record distances to every target at each sample time.
+    """Integrate the fast dynamics from each row of starts and record
+    distances to every target at each sample time.  No weight moves, so
+    a net need not be frozen.
 
     A run that goes non-finite (or past DIVERGENCE_LIMIT) ends at that
     sample, flagged as diverged and carrying its last finite distances;
@@ -188,8 +193,6 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     are not (rows, T) arrays, and a horizon or a sample_every of more
     than MAX_STEPS steps, raise ConstructionError before a step.
     """
-    if not net.weights_frozen:
-        raise ContractViolationError("freeze the network before running studies")
     T = net.total_units
     starts = _rows(starts, T, "starts")
     patterns = _rows(targets.patterns, T, "targets")

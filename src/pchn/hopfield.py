@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
-from .network import _natural
+from .network import _natural, _vector
 
 
 @dataclass
@@ -45,8 +45,9 @@ def hebbian_store(patterns) -> HopfieldNet:
 
 def async_sweep(net: HopfieldNet, v, order):
     """Update the listed neurons one at a time, in order, each seeing the
-    latest state.  A zero local field keeps the previous value."""
-    v = _check_pm1(v, "state").copy()
+    latest state.  A zero local field keeps the previous value.  A state
+    that is not a +-1 vector of the net's length raises ConstructionError."""
+    v = _vector(_check_pm1(v, "state"), net.b.size).copy()
     for i in order:
         h = float(net.W[i] @ v + net.b[i])
         if h > 0.0:
@@ -73,7 +74,7 @@ def recall(net: HopfieldNet, v0, max_sweeps: int = 50, seed=0) -> RecallResult:
     changes nothing or the budget of max_sweeps >= 0 sweeps runs out."""
     max_sweeps = _natural("max_sweeps", max_sweeps)
     rng = np.random.default_rng(seed)
-    v = _check_pm1(v0, "state").copy()
+    v = _vector(_check_pm1(v0, "state"), net.b.size).copy()
     for k in range(1, max_sweeps + 1):
         nxt = async_sweep(net, v, rng.permutation(net.b.size))
         if np.array_equal(nxt, v):

@@ -67,7 +67,7 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("tau", "gamma", "zeta", "dt"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            if not 0.0 < _real(name, getattr(self, name)) < math.inf:
                 raise ConstructionError(f"{name} must be positive and finite")
         if not self.tau < self.gamma:
             raise ConstructionError("need tau < gamma (inference faster than learning)")
@@ -78,14 +78,19 @@ class Hyperparams:
                                     "of the error leak")
 
 
+def _real(name, x):
+    """x, if it is a real number; anything else raises ConstructionError."""
+    if not isinstance(x, numbers.Real):
+        raise ConstructionError(f"{name}={x!r} is not a real number")
+    return x
+
+
 def _steps_of(name, duration, dt):
     """The Euler steps of dt nearest to duration, at least one; a duration
     that is not a real number, not positive and finite, or past MAX_STEPS
     steps raises ConstructionError."""
-    if not isinstance(duration, numbers.Real):
-        raise ConstructionError(f"{name}={duration!r} is not a real number")
     with np.errstate(over="ignore"):
-        x = duration / dt
+        x = _real(name, duration) / dt
     # NaN, inf and an overflowed ratio fail the test; MAX_STEPS + 0.5
     # rounds to the even MAX_STEPS
     if not 0.0 < x <= MAX_STEPS + 0.5:
@@ -143,7 +148,9 @@ class Network:
     predicting dst through the edge's blocks of M and b, dst's errors
     returning through its block of W (see edge_blocks).  Every
     population has exactly one incoming edge.  The weights start at zero;
-    build_network draws them."""
+    build_network draws them.  tied marks a net whose W started as M
+    transposed, which step_slow keeps and checkpoints record; a net with
+    weights_frozen set (learning.freeze) refuses step_slow."""
 
     def __init__(self, sizes, edges, activation: Activation,
                  hyper: Hyperparams, tied: bool = False):
@@ -293,9 +300,12 @@ class Network:
         """One Euler step of the weight equations from the current state.
 
         Local rule: every update is post-synaptic error times pre-synaptic
-        activity, restricted to the connection blocks by the mask.  With
-        errors given, that length-T vector stands in for E: the sum of the
-        errors of K steps at fixed values makes the update of all K steps.
+        activity, restricted to the connection blocks by the mask; W moves
+        by the transpose of M's update dM, so a W that equals M transposed
+        bit for bit stays so (W_ij + dM_ji is M_ji + dM_ji).  With errors
+        given, that length-T vector stands in for E: the sum of the errors
+        of K steps at fixed values makes the update of all K steps.  A
+        frozen net raises ContractViolationError.
         """
         if self.weights_frozen:
             raise ContractViolationError("weights are frozen")
@@ -303,10 +313,7 @@ class Network:
         rate = self.hyper.dt / self.hyper.gamma
         dM = (rate * np.outer(e, self.activation.apply(self.V))) * self.mask
         self.M += dM
-        if self.tied:
-            self.W[...] = self.M.T
-        else:
-            self.W += dM.T
+        self.W += dM.T
         self.b += rate * e
 
     def energy(self, errors=None) -> float:
@@ -505,7 +512,7 @@ def build_network(sizes, edges, activation: Activation, hyper: Hyperparams,
     deviation init_scale / sqrt(src size); a tied W is M transposed, the
     entries outside the mask (a self-edge's diagonal) are zero and b
     starts at zero."""
-    if not 0.0 <= init_scale < math.inf:
+    if not 0.0 <= _real("init_scale", init_scale) < math.inf:
         raise ConstructionError("init_scale must be finite and >= 0")
     net = Network(sizes, edges, activation, hyper, tied=tie_weights)
     rng = np.random.default_rng(seed)

@@ -35,24 +35,17 @@ from typing import Optional
 import numpy as np
 
 from .activations import Activation
-from .errors import (ConstructionError, ContractViolationError,
-                     IntegrationDivergenceError, NonDifferentiableStateError,
-                     NotAnEquilibriumError)
+from .errors import (ConstructionError, IntegrationDivergenceError,
+                     NonDifferentiableStateError, NotAnEquilibriumError)
 from .network import _rows, _vector
 
 KINK_MARGIN = 1e-8
-
-
-def _check_frozen(net):
-    if not net.weights_frozen:
-        raise ContractViolationError("freeze weights before linearizing")
 
 
 def jacobian_analytic(net, state):
     """Exact Jacobian of the unclamped fast dynamics at the given packed
     state.  ReLU states within 1e-8 of a kink are refused since the
     derivative is not defined there."""
-    _check_frozen(net)
     T = net.total_units
     state = _vector(state, 2 * T)
     E, V = state[:T], state[T:]
@@ -227,10 +220,10 @@ def analyze_equilibrium(net, targets, tol: float = 1e-8, *,
 
     The equilibrium the dynamics settle into need not be close to the
     requested target (untrained networks drift far away); callers that
-    care should look at distance_to_target on the report.  The net must
-    have frozen weights; the dynamics analyzed are the unclamped ones.
+    care should look at distance_to_target on the report.  The dynamics
+    analyzed are the unclamped ones; no weight moves, so a net need not be
+    frozen.
     """
-    _check_frozen(net)
     if not tol > 0:
         raise ConstructionError("tol must be positive")
     targets = _rows(targets, net.total_units, "targets")

@@ -1,5 +1,6 @@
 """Target generation, perturbations, distance traces, and summaries."""
 
+import copy
 import hashlib
 import re
 from functools import partial
@@ -8,8 +9,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from pchn import (Activation, ConstructionError, ContractViolationError, Hyperparams,
-                  build_loop, freeze, gen_targets)
+from pchn import (Activation, ConstructionError, Hyperparams, TrainingSchedule,
+                  build_loop, freeze, gen_targets, train)
 from pchn import experiments
 from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _chunk_distances,
                               absorption_summary, distance_tables,
@@ -76,6 +77,15 @@ class TestPerturbations:
             perturb_flip(x, 11, seed=0)
         with pytest.raises(ConstructionError, match=re.escape("k=2.5 is not an integer")):
             perturb_flip(np.ones(6), 2.5, seed=0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 6), ()])
+    def test_flip_refuses_x_that_is_not_a_vector(self, shape):
+        """A stack of rows would have whole rows flipped, and a scalar
+        would fail inside numpy: both are refused before any draw."""
+        with mock.patch.object(np.random, "default_rng") as rng:
+            with pytest.raises(ConstructionError, match=re.escape(f"not of shape {shape}")):
+                perturb_flip(np.ones(shape), 1, seed=11)
+        rng.assert_not_called()
 
     def test_gaussian_zero_sigma_is_identity(self):
         x = np.linspace(-1, 1, 20)
@@ -223,12 +233,22 @@ class TestRelaxationStudy:
                    if "divergent" in line.split(",")[5]}
         assert flagged == {0, 1}
 
-    def test_rejects_an_unfrozen_net(self):
+    def test_unfrozen_net_gives_the_frozen_trace(self):
+        """A study moves no weight, so a trained net left unfrozen gives
+        the trace of its frozen copy bit for bit, and keeps its weights."""
         hyper = Hyperparams(tau=1.0, gamma=100.0, zeta=1.0, dt=0.005)
-        net = build_loop([12], Activation.TANH, hyper, seed=0)
         ts = gen_targets("binary", 2, 12, seed=24)
-        with pytest.raises(ContractViolationError, match="freeze"):
-            relaxation_study(net, ts, ts.patterns, horizon=0.1)
+        net = build_loop([12], Activation.TANH, hyper, seed=0)
+        train(net, ts, TrainingSchedule(duration_per_target=1.0, epochs=2), seed=25)
+        frozen = freeze(copy.deepcopy(net))
+        weights = [A.tobytes() for A in (net.M, net.W, net.b)]
+        starts = make_probes(ts, seed=26, flip_bits=3)
+        got = relaxation_study(net, ts, starts, horizon=0.5, sample_every=0.1)
+        want = relaxation_study(frozen, ts, starts, horizon=0.5, sample_every=0.1)
+        assert [A.tobytes() for A in (net.M, net.W, net.b)] == weights
+        for name in ("dist", "end", "diverged"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert trace_to_csv(got) == trace_to_csv(want)
 
     @pytest.mark.parametrize("shape", [(2, 13), (12,)])
     def test_rejects_starts_of_the_wrong_width(self, shape):

@@ -1,6 +1,7 @@
 """Classical Hopfield reference: storage, recall, and energy bookkeeping."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,20 @@ class TestAsyncSweep:
         v = np.array([1.0, -1.0])
         out = async_sweep(net, v, order=[0, 1])
         np.testing.assert_array_equal(out, v)
+
+    @pytest.mark.parametrize("shape", [(8,), (11,), (1, 10)])
+    def test_state_of_another_length_refused(self, shape):
+        """A state that is not a vector of the net's length is refused
+        before any update, not left to numpy's matmul error or to a
+        broadcast."""
+        net = hebbian_store(_pm1(np.random.default_rng(67), (3, 10)))
+        v, match = np.ones(shape), re.escape(f"vector length {shape} != (10,)")
+        with pytest.raises(ConstructionError, match=match):
+            async_sweep(net, v, order=[0])
+        with pytest.raises(ConstructionError, match=match):
+            recall(net, v)
+        with pytest.raises(ConstructionError, match=match):
+            recall(net, v, max_sweeps=0)
 
     def test_energy_never_increases_along_updates(self):
         """Every single-neuron update must keep hn_energy non-increasing;

@@ -19,6 +19,7 @@ from pchn import (Activation, ConstructionError, ContractViolationError, Hyperpa
                   IntegrationDivergenceError, TrainingSchedule,
                   build_loop, freeze, gen_targets, train)
 from pchn import learning
+from pchn.checkpoint import load_weights, save_weights
 from pchn.cli import SEED_TRAIN, child_seed, main, resolve_config
 from pchn.learning import (SEQUENTIAL, SHUFFLED, ClampRecord, TrainingReport,
                            _clears)
@@ -212,6 +213,25 @@ class TestTrain:
         freeze(net)
         with pytest.raises(ContractViolationError):
             train(net, targets.patterns, TrainingSchedule(), seed=0)
+
+    def test_tied_net_stays_tied(self, tmp_path):
+        """W moves by the transpose of M's update, so a tied loop trained
+        with shuffled epochs, each clamp starting from the errors the one
+        before it left, keeps W equal to M transposed bit for bit, and its
+        checkpoint loads into a tied net."""
+        targets = gen_targets("binary", 3, 12, seed=18)
+        net = build_loop([5, 4, 3], Activation.TANH, _hyper(), tie_weights=True, seed=18)
+        start = net.M.copy()
+        train(net, targets.patterns,
+              TrainingSchedule(duration_per_target=0.5, epochs=3, target_order=SHUFFLED,
+                               reset_fast_state=False), seed=19)
+        assert not np.array_equal(net.M, start)
+        assert net.W.tobytes() == net.M.T.tobytes()
+        save_weights(net, tmp_path / "checkpoint.pchn")
+        other = build_loop([5, 4, 3], Activation.TANH, _hyper(), tie_weights=True, seed=20)
+        load_weights(other, tmp_path / "checkpoint.pchn")
+        assert other.M.tobytes() == net.M.tobytes()
+        assert other.W.tobytes() == net.W.tobytes()
 
     def test_freeze_idempotent(self):
         net = build_loop([5], Activation.TANH, _hyper(), seed=16)

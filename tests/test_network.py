@@ -138,6 +138,14 @@ class TestConstruction:
         for x in (net.M, net.W, net.b):
             np.testing.assert_array_equal(x, 0.0)
 
+    @pytest.mark.parametrize("scale", ["0.1", 1j, None])
+    def test_init_scale_that_is_not_a_real_number_refused(self, scale):
+        """Text, a complex number and None are refused by name, not left
+        to a bare TypeError from the range check."""
+        with pytest.raises(ConstructionError,
+                           match=re.escape(f"init_scale={scale!r} is not a real number")):
+            build_loop([3, 2], Activation.TANH, _hyper(), init_scale=scale)
+
     def test_tied_weights_start_transposed(self):
         net = build_loop([8], Activation.TANH, _hyper(), tie_weights=True, seed=4)
         np.testing.assert_array_equal(net.W, net.M.T)
@@ -228,6 +236,15 @@ class TestHyperparams:
         """gamma = inf passes every ordering check, and its learning rate
         dt/gamma is 0: train would leave the weights as they were."""
         with pytest.raises(ConstructionError, match=f"{name} must be positive and finite"):
+            _hyper(**{name: value})
+
+    @pytest.mark.parametrize("name", ["tau", "gamma", "zeta", "dt"])
+    @pytest.mark.parametrize("value", ["1", 1j, None])
+    def test_rejects_a_value_that_is_not_a_real_number(self, name, value):
+        """Text, a complex number and None are refused by name, not left
+        to a bare TypeError from the range check."""
+        with pytest.raises(ConstructionError,
+                           match=re.escape(f"{name}={value!r} is not a real number")):
             _hyper(**{name: value})
 
     def test_rejects_slow_faster_than_fast(self):
@@ -510,7 +527,7 @@ class TestSlowStep:
         net.E[:] = rng.normal(size=5)
         for _ in range(5):
             net.step_slow()
-        np.testing.assert_array_equal(net.W, net.M.T)
+        assert net.W.tobytes() == net.M.T.tobytes()
 
     def test_frozen_rejects_slow_step(self):
         net = build_loop([3], Activation.TANH, _hyper(), seed=14)

@@ -1,5 +1,7 @@
 """Jacobian assembly, spectrum classification, equilibrium analysis."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -95,10 +97,14 @@ class TestJacobianAnalytic:
         with pytest.raises(NonDifferentiableStateError):
             jacobian_analytic(net, s)
 
-    def test_requires_frozen_weights(self):
-        net = build_loop([3], Activation.TANH, _hyper(), seed=7)
-        with pytest.raises(RuntimeError):
-            jacobian_analytic(net, np.zeros(6))
+    def test_unfrozen_net_gives_the_frozen_bits(self):
+        """Linearizing moves no weight, so an unfrozen net gives the
+        Jacobian of its frozen copy bit for bit."""
+        net = build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=7)
+        frozen = freeze(build_loop([5, 4, 3], Activation.TANH, _hyper(), seed=7))
+        s = _random_state(net, 77)
+        assert jacobian_analytic(net, s).tobytes() == jacobian_analytic(frozen, s).tobytes()
+        assert not net.weights_frozen
 
     def test_fd_step_bounds(self):
         net = build_loop([3], Activation.TANH, _hyper(), seed=8)
@@ -324,6 +330,29 @@ class TestAnalyzeEquilibrium:
         net = freeze(build_loop([4], Activation.TANH, _hyper(), seed=14))
         with pytest.raises(ConstructionError):
             analyze_equilibrium(net, np.zeros(4))
+
+    def test_unfrozen_net_gives_the_frozen_reports(self):
+        """Relaxing, polishing and linearizing move no weight, so a trained
+        net left unfrozen gives, bit for bit, every outcome of its frozen
+        copy, and keeps its weights."""
+        targets = gen_targets("binary", 3, 8, seed=16)
+        net = build_loop([5, 3], Activation.TANH, _hyper(), seed=16)
+        train(net, targets, TrainingSchedule(duration_per_target=5.0, epochs=4), seed=17)
+        frozen = freeze(copy.deepcopy(net))
+        weights = [A.tobytes() for A in (net.M, net.W, net.b)]
+        probes = np.vstack([targets.patterns, 0.5 * targets.patterns[:1]])
+        got = analyze_equilibrium(net, probes, tol=1e-10)
+        want = analyze_equilibrium(frozen, probes, tol=1e-10)
+        assert [A.tobytes() for A in (net.M, net.W, net.b)] == weights
+        assert any(isinstance(rep, SpectrumReport) for rep in got)
+        for rep, other in zip(got, want):
+            assert type(rep) is type(other)
+            if isinstance(rep, SpectrumReport):
+                assert rep.state.tobytes() == other.state.tobytes()
+                assert rep.eigenvalues.tobytes() == other.eigenvalues.tobytes()
+                assert spectrum_to_csv(rep) == spectrum_to_csv(other)
+            else:
+                assert str(rep) == str(other)
 
     @pytest.mark.parametrize("clamp", ["all", "population"])
     def test_clamped_net_analyzed_as_unclamped(self, clamp):
