@@ -52,8 +52,19 @@ SAMPLE_CHUNK = 16
 
 @dataclass(frozen=True)
 class TargetSet:
+    """n >= 1 stored patterns of length d >= 1, the rows of the 2-D array
+    patterns, of kind 'binary' or 'real'; anything else raises
+    ConstructionError."""
     kind: str
     patterns: np.ndarray
+
+    def __post_init__(self):
+        if self.kind not in (BINARY, REAL):
+            raise ConstructionError(f"unknown target kind {self.kind!r}")
+        P = self.patterns
+        if not (isinstance(P, np.ndarray) and P.ndim == 2 and P.size):
+            raise ConstructionError("patterns must be a 2-D array with at least one row "
+                                    "and one column")
 
     @property
     def n(self) -> int:
@@ -66,16 +77,15 @@ class TargetSet:
 
 def gen_targets(kind: str, n: int, d: int, seed) -> TargetSet:
     """Draw n stored patterns of length d: standard normal entries for
-    kind 'real', fair +-1 entries for kind 'binary'."""
+    kind 'real', fair +-1 entries for kind 'binary'; TargetSet refuses
+    any other kind."""
     if _natural("n", n) < 1 or _natural("d", d) < 1:
         raise ConstructionError("need n >= 1 and d >= 1")
     rng = np.random.default_rng(seed)
     if kind == BINARY:
         pats = rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
-    elif kind == REAL:
-        pats = rng.standard_normal((n, d))
     else:
-        raise ConstructionError(f"unknown target kind {kind!r}")
+        pats = rng.standard_normal((n, d))
     return TargetSet(kind, pats)
 
 

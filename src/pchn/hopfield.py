@@ -33,11 +33,16 @@ def _check_pm1(x, what):
     return x
 
 
-def hebbian_store(patterns) -> HopfieldNet:
-    """Sum of outer products with the diagonal zeroed; zero bias."""
-    X = _check_pm1(patterns, "patterns")
+def _patterns(X):
+    X = _check_pm1(X, "patterns")
     if X.ndim != 2:
         raise ConstructionError("patterns must be a (N, d) array")
+    return X
+
+
+def hebbian_store(patterns) -> HopfieldNet:
+    """Sum of outer products with the diagonal zeroed; zero bias."""
+    X = _patterns(patterns)
     W = X.T @ X
     np.fill_diagonal(W, 0.0)
     return HopfieldNet(W, np.zeros(X.shape[1]))
@@ -46,9 +51,15 @@ def hebbian_store(patterns) -> HopfieldNet:
 def async_sweep(net: HopfieldNet, v, order):
     """Update the listed neurons one at a time, in order, each seeing the
     latest state.  A zero local field keeps the previous value.  A state
-    that is not a +-1 vector of the net's length raises ConstructionError."""
+    that is not a +-1 vector of the net's length, or an order that holds
+    anything but integers in [0, d), raises ConstructionError before any
+    update."""
     v = _vector(_check_pm1(v, "state"), net.b.size).copy()
-    for i in order:
+    order = np.asarray(order)
+    if order.ndim != 1 or order.size and not (np.issubdtype(order.dtype, np.integer)
+                                              and 0 <= order.min() <= order.max() < v.size):
+        raise ConstructionError(f"order must hold integers in [0, {v.size}) only")
+    for i in order.tolist():
         h = float(net.W[i] @ v + net.b[i])
         if h > 0.0:
             v[i] = 1.0
@@ -58,14 +69,18 @@ def async_sweep(net: HopfieldNet, v, order):
 
 
 def hn_energy(net: HopfieldNet, v) -> float:
-    v = np.asarray(v, dtype=float)
+    """-(1/2) v W v - b v of a +-1 state v of the net's length; any other
+    v raises ConstructionError."""
+    v = _vector(_check_pm1(v, "state"), net.b.size)
     return float(-0.5 * v @ net.W @ v - net.b @ v)
 
 
 def interaction_energy(patterns, v) -> float:
-    """Pattern-overlap form: -(1/2) sum_n (x_n . v)^2.  On +-1 states it
-    matches hn_energy of the stored net up to the constant N*d/2."""
-    overlaps = np.asarray(patterns, dtype=float) @ np.asarray(v, dtype=float)
+    """Pattern-overlap form: -(1/2) sum_n (x_n . v)^2 of a +-1 (N, d)
+    stack and a +-1 state of length d, or ConstructionError.  It matches
+    hn_energy of the stored net up to the constant N*d/2."""
+    X = _patterns(patterns)
+    overlaps = X @ _vector(_check_pm1(v, "state"), X.shape[1])
     return float(-0.5 * np.dot(overlaps, overlaps))
 
 

@@ -27,9 +27,10 @@ Euler step and Network.relax steps it until each run settles or
 diverges.  Linearization lives in stability.py, the training loop in
 learning.py.
 
-Network.relax holds the clamp it is handed, a (mask, values) pair, after
-every step while E keeps evolving; the net's own clamps (clamped,
-clamp_target) hold only its own state s.
+A clamp is a (T,) bool mask that a kernel binds: its rhs writes -0.0
+into the masked value derivatives, so the masked values hold their start
+values, bit for bit, while E keeps evolving.  Network.relax takes such a
+mask for a batch; the net's own mask, clamped, holds only its state s.
 """
 
 import math
@@ -175,7 +176,6 @@ class Network:
         self.s = np.zeros(2 * T)
         self.E, self.V = self.s[:T], self.s[T:]
         self.clamped = np.zeros(T, dtype=bool)
-        self.clamp_target = np.zeros(T)
         self.M, self.W, self.b = np.zeros((T, T)), np.zeros((T, T)), np.zeros(T)
         self.mask = np.zeros((T, T))
 
@@ -207,9 +207,8 @@ class Network:
     # ---- clamps ----
 
     def clamp_all(self, target):
-        self.clamp_target[:] = _vector(target, self.total_units)
+        self.V[:] = _vector(target, self.total_units)
         self.clamped[:] = True
-        self.V[:] = self.clamp_target
 
     def unclamp_all(self):
         self.clamped[:] = False
@@ -221,16 +220,20 @@ class Network:
         values V."""
         return self.M @ self.activation.apply(V) + self.b
 
-    def kernel(self, s) -> Kernel:
+    def kernel(self, s, clamped=None) -> Kernel:
         """rhs and euler bound afresh to the batch s, B states as the rows
-        of a C-contiguous (2, B, T) float64 array, E rows then V rows; any
-        other s raises ConstructionError.  The E and V views of s are
-        sliced here, once, and C-contiguous copies of M.T and W.T and a
-        (B, T) block of b are taken: the kernel steps the weights of its
-        bind, so bind after the last weight write.  sigma(V) and sigma'(V)
-        share one (B, T) buffer and the derivatives go to one packed
-        buffer laid out like s.  The products are np.dot(sigma(V), Mt)
-        and np.dot(E, Wt), which OpenBLAS runs faster against a
+        of a C-contiguous (2, B, T) float64 array, E rows then V rows, and
+        to a copy of the (T,) bool mask clamped, bound as None when it
+        holds no True; any other s or clamped raises ConstructionError.
+        rhs writes -0.0 into dV at the clamped entries: euler adds -0.0
+        there, which keeps every bit of a clamped value (-0.0, NaN and
+        +-inf included), and a sup-norm reads 0 there.  The E and V views
+        of s are sliced here, once, and C-contiguous copies of M.T and W.T
+        and a (B, T) block of b are taken: the kernel steps the weights of
+        its bind, so bind after the last weight write.  sigma(V) and
+        sigma'(V) share one (B, T) buffer and the derivatives go to one
+        packed buffer laid out like s.  The products are np.dot(sigma(V),
+        Mt) and np.dot(E, Wt), which OpenBLAS runs faster against a
         C-contiguous transpose than against the view M.T, and the (B, T)
         bias adds faster than a broadcast of b.  A unit zeta or tau skips
         its multiply or divide: x * 1.0 and x / 1.0 are x in IEEE
@@ -241,6 +244,13 @@ class Network:
             raise ConstructionError(f"a kernel takes a C-contiguous (2, B, {T}) float64 "
                                     f"batch, not {getattr(s, 'dtype', type(s))} "
                                     f"{np.shape(s)}")
+        if clamped is not None:
+            if not (isinstance(clamped, np.ndarray) and clamped.dtype == bool
+                    and clamped.shape == (T,)):
+                what = (f"{clamped.dtype} {clamped.shape}" if isinstance(clamped, np.ndarray)
+                        else type(clamped).__name__)
+                raise ConstructionError(f"a kernel's clamp is a ({T},) bool array, not {what}")
+            clamped = clamped.copy() if clamped.any() else None
         E, V = s
         buf = np.empty_like(s)
         dE, dV = buf
@@ -274,6 +284,8 @@ class Network:
             sub(dV, E, dV)
             if tau is not None:
                 np.divide(buf, tau, buf)
+            if clamped is not None:
+                np.copyto(dV, -0.0, where=clamped)
             return buf
 
         def euler(d=None):
@@ -323,38 +335,33 @@ class Network:
         return 0.5 * self.hyper.zeta * float(np.dot(e, e))
 
     def residual(self) -> float:
-        """Sup-norm of the fast-state time derivative, skipping the value
-        equations of clamped units."""
-        d = self.kernel(self.s.reshape(2, 1, -1)).rhs()
-        return float(self._sup_norm(d, self.clamped)[0])
+        """Sup-norm of the fast-state time derivative under the net's
+        clamp, whose values hold their start values and count as 0."""
+        d = self.kernel(self.s.reshape(2, 1, -1), self.clamped).rhs()
+        return float(self._sup_norm(d)[0])
 
     @staticmethod
-    def _sup_norm(d, clamped, a=None):
+    def _sup_norm(d, a=None):
         """Sup-norm per run of the derivatives d of a (2, B, T) batch of
-        rows, skipping the value entries that the (T,) mask clamped marks
-        (None when no unit is clamped).  a, when given, is the d-shaped
-        buffer for |d|."""
-        # a clamped entry counts as 0, which never raises the max, and a
-        # max is exact in any order
-        a = np.abs(d, a)
-        if clamped is not None:
-            a[1][..., clamped] = 0.0
-        return np.maximum.reduce(a, (0, 2))
+        rows; a, when given, is the d-shaped buffer for |d|."""
+        # a max is exact in any order
+        return np.maximum.reduce(np.abs(d, a), (0, 2))
 
     def relax(self, s, tol: float, max_steps: int, clamp=None) -> "Relaxation":
         """Step the fast equations on B packed states, the rows of the
         C-contiguous (2, B, T) float array s, E rows then V rows, in
         place, run by run until its derivative sup-norm drops under tol,
         until it passes the divergence limit, or until the step budget
-        runs out; any other s raises ConstructionError, from the kernel
-        bound to it, before a step.
+        runs out.  clamp, None or a (T,) bool mask, is bound to each kernel
+        relax binds, so every run's masked values hold their start values
+        and count as 0 in its sup-norm; relax reads no clamp from the net.
+        Any other s or clamp, the old (mask, values) pair included, a NaN
+        or negative tol, or a max_steps that is not an integer >= 0 raises
+        ConstructionError before a step.
 
-        clamp, a (mask, values) pair of a (T,) bool array and T floats,
-        sets every run's masked values after every step and leaves them
-        out of its sup-norm; relax reads no clamp from the net.  A run that
-        settles or diverges is frozen at that step and dropped from the batch,
-        while the others go on; steps_taken advances by the steps all
-        runs took.
+        A run that settles or diverges is frozen at that step and dropped
+        from the batch, while the others go on; steps_taken advances by
+        the steps all runs took.
         The RHS is evaluated once per step: the derivatives behind each
         residual drive the next step.  The kernel is bound to the batch,
         and again only after runs are dropped, which np.compress does
@@ -365,27 +372,18 @@ class Network:
         is.  It is skipped only while two exact shortcuts both rule a stop
         out: the bound of _steps_under_limit, counted from the last full
         check, still clears the step of divergence, and every live run's
-        witness, the flat index of its largest unclamped |d| at that
-        check, is still at least tol, so its sup-norm is too.  A full
-        check finds the runs past the limit, counts the bound afresh
-        (none while a run is past it, or where the weights give no finite
-        bound or the states near the limit), takes the sup-norms, stops
-        the runs that settled or diverged and picks the witnesses again.
-        The residual of a run still live is taken once, at the end.
-        A NaN or negative tol, a max_steps that is not an integer >= 0, or
-        any other clamp raises ConstructionError before a step.
+        witness, the flat index of its largest |d| at that check, is still
+        at least tol, so its sup-norm is too.  A full check finds the runs
+        past the limit, counts the bound afresh (none while a run is past
+        it, or where the weights give no finite bound or the states near
+        the limit), takes the sup-norms, stops the runs that settled or
+        diverged and picks the witnesses again.  The residual of a run
+        still live is taken once, at the end.
         """
         if not tol >= 0:
             raise ConstructionError(f"tol={tol} is not >= 0")
         max_steps = _natural("max_steps", max_steps)
-        clamped = values = None
-        if clamp is not None:
-            clamped, values = np.asarray(clamp[0]), _vector(clamp[1], self.total_units)
-            if clamped.dtype != bool or clamped.shape != values.shape:
-                raise ConstructionError(f"clamp mask {clamped.dtype} {clamped.shape} is not "
-                                        f"a {values.shape} bool array")
-            clamped = clamped if clamped.any() else None
-        kernel, n = self.kernel(s), s.shape[1]
+        kernel, n = self.kernel(s, clamp), s.shape[1]
         out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                          np.zeros(n), np.zeros(n, dtype=bool))
         steps_under_limit = self._steps_under_limit(max_steps)
@@ -400,15 +398,13 @@ class Network:
                 if live.size == 0:
                     break
                 kernel.euler(d)
-                if clamped is not None:
-                    np.copyto(X[1], values, where=clamped)
                 d = kernel.rhs()
                 if unchecked and min(map(abs, d.ravel()[pick].tolist())) >= tol:
                     unchecked -= 1
                     continue
                 bad = _past_limit(X)
                 unchecked = 0 if bad.any() else steps_under_limit(X)
-                r = self._sup_norm(d, clamped, a)
+                r = self._sup_norm(d, a)
                 done = bad | (r < tol)
                 keep = ~done
                 pick = _witnesses(a[:, keep])
@@ -422,8 +418,8 @@ class Network:
                 live = live[keep]
                 X, d = np.compress(keep, X, 1), np.compress(keep, d, 1)
                 a = a[:, :live.size]
-                kernel = self.kernel(X)
-            out.residual[live] = self._sup_norm(d, clamped, a)
+                kernel = self.kernel(X, clamp)
+            out.residual[live] = self._sup_norm(d, a)
         if live.size and X is not s:
             s[:, live] = X
         self.steps_taken += int(out.steps.sum())
@@ -438,8 +434,8 @@ class Network:
         the derivatives at a state s of sup-norm S are at most L S + c,
         L = max(1 + zeta + ||M||, 1 + ||W||) / tau and c = ||b|| / tau in
         the row-sum norm, so a step takes S to at most a S + dt c with
-        a = 1 + dt L; clamped values hold their targets, which the S of
-        a clamped X already counts.  After k steps S + q is then at most
+        a = 1 + dt L; clamped values hold their start values, which S
+        already counts.  After k steps S + q is then at most
         a^k (S + q), q = dt c / (a - 1), and the count is the largest k
         that keeps this under DIVERGENCE_LIMIT / 2.  L, a and c are
         raised by rho for the rounding of the norms and of each step,
@@ -473,10 +469,9 @@ class Network:
     def run_fast_to_equilibrium(self, tol: float = 1e-6,
                                 max_steps: int = 100000) -> Relaxation:
         """relax on the net's own state, as one row, under the net's
-        clamps; raises IntegrationDivergenceError at the first step past
+        clamp; raises IntegrationDivergenceError at the first step past
         the divergence limit."""
-        out = self.relax(self.s.reshape(2, 1, -1), tol, max_steps,
-                         (self.clamped, self.clamp_target))
+        out = self.relax(self.s.reshape(2, 1, -1), tol, max_steps, self.clamped)
         if out.diverged[0]:
             raise IntegrationDivergenceError(self.steps_taken)
         return out

@@ -16,23 +16,22 @@ from pchn.stability import _sup, jacobian_analytic
 
 
 def clamp_population(net, i, target):
-    """Pin the values of population i to target; the others stay free."""
+    """Set the values of population i to target and clamp them there;
+    the others stay free."""
     rows = net.slices[i]
-    net.clamp_target[rows] = target
-    net.clamped[rows] = True
     net.V[rows] = target
+    net.clamped[rows] = True
 
 
 def algebraic_step(net):
     """One fast step whose error nodes are not integrated: they are set
     to their instantaneous equilibrium (V - mu)/zeta before the value
     update, which turns the value dynamics into gradient descent on the
-    energy when the weights are tied."""
+    energy when the weights are tied.  The net's clamped values hold."""
     h = net.hyper
     with np.errstate(over="ignore", invalid="ignore"):
         net.E[:] = (net.V - net.predict(net.V)) / h.zeta
-        net.V += h.dt * net.fast_rhs_flat(net.s)[net.total_units:]
-    np.copyto(net.V, net.clamp_target, where=net.clamped)
+        net.V += h.dt * net.kernel(net.s.reshape(2, 1, -1), net.clamped).rhs()[1, 0]
     net.steps_taken += 1
     if not np.all(np.abs(net.s) <= DIVERGENCE_LIMIT):
         raise IntegrationDivergenceError(net.steps_taken)
@@ -167,39 +166,50 @@ def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every
 
 def counting_rhs(net):
     """A list that gains one entry per rhs evaluation of the kernels net
-    binds from now on."""
+    binds from now on, with or without a clamp."""
     calls, bind = [], net.kernel
 
-    def kernel(s):
-        bound = bind(s)
+    def kernel(s, clamped=None):
+        bound = bind(s, clamped)
         return bound._replace(rhs=lambda: calls.append(1) or bound.rhs())
 
     net.kernel = kernel
     return calls
 
 
+def _sup_norm_unclamped(d, clamped, a):
+    """Sup-norm per run of the (2, B, T) derivatives d, skipping the value
+    entries that the (T,) mask clamped marks, with |d| taken into a."""
+    a = np.abs(d, a)
+    if clamped is not None:
+        a[1][..., clamped] = 0.0
+    return np.maximum.reduce(a, (0, 2))
+
+
 def relax_per_step(net, s, tol, max_steps, clamp=None):
     """Network.relax with every stop check taken at every step: the
     divergence check of the states and the derivative sup-norms of all
-    live runs after each step, under the (mask, values) clamp when one
-    is given.  The reference for relax's bound and witnesses."""
+    live runs after each step.  A clamp, a (T,) bool mask, is not bound
+    to the kernel: every run's masked values are copied back to their
+    start values after every step and left out of its sup-norm.  The
+    reference for relax's bound, witnesses and held clamp."""
     kernel, n = net.kernel(s), s.shape[1]
     out = Relaxation(np.full(n, max_steps), np.zeros(n, dtype=bool),
                      np.zeros(n), np.zeros(n, dtype=bool))
-    clamped, values = clamp if clamp is not None and clamp[0].any() else (None, None)
-    X, a, live = s, np.empty_like(s), np.arange(n)
+    clamped = clamp if clamp is not None and clamp.any() else None
+    X, a, live, held = s, np.empty_like(s), np.arange(n), s[1].copy()
     with np.errstate(over="ignore", invalid="ignore"):
         d = kernel.rhs()
-        r = net._sup_norm(d, clamped, a)
+        r = _sup_norm_unclamped(d, clamped, a)
         for k in range(1, max_steps + 1):
             if live.size == 0:
                 break
             kernel.euler(d)
             if clamped is not None:
-                np.copyto(X[1], values, where=clamped)
+                np.copyto(X[1], held, where=clamped)
             bad = _past_limit(X)
             d = kernel.rhs()
-            r = net._sup_norm(d, clamped, a)
+            r = _sup_norm_unclamped(d, clamped, a)
             done = bad | (r < tol)
             if not done.any():
                 continue
@@ -209,7 +219,7 @@ def relax_per_step(net, s, tol, max_steps, clamp=None):
             if X is not s:
                 s[:, ended] = X[:, done]
             keep = ~done
-            live, r = live[keep], r[keep]
+            live, r, held = live[keep], r[keep], held[keep]
             X, d = np.compress(keep, X, 1), np.compress(keep, d, 1)
             a = a[:, :live.size]
             kernel = net.kernel(X)

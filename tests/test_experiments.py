@@ -49,6 +49,25 @@ class TestTargets:
         with pytest.raises(ValueError):
             gen_targets("ternary", 2, 10, seed=0)
 
+    @pytest.mark.parametrize("kind", ["Binary", "ternary", "", None])
+    def test_target_set_refuses_an_unknown_kind(self, kind):
+        """A TargetSet of a kind other than 'binary' or 'real' is refused
+        when it is made, not studied as real targets."""
+        patterns = gen_targets("binary", 2, 6, seed=0).patterns
+        with pytest.raises(ConstructionError, match="unknown target kind"):
+            experiments.TargetSet(kind, patterns)
+
+    @pytest.mark.parametrize("patterns", [
+        np.zeros((0, 6)), np.zeros((2, 0)), np.ones(6), np.ones((1, 2, 3)), [[1.0, -1.0]]],
+        ids=["no rows", "no columns", "1-d", "3-d", "list"])
+    def test_target_set_refuses_patterns_that_are_not_a_stack(self, patterns):
+        """Patterns that are not a 2-D array with at least one row and one
+        column are refused when the set is made, not left to a bare
+        ValueError in a study's summary."""
+        with pytest.raises(ConstructionError,
+                           match="patterns must be a 2-D array with at least one row"):
+            experiments.TargetSet("binary", patterns)
+
     @pytest.mark.parametrize("n, d, message", [
         (0, 10, "need n >= 1 and d >= 1"), (2, 0, "need n >= 1 and d >= 1"),
         (2.5, 4, "n=2.5 is not an integer"), (2, 4.0, "d=4.0 is not an integer")],

@@ -76,6 +76,23 @@ class TestAsyncSweep:
         with pytest.raises(ConstructionError, match=match):
             recall(net, v, max_sweeps=0)
 
+    @pytest.mark.parametrize("order", [[-1], [6], [0, 6], [1.0], [True], [[0, 1]], 3, ["a"]],
+                             ids=["negative", "past d", "past d last", "float", "bool",
+                                  "2-d", "scalar", "text"])
+    def test_order_of_anything_but_neurons_refused(self, order):
+        """An order that holds anything but integers in [0, d) is refused
+        before any update, not wrapped round to neuron d - 1 or left to a
+        bare IndexError."""
+        net = hebbian_store(_pm1(np.random.default_rng(68), (2, 6)))
+        with pytest.raises(ConstructionError,
+                           match=re.escape("order must hold integers in [0, 6) only")):
+            async_sweep(net, np.ones(6), order)
+
+    def test_empty_order_updates_nothing(self):
+        net = hebbian_store(_pm1(np.random.default_rng(69), (2, 6)))
+        v = _pm1(np.random.default_rng(70), 6)
+        np.testing.assert_array_equal(async_sweep(net, v, []), v)
+
     def test_energy_never_increases_along_updates(self):
         """Every single-neuron update must keep hn_energy non-increasing;
         checked exhaustively along full recalls at d=100."""
@@ -120,6 +137,32 @@ class TestEnergies:
         v = np.array([1.0, 1.0])
         # overlaps are 2 and 0
         assert interaction_energy(x, v) == -2.0
+
+    @pytest.mark.parametrize("v, match", [
+        (np.full(10, 0.5), "state must have entries +-1 exactly"),
+        (np.ones(8), "vector length (8,) != (10,)"),
+        (np.ones((1, 10)), "vector length (1, 10) != (10,)")],
+        ids=["not pm1", "short", "2-d"])
+    def test_energies_refuse_a_state_that_is_not_a_pm1_vector_of_the_net(self, v, match):
+        """Both energy forms refuse a state that is not a +-1 vector of the
+        net's length: a half-valued state has no energy of its own, and a
+        short one is not left to numpy's matmul error."""
+        x = np.ones((3, 10))
+        net = hebbian_store(x)
+        with pytest.raises(ConstructionError, match=re.escape(match)):
+            hn_energy(net, v)
+        with pytest.raises(ConstructionError, match=re.escape(match)):
+            interaction_energy(x, v)
+
+    @pytest.mark.parametrize("patterns, match", [
+        (np.full((3, 10), 0.5), "patterns must have entries +-1 exactly"),
+        (np.ones(10), "patterns must be a (N, d) array"),
+        (np.ones((2, 3, 10)), "patterns must be a (N, d) array")],
+        ids=["not pm1", "1-d", "3-d"])
+    def test_interaction_energy_refuses_patterns_that_are_not_a_pm1_stack(self, patterns,
+                                                                          match):
+        with pytest.raises(ConstructionError, match=re.escape(match)):
+            interaction_energy(patterns, np.ones(10))
 
     def test_hn_energy_value(self):
         net = HopfieldNet(W=np.array([[0.0, 2.0], [2.0, 0.0]]),

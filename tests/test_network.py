@@ -458,6 +458,35 @@ class TestFastStep:
         with pytest.raises(ConstructionError, match="C-contiguous"):
             net.kernel(s)
 
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_kernel_holds_clamped_values_bit_for_bit(self, activation):
+        """A kernel bound to a clamp writes -0.0 into dV at the clamped
+        entries, so euler keeps every bit of a clamped value, -0.0, NaN,
+        +-inf and 1e300 included, and steps every other entry as a kernel
+        bound without the clamp does.  The mask is copied when bound: a
+        later write to it changes nothing.  An all-False mask steps as no
+        clamp."""
+        net = _plain_net(activation)
+        T = net.total_units
+        mask = np.zeros(T, dtype=bool)
+        mask[[0, 2, 3, 5, 6]] = True
+        start = _rows(np.random.default_rng(38).normal(size=(2 * T, 3)))
+        start[1, 0, mask] = [-0.0, np.nan, np.inf, -np.inf, 1e300]
+        got, free, none, bound = start.copy(), start.copy(), start.copy(), mask.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = net.kernel(got, bound)
+            d = kernel.rhs()
+            assert d[1][:, mask].tobytes() == np.full((3, 5), -0.0).tobytes()
+            kernel.euler(d)
+            net.kernel(free).euler()
+            net.kernel(none, np.zeros(T, dtype=bool)).euler()
+            assert got[0].tobytes() == free[0].tobytes()
+            assert got[1][:, ~mask].tobytes() == free[1][:, ~mask].tobytes()
+            bound[:] = False
+            kernel.euler()
+        assert got[1][:, mask].tobytes() == start[1][:, mask].tobytes()
+        assert none.tobytes() == free.tobytes()
+
     def test_clamped_values_pinned(self):
         rng = np.random.default_rng(8)
         net = build_loop([5], Activation.TANH, _hyper(), seed=8)
@@ -626,22 +655,24 @@ class TestEquilibrium:
         assert s.tobytes() == before.tobytes()
         assert net.steps_taken == 0
 
-    @pytest.mark.parametrize("mask, values, message", [
-        (np.ones(3, dtype=bool), np.zeros(4), "clamp mask bool (3,) is not a (4,) bool"),
-        (np.array([1.0, 0.0, 1.0, 0.0]), np.zeros(4),
-         "clamp mask float64 (4,) is not a (4,) bool"),
-        (np.ones(4, dtype=bool), np.zeros(5), "vector length (5,) != (4,)"),
-    ], ids=["short mask", "float mask", "long values"])
-    def test_malformed_clamp_refused(self, mask, values, message):
-        """A clamp mask that is not a (T,) bool array, and clamp values
-        that are not T floats, are refused before a step, not after one
-        step on the caller's batch."""
+    @pytest.mark.parametrize("clamp, message", [
+        (np.ones(3, dtype=bool), "bool (3,)"),
+        (np.array([1.0, 0.0, 1.0, 0.0]), "float64 (4,)"),
+        (np.ones((1, 4), dtype=bool), "bool (1, 4)"),
+        ([True, False, True, False], "list"),
+        ((np.ones(4, dtype=bool), np.zeros(4)), "tuple"),
+    ], ids=["short mask", "float mask", "2-d mask", "list", "mask and values"])
+    def test_malformed_clamp_refused(self, clamp, message):
+        """A clamp that is not a (T,) bool array, the old (mask, values)
+        pair included, is refused before a step, not after one step on
+        the caller's batch."""
         net = build_loop([4], Activation.TANH, _hyper(), seed=19)
         s = np.zeros((2, 2, 4))
         s[1] = np.random.default_rng(19).normal(size=(2, 4))
         before = s.copy()
+        message = f"a kernel's clamp is a (4,) bool array, not {message}"
         with pytest.raises(ConstructionError, match=re.escape(message)):
-            net.relax(s, 1e-6, 100, (mask, values))
+            net.relax(s, 1e-6, 100, clamp)
         assert s.tobytes() == before.tobytes()
         assert net.steps_taken == 0
 
@@ -717,12 +748,15 @@ class TestEquilibrium:
         net = build_loop([30, 20], activation, _hyper(dt=0.05), init_scale=0.1, seed=31)
         net.b[:] = np.random.default_rng(32).normal(size=50)
         rng = np.random.default_rng(33)
-        clamp_population(net, 0, rng.normal(size=30))
+        target = rng.normal(size=30)
+        clamp_population(net, 0, target)
         T, tol, dt, free = net.total_units, 1e-6, net.hyper.dt, ~net.clamped
         S = np.zeros((2 * T, 7))
         S[:, [0, 2, 3, 5]] = rng.normal(size=(2 * T, 4)) * [0.1, 0.3, 1.0, 3.0]
         # population 1's values are driven past -1e100 by its errors
         S[T + 30:, 6], S[30:T, 6] = -0.99e100, 0.9e100
+        # every run starts on the clamp's values, as clamp_all sets them
+        S[T:T + 30] = target[:, None]
         s = S[:, [0, 2, 3, 5, 6]]
         assert s.flags.f_contiguous and not s.flags.c_contiguous
 
@@ -733,7 +767,7 @@ class TestEquilibrium:
             d = np.stack(_plain_rhs(net, x))
             for k in range(1, budget + 1):
                 x[:, live] += dt * d
-                x[1][:, net.clamped] = net.clamp_target[net.clamped]
+                x[1][:, :30] = target
                 d = np.stack(_plain_rhs(net, x[:, live]))
                 a = np.abs(d)
                 r = np.concatenate((a[0], a[1][:, free]), axis=1).max(axis=1)
@@ -746,7 +780,7 @@ class TestEquilibrium:
         assert np.sum(stop == budget) == 2
 
         rows = _rows(s)
-        res = net.relax(rows, tol, budget, (net.clamped, net.clamp_target))
+        res = net.relax(rows, tol, budget, net.clamped)
         np.testing.assert_array_equal(res.steps, stop)
         np.testing.assert_array_equal(res.converged, converged)
         np.testing.assert_array_equal(res.diverged, diverged)
@@ -812,8 +846,8 @@ class TestEquilibrium:
         calls = []
         bound = net.kernel
 
-        def counting_kernel(s):
-            kernel = bound(s)
+        def counting_kernel(s, clamped=None):
+            kernel = bound(s, clamped)
             return kernel._replace(rhs=lambda *args: calls.append(1) or kernel.rhs(*args))
 
         net.kernel = counting_kernel

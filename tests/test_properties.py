@@ -128,6 +128,8 @@ def test_batched_relaxation_matches_one_state_at_a_time(net, data):
     starts = rng.normal(size=(2 * T, runs)) * data.draw(st.sampled_from([0.1, 1.0, 3.0]))
     if data.draw(st.booleans()):
         clamp_population(net, 0, rng.normal(size=net.slices[0].stop))
+        # every run starts on the clamp's values, as clamp_all sets them
+        starts[T:][net.clamped] = net.V[net.clamped, None]
     tol, budget = 1e-6, data.draw(st.sampled_from([3000, 50, 0]))
     # the batch as (2, runs, T) rows, and a copy permuted as stability's
     # np.take(S, cols, 1) is; at[j] is run j's row
@@ -136,7 +138,7 @@ def test_batched_relaxation_matches_one_state_at_a_time(net, data):
     results = []
     for S, _ in batches:
         before = net.steps_taken
-        results.append(net.relax(S, tol, budget, (net.clamped, net.clamp_target)))
+        results.append(net.relax(S, tol, budget, net.clamped))
         assert net.steps_taken - before == results[-1].steps.sum()
     for j in range(runs):
         net.s[:] = starts[:, j]
@@ -161,8 +163,10 @@ def test_relax_matches_the_per_step_loop_bit_for_bit(net, data):
     """relax, with its divergence bound and its witnesses, ends every run
     where the loop that checks every run at every step ends it: the same
     states, stop steps, flags, residuals and steps_taken, bit for bit,
-    from the same number of rhs evaluations.  The draws cover clamps,
-    tol from 0 to 1e-3, starts up to 1e99, where the bound runs out and
+    from the same number of rhs evaluations, where the loop copies each
+    run's clamped values back to their start after every step and relax
+    holds them.  The draws cover clamps, with one clamped -0.0, tol
+    from 0 to 1e-3, starts up to 1e99, where the bound runs out and
     every step is checked, zero starts without bias, which no step
     moves, non-finite weights, where the bound gives nothing, and budgets
     that cross its rechecks."""
@@ -173,8 +177,9 @@ def test_relax_matches_the_per_step_loop_bit_for_bit(net, data):
     T = net.total_units
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans()):
-        clamp_population(net, 0, rng.normal(size=net.slices[0].stop)
-                         * data.draw(st.sampled_from([1.0, 1e40])))
+        target = rng.normal(size=net.slices[0].stop) * data.draw(st.sampled_from([1.0, 1e40]))
+        target[0] = -0.0
+        clamp_population(net, 0, target)
     if data.draw(st.booleans()):
         net.b[:] = 0.0
     if data.draw(st.booleans()):
@@ -185,15 +190,16 @@ def test_relax_matches_the_per_step_loop_bit_for_bit(net, data):
     scale = np.array(data.draw(st.lists(st.sampled_from([1.0, 1e-6, 10.0, 1e40, 1e98, 1e99, 0.0]),
                                         min_size=runs, max_size=runs)))
     starts = np.ascontiguousarray(rng.normal(size=(2, runs, T)) * scale[:, None])
+    # every run starts on the clamp's values, as clamp_all sets them
+    starts[1][:, net.clamped] = net.V[net.clamped]
     tol = data.draw(st.sampled_from([1e-3, 1e-4, 1e-6, 1e-9, 1e-12, 0.0]))
     budget = data.draw(st.sampled_from([600, 300, 150, 0, 1, 2]) | st.integers(0, 600))
     calls = counting_rhs(net)
     got, want = starts.copy(), starts.copy()
     before = net.steps_taken
-    clamp = (net.clamped, net.clamp_target)
-    expected = relax_per_step(net, want, tol, budget, clamp)
+    expected = relax_per_step(net, want, tol, budget, net.clamped)
     taken, evaluated = net.steps_taken - before, len(calls)
-    res = net.relax(got, tol, budget, clamp)
+    res = net.relax(got, tol, budget, net.clamped)
     assert got.tobytes() == want.tobytes()
     for field in ("steps", "converged", "diverged", "residual"):
         assert getattr(res, field).tobytes() == getattr(expected, field).tobytes(), field

@@ -359,7 +359,8 @@ class TestAnalyzeEquilibrium:
         """The net's clamps hold only its own state: on a trained,
         frozen net whose units are all clamped, or one population of a
         loop's, every outcome is bit for bit the one the same net gives
-        unclamped, and the clamp arrays stay as they were."""
+        unclamped, and the clamp mask and the net's state stay as they
+        were."""
         targets = gen_targets("binary", 3, 8, seed=16)
         if clamp == "all":
             net = build_loop([8], Activation.TANH, _hyper(), seed=16)
@@ -373,10 +374,10 @@ class TestAnalyzeEquilibrium:
             net.clamp_all(targets.patterns[0])
         else:
             clamp_population(net, 1, [0.5, -0.5, 0.25])
-        mask, values = net.clamped.copy(), net.clamp_target.copy()
+        mask, state = net.clamped.copy(), net.s.copy()
         got = analyze_equilibrium(net, probes, tol=1e-10)
         np.testing.assert_array_equal(net.clamped, mask)
-        assert net.clamp_target.tobytes() == values.tobytes()
+        assert net.s.tobytes() == state.tobytes()
         assert any(isinstance(rep, SpectrumReport) for rep in got)
         for rep, want in zip(got, free):
             assert type(rep) is type(want)
