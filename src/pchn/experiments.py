@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConstructionError
 from .hopfield import _check_pm1
-from .network import _natural, _past_limit, _rows, _steps_of
+from .network import DIVERGENCE_LIMIT, _natural, _past_limit, _rows, _steps_of
 
 BINARY = "binary"
 REAL = "real"
@@ -53,7 +53,8 @@ SAMPLE_CHUNK = 16
 @dataclass(frozen=True)
 class TargetSet:
     """n >= 1 stored patterns of length d >= 1, the rows of the 2-D array
-    patterns, of kind 'binary' or 'real'; anything else raises
+    patterns, of kind 'binary' with entries +-1 exactly or 'real' with
+    finite entries within DIVERGENCE_LIMIT; anything else raises
     ConstructionError."""
     kind: str
     patterns: np.ndarray
@@ -65,6 +66,11 @@ class TargetSet:
         if not (isinstance(P, np.ndarray) and P.ndim == 2 and P.size):
             raise ConstructionError("patterns must be a 2-D array with at least one row "
                                     "and one column")
+        if self.kind == BINARY:
+            _check_pm1(P, "binary patterns")
+        elif _past_limit(np.asarray(P, dtype=float)).any():
+            raise ConstructionError("real patterns must have finite entries within "
+                                    f"{DIVERGENCE_LIMIT:g}")
 
     @property
     def n(self) -> int:

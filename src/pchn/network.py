@@ -38,7 +38,6 @@ import numbers
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -232,12 +231,13 @@ class Network:
         and a (B, T) block of b are taken: the kernel steps the weights of
         its bind, so bind after the last weight write.  sigma(V) and
         sigma'(V) share one (B, T) buffer and the derivatives go to one
-        packed buffer laid out like s.  The products are np.dot(sigma(V),
-        Mt) and np.dot(E, Wt), which OpenBLAS runs faster against a
-        C-contiguous transpose than against the view M.T, and the (B, T)
-        bias adds faster than a broadcast of b.  A unit zeta or tau skips
-        its multiply or divide: x * 1.0 and x / 1.0 are x in IEEE
-        arithmetic, inf, NaN and -0 included."""
+        packed buffer laid out like s.  The products are a.dot(Mt, dE) and
+        E.dot(Wt, dV), a holding sigma(V): the bound ndarray.dot makes the
+        cblas call of np.dot without its Python-level dispatcher, and
+        OpenBLAS runs it faster against a C-contiguous transpose than
+        against the view M.T; the (B, T) bias adds faster than a broadcast
+        of b.  A unit zeta or tau skips its multiply or divide: x * 1.0 and
+        x / 1.0 are x in IEEE arithmetic, inf, NaN and -0 included."""
         T, h = self.total_units, self.hyper
         if not (isinstance(s, np.ndarray) and s.dtype == np.float64 and s.ndim == 3
                 and s.shape[::2] == (2, T) and s.flags.c_contiguous):
@@ -261,16 +261,14 @@ class Network:
         tau = None if h.tau == 1.0 else h.tau
         # a 0-d array multiplies faster than a Python float, to the same bits
         dt = np.array(h.dt)
-        # outputs passed positionally, which numpy dispatches fastest;
-        # sigma(V) is written to a, so both products bind their operands
+        # outputs passed positionally, which numpy dispatches fastest
         mul, add, sub = np.multiply, np.add, np.subtract
         Mt, Wt = self.M.T.copy(), self.W.T.copy()
-        m_dot, w_dot = partial(np.dot, a, Mt), partial(np.dot, E, Wt)
 
         def rhs():
             # dE = (V - (M @ sigma(V) + b) - zeta * E) / tau
             sigma(V)
-            m_dot(dE)
+            a.dot(Mt, dE)
             add(dE, bias, dE)
             sub(V, dE, dE)
             if zeta is None:
@@ -279,7 +277,7 @@ class Network:
                 mul(E, zeta, dV)
                 sub(dE, dV, dE)
             # dV = (-E + sigma'(V) * (W @ E)) / tau
-            w_dot(dV)
+            E.dot(Wt, dV)
             mul(dV, gain(), dV)
             sub(dV, E, dV)
             if tau is not None:

@@ -24,6 +24,14 @@ from pchn.network import MAX_STEPS
 from oracles import distance, distance_table, relaxation_study_sampled, textbook_euler
 
 
+def _one_entry_set(kind, value):
+    """gen_targets(kind, 3, 12, seed=2)'s patterns with entry 4 of
+    target 1 set to value."""
+    patterns = gen_targets(kind, 3, 12, seed=2).patterns.copy()
+    patterns[1, 4] = value
+    return patterns
+
+
 class TestTargets:
     def test_binary_entries_are_pm1(self):
         ts = gen_targets("binary", 10, 100, seed=3)
@@ -67,6 +75,37 @@ class TestTargets:
         with pytest.raises(ConstructionError,
                            match="patterns must be a 2-D array with at least one row"):
             experiments.TargetSet("binary", patterns)
+
+    @pytest.mark.parametrize("patterns", [
+        gen_targets("real", 3, 12, seed=2).patterns,
+        *(_one_entry_set("binary", value) for value in (0.0, 0.5, -2.0, np.nan, np.inf))],
+        ids=["real draws", "0", "0.5", "-2", "nan", "inf"])
+    def test_target_set_refuses_binary_patterns_that_are_not_pm1(self, patterns):
+        """No state's sign equals a non-+-1 entry, so a study of these
+        as binary targets would read a Hamming distance of d from every
+        run to each target that holds one; the set is refused when it is
+        made."""
+        with pytest.raises(ConstructionError,
+                           match=re.escape("binary patterns must have entries +-1 exactly")):
+            experiments.TargetSet("binary", patterns)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.5e100, -1.5e100])
+    def test_target_set_refuses_real_patterns_that_train_refuses(self, value):
+        """A NaN, an inf or an entry past DIVERGENCE_LIMIT, which train
+        refuses, is refused when the set is made: a study would start
+        its probes of that target past the limit and report them
+        diverged, with no error."""
+        patterns = _one_entry_set("real", value)
+        limit = re.escape("finite entries within 1e+100")
+        with pytest.raises(ConstructionError, match="real patterns must have " + limit):
+            experiments.TargetSet("real", patterns)
+        net = build_loop([12], Activation.TANH, Hyperparams(), seed=1)
+        with pytest.raises(ConstructionError, match=limit):
+            train(net, patterns, TrainingSchedule(duration_per_target=0.1, epochs=1))
+
+    def test_target_set_takes_pm1_integers_and_real_entries_at_the_limit(self):
+        experiments.TargetSet("binary", np.array([[1, -1], [-1, -1]]))
+        experiments.TargetSet("real", np.array([[1e100, -1e100], [0.0, -0.0]]))
 
     @pytest.mark.parametrize("n, d, message", [
         (0, 10, "need n >= 1 and d >= 1"), (2, 0, "need n >= 1 and d >= 1"),
