@@ -126,7 +126,7 @@ def _nonempty(text):
 # and the parser of its text into the RunConfig attribute of that name.
 CONFIG = {
     "architecture": ("Single100", _one_of(*ARCHITECTURES)),
-    "sizes": ("", str),  # read for Custom only
+    "sizes": ("", str),  # for Custom only; refused with any other architecture
     "target_kind": (BINARY_KIND, _one_of(*KIND_DEFAULTS)),
     "activation": (None, Activation.from_name),
     "tie_weights": ("false", _bool),
@@ -202,7 +202,11 @@ class RunConfig:
                 setattr(self, key, parse(val))
             except ValueError as e:
                 raise ConfigError(f"{key}: {e}") from None
-        self.sizes = list(ARCHITECTURES[self.architecture] or _custom_sizes(self.sizes))
+        named = ARCHITECTURES[self.architecture]
+        if named and self.sizes:
+            raise ConfigError(f"sizes: architecture {self.architecture} has sizes "
+                              f"{','.join(map(str, named))}; sizes is for Custom only")
+        self.sizes = list(named or _custom_sizes(self.sizes))
         self.binary = self.target_kind == BINARY_KIND
         paired = KIND_DEFAULTS[self.target_kind]["activation"]
         self.pairing_warning = (None if self.activation.value == paired else

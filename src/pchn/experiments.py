@@ -7,19 +7,18 @@ weight, so a net need not be frozen.  Runs are the rows of one
 (2, runs, T) batch of fast states, error rows then value rows; they
 share the weights, so one Euler kernel, bound once per study (see
 Network.kernel), advances every run with the same matrix products.
-Each sample copies the value rows into a chunk of SAMPLE_CHUNK samples,
-a (samples, runs, T) array flushed when it fills and at the end.  A
-flush finds each live run's first sample past the divergence limit,
-keeps the samples before it and closes the run out there, zeroing its
-state; the samples after it were never recorded.  It then takes the
-chunk's distances in one call, from a (targets, samples x runs, T)
+After the steps that reach a sample, one divergence check ends each
+live run that has passed the limit there: it keeps its previous
+distances (zeros at sample 0), and its state is zeroed.  Then one
+distance call takes that sample's distances from a (targets, runs, T)
 difference squared and summed over its last axis: the operations of
-np.linalg.norm(..., axis=-1), so every chunk shape, one run against one
-target included, sums a distance the same way.  They fill the slices of
-a Trace: a (runs, samples, targets) distance array, the index of each
-run's last sample and a mask of the runs that diverged.  The CSV
-writer, the distance tables and the summaries read those arrays
-directly; the CSV is built and written as ASCII bytes.
+np.linalg.norm(..., axis=-1), so one run against one target sums a
+distance the same way as a wider batch.  The distances of the runs
+still live fill that sample's slice of a Trace: a (runs, samples,
+targets) distance array, the index of each run's last sample and a
+mask of the runs that diverged.  The CSV writer, the distance tables
+and the summaries read those arrays directly; the CSV is built and
+written as ASCII bytes.
 
 Seeding: make_probes and the studies take an int or a SeedSequence seed
 and build run r's stream with _run_seed, as SeedSequence(seed,
@@ -43,12 +42,6 @@ HAMMING = "hamming"
 # recall probes: noise std for real targets, bit flips for binary ones
 PERTURB_STD = float(np.sqrt(0.5))
 FLIP_BITS = 13
-
-# samples a study turns into distances with one _chunk_distances call;
-# its one (targets, SAMPLE_CHUNK * runs, T) scratch is about 1.3 MB at
-# T = 100 with 10 targets and 10 runs
-SAMPLE_CHUNK = 16
-
 
 @dataclass(frozen=True)
 class TargetSet:
@@ -183,15 +176,17 @@ def make_probes(targets: TargetSet, seed=0, *, sigma: float = PERTURB_STD,
     return probes
 
 
-def _chunk_distances(X, P, metric: str, work):
-    """(targets, samples) distances between the rows of X (samples, T)
-    and the rows of P (targets, T); work is a (targets, >= samples, T)
-    scratch.  Euclidean distances run the operations of
-    np.linalg.norm(..., axis=-1) on a (targets, samples, T) difference;
-    Hamming ones count sign mismatches."""
+def _distances(X, P, metric: str, work):
+    """(targets, runs) distances between the rows of X (runs, T) and the
+    patterns, each repeated for every run in P (targets, runs, T); work
+    is a scratch of P's shape.  Euclidean distances run the operations of
+    np.linalg.norm(..., axis=-1) on the (targets, runs, T) difference;
+    Hamming ones count the entries where X >= 0 and P > 0 differ, the
+    mismatches of sign_pm1(X), NaN and zero included, with the +-1
+    patterns."""
     if metric == HAMMING:
-        return np.count_nonzero(sign_pm1(X) != P[:, None], axis=-1)
-    diff = np.subtract(X, P[:, None], work[:, :len(X)])
+        return np.add.reduce((X >= 0) != (P > 0), axis=-1)
+    diff = np.subtract(X, P, work)
     np.multiply(diff, diff, diff)
     sq = np.add.reduce(diff, axis=-1)
     return np.sqrt(sq, sq)
@@ -224,36 +219,28 @@ def relaxation_study(net, targets: TargetSet, starts, *, horizon: float = 20.0,
     # a (2, runs, T) batch of rows: errors, then values
     S = np.zeros((2, n_runs, T))
     S[1] = starts
-    chunk = np.empty((SAMPLE_CHUNK, n_runs, T))
-    work = np.empty((n_targets, SAMPLE_CHUNK * n_runs, T))
+    # each pattern repeated for every run: a sample's subtraction then
+    # runs over rows of runs x T entries, not over rows of T
+    P = np.repeat(patterns[:, None], n_runs, axis=1)
+    work = np.empty_like(P)
     trace = Trace(metric, sampled * dt,
                   np.zeros((n_runs, sampled.size, n_targets)),
                   np.full(n_runs, sampled.size - 1), np.zeros(n_runs, dtype=bool))
 
-    step, first = net.kernel(S).euler, 0
+    step = net.kernel(S).euler
     with np.errstate(over="ignore", invalid="ignore"):
         for i, gap in enumerate(np.diff(sampled, prepend=0).tolist()):
             for _ in range(gap):
                 step()
-            np.copyto(chunk[i - first], S[1])
-            if i - first + 1 < SAMPLE_CHUNK and i < sampled.size - 1:
-                continue
-            # the chunk holds samples first to i of every run; a live run
-            # ends at its first sample past the limit, m when it has none
-            m = i - first + 1
-            values = chunk[:m].reshape(m * n_runs, T)
-            bad = _past_limit(values).reshape(m, n_runs) & ~trace.diverged
-            ends = np.where(bad.any(axis=0), bad.argmax(axis=0), m)
-            kept = (np.arange(m) < ends[:, None]) & ~trace.diverged[:, None]
-            D = _chunk_distances(values, patterns, metric, work)
-            np.copyto(trace.dist[:, first:i + 1], D.reshape(n_targets, m, n_runs).T,
-                      where=kept[:, :, None])
-            for r in np.flatnonzero(ends < m).tolist():
-                at = first + int(ends[r])
-                trace.dist[r, at] = trace.dist[r, at - 1] if at else 0.0
-                trace.end[r], trace.diverged[r] = at, True
-                S[:, r] = 0.0
-            first = i + 1
+            # a live run past the limit ends at this sample, repeating its
+            # previous distances
+            bad = _past_limit(S[1]) & ~trace.diverged
+            if bad.any():
+                trace.dist[bad, i] = trace.dist[bad, i - 1] if i else 0.0
+                trace.end[bad], trace.diverged[bad] = i, True
+                S[:, bad] = 0.0
+            np.copyto(trace.dist[:, i], _distances(S[1], P, metric, work).T,
+                      where=~trace.diverged[:, None])
     return trace
 
 

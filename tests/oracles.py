@@ -126,7 +126,7 @@ def relaxation_study_sampled(net, targets, starts, *, horizon=20.0, sample_every
     """experiments.relaxation_study with one distance_table call per sample,
     straight after the steps that reach it, each through a kernel bound
     for it to the (2, runs, T) batch of rows, or through step(S) when
-    given: the reference for the chunked samples."""
+    given: the reference for a study's samples."""
     if step is None:
         def step(S):
             net.kernel(S).euler()

@@ -287,12 +287,16 @@ class TestTrain:
         (["--out", ""], "output_dir: must be nonempty"),
         (["--architecture", "Custom", "--sizes", "3,x"],
          "sizes: architecture Custom needs comma-separated positive integers"),
-        (["--flip_bits", "13"], "flip_bits must lie in [0, 12]")])
+        (["--flip_bits", "13"], "flip_bits must lie in [0, 12]"),
+        (["--architecture", "Loop50_30_20"], "sizes: architecture Loop50_30_20 has sizes "
+                                             "50,30,20; sizes is for Custom only")])
     def test_bad_value_rejected_before_anything_is_written(self, tmp_path, capsys,
                                                            monkeypatch, flags, message):
         """A value its key does not take exits with code 2 and an error
         line naming it, before anything is written; --out "" would
-        otherwise write into the working directory."""
+        otherwise write into the working directory, and FAST's --sizes 12
+        beside a named architecture would run that net and drop sizes
+        from the echo."""
         monkeypatch.chdir(tmp_path)
         assert main(["train", "--out", "x"] + FAST + flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -12,7 +12,7 @@ import pytest
 from pchn import (Activation, ConstructionError, Hyperparams, TrainingSchedule,
                   build_loop, freeze, gen_targets, train)
 from pchn import experiments
-from pchn.experiments import (EUCLIDEAN, HAMMING, SAMPLE_CHUNK, Trace, _chunk_distances,
+from pchn.experiments import (EUCLIDEAN, HAMMING, Trace, _distances,
                               absorption_summary, distance_tables,
                               make_probes, metric_for, perturb_flip,
                               perturb_gaussian, perturbation_study,
@@ -175,16 +175,17 @@ class TestPerturbations:
 
 
 def _table(V, P, metric, work=None):
-    """_chunk_distances as a (runs, targets) table between the rows of V
+    """_distances as a (runs, targets) table between the rows of V
     (runs, T) and of P (targets, T); work, when given, is its (targets,
-    >= runs, T) scratch."""
+    runs, T) scratch."""
+    repeated = np.repeat(P[:, None], len(V), axis=1)
     if work is None:
-        work = np.empty((len(P),) + V.shape)
-    return _chunk_distances(V, P, metric, work).T
+        work = np.empty_like(repeated)
+    return _distances(V, repeated, metric, work).T
 
 
 def _one_distance(a, b, metric):
-    """_chunk_distances between one state a and one target b."""
+    """_distances between one state a and one target b."""
     return _table(np.array(a)[None], np.array(b)[None], metric)[0, 0]
 
 
@@ -216,11 +217,11 @@ class TestDistances:
 
     def test_euclidean_is_bitwise_linalg_norm(self):
         """The Euclidean table runs the operations of np.linalg.norm, so
-        it has its bits, also into the front of a wider reused work
-        buffer, as a study's last chunk uses it."""
+        it has its bits, also into a reused work buffer, as a study
+        reuses it at every sample."""
         rng = np.random.default_rng(4)
         P = rng.normal(size=(10, 100))
-        work = np.empty((10, SAMPLE_CHUNK * 7, 100))
+        work = np.empty((10, 7, 100))
         for _ in range(2):
             V = rng.normal(size=(7, 100))
             want = np.linalg.norm(V[:, None] - P, axis=-1)
@@ -479,10 +480,10 @@ class TestPinnedBytes:
                            "005aaf1dbd15a8b86c492966003a2988")
 
 
-class TestChunkedSamples:
-    """relaxation_study takes its distances SAMPLE_CHUNK samples at a
-    time; its Trace and CSV are bitwise those of the oracle that takes
-    them one sample at a time."""
+class TestStudyMatchesPerSampleOracle:
+    """Every relaxation_study's Trace and CSV are bitwise those of the
+    per-sample oracle, which takes each sample's distances with
+    np.linalg.norm."""
 
     @staticmethod
     def _check(net, ts, starts, horizon, sample_every):
@@ -498,25 +499,36 @@ class TestChunkedSamples:
     @pytest.mark.parametrize("kind", ["real", "binary"])
     @pytest.mark.parametrize("activation", list(Activation))
     def test_moving_runs(self, activation, kind):
-        """204 samples, not a multiple of the chunk, of runs that move far
-        from their starts; identity units may diverge on the way."""
+        """204 samples of runs that move far from their starts; identity
+        units may diverge on the way."""
         ts = gen_targets(kind, 3, 12, seed=44)
         net = TestPinnedBytes._moving_net(activation, 44)
         trace = self._check(net, ts, make_probes(ts, 44, flip_bits=3), 2.03, 0.01)
-        assert trace.t.size == 204 and trace.t.size % SAMPLE_CHUNK
+        assert trace.t.size == 204
         assert np.any(trace.dist[:, -1] != trace.dist[:, 0])
 
     @pytest.mark.parametrize("kind", ["real", "binary"])
-    def test_divergence_in_the_middle_of_a_chunk(self, kind):
-        """Run 0 passes the divergence limit mid-chunk, run 2 starts past
+    def test_divergence_in_the_middle_of_a_study(self, kind):
+        """Run 0 passes the divergence limit mid-study, run 2 starts past
         it, run 1 stays finite to the end."""
         ts = gen_targets(kind, 3, 12, seed=45)
         p = ts.patterns
         starts = np.stack([p[0] * 1e95, p[1], np.full(12, 2e100)])
         trace = self._check(_unstable_linear_net(), ts, starts, 0.5, 0.005)
         np.testing.assert_array_equal(trace.diverged, [True, False, True])
-        assert trace.end[0] % SAMPLE_CHUNK not in (0, SAMPLE_CHUNK - 1)
+        assert 0 < trace.end[0] < trace.t.size - 1
         assert trace.end[1] == trace.t.size - 1 and trace.end[2] == 0
+
+    @pytest.mark.parametrize("kind, horizon", [("real", 0.37), ("binary", 0.28)])
+    def test_divergence_at_the_last_sample(self, kind, horizon):
+        """Run 0 first passes the divergence limit at the study's last
+        sample, which repeats its previous distances; run 1 stays finite."""
+        ts = gen_targets(kind, 3, 12, seed=45)
+        starts = ts.patterns[:2] * [[1e95], [1.0]]
+        trace = self._check(_unstable_linear_net(), ts, starts, horizon, 0.005)
+        np.testing.assert_array_equal(trace.diverged, [True, False])
+        np.testing.assert_array_equal(trace.end, trace.t.size - 1)
+        np.testing.assert_array_equal(trace.dist[0, -1], trace.dist[0, -2])
 
     def test_zero_runs(self):
         ts = gen_targets("real", 2, 12, seed=46)
@@ -528,28 +540,26 @@ class TestChunkedSamples:
         np.testing.assert_array_equal(trace.t, [0.0, 0.3])
 
     def test_one_run_against_one_target(self):
-        """A (1, samples, T) difference, summed over T as every wider
-        chunk's is."""
+        """A (1, 1, T) difference, summed over T as every wider batch's
+        is."""
         ts = gen_targets("real", 1, 12, seed=48)
         net = TestPinnedBytes._moving_net(Activation.TANH, 48)
         self._check(net, ts, make_probes(ts, 48), 2.03, 0.01)
 
 
-    @pytest.mark.parametrize("last_chunk", [1, 15])
+    @pytest.mark.parametrize("samples", [33, 47])
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     @pytest.mark.parametrize("runs", [1, 2, 3])
-    def test_distances_of_every_batch_shape(self, runs, n_targets, last_chunk):
-        """1 to 3 runs against 1 to 3 targets on a T = 100 net, whose final
-        chunk holds 1 sample or 15.  A single run's final sample is a
-        one-row chunk, which must sum over T as the oracle's one sample
-        does."""
+    def test_distances_of_every_batch_shape(self, runs, n_targets, samples):
+        """1 to 3 runs against 1 to 3 targets on a T = 100 net, over 33
+        or 47 samples.  A single run's sample is a one-row batch, which
+        must sum over T as the oracle's does."""
         net = build_loop([100], Activation.TANH, Hyperparams(dt=0.01),
                          init_scale=1.0, seed=49)
         net.b[:] = np.random.default_rng(49).normal(size=100)
         freeze(net)
         ts = gen_targets("real", n_targets, 100, seed=49)
         starts = np.random.default_rng(50).normal(size=(runs, 100))
-        samples = 2 * SAMPLE_CHUNK + last_chunk
         trace = self._check(net, ts, starts, (samples - 1) * 0.01, 0.01)
         assert trace.t.size == samples and not trace.diverged.any()
 

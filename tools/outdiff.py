@@ -7,7 +7,10 @@ The first form runs the pipeline of each workload below under each
 source tree, in fresh processes with that tree's src directory on
 PYTHONPATH, at root seed 0: train, perturb, stability and random-init,
 and hopfield-baseline on the binary workloads.  The flags after `--` go
-to every run, after `--seed 0`, so they may override the seed too.  Each
+to every run, after `--seed 0`, so they may override the seed too.  A
+workload whose architecture and target kind, once those flags are read
+(last one wins, spelled in full), are an earlier workload's would repeat
+its runs: it is skipped, with one line naming the earlier one.  Each
 workload writes into DIR/old/<workload> and DIR/new/<workload> (DIR
 defaults to a temporary directory, removed afterwards), beside each
 subcommand's stdout in <subcommand>.stdout and its exit code and stderr
@@ -18,7 +21,8 @@ Stdout is compared with its wall= times masked, config.echo without its
 output_dir line, and every other file byte for byte.  For each file the
 script prints "identical", or every line that moved, with its line
 number and the largest relative change of any numeric field in it.  It
-exits 0 only when every file is identical.
+prints every <subcommand>.stderr, on either side, whose run did not exit
+0.  It exits 0 only when every file is identical and every run exited 0.
 """
 
 import argparse
@@ -40,10 +44,30 @@ STUDIES = ("train", "perturb", "stability", "random-init")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
-def run_pipelines(tree, out, flags):
-    """Run every workload's pipeline with tree's pchn into out/<workload>."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+def distinct_workloads(flags):
+    """The workloads whose (architecture, target kind), with flags read
+    last-wins as pchn reads them, no earlier workload has; prints one
+    line for each workload left out."""
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    parser.add_argument("--architecture")
+    parser.add_argument("--target_kind")
+    known = parser.parse_known_args(flags)[0]
+    first = {}
     for workload, (architecture, kind) in WORKLOADS.items():
+        config = (known.architecture or architecture, known.target_kind or kind)
+        if config in first:
+            print(f"{workload}: skipped, repeats {first[config]}")
+        else:
+            first[config] = workload
+    return list(first.values())
+
+
+def run_pipelines(tree, out, workloads, flags):
+    """Run each named workload's pipeline with tree's pchn into
+    out/<workload>."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    for workload in workloads:
+        architecture, kind = WORKLOADS[workload]
         wdir = os.path.join(out, workload)
         os.makedirs(wdir)
         commands = STUDIES + (("hopfield-baseline",) if kind == "BinarySign" else ())
@@ -113,9 +137,24 @@ def _describe(a, b):
     return "text changed" if change is None else f"largest relative change {change:.3g}"
 
 
+def failed_runs(root):
+    """Print each <subcommand>.stderr under root whose run did not exit 0,
+    with its lines; True when there is none."""
+    ok = True
+    for rel in sorted(_files(root)):
+        if rel.endswith(".stderr"):
+            with open(os.path.join(root, rel)) as fh:
+                text = fh.read()
+            if not text.startswith("exit 0\n"):
+                print(f"{os.path.join(root, rel)}: run failed")
+                print("".join(f"  {line}\n" for line in text.splitlines()), end="")
+                ok = False
+    return ok
+
+
 def compare(old_root, new_root):
-    """Print one report per file under either root; True when every
-    file is identical."""
+    """Print one report per file under either root, then every failed
+    run; True when every file is identical and every run exited 0."""
     same = True
     for rel in sorted(_files(old_root) | _files(new_root)):
         paths = [os.path.join(root, rel) for root in (old_root, new_root)]
@@ -141,7 +180,8 @@ def compare(old_root, new_root):
         print(f"{rel}: {summary}")
         for lineno, a, b in moved:
             print(f"  line {lineno}: {_describe(a, b)}")
-    return same
+    # & and not `and`, so that both sides print their failed runs
+    return failed_runs(old_root) & failed_runs(new_root) & same
 
 
 def main(argv=None):
@@ -159,10 +199,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.dirs:
         return 0 if compare(args.old, args.new) else 1
+    workloads = distinct_workloads(flags)
     with tempfile.TemporaryDirectory() as tmp:
-        out = args.out or tmp
+        # each run works in its own directory, so out must not be relative
+        out = os.path.abspath(args.out or tmp)
         for side in ("old", "new"):
-            run_pipelines(getattr(args, side), os.path.join(out, side), flags)
+            run_pipelines(getattr(args, side), os.path.join(out, side), workloads, flags)
         return 0 if compare(os.path.join(out, "old"), os.path.join(out, "new")) else 1
 
 
